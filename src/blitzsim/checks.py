@@ -76,9 +76,12 @@ def check_conservation(seed: int = 1) -> CheckResult:
 def check_rate_conformance(seed: int = 1) -> CheckResult:
     """Backlogged bottleneck departs within [rate * 0.995, rate]."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
-    conn, link, _trace = harness.single_flow_run(cfg, 1 << 30, seconds(2.5))
-    window = (seconds(1.0), seconds(2.4))
-    util = link_utilization(link, window)
+    conn, link, trace = harness.single_flow_run(cfg, 1 << 30, seconds(2.5))
+    # a packet arrives exactly one propagation delay after it departs, so
+    # arrivals in the shifted window are the departures in [1.0 s, 2.4 s)
+    delay = link.config.prop_delay
+    window = (seconds(1.0) + delay, seconds(2.4) + delay)
+    util = link_utilization(trace.deliveries(0), window)
     rate = cfg.rate_bps
     if not rate * 0.995 <= util <= rate:
         return False, f"utilization {util / 1e6:.3f} Mbit/s vs rate {rate / 1e6}"

@@ -16,9 +16,8 @@ from pathlib import Path
 from . import checks, harness
 from .engine import NS_PER_MS, NS_PER_S, seconds
 from .harness import (PRESETS, SIZES, PacketTrace, Variant, default_variants,
-                      emit_runs_csv, emit_summary_csv, emit_trace_csv,
-                      parse_scenario_file, rolling_bandwidth, run_matrix,
-                      run_scenario, single_flow_run)
+                      emit_runs_csv, emit_summary_csv, parse_scenario_file,
+                      rolling_bandwidth, run_matrix, single_flow_run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario-file", default=None,
                        help="key = value file describing a single cell")
     run_p.add_argument("--trace", action="store_true",
-                       help="also write per-run packet trace CSVs (serial)")
+                       help="also write per-run packet trace CSVs")
 
     demo = sub.add_parser("demo-fig1",
                           help="startup traces: lone flow, then a flow "
@@ -58,59 +57,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cells(args: argparse.Namespace) -> tuple[list, list, list]:
+    """(scenarios, sizes, variants) the arguments select; ValueError if bad."""
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
+    if args.scenario_file:
+        cfg, size, variant = parse_scenario_file(Path(args.scenario_file))
+        return [cfg], [size], [variant]
+    if args.scenario == "all":
+        scenarios = list(PRESETS.values())
+    elif args.scenario in PRESETS:
+        scenarios = [PRESETS[args.scenario]]
+    else:
+        raise ValueError(f"unknown scenario {args.scenario!r}")
+    if args.size == "all":
+        sizes = list(SIZES.values())
+    elif args.size in SIZES:
+        sizes = [SIZES[args.size]]
+    else:
+        raise ValueError(f"unknown size {args.size!r}")
+    if args.variant == "all":
+        variants = default_variants()
+    else:
+        variants = [Variant.parse(args.variant)]
+    return scenarios, sizes, variants
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    try:
+        scenarios, sizes, variants = _cells(args)
+    except ValueError as exc:
+        print(f"blitzsim run: {exc}", file=sys.stderr)
+        return 2
+    scenarios = [replace(cfg, seed_base=args.seed) for cfg in scenarios]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    if args.scenario_file:
-        cfg, size, variant, reps = parse_scenario_file(Path(args.scenario_file))
-        scenarios, sizes, variants = [cfg], [size], [variant]
-    else:
-        if args.scenario == "all":
-            scenarios = list(PRESETS.values())
-        elif args.scenario in PRESETS:
-            scenarios = [PRESETS[args.scenario]]
-        else:
-            print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
-            return 2
-        if args.size == "all":
-            sizes = list(SIZES.values())
-        elif args.size in SIZES:
-            sizes = [SIZES[args.size]]
-        else:
-            print(f"unknown size {args.size!r}", file=sys.stderr)
-            return 2
-        if args.variant == "all":
-            variants = default_variants()
-        else:
-            variants = [Variant.parse(args.variant)]
-        reps = args.reps
-    scenarios = [replace(cfg, seed_base=args.seed) for cfg in scenarios]
-
-    total = len(scenarios) * len(sizes) * len(variants) * reps
 
     def progress(done: int, n: int) -> None:
         if done % 50 == 0 or done == n:
             print(f"\r{done}/{n} runs", end="", file=sys.stderr, flush=True)
 
-    if args.trace:
-        results = []
-        done = 0
-        for cfg in scenarios:
-            for size in sizes:
-                for variant in variants:
-                    for rep in range(reps):
-                        trace = PacketTrace()
-                        results.append(run_scenario(cfg, size, variant, rep,
-                                                    trace=trace))
-                        name = (f"trace_{cfg.name}_{size}_"
-                                f"{variant.label().replace(':', '_')}_{rep}.csv")
-                        emit_trace_csv(trace, out / name)
-                        done += 1
-                        progress(done, total)
-    else:
-        results = run_matrix(scenarios, sizes, variants, reps,
-                             jobs=args.jobs, progress=progress)
+    results = run_matrix(scenarios, sizes, variants, args.reps,
+                         jobs=args.jobs, progress=progress,
+                         trace_dir=out if args.trace else None)
     print(file=sys.stderr)
 
     emit_runs_csv(results, out / "runs.csv")

@@ -2,9 +2,8 @@
 
 Blitzstart skips Slow Start entirely: the congestion window is seeded from
 a client-signalled bandwidth estimate times the minimum RTT (the
-bandwidth-delay product, optionally scaled by a per-access-technology
-overestimation factor) and the connection begins directly in congestion
-avoidance.
+bandwidth-delay product, optionally scaled by an overestimation factor)
+and the connection begins directly in congestion avoidance.
 
 Cubic windows are computed in segments and seconds and converted to bytes
 at the boundary. cwnd never drops below two segments.
@@ -19,7 +18,7 @@ from typing import Optional
 
 from .engine import NS_PER_MS, NS_PER_S, SimTime
 from .netmodel import SEGMENT_WIRE_BYTES
-from .signaling import AccessTech, BandwidthHint
+from .signaling import BandwidthHint
 
 
 class Mode(enum.Enum):
@@ -57,20 +56,11 @@ class CubicParams:
 
 DEFAULT_PARAMS = CubicParams()
 
-# Per-access-technology window scaling presets. The default applies no
-# scaling anywhere; the mobile preset leans on deep buffers.
-OVERESTIMATE_DEFAULT: dict[AccessTech, float] = {}
-OVERESTIMATE_MOBILE: dict[AccessTech, float] = {
-    AccessTech.THREE_G: 1.5,
-    AccessTech.LTE: 1.5,
-}
-
 
 @dataclass(frozen=True)
 class BlitzstartConfig:
     hint: BandwidthHint
     overestimate_factor: float = 1.0
-    pace_all: bool = False  # sensitivity knob: no initial burst, pace from t=0
 
     def __post_init__(self):
         if self.overestimate_factor <= 0:
@@ -103,12 +93,13 @@ def reno_friendly_segments(t_seconds: float, w_max_segments: float,
 
 
 # Slow Start delay-exit calibration: a sample counts as delay-inflated when
-# it exceeds the minimum RTT by max(floor, min_rtt/HYSTART_DIVISOR); the
-# controller leaves Slow Start after HYSTART_SAMPLES such samples within one
-# round. Calibrated so a lone flow exits while the bottleneck's rolling
-# utilization is still below capacity (detection lags the first queueing by
-# a full round trip, so the threshold must catch the early transient queue)
-# while a flow entering a busy bottleneck still exits within its first round.
+# it exceeds the minimum RTT by max(floor, min_rtt/HYSTART_DIVISOR), and
+# CubicController leaves Slow Start as soon as it has counted HYSTART_SAMPLES
+# such samples within one round. Calibrated so a lone flow exits while the
+# bottleneck's rolling utilization is still below capacity (detection lags
+# the first queueing by a full round trip, so the threshold must catch the
+# early transient queue) while a flow entering a busy bottleneck still exits
+# within its first round.
 # On slow links a few packets of pacing granularity already produce several
 # milliseconds of delay noise, so deployments raise the floor to a handful
 # of serialization times (see ScenarioConfig.hystart_floor).
@@ -118,21 +109,6 @@ HYSTART_SAMPLES = 8
 # serialization times a calibrated floor tolerates: one initial burst's
 # worth of self-queueing (the burst parks burst-1 packets behind the first)
 HYSTART_FLOOR_PKTS = 9
-
-
-def slow_start_exit_decision(round_min_sample: SimTime, min_rtt: SimTime,
-                             samples_in_round: int,
-                             floor: SimTime = HYSTART_FLOOR) -> bool:
-    """Delay-increase exit rule for one completed round of RTT samples.
-
-    Exit when enough samples were seen and the smallest of them still sits
-    a full threshold above the minimum RTT. The incremental controller rule
-    (count delay-inflated samples) exits whenever this round-level test
-    would, and may exit earlier within the round.
-    """
-    if samples_in_round < HYSTART_SAMPLES:
-        return False
-    return round_min_sample >= min_rtt + hystart_threshold(min_rtt, floor)
 
 
 def hystart_threshold(min_rtt: SimTime, floor: SimTime = HYSTART_FLOOR) -> SimTime:
@@ -160,9 +136,9 @@ def blitzstart_initial_cwnd(bandwidth_kbps: int, overestimate_factor: float,
 class CubicController:
     """Cubic congestion avoidance with pluggable startup.
 
-    Baseline: Slow Start (cwnd += acked bytes) with the delay-increase
-    exit above and loss exit. Blitzstart: begins in congestion avoidance
-    at the hinted BDP and can never enter Slow Start.
+    Baseline: Slow Start (cwnd += acked bytes) with the HYSTART_*
+    delay-increase exit above and loss exit. Blitzstart: begins in
+    congestion avoidance at the hinted BDP and can never enter Slow Start.
     """
 
     def __init__(self, params: CubicParams = DEFAULT_PARAMS,
@@ -182,7 +158,6 @@ class CubicController:
         self._min_rtt: Optional[SimTime] = None
         self._round_end_pkt = 0
         self._round_exceed_count = 0
-        self._round_samples = 0
         self.congestion_events = 0
         self.mode_trace: list[tuple[SimTime, Mode]] = []
 
@@ -209,7 +184,6 @@ class CubicController:
             params)
         ctrl.started_in_avoidance = True
         ctrl.ssthresh = ctrl.cwnd
-        ctrl.initial_burst = 0 if config.pace_all else params.initial_burst_packets
         ctrl._enter_avoidance_at_plateau(now)
         return ctrl
 
@@ -277,8 +251,6 @@ class CubicController:
         if largest_acked >= self._round_end_pkt:
             self._round_end_pkt = largest_sent + 1
             self._round_exceed_count = 0
-            self._round_samples = 0
-        self._round_samples += 1
         if rtt_sample >= self._min_rtt + hystart_threshold(self._min_rtt,
                                                            self.hystart_floor):
             self._round_exceed_count += 1
@@ -321,7 +293,6 @@ class CubicController:
 
 def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
                     now: SimTime, overestimate_factor: float = 1.0,
-                    pace_all: bool = False,
                     params: CubicParams = DEFAULT_PARAMS,
                     hystart_floor: SimTime = HYSTART_FLOOR) -> CubicController:
     """Controller selection as the server would do it.
@@ -337,5 +308,5 @@ def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
         min_rtt = hint.min_rtt_us * 1000
     if min_rtt <= 0:
         return CubicController.baseline(params, hystart_floor)
-    cfg = BlitzstartConfig(hint, overestimate_factor, pace_all)
+    cfg = BlitzstartConfig(hint, overestimate_factor)
     return CubicController.blitzstart(cfg, min_rtt, now, params)

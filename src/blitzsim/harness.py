@@ -48,7 +48,6 @@ class ScenarioConfig:
     access_tech: AccessTech
     long_flow_bytes: int = LONG_FLOW_BYTES
     short_flow_start: SimTime = NS_PER_S  # offset after saturation
-    repetitions: int = 30
     seed_base: int = 1
     start_jitter_max: Optional[SimTime] = None  # None: one RTT
     pkt_jitter_max: SimTime = PKT_JITTER_MAX
@@ -100,7 +99,6 @@ class Variant:
     kind: str  # "baseline" | "blitz"
     factor: float = 1.0
     overestimate: float = 1.0
-    pace_all: bool = False
 
     def label(self) -> str:
         if self.kind == "baseline":
@@ -115,12 +113,15 @@ class Variant:
         if text == "baseline":
             return cls("baseline")
         parts = text.split(":")
-        if parts[0] != "blitz" or len(parts) not in (2, 3):
+        try:
+            numbers = [float(x) for x in parts[1:]]
+        except ValueError:
+            numbers = []
+        if (parts[0] != "blitz" or len(numbers) not in (1, 2)
+                or not all(0 < x < math.inf for x in numbers)):
             raise ValueError(f"bad variant {text!r}; want baseline or "
-                             "blitz:<factor>[:<overestimate>]")
-        factor = float(parts[1])
-        overest = float(parts[2]) if len(parts) == 3 else 1.0
-        return cls("blitz", factor, overest)
+                             "blitz:<factor>[:<overestimate>], both positive")
+        return cls("blitz", *numbers)
 
 
 def default_variants() -> list[Variant]:
@@ -264,7 +265,7 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
             return CubicController.baseline(hystart_floor=floor)
         return make_controller(received, min_rtt, now,
                                overestimate_factor=variant.overestimate,
-                               pace_all=variant.pace_all, hystart_floor=floor)
+                               hystart_floor=floor)
 
     return factory
 
@@ -275,7 +276,6 @@ class TwoFlowRun:
     link: Link
     long_conn: Connection
     short_conn: Connection
-    trace: Optional[PacketTrace]
     sat_at: Optional[SimTime] = None
     short_bytes: int = 0
     long_bytes: int = 0
@@ -303,7 +303,7 @@ def _setup_two_flows(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
                             _short_controller_factory(cfg, variant),
                             jitter=pkt_jitter, trace=trace)
-    run = TwoFlowRun(sim, link, long_conn, short_conn, trace)
+    run = TwoFlowRun(sim, link, long_conn, short_conn)
 
     receivers = {LONG_FLOW: long_conn.receiver, SHORT_FLOW: short_conn.receiver}
     link.deliver = lambda pkt, now: receivers[pkt.flow_id].on_data(pkt, now)
@@ -375,7 +375,6 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int,
     if record_cwnd:
         conn.cwnd_log = []
     link.deliver = lambda pkt, now: conn.receiver.on_data(pkt, now)
-    link.log_departures = True
     conn.start(0)
     sim.run_until(duration)
     return conn, link, trace
@@ -448,10 +447,7 @@ def _paired_stats(variant: Sequence[float], baseline: Sequence[float],
             factor = 1.0 if mean_v == 0 else math.inf
     diffs = [v - b for v, b in zip(variant, baseline)]
     mean_d = statistics.fmean(diffs)
-    if n > 1:
-        sd = statistics.stdev(diffs)
-    else:
-        sd = 0.0
+    sd = statistics.stdev(diffs)
     half = _t_critical(n - 1) * sd / math.sqrt(n) if sd > 0 else 0.0
     ci_lo, ci_hi = mean_d - half, mean_d + half
     significant = not (ci_lo <= 0.0 <= ci_hi)
@@ -493,16 +489,28 @@ def aggregate(variant_results: Sequence[RunResult],
 # -- matrix execution ---------------------------------------------------------
 
 
-def _run_cell(task: tuple[ScenarioConfig, int, Variant, int]) -> RunResult:
-    cfg, size_bytes, variant, rep = task
-    return run_scenario(cfg, size_bytes, variant, rep)
+def _run_cell(task: tuple) -> RunResult:
+    cfg, size_bytes, variant, rep, trace_dir = task
+    if trace_dir is None:
+        return run_scenario(cfg, size_bytes, variant, rep)
+    trace = PacketTrace()
+    result = run_scenario(cfg, size_bytes, variant, rep, trace)
+    label = variant.label().replace(":", "_")
+    name = f"trace_{cfg.name}_{size_bytes}_{label}_{rep}.csv"
+    emit_trace_csv(trace, trace_dir / name)
+    return result
 
 
 def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
                variants: Sequence[Variant], reps: int, jobs: int = 1,
-               progress: Optional[Callable[[int, int], None]] = None) -> list[RunResult]:
-    """Run every (scenario, size, variant, rep) cell; order-independent."""
-    tasks = [(cfg, size, variant, rep)
+               progress: Optional[Callable[[int, int], None]] = None,
+               trace_dir: Optional[Path] = None) -> list[RunResult]:
+    """Run every (scenario, size, variant, rep) cell; order-independent.
+
+    With trace_dir, each run also writes its packet trace there as
+    trace_<scenario>_<size>_<variant>_<rep>.csv.
+    """
+    tasks = [(cfg, size, variant, rep, trace_dir)
              for cfg in scenarios for size in sizes for variant in variants
              for rep in range(reps)]
     results: list[RunResult] = []
@@ -632,12 +640,17 @@ def emit_trace_csv(trace: PacketTrace, path: Path) -> None:
 _SCENARIO_FILE_KEYS = {
     "name", "rtt_ms", "bottleneck_kbps", "buffer_pkts", "access_tech",
     "long_flow_bytes", "short_flow_bytes", "short_flow_start_ms", "variant",
-    "repetitions", "seed_base", "start_jitter_max_ms", "pkt_jitter_max_us",
+    "start_jitter_max_ms", "pkt_jitter_max_us",
 }
+# keys older files carried; the command line sets these now
+_KEYS_MOVED_TO_FLAGS = {"repetitions": "--reps", "seed_base": "--seed"}
 
 
-def parse_scenario_file(path: Path) -> tuple[ScenarioConfig, int, Variant, int]:
-    """key = value scenario description; returns (config, size, variant, reps)."""
+def parse_scenario_file(path: Path) -> tuple[ScenarioConfig, int, Variant]:
+    """key = value scenario description; returns (config, size, variant).
+
+    Raises ValueError naming the offending key on any malformed input.
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -648,27 +661,37 @@ def parse_scenario_file(path: Path) -> tuple[ScenarioConfig, int, Variant, int]:
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _SCENARIO_FILE_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            flag = _KEYS_MOVED_TO_FLAGS.get(key)
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}"
+                             + (f"; use {flag} instead" if flag else ""))
         values[key] = value.strip()
     for required in ("name", "rtt_ms", "bottleneck_kbps", "buffer_pkts",
                      "short_flow_bytes"):
         if required not in values:
             raise ValueError(f"{path}: missing required key {required!r}")
-    tech = AccessTech[values.get("access_tech", "UNKNOWN").upper()]
+
+    def get(key: str, convert: Callable[[str], object], default=None):
+        if key not in values:
+            return default
+        try:
+            return convert(values[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: bad {key} {values[key]!r}") from None
+
     cfg = ScenarioConfig(
         name=values["name"],
-        rtt=ms(int(values["rtt_ms"])),
-        bottleneck_kbps=int(values["bottleneck_kbps"]),
-        buffer_pkts=int(values["buffer_pkts"]),
-        access_tech=tech,
-        long_flow_bytes=int(values.get("long_flow_bytes", LONG_FLOW_BYTES)),
-        short_flow_start=ms(int(values.get("short_flow_start_ms", 1000))),
-        repetitions=int(values.get("repetitions", 30)),
-        seed_base=int(values.get("seed_base", 1)),
-        start_jitter_max=(ms(int(values["start_jitter_max_ms"]))
-                          if "start_jitter_max_ms" in values else None),
-        pkt_jitter_max=us(int(values.get("pkt_jitter_max_us", 10))),
+        rtt=get("rtt_ms", lambda v: ms(int(v))),
+        bottleneck_kbps=get("bottleneck_kbps", int),
+        buffer_pkts=get("buffer_pkts", int),
+        access_tech=get("access_tech", lambda v: AccessTech[v.upper()],
+                        AccessTech.UNKNOWN),
+        long_flow_bytes=get("long_flow_bytes", int, LONG_FLOW_BYTES),
+        short_flow_start=get("short_flow_start_ms", lambda v: ms(int(v)),
+                             NS_PER_S),
+        start_jitter_max=get("start_jitter_max_ms", lambda v: ms(int(v))),
+        pkt_jitter_max=get("pkt_jitter_max_us", lambda v: us(int(v)),
+                           PKT_JITTER_MAX),
     )
-    size = int(values["short_flow_bytes"])
-    variant = Variant.parse(values.get("variant", "baseline"))
-    return cfg, size, variant, cfg.repetitions
+    size = get("short_flow_bytes", int)
+    variant = get("variant", Variant.parse, Variant("baseline"))
+    return cfg, size, variant

@@ -11,7 +11,7 @@ symmetric propagation delay on each direction; queueing adds on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .engine import NS_PER_S, SimTime, Simulator
 
@@ -23,12 +23,11 @@ ACK_WIRE_BYTES = 40
 
 class Packet:
     __slots__ = ("flow_id", "seq", "len", "is_ack", "sent_at", "pkt_num",
-                 "acked_ranges", "largest_acked_pkt_num", "payload_len",
-                 "is_handshake")
+                 "acked_ranges", "largest_acked_pkt_num", "payload_len")
 
     def __init__(self, flow_id: int, seq: int, length: int, pkt_num: int,
                  is_ack: bool = False, sent_at: SimTime = 0,
-                 payload_len: int = 0, is_handshake: bool = False):
+                 payload_len: int = 0):
         self.flow_id = flow_id
         self.seq = seq
         self.len = length
@@ -36,7 +35,6 @@ class Packet:
         self.sent_at = sent_at
         self.pkt_num = pkt_num
         self.payload_len = payload_len
-        self.is_handshake = is_handshake
         self.acked_ranges: list[tuple[int, int]] = []
         self.largest_acked_pkt_num = -1
 
@@ -66,8 +64,6 @@ class FlowCounters:
     delivered: int = 0
     dropped: int = 0
     departed: int = 0
-    injected_bytes: int = 0
-    departed_bytes: int = 0
 
 
 class Link:
@@ -90,8 +86,6 @@ class Link:
         self.deliver: Optional[Callable[[Packet, SimTime], None]] = None
         self.on_departure: Optional[Callable[[Packet, SimTime], None]] = None
         self.on_occupancy: Optional[Callable[[SimTime, int], None]] = None
-        self.log_departures = False
-        self.departures: list[tuple[SimTime, int, int]] = []  # (t, flow, len)
         # idle credit allows up to burst_pkts back-to-back full segments
         self._burst_credit = (config.burst_pkts - 1) * config.serialization_time(
             SEGMENT_WIRE_BYTES)
@@ -106,7 +100,6 @@ class Link:
         """Admit a packet; returns its departure time, or None if dropped."""
         c = self._flow(packet.flow_id)
         c.injected += 1
-        c.injected_bytes += packet.len
         if self.queued >= self.config.buffer_pkts:
             c.dropped += 1
             return None
@@ -126,9 +119,6 @@ class Link:
         self.queued -= 1
         c = self._flow(packet.flow_id)
         c.departed += 1
-        c.departed_bytes += packet.len
-        if self.log_departures:
-            self.departures.append((now, packet.flow_id, packet.len))
         if self.on_departure is not None:
             self.on_departure(packet, now)
         if self.queued == 0 and self.on_occupancy is not None:
@@ -143,13 +133,14 @@ class Link:
             self.deliver(packet, now)
 
 
-def link_utilization(link: Link, window: tuple[SimTime, SimTime]) -> float:
-    """Bits per second departed within [start, end). Needs log_departures."""
+def link_utilization(samples: Sequence[tuple[SimTime, int]],
+                     window: tuple[SimTime, SimTime]) -> float:
+    """Bits per second carried by the (t, bytes) samples within [start, end)."""
     start, end = window
     if end <= start:
         raise ValueError(f"empty utilization window: [{start}, {end})")
     total = 0
-    for t, _flow, length in link.departures:
+    for t, length in samples:
         if start <= t < end:
             total += length
     return total * 8 * NS_PER_S / (end - start)

@@ -1,4 +1,4 @@
-"""Client-to-server bandwidth hint: wire format and estimators.
+"""Client-to-server bandwidth hint: wire format and the oracle estimator.
 
 The hint travels once, at connection establishment, as an opaque transport
 parameter. Layout (big-endian):
@@ -16,8 +16,7 @@ import enum
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 HINT_VERSION = 0x01
 _FLAG_MIN_RTT = 0x01
@@ -114,57 +113,3 @@ class OracleEstimator:
 
     def estimate(self, true_kbps: int, at_ms: int = 0) -> int:
         return int(Fraction(self.factor) * true_kbps)
-
-
-@dataclass(frozen=True)
-class FixedEstimator:
-    """Returns a constant, ignoring the true bandwidth."""
-
-    kbps: int
-
-    def estimate(self, true_kbps: int, at_ms: int = 0) -> int:
-        return self.kbps
-
-
-class TraceEstimator:
-    """Replays time-indexed estimates from a `time_ms,kbps` text file."""
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self.samples: list[tuple[int, int]] = []
-        for lineno, raw in enumerate(self.path.read_text().splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{self.path}:{lineno}: expected time_ms,kbps")
-            try:
-                t, kbps = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(
-                    f"{self.path}:{lineno}: non-integer field") from None
-            self.samples.append((t, kbps))
-        if not self.samples:
-            raise ValueError(f"{self.path}: empty trace")
-        self.samples.sort()
-
-    def estimate(self, true_kbps: int, at_ms: int = 0) -> int:
-        value = self.samples[0][1]
-        for t, kbps in self.samples:
-            if t > at_ms:
-                break
-            value = kbps
-        return value
-
-
-EstimatorSpec = Union[OracleEstimator, FixedEstimator, TraceEstimator]
-
-
-def make_hint(spec: EstimatorSpec, true_kbps: int,
-              access_tech: AccessTech = AccessTech.UNKNOWN,
-              min_rtt_us: Optional[int] = None,
-              at_ms: int = 0) -> BandwidthHint:
-    """Run an estimator and package the result as a signalable hint."""
-    return BandwidthHint(access_tech, spec.estimate(true_kbps, at_ms),
-                         min_rtt_us)

@@ -15,7 +15,7 @@ time for every variant alike.
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict, deque
+from collections import deque
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -94,14 +94,6 @@ class RangeSet:
         self.total += sum(e - s for s, e in added)
         return added
 
-    def covers(self, start: int, end: int) -> bool:
-        for s, e in self.ranges:
-            if s <= start and end <= e:
-                return True
-            if s > start:
-                break
-        return False
-
     def subtract_from(self, start: int, end: int) -> list[tuple[int, int]]:
         """Parts of [start, end) not yet covered."""
         holes: list[tuple[int, int]] = []
@@ -122,15 +114,14 @@ class RangeSet:
 
 
 class SentRecord:
-    __slots__ = ("pkt_num", "seq_start", "seq_end", "payload_len", "wire_len",
-                 "sent_at", "is_retx", "acked", "lost")
+    __slots__ = ("pkt_num", "seq_start", "seq_end", "wire_len", "sent_at",
+                 "is_retx", "acked", "lost")
 
     def __init__(self, pkt_num: int, seq_start: int, seq_end: int,
                  wire_len: int, sent_at: SimTime, is_retx: bool):
         self.pkt_num = pkt_num
         self.seq_start = seq_start
         self.seq_end = seq_end
-        self.payload_len = seq_end - seq_start
         self.wire_len = wire_len
         self.sent_at = sent_at
         self.is_retx = is_retx
@@ -149,7 +140,6 @@ class Receiver:
         self._ack_timer: Optional[Event] = None
         self._ack_pkt_num = 0
         self.acks_sent = 0
-        self.ack_bytes_sent = 0
 
     def on_data(self, pkt: Packet, now: SimTime) -> None:
         self.ranges.add(pkt.seq, pkt.seq + pkt.payload_len)
@@ -184,7 +174,6 @@ class Receiver:
         ack.acked_ranges = list(self.ranges.ranges)
         ack.largest_acked_pkt_num = self.largest_pkt_num
         self.acks_sent += 1
-        self.ack_bytes_sent += ACK_WIRE_BYTES
         # reverse path: fixed propagation only, never congested or dropped
         conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
                           f"conn:{conn.flow_id}", conn.on_ack, ack)
@@ -213,7 +202,8 @@ class Connection:
         self.next_pkt_num = 0
         self.records: dict[int, SentRecord] = {}
         self.records_by_seq: dict[int, list[SentRecord]] = {}
-        self.unacked: "OrderedDict[int, SentRecord]" = OrderedDict()
+        # every record below this packet number is acked or declared lost
+        self._scan_from = 0
         self.retx_queue: deque[tuple[int, int]] = deque()
         self.acked_ranges = RangeSet()
         self.in_flight = 0
@@ -233,7 +223,6 @@ class Connection:
         self._last_inject: SimTime = 0
 
         self.bytes_acked = 0
-        self.bytes_lost = 0
         self.bytes_retransmitted = 0
         self.lost_pkts = 0
         self.pkts_sent = 0
@@ -362,7 +351,6 @@ class Connection:
         rec = SentRecord(pkt_num, start, end, wire, inject_at, is_retx)
         self.records[pkt_num] = rec
         self.records_by_seq.setdefault(start, []).append(rec)
-        self.unacked[pkt_num] = rec
         self.in_flight += wire
         self.pkts_sent += 1
         self.payload_sent += end - start
@@ -474,34 +462,35 @@ class Connection:
 
     # -- loss detection -------------------------------------------------------
 
-    def _detect_losses(self, now: SimTime) -> list[int]:
+    def _detect_losses(self, now: SimTime) -> None:
         """RACK-style scan against the largest acknowledged packet."""
         if self.largest_acked_pkt < 0 or self.srtt is None:
-            return []
+            return
         threshold = (RACK_TIME_THRESHOLD.numerator
                      * max(self.srtt, self.latest_rtt)
                      // RACK_TIME_THRESHOLD.denominator)
         time_cutoff = self.largest_acked_sent_at - threshold
         pkt_cutoff = self.largest_acked_pkt - RACK_PACKET_THRESHOLD
-        lost: list[int] = []
-        unacked = self.unacked
-        while unacked:
-            pkt_num, rec = next(iter(unacked.items()))
-            if rec.acked or rec.lost:
-                unacked.popitem(last=False)
-                continue
-            if rec.pkt_num <= pkt_cutoff or rec.sent_at <= time_cutoff:
-                unacked.popitem(last=False)
-                self._declare_lost(rec, now)
-                lost.append(rec.pkt_num)
-                continue
-            break
-        return lost
+        while True:
+            rec = self._oldest_outstanding()
+            if rec is None or (rec.pkt_num > pkt_cutoff
+                               and rec.sent_at > time_cutoff):
+                return
+            self._declare_lost(rec, now)
+
+    def _oldest_outstanding(self) -> Optional[SentRecord]:
+        """Oldest record neither acked nor declared lost, if any."""
+        records, end = self.records, self.next_pkt_num
+        pkt_num = self._scan_from
+        while pkt_num < end and (records[pkt_num].acked
+                                 or records[pkt_num].lost):
+            pkt_num += 1
+        self._scan_from = pkt_num
+        return records[pkt_num] if pkt_num < end else None
 
     def _declare_lost(self, rec: SentRecord, now: SimTime) -> None:
         rec.lost = True
         self.in_flight -= rec.wire_len
-        self.bytes_lost += rec.payload_len
         self.lost_pkts += 1
         holes = self.acked_ranges.subtract_from(rec.seq_start, rec.seq_end)
         for hole in holes:
@@ -527,17 +516,9 @@ class Connection:
         self._pto_event = None
         if self.finished:
             return
-        oldest: Optional[SentRecord] = None
-        while self.unacked:
-            pkt_num, rec = next(iter(self.unacked.items()))
-            if rec.acked or rec.lost:
-                self.unacked.popitem(last=False)
-                continue
-            oldest = rec
-            break
+        oldest = self._oldest_outstanding()
         if oldest is None:
             return
-        self.unacked.popitem(last=False)
         self._declare_lost(oldest, now)
         self._pto_backoff += 1
         self._arm_pto(now)

@@ -6,8 +6,7 @@ from blitzsim.congestion import (DEFAULT_PARAMS, BlitzstartConfig,
                                  CubicController, CubicParams, Mode,
                                  blitzstart_initial_cwnd, cubic_k_seconds,
                                  cubic_window_segments, hystart_threshold,
-                                 make_controller, reno_friendly_segments,
-                                 slow_start_exit_decision)
+                                 make_controller, reno_friendly_segments)
 from blitzsim.engine import ms, seconds
 from blitzsim.signaling import AccessTech, BandwidthHint
 
@@ -42,17 +41,27 @@ def test_slow_start_caps_at_ssthresh_and_enters_avoidance():
     assert ctrl.cwnd == 40 * SEG
 
 
+def slow_start_round(samples):
+    # a 50 ms minimum RTT, then one round of the given RTT samples
+    ctrl = CubicController.baseline()
+    acked(ctrl, SEG, rtt=ms(50), largest_acked=0, largest_sent=len(samples))
+    for i, rtt in enumerate(samples):
+        acked(ctrl, SEG, rtt=rtt, now=ms(60) + i, largest_acked=1 + i,
+              largest_sent=len(samples))
+    return ctrl
+
+
 def test_exit_decision_on_inflated_round_minimum():
     # round minimum 57 ms against a 50 ms floor: delay growth, exit
-    assert slow_start_exit_decision(ms(57), ms(50), samples_in_round=16)
+    assert slow_start_round([ms(57)] * 16).mode is Mode.AVOIDANCE
 
 
 def test_exit_decision_stays_without_delay_growth():
-    assert not slow_start_exit_decision(ms(50), ms(50), samples_in_round=16)
+    assert slow_start_round([ms(50)] * 16).mode is Mode.SLOW_START
 
 
 def test_exit_decision_needs_enough_samples():
-    assert not slow_start_exit_decision(ms(57), ms(50), samples_in_round=7)
+    assert slow_start_round([ms(57)] * 7).mode is Mode.SLOW_START
 
 
 def test_controller_exits_after_eight_inflated_samples():
@@ -191,6 +200,8 @@ def test_blitzstart_four_x_overestimate():
     cwnd = blitzstart_initial_cwnd(50_000, 4.0, ms(50))
     assert cwnd == 1_250_000
     assert cwnd // SEG == 833
+    hint = BandwidthHint(AccessTech.DSL, 50_000)
+    assert make_controller(hint, ms(50), 0, overestimate_factor=4.0).cwnd == cwnd
 
 
 def test_blitzstart_clamps_to_floor():
@@ -204,13 +215,6 @@ def test_blitzstart_controller_starts_in_avoidance():
     assert ctrl.started_in_avoidance
     assert ctrl.cwnd == 312_500
     assert ctrl.initial_burst == 10
-
-
-def test_blitzstart_pace_all_disables_burst():
-    hint = BandwidthHint(AccessTech.DSL, 50_000)
-    cfg = BlitzstartConfig(hint, pace_all=True)
-    ctrl = CubicController.blitzstart(cfg, ms(50), now=0)
-    assert ctrl.initial_burst == 0
 
 
 def test_blitzstart_never_enters_slow_start():
@@ -237,16 +241,6 @@ def test_zero_hint_falls_back_to_baseline():
 def test_missing_hint_falls_back_to_baseline():
     ctrl = make_controller(None, ms(50), 0)
     assert ctrl.mode is Mode.SLOW_START
-
-
-def test_mobile_overestimate_preset_scales_deep_buffered_techs():
-    from blitzsim.congestion import OVERESTIMATE_DEFAULT, OVERESTIMATE_MOBILE
-    hint = BandwidthHint(AccessTech.LTE, 32_000)
-    factor = OVERESTIMATE_MOBILE.get(hint.access_tech, 1.0)
-    assert factor == 1.5
-    ctrl = make_controller(hint, ms(70), 0, overestimate_factor=factor)
-    assert ctrl.cwnd == blitzstart_initial_cwnd(32_000, 1.5, ms(70))
-    assert OVERESTIMATE_DEFAULT.get(hint.access_tech, 1.0) == 1.0
 
 
 def test_hint_supplied_min_rtt_overrides_handshake_sample():

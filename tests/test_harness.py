@@ -27,7 +27,6 @@ def test_presets_match_published_profiles():
     for name, (rtt, kbps, buf) in expect.items():
         cfg = PRESETS[name]
         assert (cfg.rtt, cfg.bottleneck_kbps, cfg.buffer_pkts) == (rtt, kbps, buf)
-        assert cfg.repetitions == 30
         assert cfg.long_flow_bytes == 1 << 30
 
 
@@ -306,10 +305,8 @@ def test_parse_scenario_file_roundtrip(tmp_path):
         "access_tech = wifi\n"
         "short_flow_bytes = 70000\n"
         "short_flow_start_ms = 500\n"
-        "variant = blitz:1.5:2.0\n"
-        "repetitions = 4\n"
-        "seed_base = 9\n")
-    cfg, size, variant, reps = parse_scenario_file(p)
+        "variant = blitz:1.5:2.0\n")
+    cfg, size, variant = parse_scenario_file(p)
     assert cfg.name == "tiny"
     assert cfg.rtt == ms(40)
     assert cfg.bottleneck_kbps == 10_000
@@ -318,7 +315,6 @@ def test_parse_scenario_file_roundtrip(tmp_path):
     assert cfg.short_flow_start == ms(500)
     assert size == 70_000
     assert variant == Variant("blitz", 1.5, 2.0)
-    assert reps == 4
 
 
 def test_parse_scenario_file_rejects_unknown_keys(tmp_path):
@@ -353,19 +349,62 @@ def test_cli_rejects_unknown_scenario(tmp_path):
     assert rc == 2
 
 
+CELL_FILE = ("name = cell\nrtt_ms = 50\nbottleneck_kbps = 50000\n"
+             "buffer_pkts = 208\naccess_tech = dsl\nshort_flow_bytes = 70000\n"
+             "variant = blitz:1.0\n")
+
+
 def test_cli_scenario_file(tmp_path):
+    # repetitions and seed come from the flags, never from the file
     p = tmp_path / "cell.scenario"
-    p.write_text(
-        "name = cell\nrtt_ms = 50\nbottleneck_kbps = 50000\n"
-        "buffer_pkts = 208\naccess_tech = dsl\nshort_flow_bytes = 70000\n"
-        "variant = blitz:1.0\nrepetitions = 1\n")
+    p.write_text(CELL_FILE)
     out = tmp_path / "out"
     rc = main(["run", "--scenario-file", str(p), "--out", str(out),
-               "--jobs", "1", "--seed", "3"])
+               "--jobs", "1", "--reps", "3", "--seed", "9"])
     assert rc == 0
     lines = (out / "runs.csv").read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[1].startswith("cell,70000,blitz:1,")
+    assert len(lines) == 4
+    for rep, line in enumerate(lines[1:]):
+        assert line.startswith(f"cell,70000,blitz:1,{rep},9,")
+
+
+@pytest.mark.parametrize("argv, file_text, named", [
+    (["--scenario", "dsl-fast", "--variant", "blitz:x"], None, "blitz:x"),
+    ([], CELL_FILE.replace("= dsl", "= fiber"), "access_tech"),
+    (["--scenario", "dsl-fast", "--reps", "0"], None, "--reps"),
+    ([], CELL_FILE + "repetitions = 1\n", "--reps"),
+])
+def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
+                                               file_text, named):
+    if file_text is not None:
+        p = tmp_path / "cell.scenario"
+        p.write_text(file_text)
+        argv = ["--scenario-file", str(p)]
+    out = tmp_path / "out"
+    rc = main(["run", "--size", "70K", "--out", str(out), "--jobs", "1"]
+              + argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+def test_cli_trace_files_do_not_depend_on_jobs(tmp_path):
+    outs = {}
+    for jobs in ("1", "2"):
+        out = outs[jobs] = tmp_path / f"jobs{jobs}"
+        rc = main(["run", "--scenario", "dsl-fast", "--size", "70K",
+                   "--variant", "blitz:1.5", "--reps", "2", "--seed", "4",
+                   "--trace", "--jobs", jobs, "--out", str(out)])
+        assert rc == 0
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert names == ["runs.csv", "summary.csv",
+                     "trace_dsl-fast_70000_blitz_1.5_0.csv",
+                     "trace_dsl-fast_70000_blitz_1.5_1.csv"]
+    assert sorted(p.name for p in outs["2"].iterdir()) == names
+    for name in names:
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
 
 def test_cli_demo_fig1(tmp_path):

@@ -12,6 +12,12 @@ def _pkt(num, length=1500, flow=0):
     return Packet(flow, num * 1350, length, num, payload_len=min(length, 1350))
 
 
+def _log_departures(link):
+    departures = []
+    link.on_departure = lambda pkt, now: departures.append((now, pkt.len))
+    return departures
+
+
 def test_serialization_time_on_idle_link():
     # 1500 B at 50 Mbit/s: 1500*8/50e6 = 240 us
     sim = Simulator()
@@ -23,11 +29,11 @@ def test_serialization_time_on_idle_link():
 def test_two_packets_depart_in_order_one_serialization_apart():
     sim = Simulator()
     link = Link(sim, DSL_FAST)
-    link.log_departures = True
+    departures = _log_departures(link)
     assert link.enqueue(_pkt(0), 0) == us(240)
     assert link.enqueue(_pkt(1), 0) == us(480)
     sim.run_until(None)
-    assert [t for t, _f, _l in link.departures] == [us(240), us(480)]
+    assert [t for t, _l in departures] == [us(240), us(480)]
 
 
 def test_full_buffer_drops_the_209th_packet():
@@ -93,10 +99,10 @@ def test_utilization_of_saturated_link_within_half_percent():
         if now < seconds(2):
             sim.schedule(now + ms(5), "pacing-timer", "src", refill)
 
-    link.log_departures = True
+    departures = _log_departures(link)
     sim.schedule(0, "app-start", "src", refill)
     sim.run_until(seconds(2))
-    util = link_utilization(link, (seconds(0.5), seconds(1.9)))
+    util = link_utilization(departures, (seconds(0.5), seconds(1.9)))
     assert 50e6 * 0.995 <= util <= 50e6
 
 
@@ -104,25 +110,20 @@ def test_utilization_single_packet_in_one_ms_window():
     # 1500*8/0.001 = 12 Mbit/s
     sim = Simulator()
     link = Link(sim, DSL_FAST)
-    link.log_departures = True
+    departures = _log_departures(link)
     link.enqueue(_pkt(0), 0)
     sim.run_until(None)
-    util = link_utilization(link, (0, ms(1)))
+    util = link_utilization(departures, (0, ms(1)))
     assert util == pytest.approx(12e6)
 
 
 def test_utilization_empty_window_is_zero():
-    sim = Simulator()
-    link = Link(sim, DSL_FAST)
-    link.log_departures = True
-    assert link_utilization(link, (0, seconds(1))) == 0.0
+    assert link_utilization([], (0, seconds(1))) == 0.0
 
 
 def test_utilization_rejects_empty_interval():
-    sim = Simulator()
-    link = Link(sim, DSL_FAST)
     with pytest.raises(ValueError):
-        link_utilization(link, (ms(5), ms(5)))
+        link_utilization([], (ms(5), ms(5)))
 
 
 def test_occupancy_never_exceeds_buffer():
@@ -146,7 +147,6 @@ def test_conservation_and_fifo_under_random_arrivals(arrivals):
     cfg = LinkConfig(rate_bps=8_000_000, prop_delay=ms(10), buffer_pkts=12)
     sim = Simulator()
     link = Link(sim, cfg)
-    link.log_departures = True
     delivered = []
     link.deliver = lambda pkt, now: delivered.append(pkt.pkt_num)
     arrivals = sorted(arrivals)
@@ -188,10 +188,10 @@ def test_rate_is_never_exceeded_with_ceil_serialization():
     cfg = LinkConfig(rate_bps=7_777_777, prop_delay=0, buffer_pkts=1000)
     sim = Simulator()
     link = Link(sim, cfg)
-    link.log_departures = True
+    departures = _log_departures(link)
     for i in range(900):
         link.enqueue(_pkt(i), 0)
     sim.run_until(None)
-    last = link.departures[-1][0]
+    last = departures[-1][0]
     bits = 900 * 1500 * 8
     assert bits * NS_PER_S / last <= cfg.rate_bps

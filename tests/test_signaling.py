@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blitzsim.signaling import (AccessTech, BandwidthHint, FixedEstimator,
-                                HintDecodeError, OracleEstimator,
-                                TraceEstimator, decode_hint, encode_hint,
-                                make_hint)
+from blitzsim.signaling import (AccessTech, BandwidthHint, HintDecodeError,
+                                OracleEstimator, decode_hint, encode_hint)
 
 # -- wire format: exact bytes ----------------------------------------------------
 
@@ -136,35 +134,3 @@ def test_oracle_linearity_exact(factor, true_kbps):
     from fractions import Fraction
     est = OracleEstimator(factor).estimate(true_kbps)
     assert est == int(Fraction(factor) * true_kbps)
-
-
-def test_fixed_estimator_ignores_truth():
-    assert FixedEstimator(10_000).estimate(50_000) == 10_000
-    assert FixedEstimator(10_000).estimate(1) == 10_000
-
-
-def test_trace_estimator_time_indexed(tmp_path):
-    p = tmp_path / "trace.txt"
-    p.write_text("# time_ms,kbps\n0,1000\n500,2000\n1500,3000\n")
-    est = TraceEstimator(p)
-    assert est.estimate(50_000, at_ms=0) == 1000
-    assert est.estimate(50_000, at_ms=499) == 1000
-    assert est.estimate(50_000, at_ms=500) == 2000
-    assert est.estimate(50_000, at_ms=9999) == 3000
-
-
-def test_trace_estimator_rejects_malformed_file(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("0,1000\nnot-a-line\n")
-    with pytest.raises(ValueError):
-        TraceEstimator(p)
-    p2 = tmp_path / "empty.txt"
-    p2.write_text("# nothing\n")
-    with pytest.raises(ValueError):
-        TraceEstimator(p2)
-
-
-def test_make_hint_packages_estimate():
-    hint = make_hint(OracleEstimator(0.5), 50_000, AccessTech.DSL,
-                     min_rtt_us=50_000)
-    assert hint == BandwidthHint(AccessTech.DSL, 25_000, 50_000)
