@@ -6,8 +6,8 @@ Start, and a variant that skips Slow Start by seeding the congestion
 window from a client-signalled bandwidth hint.
 """
 
-from .congestion import (BlitzstartConfig, CubicController, CubicParams,
-                         Mode, blitzstart_initial_cwnd, make_controller)
+from .congestion import (CubicController, Mode, blitzstart_initial_cwnd,
+                         make_controller)
 from .engine import SimTime, Simulator
 from .harness import (PRESETS, SIZES, RunResult, ScenarioConfig, Variant,
                       aggregate, fairness_ratio, rolling_bandwidth,
@@ -20,11 +20,10 @@ from .transport import Connection, pacing_interval
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessTech", "BandwidthHint", "BlitzstartConfig", "Connection",
-    "CubicController", "CubicParams", "HintDecodeError", "Link",
-    "LinkConfig", "Mode", "Packet", "PRESETS", "RunResult", "SIZES",
-    "ScenarioConfig", "SimTime", "Simulator", "Variant", "aggregate",
-    "blitzstart_initial_cwnd", "decode_hint", "encode_hint",
-    "fairness_ratio", "link_utilization", "make_controller",
+    "AccessTech", "BandwidthHint", "Connection", "CubicController",
+    "HintDecodeError", "Link", "LinkConfig", "Mode", "Packet", "PRESETS",
+    "RunResult", "SIZES", "ScenarioConfig", "SimTime", "Simulator",
+    "Variant", "aggregate", "blitzstart_initial_cwnd", "decode_hint",
+    "encode_hint", "fairness_ratio", "link_utilization", "make_controller",
     "pacing_interval", "rolling_bandwidth", "run_matrix", "run_scenario",
 ]

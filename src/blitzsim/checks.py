@@ -10,14 +10,15 @@ import random
 from typing import Callable
 
 from . import harness
-from .congestion import (DEFAULT_PARAMS, Mode, cubic_k_seconds,
-                         cubic_window_segments)
+from .congestion import (CUBIC_BETA, INITIAL_WINDOW_BYTES, Mode,
+                         cubic_k_seconds, cubic_window_segments)
 from .engine import NS_PER_MS, seconds
-from .netmodel import SEGMENT_WIRE_BYTES, link_utilization
+from .netmodel import link_utilization
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         decode_hint, encode_hint)
 
 CheckResult = tuple[bool, str]
+FUZZ_CASES = 100_000  # inputs per encode/decode fuzz check
 
 
 def check_determinism(seed: int = 1) -> CheckResult:
@@ -102,19 +103,18 @@ def check_buffer_occupancy(seed: int = 1) -> CheckResult:
 
 def check_cubic_shape(seed: int = 1) -> CheckResult:
     """W(K) = W_max exactly; concave below the plateau, convex above."""
-    params = DEFAULT_PARAMS
     for w_max in (10.0, 100.0, 400.0):
-        k = cubic_k_seconds(w_max, params)
-        at_k = cubic_window_segments(k, w_max, k, params)
+        k = cubic_k_seconds(w_max)
+        at_k = cubic_window_segments(k, w_max, k)
         if abs(at_k - w_max) > 1e-9:
             return False, f"W(K) = {at_k} != {w_max}"
-        at_zero = cubic_window_segments(0.0, w_max, k, params)
-        if abs(at_zero - params.beta * w_max) > 1e-6:
+        at_zero = cubic_window_segments(0.0, w_max, k)
+        if abs(at_zero - CUBIC_BETA * w_max) > 1e-6:
             return False, f"W(0) = {at_zero} != beta * {w_max}"
         prev = None
         for i in range(0, 200):
             t = i * (2 * k) / 199 if k > 0 else i * 0.01
-            w = cubic_window_segments(t, w_max, k, params)
+            w = cubic_window_segments(t, w_max, k)
             if prev is not None and w < prev:
                 return False, f"W not nondecreasing at t={t}"
             if t < k and w >= w_max:
@@ -129,15 +129,13 @@ def check_slow_start_doubling(seed: int = 1) -> CheckResult:
     conn, link, _trace = harness.single_flow_run(cfg, 1 << 30, seconds(1.0),
                                                  record_cwnd=True)
     assert conn.cwnd_log is not None
-    seg = SEGMENT_WIRE_BYTES
-    initial = DEFAULT_PARAMS.initial_window_bytes
     hits: dict[int, int] = {}
     for t, cwnd, mode in conn.cwnd_log:
         if mode is not Mode.SLOW_START:
             break
         for mult in (2, 4, 8):
-            if mult not in hits and cwnd >= mult * initial:
-                if cwnd != mult * initial:
+            if mult not in hits and cwnd >= mult * INITIAL_WINDOW_BYTES:
+                if cwnd != mult * INITIAL_WINDOW_BYTES:
                     return False, (f"round boundary cwnd {cwnd} not exactly "
                                    f"{mult}x initial window")
                 hits[mult] = t
@@ -150,10 +148,10 @@ def check_slow_start_doubling(seed: int = 1) -> CheckResult:
     return True, f"doublings at {sorted(hits)}x initial window, one per RTT"
 
 
-def check_hint_roundtrip(seed: int = 1, n: int = 100_000) -> CheckResult:
+def check_hint_roundtrip(seed: int = 1) -> CheckResult:
     rng = random.Random(seed)
     techs = list(AccessTech)
-    for _ in range(n):
+    for _ in range(FUZZ_CASES):
         hint = BandwidthHint(
             access_tech=rng.choice(techs),
             bandwidth_kbps=rng.randrange(0, 1 << 32),
@@ -162,13 +160,13 @@ def check_hint_roundtrip(seed: int = 1, n: int = 100_000) -> CheckResult:
         )
         if decode_hint(encode_hint(hint)) != hint:
             return False, f"roundtrip failed for {hint}"
-    return True, f"{n} randomized hints survive encode/decode"
+    return True, f"{FUZZ_CASES} randomized hints survive encode/decode"
 
 
-def check_decode_totality(seed: int = 2, n: int = 100_000) -> CheckResult:
+def check_decode_totality(seed: int = 2) -> CheckResult:
     rng = random.Random(seed)
     decoded = 0
-    for _ in range(n):
+    for _ in range(FUZZ_CASES):
         blob = rng.randbytes(rng.randrange(0, 65))
         try:
             decode_hint(blob)
@@ -177,7 +175,7 @@ def check_decode_totality(seed: int = 2, n: int = 100_000) -> CheckResult:
             pass
         except Exception as exc:  # noqa: BLE001 - the check is the point
             return False, f"decode raised {type(exc).__name__} on {blob.hex()}"
-    return True, f"{n} arbitrary inputs handled ({decoded} decoded cleanly)"
+    return True, f"{FUZZ_CASES} arbitrary inputs handled ({decoded} decoded cleanly)"
 
 
 ALL_CHECKS: list[tuple[str, Callable[..., CheckResult]]] = [

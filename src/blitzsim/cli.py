@@ -111,9 +111,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_fig1(args: argparse.Namespace) -> int:
+    cfg = replace(PRESETS["dsl-fast"], seed_base=args.seed)
+    bottom_end = seconds(args.bottom_duration_s)
+    try:
+        bcfg = replace(cfg, sim_cap=bottom_end)
+    except ValueError as exc:
+        print(f"blitzsim demo-fig1: --bottom-duration-s: {exc}",
+              file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = replace(PRESETS["dsl-fast"], seed_base=args.seed)
     rtt = cfg.rtt
 
     # lone flow on an idle link: exponential startup, then avoidance
@@ -126,8 +133,6 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
             fh.write(f"{t // 1000},0,{rtt // 1000},{bps:.1f}\n")
 
     # second flow entering a bottleneck the first flow has saturated
-    bottom_end = seconds(args.bottom_duration_s)
-    bcfg = replace(cfg, sim_cap=bottom_end)
     dtrace = PacketTrace(only={"deliver"})
     run = harness._setup_two_flows(bcfg, 1 << 30, Variant("baseline"), 0,
                                    trace=dtrace, stop_on_completion=False)

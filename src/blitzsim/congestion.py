@@ -12,7 +12,6 @@ at the boundary. cwnd never drops below two segments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,65 +30,35 @@ PACE_SLOW_START = Fraction(1, 2)
 PACE_AVOIDANCE = Fraction(3, 4)
 
 
-@dataclass(frozen=True)
-class CubicParams:
-    c: float = 0.4                 # segments per second cubed
-    beta: float = 0.7              # multiplicative decrease
-    initial_window_segments: int = 32
-    initial_burst_packets: int = 10
-    segment_bytes: int = SEGMENT_WIRE_BYTES
-
-    def __post_init__(self):
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must be in (0, 1)")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-
-    @property
-    def floor_bytes(self) -> int:
-        return 2 * self.segment_bytes
-
-    @property
-    def initial_window_bytes(self) -> int:
-        return self.initial_window_segments * self.segment_bytes
+CUBIC_C = 0.4         # segments per second cubed
+CUBIC_BETA = 0.7      # multiplicative decrease
+INITIAL_WINDOW_SEGMENTS = 32
+INITIAL_BURST_PACKETS = 10  # sent back to back before pacing takes over
+FLOOR_BYTES = 2 * SEGMENT_WIRE_BYTES  # cwnd never drops below this
+INITIAL_WINDOW_BYTES = INITIAL_WINDOW_SEGMENTS * SEGMENT_WIRE_BYTES
 
 
-DEFAULT_PARAMS = CubicParams()
-
-
-@dataclass(frozen=True)
-class BlitzstartConfig:
-    hint: BandwidthHint
-    overestimate_factor: float = 1.0
-
-    def __post_init__(self):
-        if self.overestimate_factor <= 0:
-            raise ValueError("overestimate_factor must be positive")
-
-
-def cubic_k_seconds(w_max_segments: float, params: CubicParams = DEFAULT_PARAMS) -> float:
+def cubic_k_seconds(w_max_segments: float) -> float:
     """Time to return to w_max after a multiplicative decrease."""
-    return (w_max_segments * (1.0 - params.beta) / params.c) ** (1.0 / 3.0)
+    return (w_max_segments * (1.0 - CUBIC_BETA) / CUBIC_C) ** (1.0 / 3.0)
 
 
 def cubic_window_segments(t_seconds: float, w_max_segments: float,
-                          k_seconds: float,
-                          params: CubicParams = DEFAULT_PARAMS) -> float:
+                          k_seconds: float) -> float:
     """W(t) = C*(t - K)^3 + W_max, in segments."""
-    return params.c * (t_seconds - k_seconds) ** 3 + w_max_segments
+    return CUBIC_C * (t_seconds - k_seconds) ** 3 + w_max_segments
 
 
 def reno_friendly_segments(t_seconds: float, w_max_segments: float,
-                           srtt_seconds: float,
-                           params: CubicParams = DEFAULT_PARAMS) -> float:
+                           srtt_seconds: float) -> float:
     """Linear-growth floor emulating a standard AIMD flow.
 
     Keeps small windows growing roughly one segment per few round trips
     where the cubic term would idle on its plateau; without it, short
     flows stall for seconds and then probe explosively.
     """
-    alpha = 3.0 * (1.0 - params.beta) / (1.0 + params.beta)
-    return w_max_segments * params.beta + alpha * t_seconds / srtt_seconds
+    alpha = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
+    return w_max_segments * CUBIC_BETA + alpha * t_seconds / srtt_seconds
 
 
 # Slow Start delay-exit calibration: a sample counts as delay-inflated when
@@ -116,8 +85,7 @@ def hystart_threshold(min_rtt: SimTime, floor: SimTime = HYSTART_FLOOR) -> SimTi
 
 
 def blitzstart_initial_cwnd(bandwidth_kbps: int, overestimate_factor: float,
-                            min_rtt: SimTime,
-                            params: CubicParams = DEFAULT_PARAMS) -> int:
+                            min_rtt: SimTime) -> int:
     """Bandwidth-delay product in bytes, exactly.
 
     bandwidth * factor * min_rtt / 8, evaluated in rational arithmetic and
@@ -125,12 +93,14 @@ def blitzstart_initial_cwnd(bandwidth_kbps: int, overestimate_factor: float,
     """
     if bandwidth_kbps <= 0:
         raise ValueError("bandwidth must be positive")
+    if overestimate_factor <= 0:
+        raise ValueError("overestimate_factor must be positive")
     if min_rtt <= 0:
         raise ValueError("min_rtt must be positive")
     bits = (Fraction(bandwidth_kbps * 1000) * Fraction(overestimate_factor)
             * Fraction(min_rtt, NS_PER_S))
     cwnd = int(bits / 8)
-    return max(cwnd, params.floor_bytes)
+    return max(cwnd, FLOOR_BYTES)
 
 
 class CubicController:
@@ -141,18 +111,15 @@ class CubicController:
     congestion avoidance at the hinted BDP and can never enter Slow Start.
     """
 
-    def __init__(self, params: CubicParams = DEFAULT_PARAMS,
-                 hystart_floor: SimTime = HYSTART_FLOOR):
-        self.params = params
+    def __init__(self, hystart_floor: SimTime = HYSTART_FLOOR):
         self.hystart_floor = hystart_floor
         self.mode = Mode.SLOW_START
-        self.cwnd = params.initial_window_bytes
+        self.cwnd = INITIAL_WINDOW_BYTES
         self.ssthresh: Optional[int] = None  # None = unbounded
         self.w_max_segments = 0.0
         self.epoch_start: SimTime = 0
         self.cubic_k = 0.0           # seconds
         self.recovery_until_pkt_num = -1
-        self.initial_burst = params.initial_burst_packets
         self.started_in_avoidance = False
         # slow-start round bookkeeping
         self._min_rtt: Optional[SimTime] = None
@@ -164,24 +131,15 @@ class CubicController:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def baseline(cls, params: CubicParams = DEFAULT_PARAMS,
-                 hystart_floor: SimTime = HYSTART_FLOOR) -> "CubicController":
-        return cls(params, hystart_floor)
-
-    @classmethod
-    def blitzstart(cls, config: BlitzstartConfig, min_rtt: SimTime, now: SimTime,
-                   params: CubicParams = DEFAULT_PARAMS) -> "CubicController":
+    def blitzstart(cls, bandwidth_kbps: int, overestimate_factor: float,
+                   min_rtt: SimTime, now: SimTime) -> "CubicController":
         """Skip Slow Start: window = hinted BDP, mode = congestion avoidance.
 
-        Raises ValueError on an unusable hint; callers fall back to
-        baseline() in that case.
+        Raises ValueError on a non-positive bandwidth, factor or min RTT.
         """
-        if not config.hint.is_usable():
-            raise ValueError("hint carries no bandwidth estimate")
-        ctrl = cls(params)
-        ctrl.cwnd = blitzstart_initial_cwnd(
-            config.hint.bandwidth_kbps, config.overestimate_factor, min_rtt,
-            params)
+        ctrl = cls()
+        ctrl.cwnd = blitzstart_initial_cwnd(bandwidth_kbps,
+                                            overestimate_factor, min_rtt)
         ctrl.started_in_avoidance = True
         ctrl.ssthresh = ctrl.cwnd
         ctrl._enter_avoidance_at_plateau(now)
@@ -206,8 +164,8 @@ class CubicController:
         # window is never cut here (growth below applies max against the
         # current cwnd), so the effect is a flat plateau of K seconds at
         # the entry window followed by convex probing.
-        self.w_max_segments = self.cwnd / self.params.segment_bytes
-        self.cubic_k = cubic_k_seconds(self.w_max_segments, self.params)
+        self.w_max_segments = self.cwnd / SEGMENT_WIRE_BYTES
+        self.cubic_k = cubic_k_seconds(self.w_max_segments)
         self.epoch_start = now
         self._set_mode(Mode.AVOIDANCE, now)
 
@@ -231,8 +189,8 @@ class CubicController:
             if srtt is not None and srtt > 0:
                 est = reno_friendly_segments((now - self.epoch_start) / NS_PER_S,
                                              self.w_max_segments,
-                                             srtt / NS_PER_S, self.params)
-                est_bytes = int(est * self.params.segment_bytes)
+                                             srtt / NS_PER_S)
+                est_bytes = int(est * SEGMENT_WIRE_BYTES)
                 if est_bytes > target:
                     target = est_bytes
             if target > self.cwnd:
@@ -259,9 +217,8 @@ class CubicController:
 
     def cubic_window_bytes(self, now: SimTime) -> int:
         t = (now - self.epoch_start) / NS_PER_S
-        w = cubic_window_segments(t, self.w_max_segments, self.cubic_k,
-                                  self.params)
-        return max(self.params.floor_bytes, int(w * self.params.segment_bytes))
+        w = cubic_window_segments(t, self.w_max_segments, self.cubic_k)
+        return max(FLOOR_BYTES, int(w * SEGMENT_WIRE_BYTES))
 
     def on_congestion_event(self, now: SimTime, lost_pkt_num: int,
                             largest_sent_pkt: int) -> bool:
@@ -276,15 +233,14 @@ class CubicController:
         if lost_pkt_num <= self.recovery_until_pkt_num:
             return False
         self.congestion_events += 1
-        peak = self.cwnd / self.params.segment_bytes
+        peak = self.cwnd / SEGMENT_WIRE_BYTES
         if peak < self.w_max_segments:
-            self.w_max_segments = peak * (1.0 + self.params.beta) / 2.0
+            self.w_max_segments = peak * (1.0 + CUBIC_BETA) / 2.0
         else:
             self.w_max_segments = peak
-        self.cwnd = max(self.params.floor_bytes,
-                        int(self.cwnd * self.params.beta))
+        self.cwnd = max(FLOOR_BYTES, int(self.cwnd * CUBIC_BETA))
         self.ssthresh = self.cwnd
-        self.cubic_k = cubic_k_seconds(self.w_max_segments, self.params)
+        self.cubic_k = cubic_k_seconds(self.w_max_segments)
         self.epoch_start = now
         self.recovery_until_pkt_num = largest_sent_pkt
         self._set_mode(Mode.RECOVERY, now)
@@ -293,7 +249,6 @@ class CubicController:
 
 def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
                     now: SimTime, overestimate_factor: float = 1.0,
-                    params: CubicParams = DEFAULT_PARAMS,
                     hystart_floor: SimTime = HYSTART_FLOOR) -> CubicController:
     """Controller selection as the server would do it.
 
@@ -303,10 +258,10 @@ def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
     which then overrides the handshake sample.
     """
     if hint is None or not hint.is_usable():
-        return CubicController.baseline(params, hystart_floor)
+        return CubicController(hystart_floor)
     if hint.min_rtt_us is not None and hint.min_rtt_us > 0:
         min_rtt = hint.min_rtt_us * 1000
     if min_rtt <= 0:
-        return CubicController.baseline(params, hystart_floor)
-    cfg = BlitzstartConfig(hint, overestimate_factor)
-    return CubicController.blitzstart(cfg, min_rtt, now, params)
+        return CubicController(hystart_floor)
+    return CubicController.blitzstart(hint.bandwidth_kbps, overestimate_factor,
+                                      min_rtt, now)

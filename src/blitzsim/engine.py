@@ -73,7 +73,7 @@ class Event:
 class Simulator:
     """Single-threaded event loop over an integer-nanosecond clock."""
 
-    def __init__(self, record_trace: bool = False):
+    def __init__(self):
         self.now: SimTime = 0
         self._heap: list[tuple[SimTime, int, Event]] = []
         self._seq = 0
@@ -81,7 +81,7 @@ class Simulator:
         self.cancelled = 0
         self.dispatched = 0
         self._stop = False
-        self.record_trace = record_trace
+        self.record_trace = False  # callers set it to fill trace
         self.trace: list[tuple[SimTime, int, str, str]] = []
 
     def schedule(self, fire_at: SimTime, kind: str, target: str,

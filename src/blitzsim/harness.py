@@ -20,7 +20,8 @@ from multiprocessing import Pool
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS, CubicController,
+from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
+                         INITIAL_WINDOW_SEGMENTS, CubicController,
                          make_controller)
 from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, SimTime, Simulator,
                      ms, substream, us)
@@ -53,6 +54,18 @@ class ScenarioConfig:
     pkt_jitter_max: SimTime = PKT_JITTER_MAX
     sim_cap: SimTime = SIM_CAP
 
+    def __post_init__(self):
+        for field in ("rtt", "bottleneck_kbps", "buffer_pkts",
+                      "long_flow_bytes", "sim_cap"):
+            if getattr(self, field) <= 0:
+                raise ValueError(f"scenario {self.name!r}: {field} must be "
+                                 f"positive, got {getattr(self, field)}")
+        for field in ("short_flow_start", "start_jitter_max", "pkt_jitter_max"):
+            value = getattr(self, field)
+            if value is not None and value < 0:
+                raise ValueError(f"scenario {self.name!r}: {field} must not "
+                                 f"be negative, got {value}")
+
     @property
     def rate_bps(self) -> int:
         return self.bottleneck_kbps * 1000
@@ -72,10 +85,8 @@ class ScenarioConfig:
         burst's standing delay persists through the whole first round and
         the floor must sit above it or it reads as path congestion.
         """
-        from .congestion import DEFAULT_PARAMS
         ser = self.link_config().serialization_time(SEGMENT_WIRE_BYTES)
-        iw = DEFAULT_PARAMS.initial_window_segments
-        ss_interval = self.rtt // (2 * iw)
+        ss_interval = self.rtt // (2 * INITIAL_WINDOW_SEGMENTS)
         if ss_interval <= ser:
             return max(HYSTART_FLOOR, HYSTART_FLOOR_PKTS * ser)
         return HYSTART_FLOOR
@@ -182,9 +193,9 @@ def fairness_ratio(short_bytes: int, long_bytes: int) -> Optional[float]:
 
 
 def rolling_bandwidth(deliveries: Sequence[tuple[SimTime, int]],
-                      window: SimTime, end: SimTime, start: SimTime = 0,
-                      grid: SimTime = NS_PER_MS) -> list[tuple[SimTime, float]]:
-    """Delivered bits in [t - window, t] over the window, on a time grid."""
+                      window: SimTime, end: SimTime,
+                      start: SimTime = 0) -> list[tuple[SimTime, float]]:
+    """Delivered bits in [t - window, t] over the window, on a 1 ms grid."""
     if window <= 0:
         raise ValueError("window must be positive")
     out: list[tuple[SimTime, float]] = []
@@ -201,7 +212,7 @@ def rolling_bandwidth(deliveries: Sequence[tuple[SimTime, int]],
             in_window -= deliveries[lo][1]
             lo += 1
         out.append((t, in_window * 8 * NS_PER_S / window))
-        t += grid
+        t += NS_PER_MS
     return out
 
 
@@ -251,7 +262,7 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
     """
     floor = cfg.hystart_floor
     if variant.kind == "baseline":
-        return lambda min_rtt, now: CubicController.baseline(hystart_floor=floor)
+        return lambda min_rtt, now: CubicController(hystart_floor=floor)
 
     estimator = OracleEstimator(variant.factor)
     hint = BandwidthHint(cfg.access_tech,
@@ -262,7 +273,7 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
         try:
             received = decode_hint(wire)
         except HintDecodeError:
-            return CubicController.baseline(hystart_floor=floor)
+            return CubicController(hystart_floor=floor)
         return make_controller(received, min_rtt, now,
                                overestimate_factor=variant.overestimate,
                                hystart_floor=floor)
@@ -297,8 +308,7 @@ def _setup_two_flows(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
 
     floor = cfg.hystart_floor
     long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
-                           lambda mr, now: CubicController.baseline(
-                               hystart_floor=floor),
+                           lambda mr, now: CubicController(hystart_floor=floor),
                            jitter=pkt_jitter, trace=trace)
     short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
                             _short_controller_factory(cfg, variant),
@@ -359,17 +369,16 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
 
 
 def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int,
-                    duration: SimTime, rep: int = 0,
+                    duration: SimTime,
                     record_cwnd: bool = False) -> tuple[Connection, Link, PacketTrace]:
     """One flow on an idle bottleneck, for startup-behavior studies."""
     sim = Simulator()
     link = Link(sim, cfg.link_config())
     trace = PacketTrace()
-    pkt_rng = substream(cfg.seed_base, cfg.name, "single", rep, "pkt")
+    pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
     floor = cfg.hystart_floor
     conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
-                      lambda mr, now: CubicController.baseline(
-                          hystart_floor=floor),
+                      lambda mr, now: CubicController(hystart_floor=floor),
                       jitter=lambda: pkt_rng.randrange(0, cfg.pkt_jitter_max + 1),
                       trace=trace)
     if record_cwnd:
@@ -652,6 +661,7 @@ def parse_scenario_file(path: Path) -> tuple[ScenarioConfig, int, Variant]:
     Raises ValueError naming the offending key on any malformed input.
     """
     values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -664,6 +674,10 @@ def parse_scenario_file(path: Path) -> tuple[ScenarioConfig, int, Variant]:
             flag = _KEYS_MOVED_TO_FLAGS.get(key)
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}"
                              + (f"; use {flag} instead" if flag else ""))
+        if key in key_lines:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}, first "
+                             f"set on line {key_lines[key]}")
+        key_lines[key] = lineno
         values[key] = value.strip()
     for required in ("name", "rtt_ms", "bottleneck_kbps", "buffer_pkts",
                      "short_flow_bytes"):
@@ -693,5 +707,8 @@ def parse_scenario_file(path: Path) -> tuple[ScenarioConfig, int, Variant]:
                            PKT_JITTER_MAX),
     )
     size = get("short_flow_bytes", int)
+    if size <= 0:
+        raise ValueError(f"{path}: short_flow_bytes must be positive, "
+                         f"got {size}")
     variant = get("variant", Variant.parse, Variant("baseline"))
     return cfg, size, variant

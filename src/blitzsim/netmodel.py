@@ -19,6 +19,8 @@ SEGMENT_WIRE_BYTES = 1500   # on-wire bytes of a full data segment
 SEGMENT_PAYLOAD_BYTES = 1350  # application bytes carried by a full segment
 HEADER_BYTES = SEGMENT_WIRE_BYTES - SEGMENT_PAYLOAD_BYTES
 ACK_WIRE_BYTES = 40
+# event target of every bottleneck hop and of a packet's injection into it
+LINK_TARGET = "bottleneck"
 
 
 class Packet:
@@ -44,13 +46,12 @@ class LinkConfig:
     rate_bps: int
     prop_delay: SimTime          # one-way
     buffer_pkts: int
-    burst_pkts: int = 1
 
     def __post_init__(self):
         if self.rate_bps <= 0:
             raise ValueError("rate must be positive")
-        if self.buffer_pkts < 1 or self.burst_pkts < 1:
-            raise ValueError("buffer_pkts and burst_pkts must be >= 1")
+        if self.buffer_pkts < 1:
+            raise ValueError("buffer_pkts must be >= 1")
 
     def serialization_time(self, length: int) -> SimTime:
         # ceil so the realized rate never exceeds the configured one
@@ -75,10 +76,9 @@ class Link:
     order at strictly increasing times.
     """
 
-    def __init__(self, sim: Simulator, config: LinkConfig, name: str = "bottleneck"):
+    def __init__(self, sim: Simulator, config: LinkConfig):
         self.sim = sim
         self.config = config
-        self.name = name
         self.busy_until: SimTime = 0
         self.queued = 0
         self.max_queued = 0
@@ -86,9 +86,6 @@ class Link:
         self.deliver: Optional[Callable[[Packet, SimTime], None]] = None
         self.on_departure: Optional[Callable[[Packet, SimTime], None]] = None
         self.on_occupancy: Optional[Callable[[SimTime, int], None]] = None
-        # idle credit allows up to burst_pkts back-to-back full segments
-        self._burst_credit = (config.burst_pkts - 1) * config.serialization_time(
-            SEGMENT_WIRE_BYTES)
 
     def _flow(self, flow_id: int) -> FlowCounters:
         c = self.counters.get(flow_id)
@@ -103,7 +100,7 @@ class Link:
         if self.queued >= self.config.buffer_pkts:
             c.dropped += 1
             return None
-        start = max(self.busy_until, now - self._burst_credit)
+        start = max(self.busy_until, now)
         departure = start + self.config.serialization_time(packet.len)
         self.busy_until = departure
         self.queued += 1
@@ -111,7 +108,7 @@ class Link:
             self.max_queued = self.queued
         if self.queued == 1 and self.on_occupancy is not None:
             self.on_occupancy(now, self.queued)
-        self.sim.schedule(departure, "packet-departure", self.name,
+        self.sim.schedule(departure, "packet-departure", LINK_TARGET,
                           self._depart, packet)
         return departure
 
@@ -124,7 +121,7 @@ class Link:
         if self.queued == 0 and self.on_occupancy is not None:
             self.on_occupancy(now, 0)
         arrive_at = now + self.config.prop_delay
-        self.sim.schedule(arrive_at, "packet-arrival", self.name,
+        self.sim.schedule(arrive_at, "packet-arrival", LINK_TARGET,
                           self._arrive, packet)
 
     def _arrive(self, packet: Packet, now: SimTime) -> None:

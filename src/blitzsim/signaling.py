@@ -111,5 +111,5 @@ class OracleEstimator:
         if self.factor <= 0:
             raise ValueError("oracle factor must be positive")
 
-    def estimate(self, true_kbps: int, at_ms: int = 0) -> int:
+    def estimate(self, true_kbps: int) -> int:
         return int(Fraction(self.factor) * true_kbps)

@@ -19,10 +19,10 @@ from collections import deque
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .congestion import CubicController, Mode
+from .congestion import INITIAL_BURST_PACKETS, CubicController, Mode
 from .engine import NS_PER_MS, Event, SimTime, Simulator
-from .netmodel import (ACK_WIRE_BYTES, HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
-                       SEGMENT_WIRE_BYTES, Link, Packet)
+from .netmodel import (ACK_WIRE_BYTES, HEADER_BYTES, LINK_TARGET,
+                       SEGMENT_PAYLOAD_BYTES, SEGMENT_WIRE_BYTES, Link, Packet)
 
 RACK_PACKET_THRESHOLD = 3
 RACK_TIME_THRESHOLD = Fraction(9, 8)
@@ -30,14 +30,13 @@ ACK_EVERY = 2
 MAX_ACK_DELAY = 25 * NS_PER_MS
 
 
-def pacing_interval(cwnd_bytes: int, srtt: SimTime, fraction: Fraction,
-                    segment_bytes: int = SEGMENT_WIRE_BYTES) -> SimTime:
+def pacing_interval(cwnd_bytes: int, srtt: SimTime, fraction: Fraction) -> SimTime:
     """Gap between paced segments: spread cwnd over fraction * srtt."""
     if srtt <= 0:
         raise ValueError("srtt must be positive")
-    if cwnd_bytes < segment_bytes:
+    if cwnd_bytes < SEGMENT_WIRE_BYTES:
         raise ValueError("cwnd below one segment")
-    return (fraction.numerator * srtt * segment_bytes) // (
+    return (fraction.numerator * srtt * SEGMENT_WIRE_BYTES) // (
         fraction.denominator * cwnd_bytes)
 
 
@@ -49,49 +48,38 @@ class RangeSet:
         self.total = 0
 
     def add(self, start: int, end: int) -> list[tuple[int, int]]:
-        """Insert [start, end); returns the newly covered subranges."""
+        """Insert [start, end); returns the newly covered subranges.
+
+        ranges[lo:hi] are the ranges that overlap or touch [start, end):
+        the gaps between them are the new bytes, and one merged range takes
+        their place. Extending the last range and re-adding covered bytes
+        cost two bisections.
+        """
         if end <= start:
             return []
         ranges = self.ranges
-        if ranges:
-            # frontier extension and already-covered are the hot cases
-            last_start, last_end = ranges[-1]
-            if start == last_end:
-                ranges[-1] = (last_start, end)
-                self.total += end - start
-                return [(start, end)]
-            i = bisect.bisect_right(ranges, (start, end))
-            if i > 0 and ranges[i - 1][0] <= start and end <= ranges[i - 1][1]:
-                return []
-            if i < len(ranges) and ranges[i][0] <= start and end <= ranges[i][1]:
-                return []
+        lo = bisect.bisect_left(ranges, (start,))
+        if lo and ranges[lo - 1][1] >= start:
+            lo -= 1
+        hi = bisect.bisect_left(ranges, (end + 1,), lo)
         added: list[tuple[int, int]] = []
-        out: list[tuple[int, int]] = []
+        new_bytes = 0
         cursor = start
-        placed = False
-        for s, e in self.ranges:
-            if e < start or s > end:
-                out.append((s, e))
-                continue
-            # overlaps or touches [start, end)
+        for s, e in ranges[lo:hi]:
             if cursor < s:
-                added.append((cursor, min(s, end)))
-            cursor = max(cursor, e)
-            start = min(start, s)
-            end = max(end, e)
+                added.append((cursor, s))
+                new_bytes += s - cursor
+            if e > cursor:
+                cursor = e
         if cursor < end:
             added.append((cursor, end))
-        out.append((start, end))
-        out.sort()
-        # merge touching neighbours produced by the union
-        merged: list[tuple[int, int]] = []
-        for s, e in out:
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        self.ranges = merged
-        self.total += sum(e - s for s, e in added)
+            new_bytes += end - cursor
+            cursor = end
+        if new_bytes:
+            if lo < hi and ranges[lo][0] < start:
+                start = ranges[lo][0]
+            ranges[lo:hi] = [(start, cursor)]
+            self.total += new_bytes
         return added
 
     def subtract_from(self, start: int, end: int) -> list[tuple[int, int]]:
@@ -251,7 +239,7 @@ class Connection:
         self.min_rtt = sample
         self.latest_rtt = sample
         self.controller = self.controller_factory(sample, now)
-        self.burst_remaining = self.controller.initial_burst
+        self.burst_remaining = INITIAL_BURST_PACKETS
         self.data_start_at = now
         self.maybe_send(now)
 
@@ -290,7 +278,7 @@ class Connection:
 
     def maybe_send(self, now: SimTime) -> int:
         """Release packets while data, window, and pacer all permit."""
-        if self.finished or self.controller is None:
+        if self.finished:
             return 0
         sent = 0
         while True:
@@ -330,8 +318,7 @@ class Connection:
     def _interval(self) -> SimTime:
         assert self.controller is not None and self.srtt is not None
         return pacing_interval(self.controller.cwnd, self.srtt,
-                               self.controller.pacing_fraction(),
-                               self.controller.params.segment_bytes)
+                               self.controller.pacing_fraction())
 
     def _on_pacing_timer(self, now: SimTime) -> None:
         self._pacing_event = None
@@ -360,7 +347,7 @@ class Connection:
             self.next_seq = max(self.next_seq, end)
         pkt = Packet(self.flow_id, start, wire, pkt_num, sent_at=inject_at,
                      payload_len=end - start)
-        self.sim.schedule(inject_at, "packet-arrival", self.link.name,
+        self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
                           self._inject, pkt)
         if self._pto_event is None:
             self._arm_pto(now)
@@ -402,15 +389,14 @@ class Connection:
                 newly_wire += self._mark_acked(added_start, added_end)
         self.bytes_acked += newly
 
-        if self.controller is not None:
-            # the window is accounted in on-wire bytes, so growth follows
-            # the wire bytes of the packets the ACK newly covered
-            self.controller.on_ack(newly_wire, rtt_sample, now,
-                                   self.largest_acked_pkt,
-                                   self.next_pkt_num - 1, srtt=self.srtt)
-            if self.cwnd_log is not None:
-                self.cwnd_log.append((now, self.controller.cwnd,
-                                      self.controller.mode))
+        # the window is accounted in on-wire bytes, so growth follows the
+        # wire bytes of the packets the ACK newly covered
+        self.controller.on_ack(newly_wire, rtt_sample, now,
+                               self.largest_acked_pkt, self.next_pkt_num - 1,
+                               srtt=self.srtt)
+        if self.cwnd_log is not None:
+            self.cwnd_log.append((now, self.controller.cwnd,
+                                  self.controller.mode))
         self._detect_losses(now)
 
         if self.bytes_acked >= self.size:
@@ -427,14 +413,9 @@ class Connection:
 
     def _update_rtt(self, sample: SimTime) -> None:
         self.latest_rtt = sample
-        if self.srtt is None:
-            self.srtt = sample
-            self.rttvar = sample // 2
-            self.min_rtt = sample
-            return
         self.rttvar = (3 * self.rttvar + abs(self.srtt - sample)) // 4
         self.srtt = (7 * self.srtt + sample) // 8
-        if self.min_rtt is None or sample < self.min_rtt:
+        if sample < self.min_rtt:
             self.min_rtt = sample
 
     def _mark_acked(self, start: int, end: int) -> int:
@@ -464,7 +445,7 @@ class Connection:
 
     def _detect_losses(self, now: SimTime) -> None:
         """RACK-style scan against the largest acknowledged packet."""
-        if self.largest_acked_pkt < 0 or self.srtt is None:
+        if self.largest_acked_pkt < 0:
             return
         threshold = (RACK_TIME_THRESHOLD.numerator
                      * max(self.srtt, self.latest_rtt)
@@ -495,9 +476,8 @@ class Connection:
         holes = self.acked_ranges.subtract_from(rec.seq_start, rec.seq_end)
         for hole in holes:
             self.retx_queue.append(hole)
-        if self.controller is not None:
-            self.controller.on_congestion_event(now, rec.pkt_num,
-                                                self.next_pkt_num - 1)
+        self.controller.on_congestion_event(now, rec.pkt_num,
+                                            self.next_pkt_num - 1)
 
     # -- probe timeout ----------------------------------------------------------
 

@@ -14,7 +14,8 @@ from collections import defaultdict
 import pytest
 
 from blitzsim import checks
-from blitzsim.congestion import DEFAULT_PARAMS, Mode, blitzstart_initial_cwnd
+from blitzsim.congestion import (FLOOR_BYTES, INITIAL_WINDOW_BYTES, Mode,
+                                 blitzstart_initial_cwnd)
 from blitzsim.engine import NS_PER_MS, NS_PER_S, ms, seconds
 from blitzsim.harness import (PRESETS, SIZES, PacketTrace, Variant,
                               _setup_two_flows, default_variants, replace,
@@ -65,7 +66,7 @@ def test_criterion_1_solo_startup_doubles_exits_and_saturates():
     exit_t = exits[0][0]
 
     # exact doubling checkpoints while in Slow Start, one round trip apart
-    initial = DEFAULT_PARAMS.initial_window_bytes
+    initial = INITIAL_WINDOW_BYTES
     hits = {}
     for t, cwnd, mode in conn.cwnd_log:
         if mode is not Mode.SLOW_START:
@@ -221,7 +222,7 @@ def test_criterion_8_property_suite_under_a_minute(capsys):
 def test_criterion_9_bdp_arithmetic_oracle():
     """blitzstart windows against an independent integer recomputation."""
     ratios = {0.5: (1, 2), 1.0: (1, 1), 1.5: (3, 2), 3.0: (3, 1), 4.0: (4, 1)}
-    floor = DEFAULT_PARAMS.floor_bytes
+    floor = FLOOR_BYTES
     bandwidths = [1, 2, 5, 10, 25, 50, 100, 320, 700, 1000]  # Mbit/s
     rtts = list(range(1, 500, 25))  # ms
     points = 0

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blitzsim.congestion import (DEFAULT_PARAMS, BlitzstartConfig,
-                                 CubicController, CubicParams, Mode,
+from blitzsim.congestion import (FLOOR_BYTES, CubicController, Mode,
                                  blitzstart_initial_cwnd, cubic_k_seconds,
                                  cubic_window_segments, hystart_threshold,
                                  make_controller, reno_friendly_segments)
@@ -21,20 +20,20 @@ def acked(ctrl, nbytes, rtt=ms(50), now=0, largest_acked=0, largest_sent=0,
 # -- Slow Start ----------------------------------------------------------------
 
 def test_slow_start_full_window_ack_doubles_cwnd():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     assert ctrl.cwnd == 32 * SEG
     acked(ctrl, 32 * SEG)
     assert ctrl.cwnd == 64 * SEG
 
 
 def test_slow_start_increments_by_acked_bytes():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     acked(ctrl, 1350)
     assert ctrl.cwnd == 32 * SEG + 1350
 
 
 def test_slow_start_caps_at_ssthresh_and_enters_avoidance():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     ctrl.ssthresh = 40 * SEG
     acked(ctrl, 32 * SEG, now=ms(100))
     assert ctrl.mode is Mode.AVOIDANCE
@@ -43,7 +42,7 @@ def test_slow_start_caps_at_ssthresh_and_enters_avoidance():
 
 def slow_start_round(samples):
     # a 50 ms minimum RTT, then one round of the given RTT samples
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     acked(ctrl, SEG, rtt=ms(50), largest_acked=0, largest_sent=len(samples))
     for i, rtt in enumerate(samples):
         acked(ctrl, SEG, rtt=rtt, now=ms(60) + i, largest_acked=1 + i,
@@ -65,7 +64,7 @@ def test_exit_decision_needs_enough_samples():
 
 
 def test_controller_exits_after_eight_inflated_samples():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     thr = hystart_threshold(ms(50), ctrl.hystart_floor)
     acked(ctrl, 3000, rtt=ms(50), largest_acked=1, largest_sent=16)
     for i in range(8):
@@ -76,7 +75,7 @@ def test_controller_exits_after_eight_inflated_samples():
 
 def test_loss_in_slow_start_exits_with_beta_reduction():
     # loss at 100 segments: window and threshold drop to 70 segments
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     ctrl.cwnd = 100 * SEG
     assert ctrl.on_congestion_event(ms(200), lost_pkt_num=5, largest_sent_pkt=90)
     assert ctrl.mode is Mode.RECOVERY
@@ -125,7 +124,7 @@ def test_cubic_shape_monotone_and_below_w_max_before_k():
 # -- congestion events ------------------------------------------------------------
 
 def test_congestion_event_applies_beta_and_remembers_peak():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     ctrl.cwnd = 200 * SEG
     assert ctrl.on_congestion_event(seconds(1), 10, 150)
     assert ctrl.cwnd == 140 * SEG
@@ -134,7 +133,7 @@ def test_congestion_event_applies_beta_and_remembers_peak():
 
 
 def test_second_loss_in_same_round_does_not_reduce_again():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     ctrl.cwnd = 200 * SEG
     ctrl.on_congestion_event(seconds(1), 10, 150)
     cwnd = ctrl.cwnd
@@ -144,7 +143,7 @@ def test_second_loss_in_same_round_does_not_reduce_again():
 
 
 def test_new_round_loss_reduces_again():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     ctrl.cwnd = 200 * SEG
     ctrl.on_congestion_event(seconds(1), 10, 150)
     assert ctrl.on_congestion_event(seconds(2), 151, 300)
@@ -152,14 +151,14 @@ def test_new_round_loss_reduces_again():
 
 
 def test_cwnd_floor_is_two_segments():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     ctrl.cwnd = 2 * SEG
     ctrl.on_congestion_event(seconds(1), 10, 150)
     assert ctrl.cwnd == 2 * SEG
 
 
 def test_recovery_ends_when_largest_in_flight_acked():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     ctrl.cwnd = 200 * SEG
     ctrl.on_congestion_event(seconds(1), 10, 150)
     acked(ctrl, 3000, now=seconds(1), largest_acked=149, largest_sent=180)
@@ -169,7 +168,7 @@ def test_recovery_ends_when_largest_in_flight_acked():
 
 
 def test_fast_convergence_shaves_a_shrinking_peak():
-    ctrl = CubicController.baseline()
+    ctrl = CubicController()
     ctrl.cwnd = 200 * SEG
     ctrl.on_congestion_event(seconds(1), 10, 150)
     assert ctrl.w_max_segments == 200.0
@@ -209,17 +208,14 @@ def test_blitzstart_clamps_to_floor():
 
 
 def test_blitzstart_controller_starts_in_avoidance():
-    hint = BandwidthHint(AccessTech.DSL, 50_000)
-    ctrl = CubicController.blitzstart(BlitzstartConfig(hint), ms(50), now=0)
+    ctrl = CubicController.blitzstart(50_000, 1.0, ms(50), now=0)
     assert ctrl.mode is Mode.AVOIDANCE
     assert ctrl.started_in_avoidance
     assert ctrl.cwnd == 312_500
-    assert ctrl.initial_burst == 10
 
 
 def test_blitzstart_never_enters_slow_start():
-    hint = BandwidthHint(AccessTech.LTE, 32_000)
-    ctrl = CubicController.blitzstart(BlitzstartConfig(hint), ms(70), now=0)
+    ctrl = CubicController.blitzstart(32_000, 1.0, ms(70), now=0)
     rng_now = 0
     for i in range(200):
         rng_now += ms(10)
@@ -250,12 +246,11 @@ def test_hint_supplied_min_rtt_overrides_handshake_sample():
 
 
 def test_blitzstart_rejects_bad_config():
-    hint = BandwidthHint(AccessTech.DSL, 50_000)
-    with pytest.raises(ValueError):
-        BlitzstartConfig(hint, overestimate_factor=0.0)
-    with pytest.raises(ValueError):
-        CubicController.blitzstart(
-            BlitzstartConfig(BandwidthHint(AccessTech.DSL, 0)), ms(50), 0)
+    for bandwidth_kbps, factor, min_rtt in ((50_000, 0.0, ms(50)),
+                                            (0, 1.0, ms(50)),
+                                            (50_000, 1.0, 0)):
+        with pytest.raises(ValueError):
+            CubicController.blitzstart(bandwidth_kbps, factor, min_rtt, 0)
 
 
 @given(bw=st.integers(1, 4_000_000), rtt_ms=st.integers(1, 2_000),
@@ -266,13 +261,6 @@ def test_blitzstart_scaling_linearity(bw, rtt_ms, factor):
     base = blitzstart_initial_cwnd(bw, factor, ms(rtt_ms))
     doubled_bw = blitzstart_initial_cwnd(2 * bw, factor, ms(rtt_ms))
     doubled_rtt = blitzstart_initial_cwnd(bw, factor, ms(2 * rtt_ms))
-    if base > DEFAULT_PARAMS.floor_bytes:
+    if base > FLOOR_BYTES:
         assert doubled_bw in (2 * base, 2 * base + 1)
         assert doubled_rtt in (2 * base, 2 * base + 1)
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        CubicParams(beta=1.0)
-    with pytest.raises(ValueError):
-        CubicParams(c=0.0)

@@ -122,16 +122,17 @@ def _random_workload(sim: Simulator, seed: int) -> list:
 
 def test_identical_seed_gives_identical_dispatch_trace():
     # derived oracle: record both traces, compare entry by entry
-    sim_a = Simulator(record_trace=True)
+    sim_a, sim_b = Simulator(), Simulator()
+    sim_a.record_trace = sim_b.record_trace = True
     log_a = _random_workload(sim_a, 42)
-    sim_b = Simulator(record_trace=True)
     log_b = _random_workload(sim_b, 42)
     assert log_a == log_b
     assert sim_a.trace == sim_b.trace
 
 
 def test_clock_monotonicity_over_random_workload():
-    sim = Simulator(record_trace=True)
+    sim = Simulator()
+    sim.record_trace = True
     _random_workload(sim, 7)
     times = [t for t, *_ in sim.trace]
     assert times == sorted(times)

@@ -373,6 +373,14 @@ def test_cli_scenario_file(tmp_path):
     ([], CELL_FILE.replace("= dsl", "= fiber"), "access_tech"),
     (["--scenario", "dsl-fast", "--reps", "0"], None, "--reps"),
     ([], CELL_FILE + "repetitions = 1\n", "--reps"),
+    ([], CELL_FILE.replace("rtt_ms = 50", "rtt_ms = 0"), "rtt"),
+    ([], CELL_FILE.replace("= 208", "= 0"), "buffer_pkts"),
+    ([], CELL_FILE.replace("= 50000", "= 0"), "bottleneck_kbps"),
+    ([], CELL_FILE.replace("= 70000", "= 0"), "short_flow_bytes"),
+    ([], CELL_FILE.replace("= 70000", "= -5"), "short_flow_bytes"),
+    ([], CELL_FILE + "long_flow_bytes = 0\n", "long_flow_bytes"),
+    ([], CELL_FILE + "pkt_jitter_max_us = -1\n", "pkt_jitter_max"),
+    ([], CELL_FILE + "rtt_ms = 60\n", ":8: repeated key 'rtt_ms', first set on line 2"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):
@@ -418,3 +426,12 @@ def test_cli_demo_fig1(tmp_path):
     bottom = (out / "fig1_bottom.csv").read_text().splitlines()
     flows = {line.split(",")[1] for line in bottom[1:]}
     assert flows == {"0", "1"}
+
+
+def test_cli_demo_fig1_rejects_empty_bottom_run(tmp_path, capsys):
+    out = tmp_path / "fig"
+    rc = main(["demo-fig1", "--out", str(out), "--bottom-duration-s", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "--bottom-duration-s" in err
+    assert not out.exists()

@@ -163,20 +163,6 @@ def test_conservation_and_fifo_under_random_arrivals(arrivals):
     assert link.max_queued <= cfg.buffer_pkts
 
 
-def test_burst_allowance_lets_second_packet_start_early():
-    cfg = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=10,
-                     burst_pkts=2)
-    sim = Simulator()
-    link = Link(sim, cfg)
-    # idle credit of one full segment: the second back-to-back packet
-    # departs one serialization after the first instead of two
-    sim.run_until(ms(1))
-    first = link.enqueue(_pkt(0), ms(1))
-    second = link.enqueue(_pkt(1), ms(1))
-    assert first == ms(1)  # consumed the accumulated credit
-    assert second == ms(1) + us(240)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         LinkConfig(rate_bps=0, prop_delay=ms(1), buffer_pkts=1)

@@ -1,5 +1,7 @@
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blitzsim.congestion import CubicController
 from blitzsim.engine import Simulator, ms, seconds, us
@@ -12,7 +14,7 @@ DSL_FAST = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=208)
 def make_conn(transfer_bytes, cfg=DSL_FAST, controller=None, wire=True):
     sim = Simulator()
     link = Link(sim, cfg)
-    factory = controller or (lambda mr, now: CubicController.baseline())
+    factory = controller or (lambda mr, now: CubicController())
     conn = Connection(sim, 0, link, transfer_bytes, factory)
     if wire:
         link.deliver = lambda pkt, now: conn.receiver.on_data(pkt, now)
@@ -72,6 +74,25 @@ def test_rangeset_partial_overlap_counts_only_new_bytes():
     added = rs.add(1000, 3000)
     assert added == [(2000, 3000)]
     assert rs.total == 3000
+
+
+@given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+                max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_rangeset_add_matches_byte_set_model(adds):
+    rs = RangeSet()
+    covered: set[int] = set()
+    for start, end in adds:
+        added = rs.add(start, end)
+        new = set(range(start, end)) - covered
+        assert added == sorted(added)
+        assert sum(e - s for s, e in added) == len(new)
+        assert {b for s, e in added for b in range(s, e)} == new
+        covered |= new
+        assert all(s < e for s, e in rs.ranges)
+        assert all(e < s for (_, e), (s, _) in zip(rs.ranges, rs.ranges[1:]))
+        assert {b for s, e in rs.ranges for b in range(s, e)} == covered
+        assert rs.total == len(covered)
 
 
 def test_rangeset_subtract_from():
@@ -300,7 +321,7 @@ def test_first_flight_symmetry_with_window_equivalent_hint():
         sim.run_until(2 * ms(50) - 1)  # handshake plus one data round trip
         return conn.pkts_sent
 
-    base = first_rtt_sends(lambda mr, now: CubicController.baseline())
+    base = first_rtt_sends(lambda mr, now: CubicController())
     # 32 segments of 1500 wire bytes: 48000 B = 7680 kbps * 50 ms / 8
     hint = BandwidthHint(AccessTech.DSL, 7680)
     blitz = first_rtt_sends(lambda mr, now: make_controller(hint, mr, now))
