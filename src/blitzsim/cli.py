@@ -15,9 +15,10 @@ from pathlib import Path
 
 from . import checks, harness
 from .engine import NS_PER_MS, NS_PER_S, seconds
-from .harness import (PRESETS, SIZES, PacketTrace, Variant, default_variants,
-                      emit_runs_csv, emit_summary_csv, parse_scenario_file,
-                      rolling_bandwidth, run_matrix, single_flow_run)
+from .harness import (PRESETS, SIZES, PacketTrace, Variant, check_variants,
+                      default_variants, emit_runs_csv, emit_summary_csv,
+                      parse_scenario_file, rolling_bandwidth, run_matrix,
+                      single_flow_run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,6 +64,7 @@ def _cells(args: argparse.Namespace) -> tuple[list, list, list]:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     if args.scenario_file:
         cfg, size, variant = parse_scenario_file(Path(args.scenario_file))
+        check_variants([cfg], [variant])
         return [cfg], [size], [variant]
     if args.scenario == "all":
         scenarios = list(PRESETS.values())
@@ -80,6 +82,7 @@ def _cells(args: argparse.Namespace) -> tuple[list, list, list]:
         variants = default_variants()
     else:
         variants = [Variant.parse(args.variant)]
+    check_variants(scenarios, variants)
     return scenarios, sizes, variants
 
 

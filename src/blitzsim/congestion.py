@@ -26,8 +26,9 @@ class Mode(enum.Enum):
     RECOVERY = "recovery"
 
 
-PACE_SLOW_START = Fraction(1, 2)
-PACE_AVOIDANCE = Fraction(3, 4)
+# fractions of the RTT a window is paced over, as (numerator, denominator)
+PACE_SLOW_START = (1, 2)
+PACE_AVOIDANCE = (3, 4)
 
 
 CUBIC_C = 0.4         # segments per second cubed
@@ -147,7 +148,7 @@ class CubicController:
 
     # -- pacing hooks ------------------------------------------------------
 
-    def pacing_fraction(self) -> Fraction:
+    def pacing_fraction(self) -> tuple[int, int]:
         # half the RTT in Slow Start, three quarters afterwards
         return PACE_SLOW_START if self.mode is Mode.SLOW_START else PACE_AVOIDANCE
 

@@ -47,10 +47,15 @@ class Event:
     """A scheduled callback with a total-order key and a cancel flag.
 
     Heap ordering lives in the (fire_at, seq) tuple key the simulator
-    pushes, so Event itself never gets compared.
+    pushes, so Event itself never gets compared. (fire_at, seq) is the key
+    the event fires at; (heap_at, heap_seq) is the key of the earliest heap
+    entry that stands for it, which Simulator.reschedule can leave earlier
+    than the event's own key; heap_seq is -1 once a cancelled event's
+    entry has been popped.
     """
 
-    __slots__ = ("fire_at", "seq", "kind", "target", "fn", "arg", "cancelled")
+    __slots__ = ("fire_at", "seq", "kind", "target", "fn", "arg", "cancelled",
+                 "heap_at", "heap_seq")
 
     def __init__(self, fire_at: SimTime, seq: int, kind: str, target: str,
                  fn: Callable, arg: object):
@@ -61,6 +66,8 @@ class Event:
         self.fn = fn
         self.arg = arg
         self.cancelled = False
+        self.heap_at = fire_at
+        self.heap_seq = seq
 
     def cancel(self) -> bool:
         """Mark the event dead. Returns False if it already fired."""
@@ -90,11 +97,37 @@ class Simulator:
         if fire_at < self.now:
             raise RuntimeError(
                 f"scheduled in the past: fire_at={fire_at} now={self.now}")
-        ev = Event(fire_at, self._seq, kind, target, fn, arg)
-        heapq.heappush(self._heap, (fire_at, self._seq, ev))
-        self._seq += 1
+        seq = self._seq
+        ev = Event(fire_at, seq, kind, target, fn, arg)
+        heapq.heappush(self._heap, (fire_at, seq, ev))
+        self._seq = seq + 1
         self.scheduled += 1
         return ev
+
+    def reschedule(self, ev: Event, fire_at: SimTime) -> None:
+        """Move ev to fire_at, exactly as cancel(ev) and a fresh schedule().
+
+        ev takes the next sequence number and counts as scheduled, and its
+        old key counts as cancelled if it was still pending. The heap is
+        only pushed when ev has no entry left or the new key is earlier
+        than its entry; a later key waits until run_until pops that entry.
+        """
+        if fire_at < self.now:
+            raise RuntimeError(
+                f"scheduled in the past: fire_at={fire_at} now={self.now}")
+        seq = self._seq
+        self._seq = seq + 1
+        self.scheduled += 1
+        if ev.fire_at == -1 or ev.heap_seq == -1 or fire_at < ev.heap_at:
+            heapq.heappush(self._heap, (fire_at, seq, ev))
+            ev.heap_at = fire_at
+            ev.heap_seq = seq
+        if ev.cancelled:
+            ev.cancelled = False
+        elif ev.fire_at != -1:
+            self.cancelled += 1
+        ev.fire_at = fire_at
+        ev.seq = seq
 
     def cancel(self, ev: Event) -> bool:
         if ev.cancel():
@@ -114,31 +147,39 @@ class Simulator:
         Returns the number of events dispatched by this call.
         """
         self._stop = False
-        count = 0
         heap = self._heap
         pop = heapq.heappop
+        trace = self.trace if self.record_trace else None
+        first = self.dispatched
         while heap:
             fire_at = heap[0][0]
             if end is not None and fire_at > end:
                 break
-            _, _, ev = pop(heap)
-            if ev.cancelled:
+            _, seq, ev = pop(heap)
+            if seq != ev.seq or ev.cancelled:
+                # a dead key; ev's earliest entry makes way for its own key
+                if seq == ev.heap_seq:
+                    if ev.cancelled:
+                        ev.heap_seq = -1
+                    else:
+                        ev.heap_at = ev.fire_at
+                        ev.heap_seq = ev.seq
+                        heapq.heappush(heap, (ev.fire_at, ev.seq, ev))
                 continue
             self.now = fire_at
             ev.fire_at = -1  # consumed; cancel() becomes a no-op
-            if self.record_trace:
-                self.trace.append((fire_at, ev.seq, ev.kind, ev.target))
+            if trace is not None:
+                trace.append((fire_at, seq, ev.kind, ev.target))
             self.dispatched += 1
-            count += 1
             if ev.arg is None:
                 ev.fn(fire_at)
             else:
                 ev.fn(ev.arg, fire_at)
             if self._stop:
-                return count
+                return self.dispatched - first
         if end is not None and end > self.now:
             self.now = end
-        return count
+        return self.dispatched - first
 
 
 def derive_seed(base: int, *labels: object) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import random
 import statistics
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
@@ -252,6 +253,23 @@ class _SaturationWatch:
             self.on_saturated(now)
 
 
+def check_variants(scenarios: Sequence[ScenarioConfig],
+                   variants: Sequence[Variant]) -> None:
+    """ValueError for a blitz variant whose estimate is 0 kbps on a scenario.
+
+    Such a hint is unusable, so the short flow would run Slow Start under
+    the blitz label.
+    """
+    for cfg in scenarios:
+        for variant in variants:
+            if (variant.kind == "blitz" and OracleEstimator(variant.factor)
+                    .estimate(cfg.bottleneck_kbps) == 0):
+                raise ValueError(
+                    f"variant {variant.label()} estimates 0 kbps on scenario "
+                    f"{cfg.name!r} ({cfg.bottleneck_kbps} kbps); "
+                    "use a larger factor")
+
+
 def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
     """Build the short flow's controller the way the wire protocol would.
 
@@ -281,6 +299,25 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
     return factory
 
 
+def _jitter_draw(rng: random.Random, high: int) -> Callable[[], int]:
+    """A draw of rng.randrange(0, high + 1) per call, from the same bits.
+
+    randrange draws k = (high + 1).bit_length() random bits and redraws
+    while they reach high + 1; this does the same without its argument
+    handling, so the stream and the values are the ones randrange gives.
+    """
+    n = high + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+    return draw
+
+
 @dataclass
 class TwoFlowRun:
     sim: Simulator
@@ -302,10 +339,7 @@ def _setup_two_flows(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     pkt_rng = substream(cfg.seed_base, cfg.name, size_bytes, rep, "pkt")
     jitter_max = cfg.start_jitter_max if cfg.start_jitter_max is not None else cfg.rtt
     start_jitter = start_rng.randrange(0, jitter_max + 1)
-
-    def pkt_jitter() -> int:
-        return pkt_rng.randrange(0, cfg.pkt_jitter_max + 1)
-
+    pkt_jitter = _jitter_draw(pkt_rng, cfg.pkt_jitter_max)
     floor = cfg.hystart_floor
     long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
                            lambda mr, now: CubicController(hystart_floor=floor),
@@ -319,7 +353,7 @@ def _setup_two_flows(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     link.deliver = lambda pkt, now: receivers[pkt.flow_id].on_data(pkt, now)
 
     def on_departure(pkt: Packet, now: SimTime) -> None:
-        if short_conn.start_at is None or short_conn.finished:
+        if short_conn.start_at is None or short_conn.finished_at is not None:
             return
         if pkt.flow_id == SHORT_FLOW:
             run.short_bytes += pkt.len
@@ -379,7 +413,7 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int,
     floor = cfg.hystart_floor
     conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
                       lambda mr, now: CubicController(hystart_floor=floor),
-                      jitter=lambda: pkt_rng.randrange(0, cfg.pkt_jitter_max + 1),
+                      jitter=_jitter_draw(pkt_rng, cfg.pkt_jitter_max),
                       trace=trace)
     if record_cwnd:
         conn.cwnd_log = []
@@ -406,14 +440,47 @@ class MetricStats:
     anova_p: float
 
 
+def _t_abs_cdf(x: float, df: int) -> float:
+    """P(|T| < x) for Student's t with an integer df >= 1.
+
+    The finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4
+    (even df) in theta = atan(x / sqrt(df)).
+    """
+    theta = math.atan(x / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    odd = df % 2
+    term = total = 1.0
+    for k in range(1, (df - 1) // 2 if odd else df // 2):
+        term *= cos2 * (2 * k - 1 + odd) / (2 * k + odd)
+        total += term
+    if not odd:
+        return math.sin(theta) * total
+    if df == 1:
+        return 2 * theta / math.pi
+    return 2 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+
+
 def _t_critical(df: int) -> float:
-    from scipy.stats import t
-    return float(t.ppf(0.975, df))
+    """Two-sided 95% quantile of Student's t: bisection on P(|T| < x)."""
+    lo, hi = 0.0, 1.0
+    while _t_abs_cdf(hi, df) < 0.95:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            return hi
+        if _t_abs_cdf(mid, df) < 0.95:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _anova_two_groups(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
-    """One-way ANOVA F and p for two groups, safe for zero variance."""
-    from scipy.stats import f as f_dist
+    """One-way ANOVA F and p for two groups, safe for zero variance.
+
+    With one degree of freedom between groups F is T squared, so the tail
+    P(F(1, df) > f) is 1 - P(|T| < sqrt(f)).
+    """
     na, nb = len(a), len(b)
     mean_a = statistics.fmean(a)
     mean_b = statistics.fmean(b)
@@ -428,7 +495,8 @@ def _anova_two_groups(a: Sequence[float], b: Sequence[float]) -> tuple[float, fl
             return 0.0, 1.0
         return math.inf, 0.0
     f_stat = (ss_between / df_between) / (ss_within / df_within)
-    p = float(f_dist.sf(f_stat, df_between, df_within))
+    # clamped: rounding may leave it a hair below 0
+    p = max(0.0, 1.0 - _t_abs_cdf(math.sqrt(f_stat), df_within))
     return f_stat, p
 
 
@@ -519,6 +587,7 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
     With trace_dir, each run also writes its packet trace there as
     trace_<scenario>_<size>_<variant>_<rep>.csv.
     """
+    check_variants(scenarios, variants)
     tasks = [(cfg, size, variant, rep, trace_dir)
              for cfg in scenarios for size in sizes for variant in variants
              for rep in range(reps)]

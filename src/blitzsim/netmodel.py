@@ -10,6 +10,7 @@ symmetric propagation delay on each direction; queueing adds on top.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -37,8 +38,9 @@ class Packet:
         self.sent_at = sent_at
         self.pkt_num = pkt_num
         self.payload_len = payload_len
-        self.acked_ranges: list[tuple[int, int]] = []
-        self.largest_acked_pkt_num = -1
+        if is_ack:  # the ACK fields stay unset on data packets
+            self.acked_ranges: list[tuple[int, int]] = []
+            self.largest_acked_pkt_num = -1
 
 
 @dataclass(frozen=True)
@@ -82,20 +84,14 @@ class Link:
         self.busy_until: SimTime = 0
         self.queued = 0
         self.max_queued = 0
-        self.counters: dict[int, FlowCounters] = {}
+        self.counters: defaultdict[int, FlowCounters] = defaultdict(FlowCounters)
         self.deliver: Optional[Callable[[Packet, SimTime], None]] = None
         self.on_departure: Optional[Callable[[Packet, SimTime], None]] = None
         self.on_occupancy: Optional[Callable[[SimTime, int], None]] = None
 
-    def _flow(self, flow_id: int) -> FlowCounters:
-        c = self.counters.get(flow_id)
-        if c is None:
-            c = self.counters[flow_id] = FlowCounters()
-        return c
-
     def enqueue(self, packet: Packet, now: SimTime) -> Optional[SimTime]:
         """Admit a packet; returns its departure time, or None if dropped."""
-        c = self._flow(packet.flow_id)
+        c = self.counters[packet.flow_id]
         c.injected += 1
         if self.queued >= self.config.buffer_pkts:
             c.dropped += 1
@@ -114,8 +110,7 @@ class Link:
 
     def _depart(self, packet: Packet, now: SimTime) -> None:
         self.queued -= 1
-        c = self._flow(packet.flow_id)
-        c.departed += 1
+        self.counters[packet.flow_id].departed += 1
         if self.on_departure is not None:
             self.on_departure(packet, now)
         if self.queued == 0 and self.on_occupancy is not None:
@@ -125,7 +120,7 @@ class Link:
                           self._arrive, packet)
 
     def _arrive(self, packet: Packet, now: SimTime) -> None:
-        self._flow(packet.flow_id).delivered += 1
+        self.counters[packet.flow_id].delivered += 1
         if self.deliver is not None:
             self.deliver(packet, now)
 

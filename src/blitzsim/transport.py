@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .congestion import INITIAL_BURST_PACKETS, CubicController, Mode
@@ -25,19 +24,23 @@ from .netmodel import (ACK_WIRE_BYTES, HEADER_BYTES, LINK_TARGET,
                        SEGMENT_PAYLOAD_BYTES, SEGMENT_WIRE_BYTES, Link, Packet)
 
 RACK_PACKET_THRESHOLD = 3
-RACK_TIME_THRESHOLD = Fraction(9, 8)
+RACK_TIME_THRESHOLD = (9, 8)  # (numerator, denominator) of a multiple of the RTT
 ACK_EVERY = 2
 MAX_ACK_DELAY = 25 * NS_PER_MS
 
 
-def pacing_interval(cwnd_bytes: int, srtt: SimTime, fraction: Fraction) -> SimTime:
-    """Gap between paced segments: spread cwnd over fraction * srtt."""
+def pacing_interval(cwnd_bytes: int, srtt: SimTime,
+                    fraction: tuple[int, int]) -> SimTime:
+    """Gap between paced segments: spread cwnd over fraction * srtt.
+
+    fraction is a (numerator, denominator) pair of ints.
+    """
     if srtt <= 0:
         raise ValueError("srtt must be positive")
     if cwnd_bytes < SEGMENT_WIRE_BYTES:
         raise ValueError("cwnd below one segment")
-    return (fraction.numerator * srtt * SEGMENT_WIRE_BYTES) // (
-        fraction.denominator * cwnd_bytes)
+    num, den = fraction
+    return (num * srtt * SEGMENT_WIRE_BYTES) // (den * cwnd_bytes)
 
 
 class RangeSet:
@@ -125,7 +128,10 @@ class Receiver:
         self.ranges = RangeSet()
         self.largest_pkt_num = -1
         self._pending = 0
+        # the max-ack-delay timer: made by the first arming, re-keyed after
         self._ack_timer: Optional[Event] = None
+        self._ack_armed = False
+        self._target = f"recv:{conn.flow_id}"
         self._ack_pkt_num = 0
         self.acks_sent = 0
 
@@ -140,21 +146,25 @@ class Receiver:
         self._pending += 1
         if self._pending >= ACK_EVERY:
             self._emit_ack(now)
-        elif self._ack_timer is None:
-            self._ack_timer = conn.sim.schedule(
-                now + MAX_ACK_DELAY, "pacing-timer", f"recv:{conn.flow_id}",
-                self._on_ack_timer)
+        elif not self._ack_armed:
+            self._ack_armed = True
+            if self._ack_timer is None:
+                self._ack_timer = conn.sim.schedule(
+                    now + MAX_ACK_DELAY, "pacing-timer", self._target,
+                    self._on_ack_timer)
+            else:
+                conn.sim.reschedule(self._ack_timer, now + MAX_ACK_DELAY)
 
     def _on_ack_timer(self, now: SimTime) -> None:
-        self._ack_timer = None
+        self._ack_armed = False
         if self._pending > 0:
             self._emit_ack(now)
 
     def _emit_ack(self, now: SimTime) -> None:
         conn = self.conn
-        if self._ack_timer is not None:
+        if self._ack_armed:
             conn.sim.cancel(self._ack_timer)
-            self._ack_timer = None
+            self._ack_armed = False
         self._pending = 0
         ack = Packet(conn.flow_id, 0, ACK_WIRE_BYTES, self._ack_pkt_num,
                      is_ack=True, sent_at=now)
@@ -164,7 +174,7 @@ class Receiver:
         self.acks_sent += 1
         # reverse path: fixed propagation only, never congested or dropped
         conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
-                          f"conn:{conn.flow_id}", conn.on_ack, ack)
+                          conn._target, conn.on_ack, ack)
 
 
 class Connection:
@@ -177,6 +187,7 @@ class Connection:
                  trace: Optional[Callable] = None):
         self.sim = sim
         self.flow_id = flow_id
+        self._target = f"conn:{flow_id}"  # event target of this flow's events
         self.link = link
         self.size = transfer_bytes
         self.reverse_delay = link.config.prop_delay
@@ -206,7 +217,9 @@ class Connection:
         self.burst_remaining = 0
         self.next_release: SimTime = 0
         self._pacing_event: Optional[Event] = None
+        # the probe timeout: made by the first arming, re-keyed after
         self._pto_event: Optional[Event] = None
+        self._pto_armed = False
         self._pto_backoff = 0
         self._last_inject: SimTime = 0
 
@@ -229,8 +242,8 @@ class Connection:
 
     def start(self, now: SimTime) -> None:
         self.start_at = now
-        self.sim.schedule(now + self.handshake_rtt, "app-start",
-                          f"conn:{self.flow_id}", self._on_handshake_done)
+        self.sim.schedule(now + self.handshake_rtt, "app-start", self._target,
+                          self._on_handshake_done)
 
     def _on_handshake_done(self, now: SimTime) -> None:
         sample = self.handshake_rtt
@@ -278,7 +291,7 @@ class Connection:
 
     def maybe_send(self, now: SimTime) -> int:
         """Release packets while data, window, and pacer all permit."""
-        if self.finished:
+        if self.finished_at is not None:
             return 0
         sent = 0
         while True:
@@ -310,15 +323,14 @@ class Connection:
                 self.retx_queue.appendleft((start, end))
             if self._pacing_event is None:
                 self._pacing_event = self.sim.schedule(
-                    self.next_release, "pacing-timer", f"conn:{self.flow_id}",
+                    self.next_release, "pacing-timer", self._target,
                     self._on_pacing_timer)
             break
         return sent
 
     def _interval(self) -> SimTime:
-        assert self.controller is not None and self.srtt is not None
-        return pacing_interval(self.controller.cwnd, self.srtt,
-                               self.controller.pacing_fraction())
+        ctrl = self.controller
+        return pacing_interval(ctrl.cwnd, self.srtt, ctrl.pacing_fraction())
 
     def _on_pacing_timer(self, now: SimTime) -> None:
         self._pacing_event = None
@@ -349,7 +361,7 @@ class Connection:
                      payload_len=end - start)
         self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
                           self._inject, pkt)
-        if self._pto_event is None:
+        if not self._pto_armed:
             self._arm_pto(now)
 
     def _inject(self, pkt: Packet, now: SimTime) -> None:
@@ -364,7 +376,7 @@ class Connection:
     # -- receiving ----------------------------------------------------------
 
     def on_ack(self, ack: Packet, now: SimTime) -> None:
-        if self.finished:
+        if self.finished_at is not None:
             return
         self.acks_received += 1
         if self.trace is not None:
@@ -406,9 +418,9 @@ class Connection:
             self._pto_backoff = 0
         if self.in_flight > 0:
             self._arm_pto(now)
-        elif self._pto_event is not None:
+        elif self._pto_armed:
             self.sim.cancel(self._pto_event)
-            self._pto_event = None
+            self._pto_armed = False
         self.maybe_send(now)
 
     def _update_rtt(self, sample: SimTime) -> None:
@@ -447,9 +459,8 @@ class Connection:
         """RACK-style scan against the largest acknowledged packet."""
         if self.largest_acked_pkt < 0:
             return
-        threshold = (RACK_TIME_THRESHOLD.numerator
-                     * max(self.srtt, self.latest_rtt)
-                     // RACK_TIME_THRESHOLD.denominator)
+        num, den = RACK_TIME_THRESHOLD
+        threshold = num * max(self.srtt, self.latest_rtt) // den
         time_cutoff = self.largest_acked_sent_at - threshold
         pkt_cutoff = self.largest_acked_pkt - RACK_PACKET_THRESHOLD
         while True:
@@ -486,15 +497,17 @@ class Connection:
         return (2 * self.srtt + 4 * self.rttvar) << self._pto_backoff
 
     def _arm_pto(self, now: SimTime) -> None:
-        if self._pto_event is not None:
-            self.sim.cancel(self._pto_event)
-        self._pto_event = self.sim.schedule(
-            now + self._pto_interval(), "loss-timer", f"conn:{self.flow_id}",
-            self._on_pto)
+        fire_at = now + self._pto_interval()
+        self._pto_armed = True
+        if self._pto_event is None:
+            self._pto_event = self.sim.schedule(
+                fire_at, "loss-timer", self._target, self._on_pto)
+        else:
+            self.sim.reschedule(self._pto_event, fire_at)
 
     def _on_pto(self, now: SimTime) -> None:
-        self._pto_event = None
-        if self.finished:
+        self._pto_armed = False
+        if self.finished_at is not None:
             return
         oldest = self._oldest_outstanding()
         if oldest is None:
@@ -506,10 +519,11 @@ class Connection:
 
     def _finish(self, now: SimTime) -> None:
         self.finished_at = now
-        for ev in (self._pacing_event, self._pto_event):
-            if ev is not None:
-                self.sim.cancel(ev)
-        self._pacing_event = None
-        self._pto_event = None
+        if self._pacing_event is not None:
+            self.sim.cancel(self._pacing_event)
+            self._pacing_event = None
+        if self._pto_armed:
+            self.sim.cancel(self._pto_event)
+            self._pto_armed = False
         if self.on_finished is not None:
             self.on_finished(now)

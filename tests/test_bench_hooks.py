@@ -4,6 +4,12 @@ perfbench/instrument.py patches and reads simulator, transport, congestion
 and harness names from outside. This runs one small cell with that
 instrumentation in a fresh interpreter (the patches are process-wide), so a
 refactor that renames or reshapes one of those names fails here.
+
+The tracer also reads `Simulator.dispatched` from inside the short flow's
+`Connection.start` to count the events before it, so the count must be
+live during dispatch; and it counts events by the kind each callback was
+scheduled with, so re-keyed timers must keep their callback. Both are
+checked against an untraced run's `Simulator.record_trace`.
 """
 
 import json
@@ -15,6 +21,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import json, sys
+from collections import Counter
 sys.path.insert(0, "perfbench")
 import workloads
 workloads.load_blitzsim()
@@ -26,6 +33,11 @@ cell = (harness.PRESETS["dsl-fast"], harness.SIZES["70K"],
         harness.Variant("baseline"), 0)
 untraced = harness.run_scenario(*cell)
 plain, plain_errors = snapshot(objs.take())
+recorded = harness._setup_two_flows(*cell)
+recorded.sim.record_trace = True
+recorded.sim.run_until(None)
+objs.take()
+trace = recorded.sim.trace
 tracer = Tracer()
 tracer.install()
 previous = tracer.begin_run("cell")
@@ -39,6 +51,14 @@ print(json.dumps({
     "layers": sorted({name.split(":", 1)[0] for name in tracer.runs["cell"]}),
     "events": sum(n for key, n in tracer.counts["cell"].items()
                   if key.startswith("events.")),
+    "kinds": {key[len("events."):]: n
+              for key, n in tracer.counts["cell"].items()
+              if key.startswith("events.")},
+    "trace_kinds": Counter(kind for _, _, kind, _ in trace),
+    "prefix_events": tracer.counts["cell"]["prefix_events"],
+    "short_start_index": next(
+        i for i, (_, _, kind, target) in enumerate(trace)
+        if (kind, target) == ("app-start", "conn:1")),
 }))
 """
 
@@ -54,3 +74,5 @@ def test_instrumented_cell_matches_untraced_run():
     assert {"engine", "netmodel", "transport", "congestion",
             "harness"} <= set(got["layers"])
     assert got["events"] == got["counters"]["events_dispatched"]
+    assert got["kinds"] == got["trace_kinds"]
+    assert got["prefix_events"] == got["short_start_index"] > 0

@@ -151,6 +151,89 @@ def test_no_event_loss(plan):
     assert sim.scheduled - sim.cancelled == sim.dispatched
 
 
+def _reschedule(sim, handles, i, fire_at):
+    sim.reschedule(handles[i], fire_at)
+
+
+def _cancel_and_schedule(sim, handles, i, fire_at):
+    """The reference re-key: cancel the event and schedule a fresh one."""
+    if fire_at < sim.now:
+        raise RuntimeError("scheduled in the past")
+    ev = handles[i]
+    sim.cancel(ev)
+    handles[i] = sim.schedule(fire_at, ev.kind, ev.target, ev.fn, ev.arg)
+
+
+def _drive(program, rekey):
+    """Play a schedule/cancel/re-key/run program; what a run can observe."""
+    sim = Simulator()
+    sim.record_trace = True
+    handles = []
+    rekeys = []  # (delay, raised) of every top-level re-key
+
+    def callback(then):
+        # the first time it fires, an event may re-key any event, itself
+        # included; only once, so a zero delay cannot loop forever
+        def fn(now):
+            if then:
+                i, delay = then.pop()
+                rekey(sim, handles, i % len(handles), now + delay)
+        return fn
+
+    for op, a, b in program:
+        if op == "schedule":
+            handles.append(sim.schedule(sim.now + a, "loss-timer",
+                                        f"e{len(handles)}",
+                                        callback([b] if b else [])))
+        elif op == "run":
+            sim.run_until(sim.now + a)
+        elif handles and op == "cancel":
+            sim.cancel(handles[a % len(handles)])
+        elif handles:
+            try:
+                rekey(sim, handles, a % len(handles), sim.now + b)
+                rekeys.append((b, False))
+            except RuntimeError:
+                rekeys.append((b, True))
+    sim.run_until(None)
+    return (sim.trace, sim.now, sim.scheduled, sim.cancelled, sim.dispatched,
+            rekeys)
+
+
+_delay = st.integers(0, 6)  # short delays, so fire times tie often
+_op = st.one_of(
+    st.tuples(st.just("schedule"), _delay,
+              st.none() | st.tuples(st.integers(0, 7), _delay)),
+    st.tuples(st.just("cancel"), st.integers(0, 7), st.none()),
+    st.tuples(st.just("rekey"), st.integers(0, 7), st.integers(-3, 8)),
+    st.tuples(st.just("run"), st.integers(0, 8), st.none()),
+)
+
+
+@given(st.lists(_op, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_reschedule_matches_cancel_then_schedule(program):
+    got = _drive(program, _reschedule)
+    assert got == _drive(program, _cancel_and_schedule)
+    # re-keying into the past is refused, and only that
+    assert all(raised == (delay < 0) for delay, raised in got[-1])
+
+
+def test_reschedule_later_pushes_nothing_until_the_old_key_pops():
+    sim = Simulator()
+    sim.record_trace = True
+    ev = sim.schedule(us(10), "loss-timer", "t", lambda now: None)
+    for t in (us(20), us(30), us(40)):
+        sim.reschedule(ev, t)
+    assert len(sim._heap) == 1
+    assert (sim.scheduled, sim.cancelled) == (4, 3)
+    sim.run_until(us(35))
+    assert sim.trace == []
+    sim.run_until(None)
+    assert sim.trace == [(us(40), 3, "loss-timer", "t")]
+    assert sim.dispatched == 1
+
+
 def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
     assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)

@@ -5,6 +5,11 @@ the benchmark workloads produce; this re-runs a small, fast subset of them
 (every preset, baseline and a 4x overestimated hint, 70K and 2M) so a
 change that moves a result fails here within seconds. Only rows are
 checked: counter digests may move under an optimisation, rows may not.
+
+Three cells also pin their whole dispatch sequence: the sha256 of every
+`Simulator.record_trace` entry, plus the simulator's scheduled, cancelled
+and dispatched counts. An optimisation of the engine or of the per-packet
+path must leave all of it as it is.
 """
 
 import hashlib
@@ -14,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from blitzsim.harness import PRESETS, SIZES, Variant, emit_runs_csv, run_scenario
+from blitzsim.harness import (PRESETS, SIZES, Variant, _setup_two_flows,
+                              emit_runs_csv, run_scenario)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 SEED = 1
@@ -42,3 +48,32 @@ def test_cell_matches_golden_row(tmp_path, golden_rows, scenario, size,
     row = path.read_text().splitlines()[1]
     key = ",".join(row.split(",", 4)[:4])
     assert hashlib.sha256(row.encode()).hexdigest()[:16] == golden_rows[key], row
+
+
+# (scenario, size, variant, rep): (trace sha256, scheduled, cancelled, dispatched)
+TRACES = {
+    ("dsl-fast", "70K", "baseline", 0): (
+        "50d1b1aa6a5602e505e524f5b993d469eb616a69f3d55c9d34281e028aebddbf",
+        29668, 5833, 23579),
+    ("3g", "2M", "blitz:4", 1): (
+        "3bd77dbc2672f5e33c9fb60b314a527ea0638777f02bf1baf23ecbdd3381c64f",
+        69798, 13603, 56145),
+    ("lte", "2M", "blitz:3", 0): (
+        "4e3a46d63d607393dd0ac10330f93410d1edbe6993e00be0f13cd9d32f87821d",
+        30270, 5891, 24269),
+}
+
+
+@pytest.mark.parametrize("scenario, size, variant, rep", TRACES)
+def test_cell_dispatches_its_golden_event_sequence(scenario, size, variant,
+                                                   rep):
+    cfg = replace(PRESETS[scenario], seed_base=SEED)
+    run = _setup_two_flows(cfg, SIZES[size], Variant.parse(variant), rep)
+    sim = run.sim
+    sim.record_trace = True
+    sim.run_until(None)
+    text = "".join(f"{t},{seq},{kind},{target}\n"
+                   for t, seq, kind, target in sim.trace)
+    got = (hashlib.sha256(text.encode()).hexdigest(), sim.scheduled,
+           sim.cancelled, sim.dispatched)
+    assert got == TRACES[(scenario, size, variant, rep)]

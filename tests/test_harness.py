@@ -1,3 +1,5 @@
+import math
+import random
 import statistics
 from dataclasses import replace
 
@@ -7,8 +9,10 @@ from blitzsim.cli import main
 from blitzsim.engine import ms, seconds
 from blitzsim.harness import (PRESETS, RUNS_HEADER, SIZES, TRACE_HEADER,
                               PacketTrace, RunResult, Variant,
-                              aggregate, default_variants, emit_runs_csv,
-                              emit_summary_csv, emit_trace_csv, fairness_ratio,
+                              _anova_two_groups, _jitter_draw, _t_abs_cdf,
+                              _t_critical, aggregate, default_variants,
+                              emit_runs_csv, emit_summary_csv, emit_trace_csv,
+                              fairness_ratio,
                               parse_scenario_file, rolling_bandwidth,
                               run_matrix, run_scenario, summarize)
 from blitzsim.signaling import AccessTech
@@ -156,6 +160,54 @@ def test_anova_distinguishes_separated_groups():
     stats = aggregate(var, base)
     assert stats.fct.anova_f > 100
     assert stats.fct.anova_p < 1e-6
+
+
+# t.ppf(0.975, df) and f.sf(F, 1, df) from scipy.stats 1.17, written out
+# once so the suite does not need scipy
+T_975 = {1: 12.706204736174694, 2: 4.302652729749462, 5: 2.5705818356363146,
+         29: 2.045229642132703, 58: 2.0017174841452356}
+F_SF = {  # df: tails at F = 0.5, 4, 30
+    1: (0.6081734479693928, 0.2951672353008665, 0.11496411795103316),
+    2: (0.552786404500042, 0.18350341907227397, 0.03175416344814578),
+    5: (0.5110840804302806, 0.10193947882985835, 0.0027649603013049557),
+    29: (0.48514384674372213, 0.05494363718296717, 6.739145346941562e-06),
+    58: (0.482331579127485, 0.05019046804144834, 9.736553607935728e-07),
+}
+
+
+@pytest.mark.parametrize("df", sorted(T_975))
+def test_t_critical_matches_reference(df):
+    assert _t_critical(df) == pytest.approx(T_975[df], rel=1e-13)
+
+
+@pytest.mark.parametrize("df", sorted(F_SF))
+def test_f_tail_matches_reference(df):
+    for f_stat, want in zip((0.5, 4.0, 30.0), F_SF[df]):
+        got = 1.0 - _t_abs_cdf(math.sqrt(f_stat), df)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+
+def test_anova_p_never_prints_negative_zero():
+    # here 1 - P(|T| < sqrt(F)) rounds to -2.2e-16
+    a = [i % 3 for i in range(30)]
+    f_stat, p = _anova_two_groups(a, [2000 + x for x in a])
+    assert 1.0 - _t_abs_cdf(math.sqrt(f_stat), 58) < 0
+    assert p == 0.0 and f"{p:.6f}" == "0.000000"
+
+
+def test_jitter_draw_repeats_randrange():
+    for high in (0, 1, 2, 7, 1000, 1 << 20):
+        a, b = random.Random(high), random.Random(high)
+        draw = _jitter_draw(b, high)
+        assert ([a.randrange(0, high + 1) for _ in range(500)]
+                == [draw() for _ in range(500)])
+        assert a.random() == b.random()  # the streams stay in step
+
+
+def test_run_matrix_rejects_a_zero_kbps_estimate_before_running():
+    with pytest.raises(ValueError, match="blitz:0.0001"):
+        run_matrix([PRESETS["3g"]], [SIZES["70K"]],
+                   [Variant.parse("blitz:0.0001")], reps=1, jobs=2)
 
 
 # -- running scenarios --------------------------------------------------------------------
@@ -381,6 +433,8 @@ def test_cli_scenario_file(tmp_path):
     ([], CELL_FILE + "long_flow_bytes = 0\n", "long_flow_bytes"),
     ([], CELL_FILE + "pkt_jitter_max_us = -1\n", "pkt_jitter_max"),
     ([], CELL_FILE + "rtt_ms = 60\n", ":8: repeated key 'rtt_ms', first set on line 2"),
+    (["--scenario", "3g", "--variant", "blitz:0.0001"], None, "blitz:0.0001"),
+    ([], CELL_FILE.replace("blitz:1.0", "blitz:0.00001"), "blitz:1e-05"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):

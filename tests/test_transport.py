@@ -1,5 +1,4 @@
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,26 +24,26 @@ def make_conn(transfer_bytes, cfg=DSL_FAST, controller=None, wire=True):
 
 def test_pacing_interval_slow_start_32_segments():
     # 25 ms spread over 32 segments: about 781 us each
-    assert pacing_interval(32 * 1500, ms(50), Fraction(1, 2)) == 781_250
+    assert pacing_interval(32 * 1500, ms(50), (1, 2)) == 781_250
 
 
 def test_pacing_interval_avoidance_100_segments():
     # 37.5 ms over 100 segments: 375 us
-    assert pacing_interval(100 * 1500, ms(50), Fraction(3, 4)) == us(375)
+    assert pacing_interval(100 * 1500, ms(50), (3, 4)) == us(375)
 
 
 def test_pacing_interval_single_segment():
-    assert pacing_interval(1500, ms(50), Fraction(3, 4)) == ms(37.5)
+    assert pacing_interval(1500, ms(50), (3, 4)) == ms(37.5)
 
 
 def test_pacing_interval_rejects_zero_srtt():
     with pytest.raises(ValueError):
-        pacing_interval(32 * 1500, 0, Fraction(1, 2))
+        pacing_interval(32 * 1500, 0, (1, 2))
 
 
 def test_pacing_interval_rejects_sub_segment_window():
     with pytest.raises(ValueError):
-        pacing_interval(1499, ms(50), Fraction(1, 2))
+        pacing_interval(1499, ms(50), (1, 2))
 
 
 # -- RangeSet ------------------------------------------------------------------
