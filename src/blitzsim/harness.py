@@ -66,6 +66,11 @@ class ScenarioConfig:
             if value is not None and value < 0:
                 raise ValueError(f"scenario {self.name!r}: {field} must not "
                                  f"be negative, got {value}")
+        if self.short_flow_start >= self.sim_cap:
+            # the short flow could never start: every run would time out
+            raise ValueError(f"scenario {self.name!r}: short_flow_start must "
+                             f"be below sim_cap {self.sim_cap}, got "
+                             f"{self.short_flow_start}")
 
     @property
     def rate_bps(self) -> int:

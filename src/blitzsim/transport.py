@@ -199,8 +199,13 @@ class Connection:
 
         self.next_seq = 0
         self.next_pkt_num = 0
+        # Only records that an ACK can still resolve or sample are kept:
+        # `records` from packet number _records_floor up, `records_by_seq`
+        # from grid point _seq_floor up (see _prune).
         self.records: dict[int, SentRecord] = {}
         self.records_by_seq: dict[int, list[SentRecord]] = {}
+        self._records_floor = 0
+        self._seq_floor = 0
         # every record below this packet number is acked or declared lost
         self._scan_from = 0
         self.retx_queue: deque[tuple[int, int]] = deque()
@@ -383,15 +388,18 @@ class Connection:
             self.trace(now, self.flow_id, "ack", ack.largest_acked_pkt_num,
                        0, ack.len)
         largest = ack.largest_acked_pkt_num
-        rec = self.records.get(largest)
         rtt_sample: Optional[SimTime] = None
-        if rec is None:
-            self.ack_anomalies += 1
-        elif largest > self.largest_acked_pkt:
-            rtt_sample = now - rec.sent_at
-            self._update_rtt(rtt_sample)
-            self.largest_acked_pkt = largest
-            self.largest_acked_sent_at = rec.sent_at
+        if largest > self.largest_acked_pkt:
+            # a packet number above every acked one is never pruned, so a
+            # missing record means it was never sent
+            rec = self.records.get(largest)
+            if rec is None:
+                self.ack_anomalies += 1
+            else:
+                rtt_sample = now - rec.sent_at
+                self._update_rtt(rtt_sample)
+                self.largest_acked_pkt = largest
+                self.largest_acked_sent_at = rec.sent_at
 
         newly = 0
         newly_wire = 0
@@ -410,6 +418,7 @@ class Connection:
             self.cwnd_log.append((now, self.controller.cwnd,
                                   self.controller.mode))
         self._detect_losses(now)
+        self._prune(newly)
 
         if self.bytes_acked >= self.size:
             self._finish(now)
@@ -452,6 +461,35 @@ class Connection:
                     if not rec.lost:
                         self.in_flight -= rec.wire_len
         return wire
+
+    def _prune(self, newly: int) -> None:
+        """Drop the records no later ACK can read (RFC 9002 sent_packets).
+
+        Every record below _scan_from is acked or lost, and on_ack reads a
+        record only above largest_acked_pkt, so `records` below the lower
+        of the two goes. _mark_acked looks up only grid points of newly
+        covered bytes, which lie above the cumulative ACK frontier, so
+        `records_by_seq` below the frontier goes; a lost original above it
+        stays, since _mark_acked counts the first unacked copy's wire_len.
+        """
+        records = self.records
+        floor = min(self._scan_from, self.largest_acked_pkt + 1)
+        pkt_num = self._records_floor
+        while pkt_num < floor:
+            del records[pkt_num]
+            pkt_num += 1
+        self._records_floor = pkt_num
+        if not newly:
+            return
+        first = self.acked_ranges.ranges[0]
+        if first[0] != 0:
+            return
+        by_seq = self.records_by_seq
+        seq = self._seq_floor
+        while seq < first[1]:
+            del by_seq[seq]
+            seq += SEGMENT_PAYLOAD_BYTES
+        self._seq_floor = seq
 
     # -- loss detection -------------------------------------------------------
 

@@ -276,8 +276,10 @@ def test_blitz_run_reports_congestion_avoidance_from_first_packet():
 
 
 def test_timeout_flagging():
-    cfg = replace(PRESETS["dsl-fast"], sim_cap=ms(200))  # nothing can finish
+    # the short flow starts about 0.33 s in and cannot finish by the cap
+    cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
     r = run_scenario(cfg, FAST70K, Variant("baseline"), rep=0)
+    assert r.short_start_at is not None
     assert r.timeout
     assert r.fct is None
 
@@ -435,6 +437,7 @@ def test_cli_scenario_file(tmp_path):
     ([], CELL_FILE + "rtt_ms = 60\n", ":8: repeated key 'rtt_ms', first set on line 2"),
     (["--scenario", "3g", "--variant", "blitz:0.0001"], None, "blitz:0.0001"),
     ([], CELL_FILE.replace("blitz:1.0", "blitz:0.00001"), "blitz:1e-05"),
+    ([], CELL_FILE + "short_flow_start_ms = 300000\n", "short_flow_start"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):

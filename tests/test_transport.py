@@ -1,10 +1,14 @@
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blitzsim.congestion import CubicController
+from blitzsim.congestion import FLOOR_BYTES, CubicController
 from blitzsim.engine import Simulator, ms, seconds, us
-from blitzsim.netmodel import Link, LinkConfig, Packet
+from blitzsim.harness import PRESETS, single_flow_run
+from blitzsim.netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig, Packet
 from blitzsim.transport import Connection, RangeSet, pacing_interval
 
 DSL_FAST = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=208)
@@ -186,6 +190,24 @@ def test_ack_for_unknown_pkt_num_is_recorded_and_ignored():
     assert conn.srtt == ms(50)  # no sample taken from the ghost
 
 
+def test_ack_below_prune_floor_is_old_not_an_anomaly():
+    # a reordered ACK whose largest packet was acked and pruned already
+    sim, link, conn = make_conn(1 << 20, wire=False)
+    conn.start(0)
+    sim.run_until(ms(52))
+    ack = Packet(0, 0, 40, 0, is_ack=True)
+    ack.acked_ranges = [(0, 5 * 1350)]
+    ack.largest_acked_pkt_num = 4
+    conn.on_ack(ack, ms(55))
+    old = Packet(0, 0, 40, 1, is_ack=True)
+    old.acked_ranges = [(0, 3 * 1350)]
+    old.largest_acked_pkt_num = 2
+    assert 2 not in conn.records and 0 not in conn.records_by_seq
+    conn.on_ack(old, ms(56))
+    assert conn.ack_anomalies == 0
+    assert conn.largest_acked_pkt == 4
+
+
 # -- loss detection --------------------------------------------------------------
 
 def drive_handshake(conn, sim):
@@ -198,11 +220,12 @@ def test_rack_packet_threshold_declares_early_hole_lost():
     sim, link, conn = make_conn(1 << 20, wire=False)
     drive_handshake(conn, sim)
     sim.run_until(ms(52))  # all 32 injected
+    first = conn.records[0]  # the ACK resolves it, and pruning drops it
     ack = Packet(0, 0, 40, 0, is_ack=True)
     ack.acked_ranges = [(1350, 5 * 1350)]
     ack.largest_acked_pkt_num = 4
     conn.on_ack(ack, ms(55))
-    assert conn.records[0].lost
+    assert first.lost
     assert conn.lost_pkts >= 1
     # the hole went straight back out with a fresh packet number
     retx = [r for r in conn.records.values() if r.is_retx]
@@ -214,6 +237,7 @@ def test_acked_packet_is_never_declared_lost():
     sim, link, conn = make_conn(1 << 20, wire=False)
     drive_handshake(conn, sim)
     sim.run_until(ms(52))
+    sent = [conn.records[num] for num in range(9)]
     ack = Packet(0, 0, 40, 0, is_ack=True)
     ack.acked_ranges = [(0, 5 * 1350)]
     ack.largest_acked_pkt_num = 4
@@ -222,9 +246,9 @@ def test_acked_packet_is_never_declared_lost():
     later.acked_ranges = [(0, 9 * 1350)]
     later.largest_acked_pkt_num = 8
     conn.on_ack(later, ms(56))
-    for num in range(9):
-        assert conn.records[num].acked
-        assert not conn.records[num].lost
+    for rec in sent:
+        assert rec.acked
+        assert not rec.lost
 
 
 def test_rack_time_threshold():
@@ -232,13 +256,14 @@ def test_rack_time_threshold():
     sim, link, conn = make_conn(1 << 20, wire=False)
     drive_handshake(conn, sim)
     sim.run_until(ms(120))
+    first = conn.records[0]
     # ack only packet 2 (packets 0 and 1 sent around the same instant are
     # inside the reordering window; nothing beyond the pkt threshold)
     ack = Packet(0, 0, 40, 0, is_ack=True)
     ack.acked_ranges = [(2 * 1350, 3 * 1350)]
     ack.largest_acked_pkt_num = 2
     conn.on_ack(ack, ms(125))
-    assert not conn.records[0].lost  # within both thresholds
+    assert not first.lost  # within both thresholds
     # a much later retransmission-era ack: largest jumps far ahead in time
     sim.run_until(ms(400))
     conn.maybe_send(sim.now)
@@ -248,7 +273,7 @@ def test_rack_time_threshold():
     late.acked_ranges = [(rec.seq_start, rec.seq_end)]
     late.largest_acked_pkt_num = late_num
     conn.on_ack(late, ms(460))
-    assert conn.records[0].lost
+    assert first.lost
 
 
 def test_tail_loss_probe_retransmits_oldest():
@@ -256,10 +281,11 @@ def test_tail_loss_probe_retransmits_oldest():
     # retransmits it with a fresh packet number, doubling on repeat
     sim, link, conn = make_conn(3 * 1350, wire=False)
     drive_handshake(conn, sim)
+    first = conn.records[0]
     first_interval = 2 * conn.srtt + 4 * conn.rttvar
     sim.run_until(ms(50) + first_interval + ms(1))
     assert conn.lost_pkts == 1
-    assert conn.records[0].lost
+    assert first.lost
     retx = [r for r in conn.records.values() if r.is_retx]
     assert len(retx) == 1
     assert retx[0].seq_start == 0
@@ -336,3 +362,109 @@ def test_srtt_smoothing_follows_7_8_rule():
     assert conn.min_rtt == ms(50)
     conn._update_rtt(ms(40))
     assert conn.min_rtt == ms(40)
+
+
+# -- bounded state ------------------------------------------------------------------
+
+def peak_state(monkeypatch, cfg, duration):
+    """Peak len(records), len(records_by_seq) and cwnd of one long flow."""
+    peak = {"records": 0, "by_seq": 0, "cwnd": 0}
+    on_ack = Connection.on_ack
+
+    def sampled(conn, ack, now):
+        peak["records"] = max(peak["records"], len(conn.records))
+        peak["by_seq"] = max(peak["by_seq"], len(conn.records_by_seq))
+        on_ack(conn, ack, now)
+        peak["cwnd"] = max(peak["cwnd"], conn.controller.cwnd)
+
+    monkeypatch.setattr(Connection, "on_ack", sampled)
+    conn, _link, _trace = single_flow_run(cfg, 1 << 30, duration)
+    assert conn.pkts_sent > 10 * peak["records"]
+    return peak
+
+
+@pytest.mark.parametrize("cfg", [
+    PRESETS["dsl-slow"],
+    replace(PRESETS["dsl-slow"], buffer_pkts=20),  # drops and recovery
+], ids=["dsl-slow", "dsl-slow-buffer-20"])
+def test_sent_records_stay_bounded_by_the_window(monkeypatch, cfg):
+    short = peak_state(monkeypatch, cfg, seconds(2))
+    long = peak_state(monkeypatch, cfg, seconds(8))
+    for peak in (short, long):
+        # the slack covers acked records above a hole whose retransmission
+        # is still outstanding
+        bound = peak["cwnd"] // SEGMENT_WIRE_BYTES + cfg.buffer_pkts + 64
+        assert peak["records"] <= bound
+        assert peak["by_seq"] <= bound
+    for key in ("records", "by_seq"):
+        assert abs(long[key] - short[key]) <= short[key] // 10
+
+
+class ChaosPath:
+    """Test-only wrapper around a connection's two directions.
+
+    A seeded RNG drops, duplicates and delays (so reorders) data packets
+    on their way to the receiver and ACKs on their way back. Reordered
+    data makes RACK retransmit spuriously, so a retransmitted copy can be
+    acked while it lies above the largest acknowledged packet.
+    """
+
+    def __init__(self, sim, link, conn, seed, drop, dup, reorder, max_delay):
+        self.sim = sim
+        self.rng = random.Random(seed)
+        self.drop, self.dup, self.reorder = drop, dup, reorder
+        self.max_delay = max_delay
+        receiver = conn.receiver
+        link.deliver = lambda pkt, now: self.pass_on(pkt, now,
+                                                     receiver.on_data)
+        on_ack = conn.on_ack
+        conn.on_ack = lambda ack, now: self.pass_on(ack, now, on_ack)
+
+    def pass_on(self, pkt, now, deliver):
+        rng = self.rng
+        if rng.random() < self.drop:
+            return
+        for _ in range(2 if rng.random() < self.dup else 1):
+            if rng.random() < self.reorder:
+                self.sim.schedule(now + rng.randrange(1, self.max_delay),
+                                  "packet-arrival", "chaos", deliver, pkt)
+            else:
+                deliver(pkt, now)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       size=st.integers(20_000, 400_000),
+       drop=st.integers(0, 200),
+       dup=st.integers(0, 200),
+       reorder=st.integers(0, 300),
+       max_delay_ms=st.integers(1, 60))
+@settings(max_examples=60, deadline=None)
+def test_transfer_survives_drop_duplication_and_reordering(
+        seed, size, drop, dup, reorder, max_delay_ms):
+    # drop, dup and reorder are per mille of the packets on each direction;
+    # a reordered packet is held back by up to three round trips
+    cfg = LinkConfig(rate_bps=10_000_000, prop_delay=ms(10), buffer_pkts=30)
+    sim, link, conn = make_conn(size, cfg=cfg)
+    seen = {"min_in_flight": 0, "min_cwnd": FLOOR_BYTES}
+
+    def checked(fn):
+        def run(*args):
+            fn(*args)
+            seen["min_in_flight"] = min(seen["min_in_flight"], conn.in_flight)
+            seen["min_cwnd"] = min(seen["min_cwnd"], conn.controller.cwnd)
+        return run
+
+    # wrapped before ChaosPath, so the checks follow every ACK that arrives
+    conn.on_ack = checked(conn.on_ack)
+    conn._on_pto = checked(conn._on_pto)
+    ChaosPath(sim, link, conn, seed, drop / 1000, dup / 1000, reorder / 1000,
+              ms(max_delay_ms) + 1)
+    conn.start(0)
+    sim.run_until(seconds(600))
+    assert conn.finished
+    assert conn.receiver.ranges.ranges == [(0, size)]
+    assert conn.bytes_acked == size
+    assert seen["min_in_flight"] >= 0 and conn.in_flight == 0
+    assert conn.payload_sent == size + conn.bytes_retransmitted
+    assert seen["min_cwnd"] >= FLOOR_BYTES
+    assert conn.ack_anomalies == 0
