@@ -12,7 +12,7 @@ from typing import Callable
 from . import harness
 from .congestion import (CUBIC_BETA, INITIAL_WINDOW_BYTES, Mode,
                          cubic_k_seconds, cubic_window_segments)
-from .engine import NS_PER_MS, seconds
+from .engine import NS_PER_MS, PacketTrace, seconds
 from .netmodel import link_utilization
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         decode_hint, encode_hint)
@@ -23,18 +23,14 @@ FUZZ_CASES = 100_000  # inputs per encode/decode fuzz check
 
 def check_determinism(seed: int = 1) -> CheckResult:
     """Identical (scenario, seed) runs produce identical traces and metrics."""
-    cfg = harness.PRESETS["dsl-fast"]
-    cfg = harness.replace(cfg, seed_base=seed)
+    cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
     variant = harness.Variant("blitz", 1.0)
 
     def one() -> tuple[list, harness.RunResult]:
-        run = harness._setup_two_flows(cfg, harness.SIZES["2M"], variant, 0)
-        run.sim.record_trace = True
-        run.sim.run_until(None)
-        short = run.short_conn
-        return run.sim.trace, (short.fct, short.lost_pkts,
-                               short.bytes_retransmitted, run.short_bytes,
-                               run.long_bytes)
+        trace = PacketTrace(only={"event"})
+        result = harness.run_scenario(cfg, harness.SIZES["2M"], variant, 0,
+                                      trace)
+        return trace.rows, result
 
     trace_a, metrics_a = one()
     trace_b, metrics_b = one()
@@ -77,10 +73,11 @@ def check_conservation(seed: int = 1) -> CheckResult:
 def check_rate_conformance(seed: int = 1) -> CheckResult:
     """Backlogged bottleneck departs within [rate * 0.995, rate]."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
-    conn, link, trace = harness.single_flow_run(cfg, 1 << 30, seconds(2.5))
+    trace = PacketTrace(only={"deliver"})
+    conn = harness.single_flow_run(cfg, 1 << 30, seconds(2.5), trace)
     # a packet arrives exactly one propagation delay after it departs, so
     # arrivals in the shifted window are the departures in [1.0 s, 2.4 s)
-    delay = link.config.prop_delay
+    delay = conn.link.config.prop_delay
     window = (seconds(1.0) + delay, seconds(2.4) + delay)
     util = link_utilization(trace.deliveries(0), window)
     rate = cfg.rate_bps
@@ -126,11 +123,10 @@ def check_cubic_shape(seed: int = 1) -> CheckResult:
 def check_slow_start_doubling(seed: int = 1) -> CheckResult:
     """cwnd doubles per round trip on a lossless single-flow start."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
-    conn, link, _trace = harness.single_flow_run(cfg, 1 << 30, seconds(1.0),
-                                                 record_cwnd=True)
-    assert conn.cwnd_log is not None
+    trace = PacketTrace(only={"cwnd"})
+    harness.single_flow_run(cfg, 1 << 30, seconds(1.0), trace)
     hits: dict[int, int] = {}
-    for t, cwnd, mode in conn.cwnd_log:
+    for t, _flow, _kind, cwnd, mode in trace.rows:
         if mode is not Mode.SLOW_START:
             break
         for mult in (2, 4, 8):

@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -115,6 +116,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_demo_fig1(args: argparse.Namespace) -> int:
     cfg = replace(PRESETS["dsl-fast"], seed_base=args.seed)
+    for flag, value in (("--top-duration-s", args.top_duration_s),
+                        ("--bottom-duration-s", args.bottom_duration_s)):
+        if not 1 <= value * NS_PER_S < math.inf:  # NaN fails it too
+            print(f"blitzsim demo-fig1: {flag} must be a finite duration of "
+                  f"at least 1 ns, got {value}", file=sys.stderr)
+            return 2
+    top_end = seconds(args.top_duration_s)
     bottom_end = seconds(args.bottom_duration_s)
     try:
         bcfg = replace(cfg, sim_cap=bottom_end)
@@ -127,8 +135,8 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
     rtt = cfg.rtt
 
     # lone flow on an idle link: exponential startup, then avoidance
-    top_end = seconds(args.top_duration_s)
-    conn, link, trace = single_flow_run(cfg, 1 << 30, top_end)
+    trace = PacketTrace(only={"deliver"})
+    single_flow_run(cfg, 1 << 30, top_end, trace)
     with open(out / "fig1_top.csv", "w") as fh:
         fh.write("time_us,flow_id,window_us,bps\n")
         series = rolling_bandwidth(trace.deliveries(0), rtt, top_end)
@@ -136,9 +144,9 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
             fh.write(f"{t // 1000},0,{rtt // 1000},{bps:.1f}\n")
 
     # second flow entering a bottleneck the first flow has saturated
-    dtrace = PacketTrace(only={"deliver"})
     run = harness._setup_two_flows(bcfg, 1 << 30, Variant("baseline"), 0,
-                                   trace=dtrace, stop_on_completion=False)
+                                   stop_on_completion=False)
+    run.sim.recorder = dtrace = PacketTrace(only={"deliver"})
     run.sim.run_until(None)
     with open(out / "fig1_bottom.csv", "w") as fh:
         fh.write("time_us,flow_id,window_us,bps\n")

@@ -77,6 +77,28 @@ class Event:
         return True
 
 
+class PacketTrace:
+    """A Simulator's recorder: the rows of the kinds in `only`, in order.
+
+    row[2] is the kind. "event" rows are (fire_at, seq, "event", kind,
+    target); "send", "deliver", "drop" and "ack" rows (now, flow_id, kind,
+    pkt_num, seq, len), an ACK's pkt_num being its largest acknowledged;
+    "cwnd" rows (now, flow_id, "cwnd", cwnd, mode), after each ACK.
+    """
+
+    def __init__(self, only: set[str]):
+        self.rows: list[tuple] = []
+        self.only = only
+
+    def __call__(self, row: tuple) -> None:
+        if row[2] in self.only:
+            self.rows.append(row)
+
+    def deliveries(self, flow_id: int) -> list[tuple[SimTime, int]]:
+        return [(row[0], row[5]) for row in self.rows
+                if row[2] == "deliver" and row[1] == flow_id]
+
+
 class Simulator:
     """Single-threaded event loop over an integer-nanosecond clock."""
 
@@ -88,8 +110,7 @@ class Simulator:
         self.cancelled = 0
         self.dispatched = 0
         self._stop = False
-        self.record_trace = False  # callers set it to fill trace
-        self.trace: list[tuple[SimTime, int, str, str]] = []
+        self.recorder: Optional[PacketTrace] = None  # every layer's rows
 
     def schedule(self, fire_at: SimTime, kind: str, target: str,
                  fn: Callable, arg: object = None) -> Event:
@@ -149,7 +170,9 @@ class Simulator:
         self._stop = False
         heap = self._heap
         pop = heapq.heappop
-        trace = self.trace if self.record_trace else None
+        record = self.recorder
+        if record is not None and "event" not in record.only:
+            record = None
         first = self.dispatched
         while heap:
             fire_at = heap[0][0]
@@ -168,8 +191,8 @@ class Simulator:
                 continue
             self.now = fire_at
             ev.fire_at = -1  # consumed; cancel() becomes a no-op
-            if trace is not None:
-                trace.append((fire_at, seq, ev.kind, ev.target))
+            if record is not None:
+                record((fire_at, seq, "event", ev.kind, ev.target))
             self.dispatched += 1
             if ev.arg is None:
                 ev.fn(fire_at)

@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence
 from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
                          INITIAL_WINDOW_SEGMENTS, CubicController,
                          make_controller)
-from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, SimTime, Simulator,
-                     ms, substream, us)
+from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, PacketTrace, SimTime,
+                     Simulator, ms, substream, us)
 from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig, Packet
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         OracleEstimator, decode_hint, encode_hint)
@@ -143,28 +143,6 @@ class Variant:
 
 def default_variants() -> list[Variant]:
     return [Variant("baseline")] + [Variant("blitz", f) for f in ESTIMATE_FACTORS]
-
-
-class PacketTrace:
-    """Per-packet event log: send, deliver, drop, ack.
-
-    `only` restricts recording to a subset of events, which keeps long
-    runs affordable when just deliveries are needed.
-    """
-
-    def __init__(self, only: Optional[set[str]] = None):
-        self.rows: list[tuple[SimTime, int, str, int, int, int]] = []
-        self.only = only
-
-    def __call__(self, now: SimTime, flow_id: int, event: str, pkt_num: int,
-                 seq: int, length: int) -> None:
-        if self.only is not None and event not in self.only:
-            return
-        self.rows.append((now, flow_id, event, pkt_num, seq, length))
-
-    def deliveries(self, flow_id: int) -> list[tuple[SimTime, int]]:
-        return [(t, length) for t, f, ev, _p, _s, length in self.rows
-                if f == flow_id and ev == "deliver"]
 
 
 @dataclass
@@ -335,8 +313,7 @@ class TwoFlowRun:
 
 
 def _setup_two_flows(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
-                     rep: int, trace: Optional[PacketTrace] = None,
-                     stop_on_completion: bool = True) -> TwoFlowRun:
+                     rep: int, stop_on_completion: bool = True) -> TwoFlowRun:
     sim = Simulator()
     link = Link(sim, cfg.link_config())
 
@@ -348,10 +325,10 @@ def _setup_two_flows(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     floor = cfg.hystart_floor
     long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
                            lambda mr, now: CubicController(hystart_floor=floor),
-                           jitter=pkt_jitter, trace=trace)
+                           jitter=pkt_jitter)
     short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
                             _short_controller_factory(cfg, variant),
-                            jitter=pkt_jitter, trace=trace)
+                            jitter=pkt_jitter)
     run = TwoFlowRun(sim, link, long_conn, short_conn)
 
     receivers = {LONG_FLOW: long_conn.receiver, SHORT_FLOW: short_conn.receiver}
@@ -382,8 +359,9 @@ def _setup_two_flows(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
 
 def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, trace: Optional[PacketTrace] = None) -> RunResult:
-    """One repetition of one matrix cell."""
-    run = _setup_two_flows(cfg, size_bytes, variant, rep, trace=trace)
+    """One repetition of one matrix cell, recorded into trace if given."""
+    run = _setup_two_flows(cfg, size_bytes, variant, rep)
+    run.sim.recorder = trace
     run.sim.run_until(None)
     short = run.short_conn
     timeout = not short.finished
@@ -407,25 +385,21 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     )
 
 
-def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int,
-                    duration: SimTime,
-                    record_cwnd: bool = False) -> tuple[Connection, Link, PacketTrace]:
+def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
+                    recorder: Optional[PacketTrace] = None) -> Connection:
     """One flow on an idle bottleneck, for startup-behavior studies."""
     sim = Simulator()
+    sim.recorder = recorder
     link = Link(sim, cfg.link_config())
-    trace = PacketTrace()
     pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
     floor = cfg.hystart_floor
     conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
                       lambda mr, now: CubicController(hystart_floor=floor),
-                      jitter=_jitter_draw(pkt_rng, cfg.pkt_jitter_max),
-                      trace=trace)
-    if record_cwnd:
-        conn.cwnd_log = []
+                      jitter=_jitter_draw(pkt_rng, cfg.pkt_jitter_max))
     link.deliver = lambda pkt, now: conn.receiver.on_data(pkt, now)
     conn.start(0)
     sim.run_until(duration)
-    return conn, link, trace
+    return conn
 
 
 # -- statistics ---------------------------------------------------------------
@@ -573,13 +547,12 @@ def aggregate(variant_results: Sequence[RunResult],
 
 def _run_cell(task: tuple) -> RunResult:
     cfg, size_bytes, variant, rep, trace_dir = task
-    if trace_dir is None:
-        return run_scenario(cfg, size_bytes, variant, rep)
-    trace = PacketTrace()
+    trace = None if trace_dir is None else PacketTrace(only=TRACE_ROWS)
     result = run_scenario(cfg, size_bytes, variant, rep, trace)
-    label = variant.label().replace(":", "_")
-    name = f"trace_{cfg.name}_{size_bytes}_{label}_{rep}.csv"
-    emit_trace_csv(trace, trace_dir / name)
+    if trace is not None:
+        label = variant.label().replace(":", "_")
+        name = f"trace_{cfg.name}_{size_bytes}_{label}_{rep}.csv"
+        emit_trace_csv(trace, trace_dir / name)
     return result
 
 
@@ -618,6 +591,7 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
 RUNS_HEADER = ("scenario,size_bytes,variant,rep,seed,fct_us,lost_pkts,"
                "retx_bytes,inflation,fairness,timeout")
 TRACE_HEADER = "time_us,flow_id,event,pkt_num,seq,len"
+TRACE_ROWS = {"send", "deliver", "drop", "ack"}  # the row kinds of a trace CSV
 
 
 def emit_runs_csv(results: Sequence[RunResult], path: Path) -> None:

@@ -18,7 +18,7 @@ import bisect
 from collections import deque
 from typing import Callable, Optional
 
-from .congestion import INITIAL_BURST_PACKETS, CubicController, Mode
+from .congestion import INITIAL_BURST_PACKETS, CubicController
 from .engine import NS_PER_MS, Event, SimTime, Simulator
 from .netmodel import (ACK_WIRE_BYTES, HEADER_BYTES, LINK_TARGET,
                        SEGMENT_PAYLOAD_BYTES, SEGMENT_WIRE_BYTES, Link, Packet)
@@ -140,9 +140,10 @@ class Receiver:
         if pkt.pkt_num > self.largest_pkt_num:
             self.largest_pkt_num = pkt.pkt_num
         conn = self.conn
-        if conn.trace is not None:
-            conn.trace(now, conn.flow_id, "deliver", pkt.pkt_num, pkt.seq,
-                       pkt.len)
+        record = conn.sim.recorder
+        if record is not None:
+            record((now, conn.flow_id, "deliver", pkt.pkt_num, pkt.seq,
+                    pkt.len))
         self._pending += 1
         if self._pending >= ACK_EVERY:
             self._emit_ack(now)
@@ -183,8 +184,7 @@ class Connection:
     def __init__(self, sim: Simulator, flow_id: int, link: Link,
                  transfer_bytes: int,
                  controller_factory: Callable[[SimTime, SimTime], CubicController],
-                 jitter: Optional[Callable[[], int]] = None,
-                 trace: Optional[Callable] = None):
+                 jitter: Optional[Callable[[], int]] = None):
         self.sim = sim
         self.flow_id = flow_id
         self._target = f"conn:{flow_id}"  # event target of this flow's events
@@ -195,7 +195,6 @@ class Connection:
         self.controller_factory = controller_factory
         self.controller: Optional[CubicController] = None
         self.jitter = jitter
-        self.trace = trace
 
         self.next_seq = 0
         self.next_pkt_num = 0
@@ -239,7 +238,6 @@ class Connection:
         self.data_start_at: Optional[SimTime] = None
         self.finished_at: Optional[SimTime] = None
         self.on_finished: Optional[Callable[[SimTime], None]] = None
-        self.cwnd_log: Optional[list[tuple[SimTime, int, Mode]]] = None
 
         self.receiver = Receiver(self)
 
@@ -370,13 +368,12 @@ class Connection:
             self._arm_pto(now)
 
     def _inject(self, pkt: Packet, now: SimTime) -> None:
-        if self.trace is not None:
-            self.trace(now, self.flow_id, "send", pkt.pkt_num, pkt.seq,
-                       pkt.len)
+        record = self.sim.recorder
+        if record is not None:
+            record((now, self.flow_id, "send", pkt.pkt_num, pkt.seq, pkt.len))
         departure = self.link.enqueue(pkt, now)
-        if departure is None and self.trace is not None:
-            self.trace(now, self.flow_id, "drop", pkt.pkt_num, pkt.seq,
-                       pkt.len)
+        if departure is None and record is not None:
+            record((now, self.flow_id, "drop", pkt.pkt_num, pkt.seq, pkt.len))
 
     # -- receiving ----------------------------------------------------------
 
@@ -384,9 +381,10 @@ class Connection:
         if self.finished_at is not None:
             return
         self.acks_received += 1
-        if self.trace is not None:
-            self.trace(now, self.flow_id, "ack", ack.largest_acked_pkt_num,
-                       0, ack.len)
+        record = self.sim.recorder
+        if record is not None:
+            record((now, self.flow_id, "ack", ack.largest_acked_pkt_num, 0,
+                    ack.len))
         largest = ack.largest_acked_pkt_num
         rtt_sample: Optional[SimTime] = None
         if largest > self.largest_acked_pkt:
@@ -414,9 +412,9 @@ class Connection:
         self.controller.on_ack(newly_wire, rtt_sample, now,
                                self.largest_acked_pkt, self.next_pkt_num - 1,
                                srtt=self.srtt)
-        if self.cwnd_log is not None:
-            self.cwnd_log.append((now, self.controller.cwnd,
-                                  self.controller.mode))
+        if record is not None:
+            record((now, self.flow_id, "cwnd", self.controller.cwnd,
+                    self.controller.mode))
         self._detect_losses(now)
         self._prune(newly)
 

@@ -14,8 +14,7 @@ from collections import defaultdict
 import pytest
 
 from blitzsim import checks
-from blitzsim.congestion import (FLOOR_BYTES, INITIAL_WINDOW_BYTES, Mode,
-                                 blitzstart_initial_cwnd)
+from blitzsim.congestion import FLOOR_BYTES, Mode, blitzstart_initial_cwnd
 from blitzsim.engine import NS_PER_MS, NS_PER_S, ms, seconds
 from blitzsim.harness import (PRESETS, SIZES, PacketTrace, Variant,
                               _setup_two_flows, default_variants, replace,
@@ -58,27 +57,16 @@ def _mean_loss(cell):
 def test_criterion_1_solo_startup_doubles_exits_and_saturates():
     """Lone flow: per-RTT doubling, delay exit before saturation, full use."""
     cfg = PRESETS["dsl-fast"]
-    conn, link, trace = single_flow_run(cfg, 1 << 30, seconds(1.5),
-                                        record_cwnd=True)
+    trace = PacketTrace(only={"deliver"})
+    conn = single_flow_run(cfg, 1 << 30, seconds(1.5), trace)
     ctrl = conn.controller
     exits = [(t, m) for t, m in ctrl.mode_trace if m is not Mode.SLOW_START]
     assert exits, "flow never left Slow Start"
     exit_t = exits[0][0]
 
     # exact doubling checkpoints while in Slow Start, one round trip apart
-    initial = INITIAL_WINDOW_BYTES
-    hits = {}
-    for t, cwnd, mode in conn.cwnd_log:
-        if mode is not Mode.SLOW_START:
-            break
-        for mult in (2, 4, 8):
-            if mult not in hits and cwnd >= mult * initial:
-                assert cwnd == mult * initial, (
-                    f"cwnd {cwnd} skipped the {mult}x doubling point")
-                hits[mult] = t
-    assert {2, 4}.issubset(hits), f"doubling checkpoints missing: {hits}"
-    gap = hits[4] - hits[2]
-    assert 0.6 * cfg.rtt <= gap <= 1.8 * cfg.rtt
+    doubles, detail = checks.check_slow_start_doubling(cfg.seed_base)
+    assert doubles, detail
 
     series = rolling_bandwidth(trace.deliveries(0), cfg.rtt, seconds(1.5))
     rate = cfg.rate_bps
@@ -101,8 +89,9 @@ def test_criterion_2_second_flow_converges_slowly():
     """Fair-share approach of a flow entering a saturated bottleneck."""
     cfg = replace(PRESETS["dsl-fast"], sim_cap=seconds(25))
     trace = PacketTrace(only={"deliver"})
-    run = _setup_two_flows(cfg, 1 << 30, Variant("baseline"), 0, trace=trace,
+    run = _setup_two_flows(cfg, 1 << 30, Variant("baseline"), 0,
                            stop_on_completion=False)
+    run.sim.recorder = trace
     run.sim.run_until(None)
     start = run.short_conn.start_at
     assert start is not None

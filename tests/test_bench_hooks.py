@@ -9,7 +9,7 @@ The tracer also reads `Simulator.dispatched` from inside the short flow's
 `Connection.start` to count the events before it, so the count must be
 live during dispatch; and it counts events by the kind each callback was
 scheduled with, so re-keyed timers must keep their callback. Both are
-checked against an untraced run's `Simulator.record_trace`.
+checked against the "event" rows a recorder takes from an untraced run.
 """
 
 import json
@@ -33,11 +33,9 @@ cell = (harness.PRESETS["dsl-fast"], harness.SIZES["70K"],
         harness.Variant("baseline"), 0)
 untraced = harness.run_scenario(*cell)
 plain, plain_errors = snapshot(objs.take())
-recorded = harness._setup_two_flows(*cell)
-recorded.sim.record_trace = True
-recorded.sim.run_until(None)
+recorder = harness.PacketTrace(only={"event"})
+harness.run_scenario(*cell, recorder)
 objs.take()
-trace = recorded.sim.trace
 tracer = Tracer()
 tracer.install()
 previous = tracer.begin_run("cell")
@@ -54,10 +52,10 @@ print(json.dumps({
     "kinds": {key[len("events."):]: n
               for key, n in tracer.counts["cell"].items()
               if key.startswith("events.")},
-    "trace_kinds": Counter(kind for _, _, kind, _ in trace),
+    "trace_kinds": Counter(kind for _, _, _, kind, _ in recorder.rows),
     "prefix_events": tracer.counts["cell"]["prefix_events"],
     "short_start_index": next(
-        i for i, (_, _, kind, target) in enumerate(trace)
+        i for i, (_, _, _, kind, target) in enumerate(recorder.rows)
         if (kind, target) == ("app-start", "conn:1")),
 }))
 """

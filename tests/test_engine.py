@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blitzsim.engine import (NS_PER_MS, NS_PER_S, Simulator, derive_seed, ms,
-                             seconds, substream, us)
+from blitzsim.engine import (NS_PER_MS, NS_PER_S, PacketTrace, Simulator,
+                             derive_seed, ms, seconds, substream, us)
 
 
 def test_event_at_current_time_dispatches_before_later_events():
@@ -123,18 +123,19 @@ def _random_workload(sim: Simulator, seed: int) -> list:
 def test_identical_seed_gives_identical_dispatch_trace():
     # derived oracle: record both traces, compare entry by entry
     sim_a, sim_b = Simulator(), Simulator()
-    sim_a.record_trace = sim_b.record_trace = True
+    sim_a.recorder = PacketTrace(only={"event"})
+    sim_b.recorder = PacketTrace(only={"event"})
     log_a = _random_workload(sim_a, 42)
     log_b = _random_workload(sim_b, 42)
     assert log_a == log_b
-    assert sim_a.trace == sim_b.trace
+    assert sim_a.recorder.rows == sim_b.recorder.rows
 
 
 def test_clock_monotonicity_over_random_workload():
     sim = Simulator()
-    sim.record_trace = True
+    sim.recorder = PacketTrace(only={"event"})
     _random_workload(sim, 7)
-    times = [t for t, *_ in sim.trace]
+    times = [t for t, *_ in sim.recorder.rows]
     assert times == sorted(times)
 
 
@@ -167,7 +168,7 @@ def _cancel_and_schedule(sim, handles, i, fire_at):
 def _drive(program, rekey):
     """Play a schedule/cancel/re-key/run program; what a run can observe."""
     sim = Simulator()
-    sim.record_trace = True
+    sim.recorder = PacketTrace(only={"event"})
     handles = []
     rekeys = []  # (delay, raised) of every top-level re-key
 
@@ -196,8 +197,8 @@ def _drive(program, rekey):
             except RuntimeError:
                 rekeys.append((b, True))
     sim.run_until(None)
-    return (sim.trace, sim.now, sim.scheduled, sim.cancelled, sim.dispatched,
-            rekeys)
+    return (sim.recorder.rows, sim.now, sim.scheduled, sim.cancelled,
+            sim.dispatched, rekeys)
 
 
 _delay = st.integers(0, 6)  # short delays, so fire times tie often
@@ -221,16 +222,16 @@ def test_reschedule_matches_cancel_then_schedule(program):
 
 def test_reschedule_later_pushes_nothing_until_the_old_key_pops():
     sim = Simulator()
-    sim.record_trace = True
+    sim.recorder = PacketTrace(only={"event"})
     ev = sim.schedule(us(10), "loss-timer", "t", lambda now: None)
     for t in (us(20), us(30), us(40)):
         sim.reschedule(ev, t)
     assert len(sim._heap) == 1
     assert (sim.scheduled, sim.cancelled) == (4, 3)
     sim.run_until(us(35))
-    assert sim.trace == []
+    assert sim.recorder.rows == []
     sim.run_until(None)
-    assert sim.trace == [(us(40), 3, "loss-timer", "t")]
+    assert sim.recorder.rows == [(us(40), 3, "event", "loss-timer", "t")]
     assert sim.dispatched == 1
 
 

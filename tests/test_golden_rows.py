@@ -7,9 +7,9 @@ change that moves a result fails here within seconds. Only rows are
 checked: counter digests may move under an optimisation, rows may not.
 
 Three cells also pin their whole dispatch sequence: the sha256 of every
-`Simulator.record_trace` entry, plus the simulator's scheduled, cancelled
-and dispatched counts. An optimisation of the engine or of the per-packet
-path must leave all of it as it is.
+"event" row a `Simulator.recorder` takes, plus the simulator's scheduled,
+cancelled and dispatched counts. An optimisation of the engine or of the
+per-packet path must leave all of it as it is.
 """
 
 import hashlib
@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from blitzsim.harness import (PRESETS, SIZES, Variant, _setup_two_flows,
-                              emit_runs_csv, run_scenario)
+from blitzsim.harness import (PRESETS, SIZES, PacketTrace, Variant,
+                              _setup_two_flows, emit_runs_csv, run_scenario)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 SEED = 1
@@ -70,10 +70,10 @@ def test_cell_dispatches_its_golden_event_sequence(scenario, size, variant,
     cfg = replace(PRESETS[scenario], seed_base=SEED)
     run = _setup_two_flows(cfg, SIZES[size], Variant.parse(variant), rep)
     sim = run.sim
-    sim.record_trace = True
+    sim.recorder = trace = PacketTrace(only={"event"})
     sim.run_until(None)
     text = "".join(f"{t},{seq},{kind},{target}\n"
-                   for t, seq, kind, target in sim.trace)
+                   for t, seq, _event, kind, target in trace.rows)
     got = (hashlib.sha256(text.encode()).hexdigest(), sim.scheduled,
            sim.cancelled, sim.dispatched)
     assert got == TRACES[(scenario, size, variant, rep)]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import statistics
@@ -8,7 +9,7 @@ import pytest
 from blitzsim.cli import main
 from blitzsim.engine import ms, seconds
 from blitzsim.harness import (PRESETS, RUNS_HEADER, SIZES, TRACE_HEADER,
-                              PacketTrace, RunResult, Variant,
+                              TRACE_ROWS, PacketTrace, RunResult, Variant,
                               _anova_two_groups, _jitter_draw, _t_abs_cdf,
                               _t_critical, aggregate, default_variants,
                               emit_runs_csv, emit_summary_csv, emit_trace_csv,
@@ -256,9 +257,9 @@ def test_all_events_use_the_closed_kind_set():
     from blitzsim.engine import EVENT_KINDS
     from blitzsim.harness import _setup_two_flows
     run = _setup_two_flows(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0)
-    run.sim.record_trace = True
+    run.sim.recorder = trace = PacketTrace(only={"event"})
     run.sim.run_until(None)
-    kinds = {kind for _t, _s, kind, _target in run.sim.trace}
+    kinds = {kind for _t, _s, _event, kind, _target in trace.rows}
     assert kinds <= set(EVENT_KINDS)
     assert {"packet-arrival", "packet-departure", "pacing-timer",
             "app-start"} <= kinds
@@ -266,9 +267,8 @@ def test_all_events_use_the_closed_kind_set():
 
 def test_blitz_run_reports_congestion_avoidance_from_first_packet():
     cfg = PRESETS["dsl-fast"]
-    trace = PacketTrace()
     from blitzsim.harness import _setup_two_flows
-    run = _setup_two_flows(cfg, FAST70K, Variant("blitz", 1.0), 0, trace=trace)
+    run = _setup_two_flows(cfg, FAST70K, Variant("blitz", 1.0), 0)
     run.sim.run_until(None)
     ctrl = run.short_conn.controller
     assert ctrl.started_in_avoidance
@@ -335,7 +335,7 @@ def test_summary_has_one_row_per_cell_with_stats(tmp_path):
 
 def test_trace_csv_schema(tmp_path):
     cfg = PRESETS["dsl-fast"]
-    trace = PacketTrace()
+    trace = PacketTrace(only=TRACE_ROWS)
     run_scenario(cfg, FAST70K, Variant("baseline"), rep=0, trace=trace)
     p = tmp_path / "trace.csv"
     emit_trace_csv(trace, p)
@@ -470,6 +470,15 @@ def test_cli_trace_files_do_not_depend_on_jobs(tmp_path):
     assert sorted(p.name for p in outs["2"].iterdir()) == names
     for name in names:
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+    # pinned bytes: a change to what is simulated or recorded moves them
+    assert _sha256(outs["1"] / names[2]) == (
+        "0d119eacbe93bc7bb4e12eb443d459de08731c4c1939a91a55243711f62707b9")
+    assert _sha256(outs["1"] / names[3]) == (
+        "5485e40029778d3e6d8f72926f37a1186f48caefa0a3f2c52f8d6807782c9c6d")
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_cli_demo_fig1(tmp_path):
@@ -483,12 +492,21 @@ def test_cli_demo_fig1(tmp_path):
     bottom = (out / "fig1_bottom.csv").read_text().splitlines()
     flows = {line.split(",")[1] for line in bottom[1:]}
     assert flows == {"0", "1"}
+    # pinned bytes: a change to what is simulated or recorded moves them
+    assert _sha256(out / "fig1_top.csv") == (
+        "ed88ac03d1e6cd656f5aba262b095b369254e35fde38baa53656bafd7c2256f7")
+    assert _sha256(out / "fig1_bottom.csv") == (
+        "f95aca7c142cf25b2f43f77e310f80873dd393148ec3d2b1ee63409cb18f39c6")
 
 
 def test_cli_demo_fig1_rejects_empty_bottom_run(tmp_path, capsys):
     out = tmp_path / "fig"
-    rc = main(["demo-fig1", "--out", str(out), "--bottom-duration-s", "0"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.count("\n") == 1 and "--bottom-duration-s" in err
-    assert not out.exists()
+    for flag, value in (("--bottom-duration-s", "0"),
+                        ("--top-duration-s", "nan"),
+                        ("--bottom-duration-s", "inf"),
+                        ("--top-duration-s", "-1")):
+        rc = main(["demo-fig1", "--out", str(out), flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2, (flag, value)
+        assert err.count("\n") == 1 and flag in err, err
+        assert not out.exists()

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blitzsim.congestion import FLOOR_BYTES, CubicController
-from blitzsim.engine import Simulator, ms, seconds, us
+from blitzsim.engine import PacketTrace, Simulator, ms, seconds, us
 from blitzsim.harness import PRESETS, single_flow_run
 from blitzsim.netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig, Packet
-from blitzsim.transport import Connection, RangeSet, pacing_interval
+from blitzsim.transport import (MAX_ACK_DELAY, Connection, RangeSet,
+                                 pacing_interval)
 
 DSL_FAST = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=208)
 
@@ -121,15 +122,14 @@ def test_handshake_supplies_first_rtt_sample():
 def test_initial_burst_then_paced_segments():
     # fresh baseline window of 32 segments: 10 at once, 22 paced ~781 us apart
     sim, link, conn = make_conn(1 << 20)
-    sends = []
-    conn.trace = lambda now, f, ev, pkt, seq, ln: (
-        sends.append((now, pkt)) if ev == "send" else None)
+    sim.recorder = trace = PacketTrace(only={"send"})
     conn.start(0)
     sim.run_until(ms(50) + ms(18))
     start = ms(50)
-    burst = [t for t, _ in sends if t == start]
+    sends = [row[0] for row in trace.rows]
+    burst = [t for t in sends if t == start]
     assert len(burst) == 10
-    paced = [t for t, _ in sends if t > start]
+    paced = [t for t in sends if t > start]
     assert len(paced) == 22
     gaps = {b - a for a, b in zip(paced, paced[1:])}
     assert gaps == {781_250}
@@ -324,14 +324,16 @@ def test_in_flight_bound_respected_at_every_send():
 
 def test_receiver_acks_every_second_packet_and_on_timer():
     sim, link, conn = make_conn(3 * 1350)
-    acks = []
-    conn.trace = lambda now, f, ev, pkt, seq, ln: (
-        acks.append(now) if ev == "ack" else None)
+    sim.recorder = trace = PacketTrace(only={"deliver", "ack"})
     conn.start(0)
     sim.run_until(seconds(2))
     # 3 packets: one pair ack plus one delayed ack for the odd tail
     assert conn.receiver.acks_sent == 2
     assert conn.finished
+    delivered = [row[0] for row in trace.rows if row[2] == "deliver"]
+    acked = [row[0] for row in trace.rows if row[2] == "ack"]
+    assert len(delivered) == 3 and len(acked) == 2
+    assert acked[1] == delivered[2] + MAX_ACK_DELAY + conn.reverse_delay
 
 
 def test_first_flight_symmetry_with_window_equivalent_hint():
@@ -378,7 +380,7 @@ def peak_state(monkeypatch, cfg, duration):
         peak["cwnd"] = max(peak["cwnd"], conn.controller.cwnd)
 
     monkeypatch.setattr(Connection, "on_ack", sampled)
-    conn, _link, _trace = single_flow_run(cfg, 1 << 30, duration)
+    conn = single_flow_run(cfg, 1 << 30, duration)
     assert conn.pkts_sent > 10 * peak["records"]
     return peak
 
