@@ -42,11 +42,11 @@ def check_determinism(seed: int = 1) -> CheckResult:
 
 
 def check_conservation(seed: int = 1) -> CheckResult:
-    """Reliability and packet conservation on a heavily lossy run."""
+    """Reliability, packet conservation and the buffer bound on a lossy run."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
-    run = harness._setup_two_flows(cfg, harness.SIZES["2M"],
-                                   harness.Variant("blitz", 4.0), 0)
-    run.sim.run_until(None)
+    run = harness.TwoFlowRun(cfg, harness.SIZES["2M"],
+                             harness.Variant("blitz", 4.0), 0)
+    run.run()
     short = run.short_conn
     if not short.finished:
         return False, "short flow did not complete"
@@ -66,8 +66,11 @@ def check_conservation(seed: int = 1) -> CheckResult:
             return False, f"flow {flow_id} conservation violated"
     if short.lost_pkts == 0:
         return False, "expected losses under 4x overestimation"
+    if link.max_queued > cfg.buffer_pkts:
+        return False, f"queue peaked at {link.max_queued} > {cfg.buffer_pkts}"
     return True, (f"transfer complete with {short.lost_pkts} losses, "
-                  "conservation holds")
+                  f"conservation holds, peak occupancy {link.max_queued} "
+                  f"<= {cfg.buffer_pkts} packets")
 
 
 def check_rate_conformance(seed: int = 1) -> CheckResult:
@@ -84,18 +87,6 @@ def check_rate_conformance(seed: int = 1) -> CheckResult:
     if not rate * 0.995 <= util <= rate:
         return False, f"utilization {util / 1e6:.3f} Mbit/s vs rate {rate / 1e6}"
     return True, f"utilization {util / 1e6:.4f} Mbit/s within 0.5% of rate"
-
-
-def check_buffer_occupancy(seed: int = 1) -> CheckResult:
-    cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
-    run = harness._setup_two_flows(cfg, harness.SIZES["2M"],
-                                   harness.Variant("blitz", 4.0), 0)
-    run.sim.run_until(None)
-    if run.link.max_queued > cfg.buffer_pkts:
-        return False, (f"queue peaked at {run.link.max_queued} "
-                       f"> {cfg.buffer_pkts}")
-    return True, (f"peak occupancy {run.link.max_queued} "
-                  f"<= {cfg.buffer_pkts} packets")
 
 
 def check_cubic_shape(seed: int = 1) -> CheckResult:
@@ -178,7 +169,6 @@ ALL_CHECKS: list[tuple[str, Callable[..., CheckResult]]] = [
     ("determinism", check_determinism),
     ("conservation", check_conservation),
     ("rate-conformance", check_rate_conformance),
-    ("buffer-occupancy", check_buffer_occupancy),
     ("cubic-shape", check_cubic_shape),
     ("slow-start-doubling", check_slow_start_doubling),
     ("hint-roundtrip", check_hint_roundtrip),

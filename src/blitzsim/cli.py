@@ -16,10 +16,10 @@ from pathlib import Path
 
 from . import checks, harness
 from .engine import NS_PER_MS, NS_PER_S, seconds
-from .harness import (PRESETS, SIZES, PacketTrace, Variant, check_variants,
-                      default_variants, emit_runs_csv, emit_summary_csv,
-                      parse_scenario_file, rolling_bandwidth, run_matrix,
-                      single_flow_run)
+from .harness import (PRESETS, SIZES, PacketTrace, TwoFlowRun, Variant,
+                      check_variants, default_variants, emit_runs_csv,
+                      emit_summary_csv, parse_scenario_file, rolling_bandwidth,
+                      run_matrix, single_flow_run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,6 +63,8 @@ def _cells(args: argparse.Namespace) -> tuple[list, list, list]:
     """(scenarios, sizes, variants) the arguments select; ValueError if bad."""
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.scenario_file:
         cfg, size, variant = parse_scenario_file(Path(args.scenario_file))
         check_variants([cfg], [variant])
@@ -124,11 +126,11 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
             return 2
     top_end = seconds(args.top_duration_s)
     bottom_end = seconds(args.bottom_duration_s)
-    try:
-        bcfg = replace(cfg, sim_cap=bottom_end)
-    except ValueError as exc:
-        print(f"blitzsim demo-fig1: --bottom-duration-s: {exc}",
-              file=sys.stderr)
+    if bottom_end <= cfg.short_flow_start:
+        offset = cfg.short_flow_start / NS_PER_S
+        print(f"blitzsim demo-fig1: --bottom-duration-s must exceed the "
+              f"second flow's {offset:g} s start offset after saturation, "
+              f"got {args.bottom_duration_s:g}", file=sys.stderr)
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -144,10 +146,10 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
             fh.write(f"{t // 1000},0,{rtt // 1000},{bps:.1f}\n")
 
     # second flow entering a bottleneck the first flow has saturated
-    run = harness._setup_two_flows(bcfg, 1 << 30, Variant("baseline"), 0,
-                                   stop_on_completion=False)
-    run.sim.recorder = dtrace = PacketTrace(only={"deliver"})
-    run.sim.run_until(None)
+    run = TwoFlowRun(replace(cfg, sim_cap=bottom_end), 1 << 30,
+                     Variant("baseline"), 0, stop_on_completion=False)
+    dtrace = PacketTrace(only={"deliver"})
+    run.run(dtrace)
     with open(out / "fig1_bottom.csv", "w") as fh:
         fh.write("time_us,flow_id,window_us,bps\n")
         for flow in (harness.LONG_FLOW, harness.SHORT_FLOW):

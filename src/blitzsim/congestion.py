@@ -116,7 +116,6 @@ class CubicController:
         self.hystart_floor = hystart_floor
         self.mode = Mode.SLOW_START
         self.cwnd = INITIAL_WINDOW_BYTES
-        self.ssthresh: Optional[int] = None  # None = unbounded
         self.w_max_segments = 0.0
         self.epoch_start: SimTime = 0
         self.cubic_k = 0.0           # seconds
@@ -142,7 +141,6 @@ class CubicController:
         ctrl.cwnd = blitzstart_initial_cwnd(bandwidth_kbps,
                                             overestimate_factor, min_rtt)
         ctrl.started_in_avoidance = True
-        ctrl.ssthresh = ctrl.cwnd
         ctrl._enter_avoidance_at_plateau(now)
         return ctrl
 
@@ -201,10 +199,6 @@ class CubicController:
                            now: SimTime, largest_acked: int,
                            largest_sent: int) -> None:
         self.cwnd += newly_acked
-        if self.ssthresh is not None and self.cwnd >= self.ssthresh:
-            self.cwnd = self.ssthresh
-            self._enter_avoidance_at_plateau(now)
-            return
         if rtt_sample is None or self._min_rtt is None:
             return
         if largest_acked >= self._round_end_pkt:
@@ -240,7 +234,6 @@ class CubicController:
         else:
             self.w_max_segments = peak
         self.cwnd = max(FLOOR_BYTES, int(self.cwnd * CUBIC_BETA))
-        self.ssthresh = self.cwnd
         self.cubic_k = cubic_k_seconds(self.w_max_segments)
         self.epoch_start = now
         self.recovery_until_pkt_num = largest_sent_pkt

@@ -200,42 +200,6 @@ def rolling_bandwidth(deliveries: Sequence[tuple[SimTime, int]],
     return out
 
 
-class _SaturationWatch:
-    """Fires once the queue has stayed non-empty for two round trips."""
-
-    def __init__(self, sim: Simulator, link: Link, hold: SimTime,
-                 on_saturated: Callable[[SimTime], None]):
-        self.sim = sim
-        self.hold = hold
-        self.on_saturated = on_saturated
-        self.nonempty_since: Optional[SimTime] = None
-        self.check_ev = None
-        self.fired = False
-        link.on_occupancy = self._occupancy
-
-    def _occupancy(self, now: SimTime, queued: int) -> None:
-        if self.fired:
-            return
-        if queued > 0:
-            if self.nonempty_since is None:
-                self.nonempty_since = now
-                self.check_ev = self.sim.schedule(
-                    now + self.hold, "app-start", "saturation", self._check)
-        else:
-            self.nonempty_since = None
-            if self.check_ev is not None:
-                self.sim.cancel(self.check_ev)
-                self.check_ev = None
-
-    def _check(self, now: SimTime) -> None:
-        self.check_ev = None
-        if self.fired or self.nonempty_since is None:
-            return
-        if now - self.nonempty_since >= self.hold:
-            self.fired = True
-            self.on_saturated(now)
-
-
 def check_variants(scenarios: Sequence[ScenarioConfig],
                    variants: Sequence[Variant]) -> None:
     """ValueError for a blitz variant whose estimate is 0 kbps on a scenario.
@@ -253,6 +217,11 @@ def check_variants(scenarios: Sequence[ScenarioConfig],
                     "use a larger factor")
 
 
+def _baseline_factory(floor: SimTime):
+    """Slow Start controllers with the given delay-exit floor."""
+    return lambda min_rtt, now: CubicController(hystart_floor=floor)
+
+
 def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
     """Build the short flow's controller the way the wire protocol would.
 
@@ -263,7 +232,7 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
     """
     floor = cfg.hystart_floor
     if variant.kind == "baseline":
-        return lambda min_rtt, now: CubicController(hystart_floor=floor)
+        return _baseline_factory(floor)
 
     estimator = OracleEstimator(variant.factor)
     hint = BandwidthHint(cfg.access_tech,
@@ -282,107 +251,136 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
     return factory
 
 
-def _jitter_draw(rng: random.Random, high: int) -> Callable[[], int]:
-    """A draw of rng.randrange(0, high + 1) per call, from the same bits.
+class JitterDraw:
+    """draw() is rng.randrange(0, high + 1), from the same bits.
 
     randrange draws k = (high + 1).bit_length() random bits and redraws
     while they reach high + 1; this does the same without its argument
     handling, so the stream and the values are the ones randrange gives.
+    It holds rng itself rather than rng.getrandbits: copy.deepcopy shares
+    a built-in bound method, so a copied run would draw from the original.
     """
-    n = high + 1
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
 
-    def draw() -> int:
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
+    __slots__ = ("rng", "n", "k")
+
+    def __init__(self, rng: random.Random, high: int):
+        self.rng = rng
+        self.n = high + 1
+        self.k = self.n.bit_length()
+
+    def draw(self) -> int:
+        r = self.rng.getrandbits(self.k)
+        while r >= self.n:
+            r = self.rng.getrandbits(self.k)
         return r
-    return draw
 
 
-@dataclass
 class TwoFlowRun:
-    sim: Simulator
-    link: Link
-    long_conn: Connection
-    short_conn: Connection
-    sat_at: Optional[SimTime] = None
-    short_bytes: int = 0
-    long_bytes: int = 0
+    """One repetition of one matrix cell, built and ready to run.
 
+    A long Cubic flow starts at 0. Once the queue has stayed non-empty for
+    two round trips, the short flow is scheduled to start the configured
+    offset plus a seeded jitter later. Every hook the link and the
+    connections call is a bound method of this run or of its parts, or a
+    function that holds no state, so a copy.deepcopy of a run taken at any
+    point carries on alone without calling back into the original.
+    """
 
-def _setup_two_flows(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
-                     rep: int, stop_on_completion: bool = True) -> TwoFlowRun:
-    sim = Simulator()
-    link = Link(sim, cfg.link_config())
+    def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
+                 rep: int, stop_on_completion: bool = True):
+        self.cfg = cfg
+        self.variant = variant
+        self.rep = rep
+        self.sim = sim = Simulator()
+        self.link = link = Link(sim, cfg.link_config())
 
-    start_rng = substream(cfg.seed_base, cfg.name, size_bytes, rep, "start")
-    pkt_rng = substream(cfg.seed_base, cfg.name, size_bytes, rep, "pkt")
-    jitter_max = cfg.start_jitter_max if cfg.start_jitter_max is not None else cfg.rtt
-    start_jitter = start_rng.randrange(0, jitter_max + 1)
-    pkt_jitter = _jitter_draw(pkt_rng, cfg.pkt_jitter_max)
-    floor = cfg.hystart_floor
-    long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
-                           lambda mr, now: CubicController(hystart_floor=floor),
-                           jitter=pkt_jitter)
-    short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
-                            _short_controller_factory(cfg, variant),
-                            jitter=pkt_jitter)
-    run = TwoFlowRun(sim, link, long_conn, short_conn)
+        start_rng = substream(cfg.seed_base, cfg.name, size_bytes, rep, "start")
+        pkt_rng = substream(cfg.seed_base, cfg.name, size_bytes, rep, "pkt")
+        jitter_max = (cfg.start_jitter_max if cfg.start_jitter_max is not None
+                      else cfg.rtt)
+        self.start_jitter = start_rng.randrange(0, jitter_max + 1)
+        jitter = JitterDraw(pkt_rng, cfg.pkt_jitter_max).draw
+        self.long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
+                                    _baseline_factory(cfg.hystart_floor),
+                                    jitter=jitter)
+        self.short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
+                                     _short_controller_factory(cfg, variant),
+                                     jitter=jitter)
+        self.receivers = (self.long_conn.receiver, self.short_conn.receiver)
+        self.sat_at: Optional[SimTime] = None
+        self.sat_check = None  # the pending saturation check's event
+        self.short_bytes = 0  # bottleneck departures while the short flow runs
+        self.long_bytes = 0
 
-    receivers = {LONG_FLOW: long_conn.receiver, SHORT_FLOW: short_conn.receiver}
-    link.deliver = lambda pkt, now: receivers[pkt.flow_id].on_data(pkt, now)
+        link.deliver = self._deliver
+        link.on_departure = self._on_departure
+        link.on_occupancy = self._on_occupancy
+        if stop_on_completion:
+            self.short_conn.on_finished = self._stop
+        sim.schedule(cfg.sim_cap, "sim-end", "cap", self._stop)
+        self.long_conn.start(0)
 
-    def on_departure(pkt: Packet, now: SimTime) -> None:
-        if short_conn.start_at is None or short_conn.finished_at is not None:
+    def _deliver(self, pkt: Packet, now: SimTime) -> None:
+        self.receivers[pkt.flow_id].on_data(pkt, now)
+
+    def _on_departure(self, pkt: Packet, now: SimTime) -> None:
+        short = self.short_conn
+        if short.start_at is None or short.finished_at is not None:
             return
         if pkt.flow_id == SHORT_FLOW:
-            run.short_bytes += pkt.len
+            self.short_bytes += pkt.len
         else:
-            run.long_bytes += pkt.len
-    link.on_departure = on_departure
+            self.long_bytes += pkt.len
 
-    def on_saturated(now: SimTime) -> None:
-        run.sat_at = now
-        sim.schedule(now + cfg.short_flow_start + start_jitter, "app-start",
-                     f"conn:{SHORT_FLOW}", short_conn.start)
+    def _on_occupancy(self, now: SimTime, queued: int) -> None:
+        # Called on each 0->1 and 1->0 queue transition. The check armed
+        # at 0->1 is cancelled by the next 1->0, so a check that fires has
+        # seen a non-empty queue for the whole hold.
+        if queued:
+            self.sat_check = self.sim.schedule(
+                now + 2 * self.cfg.rtt, "app-start", "saturation",
+                self._on_saturated)
+        else:
+            self.sim.cancel(self.sat_check)
 
-    _SaturationWatch(sim, link, 2 * cfg.rtt, on_saturated)
+    def _on_saturated(self, now: SimTime) -> None:
+        self.sat_at = now
+        self.link.on_occupancy = None
+        self.sim.schedule(now + self.cfg.short_flow_start + self.start_jitter,
+                          "app-start", f"conn:{SHORT_FLOW}",
+                          self.short_conn.start)
 
-    if stop_on_completion:
-        short_conn.on_finished = lambda now: sim.stop()
-    sim.schedule(cfg.sim_cap, "sim-end", "cap", lambda now: sim.stop())
-    long_conn.start(0)
-    return run
+    def _stop(self, now: SimTime) -> None:
+        self.sim.stop()
+
+    def run(self, recorder: Optional[PacketTrace] = None) -> RunResult:
+        """Simulate to the end, recording into recorder if given."""
+        self.sim.recorder = recorder
+        self.sim.run_until(None)
+        short = self.short_conn
+        return RunResult(
+            scenario=self.cfg.name,
+            size_bytes=short.size,
+            variant=self.variant.label(),
+            rep=self.rep,
+            seed=self.cfg.seed_base,
+            fct=short.fct,
+            lost_pkts=short.lost_pkts,
+            retransmitted_bytes=short.bytes_retransmitted,
+            inflation=short.bytes_retransmitted / short.size,
+            fairness=fairness_ratio(self.short_bytes, self.long_bytes),
+            short_bytes=self.short_bytes,
+            long_bytes=self.long_bytes,
+            timeout=not short.finished,
+            short_start_at=short.start_at,
+            sat_at=self.sat_at,
+        )
 
 
 def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, trace: Optional[PacketTrace] = None) -> RunResult:
     """One repetition of one matrix cell, recorded into trace if given."""
-    run = _setup_two_flows(cfg, size_bytes, variant, rep)
-    run.sim.recorder = trace
-    run.sim.run_until(None)
-    short = run.short_conn
-    timeout = not short.finished
-    inflation = short.bytes_retransmitted / size_bytes
-    return RunResult(
-        scenario=cfg.name,
-        size_bytes=size_bytes,
-        variant=variant.label(),
-        rep=rep,
-        seed=cfg.seed_base,
-        fct=short.fct,
-        lost_pkts=short.lost_pkts,
-        retransmitted_bytes=short.bytes_retransmitted,
-        inflation=inflation,
-        fairness=fairness_ratio(run.short_bytes, run.long_bytes),
-        short_bytes=run.short_bytes,
-        long_bytes=run.long_bytes,
-        timeout=timeout,
-        short_start_at=short.start_at,
-        sat_at=run.sat_at,
-    )
+    return TwoFlowRun(cfg, size_bytes, variant, rep).run(trace)
 
 
 def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
@@ -392,11 +390,10 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
     sim.recorder = recorder
     link = Link(sim, cfg.link_config())
     pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
-    floor = cfg.hystart_floor
     conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
-                      lambda mr, now: CubicController(hystart_floor=floor),
-                      jitter=_jitter_draw(pkt_rng, cfg.pkt_jitter_max))
-    link.deliver = lambda pkt, now: conn.receiver.on_data(pkt, now)
+                      _baseline_factory(cfg.hystart_floor),
+                      jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max).draw)
+    link.deliver = conn.receiver.on_data
     conn.start(0)
     sim.run_until(duration)
     return conn
@@ -570,6 +567,7 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
              for cfg in scenarios for size in sizes for variant in variants
              for rep in range(reps)]
     results: list[RunResult] = []
+    jobs = min(jobs, len(tasks))  # no idle workers
     if jobs <= 1:
         for i, task in enumerate(tasks):
             results.append(_run_cell(task))

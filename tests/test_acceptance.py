@@ -16,8 +16,8 @@ import pytest
 from blitzsim import checks
 from blitzsim.congestion import FLOOR_BYTES, Mode, blitzstart_initial_cwnd
 from blitzsim.engine import NS_PER_MS, NS_PER_S, ms, seconds
-from blitzsim.harness import (PRESETS, SIZES, PacketTrace, Variant,
-                              _setup_two_flows, default_variants, replace,
+from blitzsim.harness import (PRESETS, SIZES, PacketTrace, TwoFlowRun,
+                              Variant, default_variants, replace,
                               rolling_bandwidth, run_matrix, single_flow_run)
 
 JOBS = os.cpu_count() or 2
@@ -89,10 +89,9 @@ def test_criterion_2_second_flow_converges_slowly():
     """Fair-share approach of a flow entering a saturated bottleneck."""
     cfg = replace(PRESETS["dsl-fast"], sim_cap=seconds(25))
     trace = PacketTrace(only={"deliver"})
-    run = _setup_two_flows(cfg, 1 << 30, Variant("baseline"), 0,
-                           stop_on_completion=False)
-    run.sim.recorder = trace
-    run.sim.run_until(None)
+    run = TwoFlowRun(cfg, 1 << 30, Variant("baseline"), 0,
+                     stop_on_completion=False)
+    run.run(trace)
     start = run.short_conn.start_at
     assert start is not None
     series = rolling_bandwidth(trace.deliveries(1), seconds(1), seconds(25),

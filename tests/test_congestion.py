@@ -32,14 +32,6 @@ def test_slow_start_increments_by_acked_bytes():
     assert ctrl.cwnd == 32 * SEG + 1350
 
 
-def test_slow_start_caps_at_ssthresh_and_enters_avoidance():
-    ctrl = CubicController()
-    ctrl.ssthresh = 40 * SEG
-    acked(ctrl, 32 * SEG, now=ms(100))
-    assert ctrl.mode is Mode.AVOIDANCE
-    assert ctrl.cwnd == 40 * SEG
-
-
 def slow_start_round(samples):
     # a 50 ms minimum RTT, then one round of the given RTT samples
     ctrl = CubicController()
@@ -74,13 +66,12 @@ def test_controller_exits_after_eight_inflated_samples():
 
 
 def test_loss_in_slow_start_exits_with_beta_reduction():
-    # loss at 100 segments: window and threshold drop to 70 segments
+    # loss at 100 segments: the window drops to 70 segments
     ctrl = CubicController()
     ctrl.cwnd = 100 * SEG
     assert ctrl.on_congestion_event(ms(200), lost_pkt_num=5, largest_sent_pkt=90)
     assert ctrl.mode is Mode.RECOVERY
     assert ctrl.cwnd == 70 * SEG
-    assert ctrl.ssthresh == 70 * SEG
     assert ctrl.w_max_segments == 100.0
 
 

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from blitzsim.harness import (PRESETS, SIZES, PacketTrace, Variant,
-                              _setup_two_flows, emit_runs_csv, run_scenario)
+from blitzsim.harness import (PRESETS, SIZES, PacketTrace, TwoFlowRun,
+                              Variant, emit_runs_csv, run_scenario)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 SEED = 1
@@ -68,10 +68,10 @@ TRACES = {
 def test_cell_dispatches_its_golden_event_sequence(scenario, size, variant,
                                                    rep):
     cfg = replace(PRESETS[scenario], seed_base=SEED)
-    run = _setup_two_flows(cfg, SIZES[size], Variant.parse(variant), rep)
+    run = TwoFlowRun(cfg, SIZES[size], Variant.parse(variant), rep)
+    trace = PacketTrace(only={"event"})
+    run.run(trace)
     sim = run.sim
-    sim.recorder = trace = PacketTrace(only={"event"})
-    sim.run_until(None)
     text = "".join(f"{t},{seq},{kind},{target}\n"
                    for t, seq, _event, kind, target in trace.rows)
     got = (hashlib.sha256(text.encode()).hexdigest(), sim.scheduled,

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import random
@@ -6,11 +7,12 @@ from dataclasses import replace
 
 import pytest
 
+from blitzsim import harness
 from blitzsim.cli import main
 from blitzsim.engine import ms, seconds
 from blitzsim.harness import (PRESETS, RUNS_HEADER, SIZES, TRACE_HEADER,
-                              TRACE_ROWS, PacketTrace, RunResult, Variant,
-                              _anova_two_groups, _jitter_draw, _t_abs_cdf,
+                              TRACE_ROWS, JitterDraw, PacketTrace, RunResult,
+                              TwoFlowRun, Variant, _anova_two_groups, _t_abs_cdf,
                               _t_critical, aggregate, default_variants,
                               emit_runs_csv, emit_summary_csv, emit_trace_csv,
                               fairness_ratio,
@@ -199,7 +201,7 @@ def test_anova_p_never_prints_negative_zero():
 def test_jitter_draw_repeats_randrange():
     for high in (0, 1, 2, 7, 1000, 1 << 20):
         a, b = random.Random(high), random.Random(high)
-        draw = _jitter_draw(b, high)
+        draw = JitterDraw(b, high).draw
         assert ([a.randrange(0, high + 1) for _ in range(500)]
                 == [draw() for _ in range(500)])
         assert a.random() == b.random()  # the streams stay in step
@@ -255,10 +257,8 @@ def test_fct_lower_bound_two_round_trips():
 
 def test_all_events_use_the_closed_kind_set():
     from blitzsim.engine import EVENT_KINDS
-    from blitzsim.harness import _setup_two_flows
-    run = _setup_two_flows(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0)
-    run.sim.recorder = trace = PacketTrace(only={"event"})
-    run.sim.run_until(None)
+    trace = PacketTrace(only={"event"})
+    TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0).run(trace)
     kinds = {kind for _t, _s, _event, kind, _target in trace.rows}
     assert kinds <= set(EVENT_KINDS)
     assert {"packet-arrival", "packet-departure", "pacing-timer",
@@ -266,13 +266,30 @@ def test_all_events_use_the_closed_kind_set():
 
 
 def test_blitz_run_reports_congestion_avoidance_from_first_packet():
-    cfg = PRESETS["dsl-fast"]
-    from blitzsim.harness import _setup_two_flows
-    run = _setup_two_flows(cfg, FAST70K, Variant("blitz", 1.0), 0)
-    run.sim.run_until(None)
+    run = TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0)
+    run.run()
     ctrl = run.short_conn.controller
     assert ctrl.started_in_avoidance
     assert all(m.value != "slow-start" for _t, m in ctrl.mode_trace)
+
+
+ALL_ROWS = {"event", "send", "deliver", "drop", "ack", "cwnd"}
+
+
+def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
+    # a deep copy shares no stateful hook with its original: each calls back
+    # only into its own objects, so both end exactly as an unforked run
+    cell = (PRESETS["dsl-fast"], FAST70K, Variant("blitz", 4.0), 3)
+    ref_trace = PacketTrace(only=ALL_ROWS)
+    ref = TwoFlowRun(*cell).run(ref_trace)
+    run = TwoFlowRun(*cell)
+    run.sim.recorder = PacketTrace(only=ALL_ROWS)
+    run.sim.run_until(ref.sat_at)
+    assert run.sat_at == ref.sat_at and run.short_conn.start_at is None
+    fork = copy.deepcopy(run)
+    for each in (fork, run):
+        assert each.run(each.sim.recorder) == ref
+        assert each.sim.recorder.rows == ref_trace.rows
 
 
 def test_timeout_flagging():
@@ -291,6 +308,30 @@ def test_run_matrix_covers_all_cells_and_sorts():
     keys = [(r.scenario, r.size_bytes, r.variant, r.rep) for r in results]
     assert keys == sorted(keys)
     assert len(set(keys)) == 12
+
+
+def test_run_matrix_starts_no_more_workers_than_runs(monkeypatch):
+    sizes = []
+
+    class FakePool:  # runs the tasks in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "Pool", FakePool)
+    cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
+    results = run_matrix([cfg], [FAST70K], [Variant("baseline")], reps=3,
+                         jobs=8)
+    assert sizes == [3]
+    assert [r.rep for r in results] == [0, 1, 2]
 
 
 # -- emission ---------------------------------------------------------------------------
@@ -438,6 +479,7 @@ def test_cli_scenario_file(tmp_path):
     (["--scenario", "3g", "--variant", "blitz:0.0001"], None, "blitz:0.0001"),
     ([], CELL_FILE.replace("blitz:1.0", "blitz:0.00001"), "blitz:1e-05"),
     ([], CELL_FILE + "short_flow_start_ms = 300000\n", "short_flow_start"),
+    (["--scenario", "dsl-fast", "--jobs", "0"], None, "--jobs"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):
@@ -504,9 +546,12 @@ def test_cli_demo_fig1_rejects_empty_bottom_run(tmp_path, capsys):
     for flag, value in (("--bottom-duration-s", "0"),
                         ("--top-duration-s", "nan"),
                         ("--bottom-duration-s", "inf"),
-                        ("--top-duration-s", "-1")):
+                        ("--top-duration-s", "-1"),
+                        ("--bottom-duration-s", "0.5")):
         rc = main(["demo-fig1", "--out", str(out), flag, value])
         err = capsys.readouterr().err
         assert rc == 2, (flag, value)
         assert err.count("\n") == 1 and flag in err, err
         assert not out.exists()
+    assert err.endswith("must exceed the second flow's 1 s start offset "
+                        "after saturation, got 0.5\n"), err
