@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--size", default="all",
                        help="70K, 2M, 10M, or 'all'")
     run_p.add_argument("--variant", default="all",
-                       help="baseline, blitz:<factor>[:<overestimate>], or 'all'")
+                       help="baseline, blitz:<factor>, or 'all'")
     run_p.add_argument("--reps", type=int, default=30)
     run_p.add_argument("--seed", type=int, default=1)
     run_p.add_argument("--out", default="out")

@@ -2,8 +2,8 @@
 
 Blitzstart skips Slow Start entirely: the congestion window is seeded from
 a client-signalled bandwidth estimate times the minimum RTT (the
-bandwidth-delay product, optionally scaled by an overestimation factor)
-and the connection begins directly in congestion avoidance.
+bandwidth-delay product) and the connection begins directly in congestion
+avoidance. An overestimated window comes from an overestimated hint.
 
 Cubic windows are computed in segments and seconds and converted to bytes
 at the boundary. cwnd never drops below two segments.
@@ -85,7 +85,7 @@ def hystart_threshold(min_rtt: SimTime, floor: SimTime = HYSTART_FLOOR) -> SimTi
     return max(floor, min_rtt // HYSTART_DIVISOR)
 
 
-def blitzstart_initial_cwnd(bandwidth_kbps: int, overestimate_factor: float,
+def blitzstart_initial_cwnd(bandwidth_kbps: int, factor: float,
                             min_rtt: SimTime) -> int:
     """Bandwidth-delay product in bytes, exactly.
 
@@ -94,11 +94,11 @@ def blitzstart_initial_cwnd(bandwidth_kbps: int, overestimate_factor: float,
     """
     if bandwidth_kbps <= 0:
         raise ValueError("bandwidth must be positive")
-    if overestimate_factor <= 0:
-        raise ValueError("overestimate_factor must be positive")
+    if factor <= 0:
+        raise ValueError("factor must be positive")
     if min_rtt <= 0:
         raise ValueError("min_rtt must be positive")
-    bits = (Fraction(bandwidth_kbps * 1000) * Fraction(overestimate_factor)
+    bits = (Fraction(bandwidth_kbps * 1000) * Fraction(factor)
             * Fraction(min_rtt, NS_PER_S))
     cwnd = int(bits / 8)
     return max(cwnd, FLOOR_BYTES)
@@ -131,15 +131,14 @@ class CubicController:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def blitzstart(cls, bandwidth_kbps: int, overestimate_factor: float,
-                   min_rtt: SimTime, now: SimTime) -> "CubicController":
+    def blitzstart(cls, bandwidth_kbps: int, min_rtt: SimTime,
+                   now: SimTime) -> "CubicController":
         """Skip Slow Start: window = hinted BDP, mode = congestion avoidance.
 
-        Raises ValueError on a non-positive bandwidth, factor or min RTT.
+        Raises ValueError on a non-positive bandwidth or min RTT.
         """
         ctrl = cls()
-        ctrl.cwnd = blitzstart_initial_cwnd(bandwidth_kbps,
-                                            overestimate_factor, min_rtt)
+        ctrl.cwnd = blitzstart_initial_cwnd(bandwidth_kbps, 1, min_rtt)
         ctrl.started_in_avoidance = True
         ctrl._enter_avoidance_at_plateau(now)
         return ctrl
@@ -242,7 +241,7 @@ class CubicController:
 
 
 def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
-                    now: SimTime, overestimate_factor: float = 1.0,
+                    now: SimTime,
                     hystart_floor: SimTime = HYSTART_FLOOR) -> CubicController:
     """Controller selection as the server would do it.
 
@@ -257,5 +256,4 @@ def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
         min_rtt = hint.min_rtt_us * 1000
     if min_rtt <= 0:
         return CubicController(hystart_floor)
-    return CubicController.blitzstart(hint.bandwidth_kbps, overestimate_factor,
-                                      min_rtt, now)
+    return CubicController.blitzstart(hint.bandwidth_kbps, min_rtt, now)

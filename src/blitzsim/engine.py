@@ -69,13 +69,6 @@ class Event:
         self.heap_at = fire_at
         self.heap_seq = seq
 
-    def cancel(self) -> bool:
-        """Mark the event dead. Returns False if it already fired."""
-        if self.fire_at == -1 or self.cancelled:
-            return False
-        self.cancelled = True
-        return True
-
 
 class PacketTrace:
     """A Simulator's recorder: the rows of the kinds in `only`, in order.
@@ -151,10 +144,12 @@ class Simulator:
         ev.seq = seq
 
     def cancel(self, ev: Event) -> bool:
-        if ev.cancel():
-            self.cancelled += 1
-            return True
-        return False
+        """Mark ev dead. Returns False if it already fired or was cancelled."""
+        if ev.fire_at == -1 or ev.cancelled:
+            return False
+        ev.cancelled = True
+        self.cancelled += 1
+        return True
 
     def stop(self) -> None:
         """Request the current run_until() call to return after this event."""

@@ -115,30 +115,25 @@ PRESETS: dict[str, ScenarioConfig] = {
 class Variant:
     kind: str  # "baseline" | "blitz"
     factor: float = 1.0
-    overestimate: float = 1.0
 
     def label(self) -> str:
         if self.kind == "baseline":
             return "baseline"
-        out = f"blitz:{self.factor:g}"
-        if self.overestimate != 1.0:
-            out += f":{self.overestimate:g}"
-        return out
+        return f"blitz:{self.factor:g}"
 
     @classmethod
     def parse(cls, text: str) -> "Variant":
         if text == "baseline":
             return cls("baseline")
-        parts = text.split(":")
+        kind, _, factor = text.partition(":")
         try:
-            numbers = [float(x) for x in parts[1:]]
+            value = float(factor)
         except ValueError:
-            numbers = []
-        if (parts[0] != "blitz" or len(numbers) not in (1, 2)
-                or not all(0 < x < math.inf for x in numbers)):
+            value = 0.0
+        if kind != "blitz" or not 0 < value < math.inf:
             raise ValueError(f"bad variant {text!r}; want baseline or "
-                             "blitz:<factor>[:<overestimate>], both positive")
-        return cls("blitz", *numbers)
+                             "blitz:<factor>, factor positive")
+        return cls("blitz", value)
 
 
 def default_variants() -> list[Variant]:
@@ -244,9 +239,7 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
             received = decode_hint(wire)
         except HintDecodeError:
             return CubicController(hystart_floor=floor)
-        return make_controller(received, min_rtt, now,
-                               overestimate_factor=variant.overestimate,
-                               hystart_floor=floor)
+        return make_controller(received, min_rtt, now, hystart_floor=floor)
 
     return factory
 

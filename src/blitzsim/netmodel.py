@@ -19,28 +19,37 @@ from .engine import NS_PER_S, SimTime, Simulator
 SEGMENT_WIRE_BYTES = 1500   # on-wire bytes of a full data segment
 SEGMENT_PAYLOAD_BYTES = 1350  # application bytes carried by a full segment
 HEADER_BYTES = SEGMENT_WIRE_BYTES - SEGMENT_PAYLOAD_BYTES
-ACK_WIRE_BYTES = 40
 # event target of every bottleneck hop and of a packet's injection into it
 LINK_TARGET = "bottleneck"
 
 
 class Packet:
-    __slots__ = ("flow_id", "seq", "len", "is_ack", "sent_at", "pkt_num",
-                 "acked_ranges", "largest_acked_pkt_num", "payload_len")
+    """A data packet on the link, and its sender's record of it.
+
+    acked, lost and prev are the sender's; the link and the receiver read
+    only the wire fields. prev is the lost copy of the same segment that
+    this packet retransmits, None for a first transmission.
+    """
+
+    __slots__ = ("flow_id", "seq", "len", "sent_at", "pkt_num", "payload_len",
+                 "acked", "lost", "prev")
 
     def __init__(self, flow_id: int, seq: int, length: int, pkt_num: int,
-                 is_ack: bool = False, sent_at: SimTime = 0,
-                 payload_len: int = 0):
+                 sent_at: SimTime = 0, payload_len: int = 0,
+                 prev: Optional["Packet"] = None):
         self.flow_id = flow_id
         self.seq = seq
         self.len = length
-        self.is_ack = is_ack
         self.sent_at = sent_at
         self.pkt_num = pkt_num
         self.payload_len = payload_len
-        if is_ack:  # the ACK fields stay unset on data packets
-            self.acked_ranges: list[tuple[int, int]] = []
-            self.largest_acked_pkt_num = -1
+        self.acked = False
+        self.lost = False
+        self.prev = prev
+
+    @property
+    def is_retx(self) -> bool:
+        return self.prev is not None
 
 
 @dataclass(frozen=True)

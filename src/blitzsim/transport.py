@@ -20,13 +20,14 @@ from typing import Callable, Optional
 
 from .congestion import INITIAL_BURST_PACKETS, CubicController
 from .engine import NS_PER_MS, Event, SimTime, Simulator
-from .netmodel import (ACK_WIRE_BYTES, HEADER_BYTES, LINK_TARGET,
-                       SEGMENT_PAYLOAD_BYTES, SEGMENT_WIRE_BYTES, Link, Packet)
+from .netmodel import (HEADER_BYTES, LINK_TARGET, SEGMENT_PAYLOAD_BYTES,
+                       SEGMENT_WIRE_BYTES, Link, Packet)
 
 RACK_PACKET_THRESHOLD = 3
 RACK_TIME_THRESHOLD = (9, 8)  # (numerator, denominator) of a multiple of the RTT
 ACK_EVERY = 2
 MAX_ACK_DELAY = 25 * NS_PER_MS
+ACK_WIRE_BYTES = 40  # an ACK's length in "ack" trace rows
 
 
 def pacing_interval(cwnd_bytes: int, srtt: SimTime,
@@ -85,39 +86,16 @@ class RangeSet:
             self.total += new_bytes
         return added
 
-    def subtract_from(self, start: int, end: int) -> list[tuple[int, int]]:
-        """Parts of [start, end) not yet covered."""
-        holes: list[tuple[int, int]] = []
-        cursor = start
-        for s, e in self.ranges:
-            if e <= cursor:
-                continue
-            if s >= end:
-                break
-            if cursor < s:
-                holes.append((cursor, min(s, end)))
-            cursor = max(cursor, e)
-            if cursor >= end:
-                break
-        if cursor < end:
-            holes.append((cursor, end))
-        return holes
 
+class Ack:
+    """An ACK frame. It travels the fixed reverse path, never the Link."""
 
-class SentRecord:
-    __slots__ = ("pkt_num", "seq_start", "seq_end", "wire_len", "sent_at",
-                 "is_retx", "acked", "lost")
+    __slots__ = ("acked_ranges", "largest_acked_pkt_num")
 
-    def __init__(self, pkt_num: int, seq_start: int, seq_end: int,
-                 wire_len: int, sent_at: SimTime, is_retx: bool):
-        self.pkt_num = pkt_num
-        self.seq_start = seq_start
-        self.seq_end = seq_end
-        self.wire_len = wire_len
-        self.sent_at = sent_at
-        self.is_retx = is_retx
-        self.acked = False
-        self.lost = False
+    def __init__(self, acked_ranges: list[tuple[int, int]],
+                 largest_acked_pkt_num: int):
+        self.acked_ranges = acked_ranges
+        self.largest_acked_pkt_num = largest_acked_pkt_num
 
 
 class Receiver:
@@ -132,7 +110,6 @@ class Receiver:
         self._ack_timer: Optional[Event] = None
         self._ack_armed = False
         self._target = f"recv:{conn.flow_id}"
-        self._ack_pkt_num = 0
         self.acks_sent = 0
 
     def on_data(self, pkt: Packet, now: SimTime) -> None:
@@ -167,11 +144,7 @@ class Receiver:
             conn.sim.cancel(self._ack_timer)
             self._ack_armed = False
         self._pending = 0
-        ack = Packet(conn.flow_id, 0, ACK_WIRE_BYTES, self._ack_pkt_num,
-                     is_ack=True, sent_at=now)
-        self._ack_pkt_num += 1
-        ack.acked_ranges = list(self.ranges.ranges)
-        ack.largest_acked_pkt_num = self.largest_pkt_num
+        ack = Ack(list(self.ranges.ranges), self.largest_pkt_num)
         self.acks_sent += 1
         # reverse path: fixed propagation only, never congested or dropped
         conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
@@ -198,16 +171,18 @@ class Connection:
 
         self.next_seq = 0
         self.next_pkt_num = 0
-        # Only records that an ACK can still resolve or sample are kept:
-        # `records` from packet number _records_floor up, `records_by_seq`
-        # from grid point _seq_floor up (see _prune).
-        self.records: dict[int, SentRecord] = {}
-        self.records_by_seq: dict[int, list[SentRecord]] = {}
+        # The sent packets themselves are the records, and only those an
+        # ACK can still resolve or sample are kept: `records` from packet
+        # number _records_floor up, `records_by_seq` (each segment's newest
+        # copy, older copies linked by Packet.prev) from grid point
+        # _seq_floor up (see _prune).
+        self.records: dict[int, Packet] = {}
+        self.records_by_seq: dict[int, Packet] = {}
         self._records_floor = 0
         self._seq_floor = 0
         # every record below this packet number is acked or declared lost
         self._scan_from = 0
-        self.retx_queue: deque[tuple[int, int]] = deque()
+        self.retx_queue: deque[Packet] = deque()  # lost, to resend
         self.acked_ranges = RangeSet()
         self.in_flight = 0
 
@@ -271,25 +246,21 @@ class Connection:
 
     # -- sending ------------------------------------------------------------
 
-    def _next_chunk(self) -> Optional[tuple[int, int, bool]]:
-        """(seq_start, seq_end, is_retx) of the next packet, or None."""
+    def _next_chunk(self) -> Optional[tuple[int, int, Optional[Packet]]]:
+        """(seq_start, seq_end, lost copy or None) of the next packet.
+
+        Every packet is one segment of the payload grid and ACK ranges are
+        unions of whole packets, so a lost packet is acked whole or not at
+        all: an acked one leaves the queue, any other goes out again whole.
+        """
         while self.retx_queue:
-            start, end = self.retx_queue.popleft()
-            holes = self.acked_ranges.subtract_from(start, end)
-            if not holes:
-                continue
-            h_start, h_end = holes[0]
-            chunk_end = min(h_end, h_start + SEGMENT_PAYLOAD_BYTES)
-            leftovers = holes[1:]
-            if chunk_end < h_end:
-                leftovers = [(chunk_end, h_end)] + leftovers
-            for rng in reversed(leftovers):
-                self.retx_queue.appendleft(rng)
-            return h_start, chunk_end, True
+            lost = self.retx_queue.popleft()
+            if not lost.acked:
+                return lost.seq, lost.seq + lost.payload_len, lost
         if self.next_seq < self.size:
             start = self.next_seq
             end = min(self.size, start + SEGMENT_PAYLOAD_BYTES)
-            return start, end, False
+            return start, end, None
         return None
 
     def maybe_send(self, now: SimTime) -> int:
@@ -301,29 +272,29 @@ class Connection:
             chunk = self._next_chunk()
             if chunk is None:
                 break
-            start, end, is_retx = chunk
+            start, end, lost = chunk
             wire = (end - start) + HEADER_BYTES
             if self.in_flight + wire > self.controller.cwnd:
                 # window-limited: progress resumes on the next ACK
-                if is_retx:
-                    self.retx_queue.appendleft((start, end))
+                if lost is not None:
+                    self.retx_queue.appendleft(lost)
                 break
             if self.burst_remaining > 0:
                 self.burst_remaining -= 1
-                self._send_range(start, end, is_retx, now)
+                self._send_range(start, end, lost, now)
                 sent += 1
                 if self.burst_remaining == 0:
                     self.next_release = now + self._interval()
                 continue
             if self.next_release <= now:
-                self._send_range(start, end, is_retx, now)
+                self._send_range(start, end, lost, now)
                 sent += 1
                 self.next_release = now + self._interval()
                 continue
-            # pacer gate closed; a retransmit chunk goes back to the queue,
-            # new data simply stays at next_seq
-            if is_retx:
-                self.retx_queue.appendleft((start, end))
+            # pacer gate closed; a lost packet goes back to the queue, new
+            # data simply stays at next_seq
+            if lost is not None:
+                self.retx_queue.appendleft(lost)
             if self._pacing_event is None:
                 self._pacing_event = self.sim.schedule(
                     self.next_release, "pacing-timer", self._target,
@@ -339,8 +310,9 @@ class Connection:
         self._pacing_event = None
         self.maybe_send(now)
 
-    def _send_range(self, start: int, end: int, is_retx: bool,
+    def _send_range(self, start: int, end: int, prev: Optional[Packet],
                     now: SimTime) -> None:
+        """Send [start, end) as a new packet; prev is the lost copy if any."""
         inject_at = now
         if self.jitter is not None:
             inject_at += self.jitter()
@@ -350,18 +322,17 @@ class Connection:
         pkt_num = self.next_pkt_num
         self.next_pkt_num += 1
         wire = (end - start) + HEADER_BYTES
-        rec = SentRecord(pkt_num, start, end, wire, inject_at, is_retx)
-        self.records[pkt_num] = rec
-        self.records_by_seq.setdefault(start, []).append(rec)
+        pkt = Packet(self.flow_id, start, wire, pkt_num, inject_at,
+                     end - start, prev)
+        self.records[pkt_num] = pkt
+        self.records_by_seq[start] = pkt
         self.in_flight += wire
         self.pkts_sent += 1
         self.payload_sent += end - start
-        if is_retx:
+        if prev is not None:
             self.bytes_retransmitted += end - start
         else:
-            self.next_seq = max(self.next_seq, end)
-        pkt = Packet(self.flow_id, start, wire, pkt_num, sent_at=inject_at,
-                     payload_len=end - start)
+            self.next_seq = end
         self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
                           self._inject, pkt)
         if not self._pto_armed:
@@ -377,27 +348,27 @@ class Connection:
 
     # -- receiving ----------------------------------------------------------
 
-    def on_ack(self, ack: Packet, now: SimTime) -> None:
+    def on_ack(self, ack: Ack, now: SimTime) -> None:
         if self.finished_at is not None:
             return
         self.acks_received += 1
         record = self.sim.recorder
         if record is not None:
             record((now, self.flow_id, "ack", ack.largest_acked_pkt_num, 0,
-                    ack.len))
+                    ACK_WIRE_BYTES))
         largest = ack.largest_acked_pkt_num
         rtt_sample: Optional[SimTime] = None
         if largest > self.largest_acked_pkt:
             # a packet number above every acked one is never pruned, so a
             # missing record means it was never sent
-            rec = self.records.get(largest)
-            if rec is None:
+            pkt = self.records.get(largest)
+            if pkt is None:
                 self.ack_anomalies += 1
             else:
-                rtt_sample = now - rec.sent_at
+                rtt_sample = now - pkt.sent_at
                 self._update_rtt(rtt_sample)
                 self.largest_acked_pkt = largest
-                self.largest_acked_sent_at = rec.sent_at
+                self.largest_acked_sent_at = pkt.sent_at
 
         newly = 0
         newly_wire = 0
@@ -438,26 +409,22 @@ class Connection:
             self.min_rtt = sample
 
     def _mark_acked(self, start: int, end: int) -> int:
-        """Mark covered records acked; returns their wire bytes (once each).
+        """Mark each covered segment's copies acked; returns its wire bytes.
 
-        Newly covered ranges land on the packetization grid, so every
-        record they cover starts at a multiple of the segment payload.
-        Retransmitted copies of an already-counted range add nothing.
+        Newly covered ranges are unions of whole packets, so they start on
+        the packetization grid and each segment in them is covered once.
         """
-        first = start - (start % SEGMENT_PAYLOAD_BYTES)
-        if first < start:
-            first += SEGMENT_PAYLOAD_BYTES
+        by_seq = self.records_by_seq
         wire = 0
-        for seq in range(first, end, SEGMENT_PAYLOAD_BYTES):
-            counted = False
-            for rec in self.records_by_seq.get(seq, ()):
-                if not rec.acked and rec.seq_end <= end:
-                    rec.acked = True
-                    if not counted:
-                        wire += rec.wire_len
-                        counted = True
-                    if not rec.lost:
-                        self.in_flight -= rec.wire_len
+        for seq in range(start, end, SEGMENT_PAYLOAD_BYTES):
+            pkt = by_seq.get(seq)
+            if pkt is not None:
+                wire += pkt.len
+            while pkt is not None:
+                pkt.acked = True
+                if not pkt.lost:
+                    self.in_flight -= pkt.len
+                pkt = pkt.prev
         return wire
 
     def _prune(self, newly: int) -> None:
@@ -468,7 +435,7 @@ class Connection:
         of the two goes. _mark_acked looks up only grid points of newly
         covered bytes, which lie above the cumulative ACK frontier, so
         `records_by_seq` below the frontier goes; a lost original above it
-        stays, since _mark_acked counts the first unacked copy's wire_len.
+        stays, since _mark_acked reaches a segment's copies through it.
         """
         records = self.records
         floor = min(self._scan_from, self.largest_acked_pkt + 1)
@@ -500,14 +467,14 @@ class Connection:
         time_cutoff = self.largest_acked_sent_at - threshold
         pkt_cutoff = self.largest_acked_pkt - RACK_PACKET_THRESHOLD
         while True:
-            rec = self._oldest_outstanding()
-            if rec is None or (rec.pkt_num > pkt_cutoff
-                               and rec.sent_at > time_cutoff):
+            pkt = self._oldest_outstanding()
+            if pkt is None or (pkt.pkt_num > pkt_cutoff
+                               and pkt.sent_at > time_cutoff):
                 return
-            self._declare_lost(rec, now)
+            self._declare_lost(pkt, now)
 
-    def _oldest_outstanding(self) -> Optional[SentRecord]:
-        """Oldest record neither acked nor declared lost, if any."""
+    def _oldest_outstanding(self) -> Optional[Packet]:
+        """Oldest packet neither acked nor declared lost, if any."""
         records, end = self.records, self.next_pkt_num
         pkt_num = self._scan_from
         while pkt_num < end and (records[pkt_num].acked
@@ -516,14 +483,12 @@ class Connection:
         self._scan_from = pkt_num
         return records[pkt_num] if pkt_num < end else None
 
-    def _declare_lost(self, rec: SentRecord, now: SimTime) -> None:
-        rec.lost = True
-        self.in_flight -= rec.wire_len
+    def _declare_lost(self, pkt: Packet, now: SimTime) -> None:
+        pkt.lost = True
+        self.in_flight -= pkt.len
         self.lost_pkts += 1
-        holes = self.acked_ranges.subtract_from(rec.seq_start, rec.seq_end)
-        for hole in holes:
-            self.retx_queue.append(hole)
-        self.controller.on_congestion_event(now, rec.pkt_num,
+        self.retx_queue.append(pkt)
+        self.controller.on_congestion_event(now, pkt.pkt_num,
                                             self.next_pkt_num - 1)
 
     # -- probe timeout ----------------------------------------------------------

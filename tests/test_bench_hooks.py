@@ -10,6 +10,8 @@ The tracer also reads `Simulator.dispatched` from inside the short flow's
 live during dispatch; and it counts events by the kind each callback was
 scheduled with, so re-keyed timers must keep their callback. Both are
 checked against the "event" rows a recorder takes from an untraced run.
+Its ACK counts read `acked_ranges` off each ACK the sender handles, so they
+must equal the sender's own count and see at least one range per ACK.
 """
 
 import json
@@ -54,6 +56,8 @@ print(json.dumps({
               if key.startswith("events.")},
     "trace_kinds": Counter(kind for _, _, _, kind, _ in recorder.rows),
     "prefix_events": tracer.counts["cell"]["prefix_events"],
+    "acks": tracer.counts["cell"]["acks"],
+    "ack_ranges": tracer.counts["cell"]["ack_ranges"],
     "short_start_index": next(
         i for i, (_, _, _, kind, target) in enumerate(recorder.rows)
         if (kind, target) == ("app-start", "conn:1")),
@@ -74,3 +78,5 @@ def test_instrumented_cell_matches_untraced_run():
     assert got["events"] == got["counters"]["events_dispatched"]
     assert got["kinds"] == got["trace_kinds"]
     assert got["prefix_events"] == got["short_start_index"] > 0
+    assert got["acks"] == got["counters"]["acks_received"]
+    assert got["ack_ranges"] >= got["acks"] > 0

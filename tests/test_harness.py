@@ -1,12 +1,17 @@
 import copy
 import hashlib
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import blitzsim
 from blitzsim import harness
 from blitzsim.cli import main
 from blitzsim.engine import ms, seconds
@@ -48,10 +53,10 @@ def test_default_matrix_has_table_shape():
 def test_variant_parsing():
     assert Variant.parse("baseline") == Variant("baseline")
     assert Variant.parse("blitz:1.5") == Variant("blitz", 1.5)
-    assert Variant.parse("blitz:1.0:2.0") == Variant("blitz", 1.0, 2.0)
-    assert Variant.parse("blitz:1.0:2.0").label() == "blitz:1:2"
-    with pytest.raises(ValueError):
-        Variant.parse("turbo:9")
+    assert Variant.parse("blitz:1.0").label() == "blitz:1"
+    for text in ("turbo:9", "blitz:1:2"):
+        with pytest.raises(ValueError):
+            Variant.parse(text)
 
 
 # -- fairness ratio -----------------------------------------------------------------
@@ -400,7 +405,7 @@ def test_parse_scenario_file_roundtrip(tmp_path):
         "access_tech = wifi\n"
         "short_flow_bytes = 70000\n"
         "short_flow_start_ms = 500\n"
-        "variant = blitz:1.5:2.0\n")
+        "variant = blitz:1.5\n")
     cfg, size, variant = parse_scenario_file(p)
     assert cfg.name == "tiny"
     assert cfg.rtt == ms(40)
@@ -409,7 +414,7 @@ def test_parse_scenario_file_roundtrip(tmp_path):
     assert cfg.access_tech is AccessTech.WIFI
     assert cfg.short_flow_start == ms(500)
     assert size == 70_000
-    assert variant == Variant("blitz", 1.5, 2.0)
+    assert variant == Variant("blitz", 1.5)
 
 
 def test_parse_scenario_file_rejects_unknown_keys(tmp_path):
@@ -480,6 +485,7 @@ def test_cli_scenario_file(tmp_path):
     ([], CELL_FILE.replace("blitz:1.0", "blitz:0.00001"), "blitz:1e-05"),
     ([], CELL_FILE + "short_flow_start_ms = 300000\n", "short_flow_start"),
     (["--scenario", "dsl-fast", "--jobs", "0"], None, "--jobs"),
+    (["--scenario", "dsl-fast", "--variant", "blitz:1:2"], None, "blitz:1:2"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):
@@ -495,6 +501,18 @@ def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
     assert "Traceback" not in err
     assert err.count("\n") == 1 and named in err
     assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # the package runs from a source checkout, without the console script
+    src = str(Path(blitzsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "blitzsim", "run",
+                           "--jobs", "0"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "blitzsim run: --jobs must be at least 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_trace_files_do_not_depend_on_jobs(tmp_path):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from blitzsim.congestion import FLOOR_BYTES, CubicController
 from blitzsim.engine import PacketTrace, Simulator, ms, seconds, us
 from blitzsim.harness import PRESETS, single_flow_run
-from blitzsim.netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig, Packet
-from blitzsim.transport import (MAX_ACK_DELAY, Connection, RangeSet,
+from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
+                               SEGMENT_WIRE_BYTES, Link, LinkConfig)
+from blitzsim.transport import (MAX_ACK_DELAY, Ack, Connection, RangeSet,
                                  pacing_interval)
 
 DSL_FAST = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=208)
@@ -99,13 +100,6 @@ def test_rangeset_add_matches_byte_set_model(adds):
         assert rs.total == len(covered)
 
 
-def test_rangeset_subtract_from():
-    rs = RangeSet()
-    rs.add(1350, 2700)
-    assert rs.subtract_from(0, 4050) == [(0, 1350), (2700, 4050)]
-    assert rs.subtract_from(1350, 2700) == []
-
-
 # -- handshake and first flight -------------------------------------------------
 
 def test_handshake_supplies_first_rtt_sample():
@@ -170,9 +164,7 @@ def test_duplicate_ack_adds_no_bytes_and_no_growth():
     sim.run_until(ms(120))  # some ACKs processed
     acked_before = conn.bytes_acked
     cwnd_before = conn.controller.cwnd
-    dup = Packet(0, 0, 40, 999, is_ack=True)
-    dup.acked_ranges = list(conn.acked_ranges.ranges)
-    dup.largest_acked_pkt_num = conn.largest_acked_pkt
+    dup = Ack(list(conn.acked_ranges.ranges), conn.largest_acked_pkt)
     conn.on_ack(dup, sim.now)
     assert conn.bytes_acked == acked_before
     assert conn.controller.cwnd == cwnd_before
@@ -182,9 +174,7 @@ def test_ack_for_unknown_pkt_num_is_recorded_and_ignored():
     sim, link, conn = make_conn(1 << 20)
     conn.start(0)
     sim.run_until(ms(60))
-    ghost = Packet(0, 0, 40, 0, is_ack=True)
-    ghost.acked_ranges = []
-    ghost.largest_acked_pkt_num = 10_000
+    ghost = Ack([], 10_000)
     conn.on_ack(ghost, sim.now)
     assert conn.ack_anomalies == 1
     assert conn.srtt == ms(50)  # no sample taken from the ghost
@@ -195,13 +185,8 @@ def test_ack_below_prune_floor_is_old_not_an_anomaly():
     sim, link, conn = make_conn(1 << 20, wire=False)
     conn.start(0)
     sim.run_until(ms(52))
-    ack = Packet(0, 0, 40, 0, is_ack=True)
-    ack.acked_ranges = [(0, 5 * 1350)]
-    ack.largest_acked_pkt_num = 4
-    conn.on_ack(ack, ms(55))
-    old = Packet(0, 0, 40, 1, is_ack=True)
-    old.acked_ranges = [(0, 3 * 1350)]
-    old.largest_acked_pkt_num = 2
+    conn.on_ack(Ack([(0, 5 * 1350)], 4), ms(55))
+    old = Ack([(0, 3 * 1350)], 2)
     assert 2 not in conn.records and 0 not in conn.records_by_seq
     conn.on_ack(old, ms(56))
     assert conn.ack_anomalies == 0
@@ -221,16 +206,35 @@ def test_rack_packet_threshold_declares_early_hole_lost():
     drive_handshake(conn, sim)
     sim.run_until(ms(52))  # all 32 injected
     first = conn.records[0]  # the ACK resolves it, and pruning drops it
-    ack = Packet(0, 0, 40, 0, is_ack=True)
-    ack.acked_ranges = [(1350, 5 * 1350)]
-    ack.largest_acked_pkt_num = 4
-    conn.on_ack(ack, ms(55))
+    conn.on_ack(Ack([(1350, 5 * 1350)], 4), ms(55))
     assert first.lost
     assert conn.lost_pkts >= 1
     # the hole went straight back out with a fresh packet number
     retx = [r for r in conn.records.values() if r.is_retx]
-    assert [(r.seq_start, r.seq_end) for r in retx] == [(0, 1350)]
-    assert retx[0].pkt_num > 4
+    assert [(r.seq, r.payload_len) for r in retx] == [(0, 1350)]
+    assert retx[0].pkt_num > 4 and retx[0].prev is first
+
+
+def test_lost_packet_acked_before_its_resend_is_not_resent():
+    # the pacer holds packet 0 in the queue after RACK declares it lost; a
+    # late ACK then covers its bytes, and the queue drops it unsent
+    sim, link, conn = make_conn(1 << 20, wire=False)
+    sim.recorder = trace = PacketTrace(only={"send"})
+    drive_handshake(conn, sim)
+    sim.run_until(ms(52))
+    first = conn.records[0]
+    assert conn.next_release > sim.now  # the pacer is closed
+    conn.on_ack(Ack([(1350, 5 * 1350)], 4), sim.now)
+    assert first.lost and list(conn.retx_queue) == [first]
+    sim.run_until(ms(52) + us(100))
+    conn.on_ack(Ack([(0, 5 * 1350)], 4), sim.now)
+    assert first.acked
+    sim.run_until(ms(60))
+    assert not conn.retx_queue
+    assert conn.bytes_retransmitted == 0
+    assert conn.pkts_sent > 12
+    seqs = [row[4] for row in trace.rows]
+    assert seqs == [k * 1350 for k in range(len(seqs))]  # no copy of 0
 
 
 def test_acked_packet_is_never_declared_lost():
@@ -238,17 +242,11 @@ def test_acked_packet_is_never_declared_lost():
     drive_handshake(conn, sim)
     sim.run_until(ms(52))
     sent = [conn.records[num] for num in range(9)]
-    ack = Packet(0, 0, 40, 0, is_ack=True)
-    ack.acked_ranges = [(0, 5 * 1350)]
-    ack.largest_acked_pkt_num = 4
-    conn.on_ack(ack, ms(55))
-    later = Packet(0, 0, 40, 1, is_ack=True)
-    later.acked_ranges = [(0, 9 * 1350)]
-    later.largest_acked_pkt_num = 8
-    conn.on_ack(later, ms(56))
-    for rec in sent:
-        assert rec.acked
-        assert not rec.lost
+    conn.on_ack(Ack([(0, 5 * 1350)], 4), ms(55))
+    conn.on_ack(Ack([(0, 9 * 1350)], 8), ms(56))
+    for pkt in sent:
+        assert pkt.acked
+        assert not pkt.lost
 
 
 def test_rack_time_threshold():
@@ -259,20 +257,15 @@ def test_rack_time_threshold():
     first = conn.records[0]
     # ack only packet 2 (packets 0 and 1 sent around the same instant are
     # inside the reordering window; nothing beyond the pkt threshold)
-    ack = Packet(0, 0, 40, 0, is_ack=True)
-    ack.acked_ranges = [(2 * 1350, 3 * 1350)]
-    ack.largest_acked_pkt_num = 2
-    conn.on_ack(ack, ms(125))
+    conn.on_ack(Ack([(2 * 1350, 3 * 1350)], 2), ms(125))
     assert not first.lost  # within both thresholds
     # a much later retransmission-era ack: largest jumps far ahead in time
     sim.run_until(ms(400))
     conn.maybe_send(sim.now)
     late_num = conn.next_pkt_num - 1
-    late = Packet(0, 0, 40, 1, is_ack=True)
-    rec = conn.records[late_num]
-    late.acked_ranges = [(rec.seq_start, rec.seq_end)]
-    late.largest_acked_pkt_num = late_num
-    conn.on_ack(late, ms(460))
+    pkt = conn.records[late_num]
+    conn.on_ack(Ack([(pkt.seq, pkt.seq + pkt.payload_len)], late_num),
+                ms(460))
     assert first.lost
 
 
@@ -288,7 +281,7 @@ def test_tail_loss_probe_retransmits_oldest():
     assert first.lost
     retx = [r for r in conn.records.values() if r.is_retx]
     assert len(retx) == 1
-    assert retx[0].seq_start == 0
+    assert retx[0].seq == 0 and retx[0].prev is first
     assert conn._pto_backoff == 1
 
 
@@ -311,10 +304,10 @@ def test_in_flight_bound_respected_at_every_send():
     sent_ok = []
     orig = conn._send_range
 
-    def checked(start, end, is_retx, now):
+    def checked(start, end, prev, now):
         wire = (end - start) + 150
         sent_ok.append(conn.in_flight + wire <= conn.controller.cwnd)
-        orig(start, end, is_retx, now)
+        orig(start, end, prev, now)
 
     conn._send_range = checked
     conn.start(0)
@@ -447,6 +440,7 @@ def test_transfer_survives_drop_duplication_and_reordering(
     # a reordered packet is held back by up to three round trips
     cfg = LinkConfig(rate_bps=10_000_000, prop_delay=ms(10), buffer_pkts=30)
     sim, link, conn = make_conn(size, cfg=cfg)
+    sim.recorder = trace = PacketTrace(only={"send"})
     seen = {"min_in_flight": 0, "min_cwnd": FLOOR_BYTES}
 
     def checked(fn):
@@ -470,3 +464,8 @@ def test_transfer_survives_drop_duplication_and_reordering(
     assert conn.payload_sent == size + conn.bytes_retransmitted
     assert seen["min_cwnd"] >= FLOOR_BYTES
     assert conn.ack_anomalies == 0
+    # the payload grid that lets a lost packet be resent whole: every
+    # packet, retransmissions too, is [k*1350, min(size, (k+1)*1350))
+    for _, _, _, _, seq, length in trace.rows:
+        assert seq % SEGMENT_PAYLOAD_BYTES == 0
+        assert length - HEADER_BYTES == min(size - seq, SEGMENT_PAYLOAD_BYTES)
