@@ -246,14 +246,9 @@ def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
     """Controller selection as the server would do it.
 
     A missing or unusable hint (no estimate, zero bandwidth) selects the
-    baseline Slow Start controller; a usable one selects Blitzstart. The
-    hint may carry its own min-RTT sample (from a previous connection),
-    which then overrides the handshake sample.
+    baseline Slow Start controller; a usable one selects Blitzstart, sized
+    with the handshake's min-RTT sample.
     """
     if hint is None or not hint.is_usable():
-        return CubicController(hystart_floor)
-    if hint.min_rtt_us is not None and hint.min_rtt_us > 0:
-        min_rtt = hint.min_rtt_us * 1000
-    if min_rtt <= 0:
         return CubicController(hystart_floor)
     return CubicController.blitzstart(hint.bandwidth_kbps, min_rtt, now)

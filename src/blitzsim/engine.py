@@ -70,6 +70,11 @@ class Event:
         self.heap_seq = seq
 
 
+def pending(ev: Optional[Event]) -> bool:
+    """True while ev is scheduled, not yet dispatched and not cancelled."""
+    return ev is not None and ev.fire_at != -1 and not ev.cancelled
+
+
 class PacketTrace:
     """A Simulator's recorder: the rows of the kinds in `only`, in order.
 
@@ -143,9 +148,21 @@ class Simulator:
         ev.fire_at = fire_at
         ev.seq = seq
 
-    def cancel(self, ev: Event) -> bool:
-        """Mark ev dead. Returns False if it already fired or was cancelled."""
-        if ev.fire_at == -1 or ev.cancelled:
+    def arm(self, ev: Optional[Event], fire_at: SimTime, kind: str,
+            target: str, fn: Callable) -> Event:
+        """(Re-)arm a timer: schedule it when ev is None, else re-key ev.
+
+        A timer is one Event for its owner's lifetime. kind, target and fn
+        are only read on the first arming, when they go to schedule().
+        """
+        if ev is None:
+            return self.schedule(fire_at, kind, target, fn)
+        self.reschedule(ev, fire_at)
+        return ev
+
+    def cancel(self, ev: Optional[Event]) -> bool:
+        """Mark ev dead. Returns False if it is None, fired or cancelled."""
+        if ev is None or ev.fire_at == -1 or ev.cancelled:
             return False
         ev.cancelled = True
         self.cancelled += 1

@@ -301,7 +301,7 @@ class TwoFlowRun:
                                      jitter=jitter)
         self.receivers = (self.long_conn.receiver, self.short_conn.receiver)
         self.sat_at: Optional[SimTime] = None
-        self.sat_check = None  # the pending saturation check's event
+        self.sat_check = None  # the saturation check's Event, once armed
         self.short_bytes = 0  # bottleneck departures while the short flow runs
         self.long_bytes = 0
 
@@ -330,9 +330,9 @@ class TwoFlowRun:
         # at 0->1 is cancelled by the next 1->0, so a check that fires has
         # seen a non-empty queue for the whole hold.
         if queued:
-            self.sat_check = self.sim.schedule(
-                now + 2 * self.cfg.rtt, "app-start", "saturation",
-                self._on_saturated)
+            self.sat_check = self.sim.arm(
+                self.sat_check, now + 2 * self.cfg.rtt, "app-start",
+                "saturation", self._on_saturated)
         else:
             self.sim.cancel(self.sat_check)
 
@@ -397,9 +397,6 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
 
 @dataclass(frozen=True)
 class MetricStats:
-    n: int
-    mean_variant: float
-    mean_baseline: float
     factor: float           # improvement multiplier, direction per metric
     delta: float            # variant minus baseline
     ci_lo: float
@@ -498,8 +495,7 @@ def _paired_stats(variant: Sequence[float], baseline: Sequence[float],
     ci_lo, ci_hi = mean_d - half, mean_d + half
     significant = not (ci_lo <= 0.0 <= ci_hi)
     f_stat, p = _anova_two_groups(variant, baseline)
-    return MetricStats(n, mean_v, mean_b, factor, mean_d, ci_lo, ci_hi,
-                       significant, f_stat, p)
+    return MetricStats(factor, mean_d, ci_lo, ci_hi, significant, f_stat, p)
 
 
 @dataclass(frozen=True)

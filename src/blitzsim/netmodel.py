@@ -26,17 +26,15 @@ LINK_TARGET = "bottleneck"
 class Packet:
     """A data packet on the link, and its sender's record of it.
 
-    acked, lost and prev are the sender's; the link and the receiver read
-    only the wire fields. prev is the lost copy of the same segment that
-    this packet retransmits, None for a first transmission.
+    acked and lost are the sender's; the link and the receiver read only
+    the wire fields.
     """
 
     __slots__ = ("flow_id", "seq", "len", "sent_at", "pkt_num", "payload_len",
-                 "acked", "lost", "prev")
+                 "acked", "lost")
 
     def __init__(self, flow_id: int, seq: int, length: int, pkt_num: int,
-                 sent_at: SimTime = 0, payload_len: int = 0,
-                 prev: Optional["Packet"] = None):
+                 sent_at: SimTime = 0, payload_len: int = 0):
         self.flow_id = flow_id
         self.seq = seq
         self.len = length
@@ -45,11 +43,6 @@ class Packet:
         self.payload_len = payload_len
         self.acked = False
         self.lost = False
-        self.prev = prev
-
-    @property
-    def is_retx(self) -> bool:
-        return self.prev is not None
 
 
 @dataclass(frozen=True)

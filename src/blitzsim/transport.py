@@ -19,7 +19,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from .congestion import INITIAL_BURST_PACKETS, CubicController
-from .engine import NS_PER_MS, Event, SimTime, Simulator
+from .engine import NS_PER_MS, Event, SimTime, Simulator, pending
 from .netmodel import (HEADER_BYTES, LINK_TARGET, SEGMENT_PAYLOAD_BYTES,
                        SEGMENT_WIRE_BYTES, Link, Packet)
 
@@ -106,9 +106,7 @@ class Receiver:
         self.ranges = RangeSet()
         self.largest_pkt_num = -1
         self._pending = 0
-        # the max-ack-delay timer: made by the first arming, re-keyed after
-        self._ack_timer: Optional[Event] = None
-        self._ack_armed = False
+        self._ack_timer: Optional[Event] = None  # the max-ack-delay timer
         self._target = f"recv:{conn.flow_id}"
         self.acks_sent = 0
 
@@ -124,25 +122,20 @@ class Receiver:
         self._pending += 1
         if self._pending >= ACK_EVERY:
             self._emit_ack(now)
-        elif not self._ack_armed:
-            self._ack_armed = True
-            if self._ack_timer is None:
-                self._ack_timer = conn.sim.schedule(
-                    now + MAX_ACK_DELAY, "pacing-timer", self._target,
-                    self._on_ack_timer)
-            else:
-                conn.sim.reschedule(self._ack_timer, now + MAX_ACK_DELAY)
-
-    def _on_ack_timer(self, now: SimTime) -> None:
-        self._ack_armed = False
-        if self._pending > 0:
-            self._emit_ack(now)
+        elif self._pending == 1:  # the first unacked packet arms the timer
+            self._ack_timer = conn.sim.arm(
+                self._ack_timer, now + MAX_ACK_DELAY, "pacing-timer",
+                self._target, self._emit_ack)
 
     def _emit_ack(self, now: SimTime) -> None:
+        """ACK every byte received so far.
+
+        Also the max-ack-delay timer's callback: the timer is pending from
+        the first unacked packet until this call, so it only fires with
+        one packet pending.
+        """
         conn = self.conn
-        if self._ack_armed:
-            conn.sim.cancel(self._ack_timer)
-            self._ack_armed = False
+        conn.sim.cancel(self._ack_timer)
         self._pending = 0
         ack = Ack(list(self.ranges.ranges), self.largest_pkt_num)
         self.acks_sent += 1
@@ -174,8 +167,7 @@ class Connection:
         # The sent packets themselves are the records, and only those an
         # ACK can still resolve or sample are kept: `records` from packet
         # number _records_floor up, `records_by_seq` (each segment's newest
-        # copy, older copies linked by Packet.prev) from grid point
-        # _seq_floor up (see _prune).
+        # copy) from grid point _seq_floor up (see _prune).
         self.records: dict[int, Packet] = {}
         self.records_by_seq: dict[int, Packet] = {}
         self._records_floor = 0
@@ -188,7 +180,6 @@ class Connection:
 
         self.srtt: Optional[SimTime] = None
         self.rttvar: SimTime = 0
-        self.min_rtt: Optional[SimTime] = None
         self.latest_rtt: SimTime = 0
         self.largest_acked_pkt = -1
         self.largest_acked_sent_at: SimTime = 0
@@ -196,9 +187,7 @@ class Connection:
         self.burst_remaining = 0
         self.next_release: SimTime = 0
         self._pacing_event: Optional[Event] = None
-        # the probe timeout: made by the first arming, re-keyed after
-        self._pto_event: Optional[Event] = None
-        self._pto_armed = False
+        self._pto_event: Optional[Event] = None  # the probe timeout
         self._pto_backoff = 0
         self._last_inject: SimTime = 0
 
@@ -227,7 +216,6 @@ class Connection:
         sample = self.handshake_rtt
         self.srtt = sample
         self.rttvar = sample // 2
-        self.min_rtt = sample
         self.latest_rtt = sample
         self.controller = self.controller_factory(sample, now)
         self.burst_remaining = INITIAL_BURST_PACKETS
@@ -279,27 +267,22 @@ class Connection:
                 if lost is not None:
                     self.retx_queue.appendleft(lost)
                 break
-            if self.burst_remaining > 0:
+            if self.burst_remaining:
                 self.burst_remaining -= 1
-                self._send_range(start, end, lost, now)
-                sent += 1
-                if self.burst_remaining == 0:
-                    self.next_release = now + self._interval()
-                continue
-            if self.next_release <= now:
-                self._send_range(start, end, lost, now)
-                sent += 1
+            elif self.next_release > now:
+                # pacer gate closed; a lost packet goes back to the queue,
+                # new data simply stays at next_seq
+                if lost is not None:
+                    self.retx_queue.appendleft(lost)
+                if not pending(self._pacing_event):
+                    self._pacing_event = self.sim.arm(
+                        self._pacing_event, self.next_release, "pacing-timer",
+                        self._target, self._on_pacing_timer)
+                break
+            self._send_range(start, end, lost, now)
+            sent += 1
+            if self.burst_remaining == 0:
                 self.next_release = now + self._interval()
-                continue
-            # pacer gate closed; a lost packet goes back to the queue, new
-            # data simply stays at next_seq
-            if lost is not None:
-                self.retx_queue.appendleft(lost)
-            if self._pacing_event is None:
-                self._pacing_event = self.sim.schedule(
-                    self.next_release, "pacing-timer", self._target,
-                    self._on_pacing_timer)
-            break
         return sent
 
     def _interval(self) -> SimTime:
@@ -307,12 +290,11 @@ class Connection:
         return pacing_interval(ctrl.cwnd, self.srtt, ctrl.pacing_fraction())
 
     def _on_pacing_timer(self, now: SimTime) -> None:
-        self._pacing_event = None
         self.maybe_send(now)
 
-    def _send_range(self, start: int, end: int, prev: Optional[Packet],
+    def _send_range(self, start: int, end: int, lost: Optional[Packet],
                     now: SimTime) -> None:
-        """Send [start, end) as a new packet; prev is the lost copy if any."""
+        """Send [start, end) as a new packet; lost is the lost copy if any."""
         inject_at = now
         if self.jitter is not None:
             inject_at += self.jitter()
@@ -323,19 +305,19 @@ class Connection:
         self.next_pkt_num += 1
         wire = (end - start) + HEADER_BYTES
         pkt = Packet(self.flow_id, start, wire, pkt_num, inject_at,
-                     end - start, prev)
+                     end - start)
         self.records[pkt_num] = pkt
         self.records_by_seq[start] = pkt
         self.in_flight += wire
         self.pkts_sent += 1
         self.payload_sent += end - start
-        if prev is not None:
+        if lost is not None:
             self.bytes_retransmitted += end - start
         else:
             self.next_seq = end
         self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
                           self._inject, pkt)
-        if not self._pto_armed:
+        if not pending(self._pto_event):
             self._arm_pto(now)
 
     def _inject(self, pkt: Packet, now: SimTime) -> None:
@@ -396,23 +378,22 @@ class Connection:
             self._pto_backoff = 0
         if self.in_flight > 0:
             self._arm_pto(now)
-        elif self._pto_armed:
+        else:
             self.sim.cancel(self._pto_event)
-            self._pto_armed = False
         self.maybe_send(now)
 
     def _update_rtt(self, sample: SimTime) -> None:
         self.latest_rtt = sample
         self.rttvar = (3 * self.rttvar + abs(self.srtt - sample)) // 4
         self.srtt = (7 * self.srtt + sample) // 8
-        if sample < self.min_rtt:
-            self.min_rtt = sample
 
     def _mark_acked(self, start: int, end: int) -> int:
-        """Mark each covered segment's copies acked; returns its wire bytes.
+        """Mark each covered segment's newest copy acked; returns wire bytes.
 
         Newly covered ranges are unions of whole packets, so they start on
         the packetization grid and each segment in them is covered once.
+        A segment is resent only once declared lost, so its older copies
+        are all lost and nothing reads their acked flag.
         """
         by_seq = self.records_by_seq
         wire = 0
@@ -420,11 +401,9 @@ class Connection:
             pkt = by_seq.get(seq)
             if pkt is not None:
                 wire += pkt.len
-            while pkt is not None:
                 pkt.acked = True
                 if not pkt.lost:
                     self.in_flight -= pkt.len
-                pkt = pkt.prev
         return wire
 
     def _prune(self, newly: int) -> None:
@@ -434,8 +413,7 @@ class Connection:
         record only above largest_acked_pkt, so `records` below the lower
         of the two goes. _mark_acked looks up only grid points of newly
         covered bytes, which lie above the cumulative ACK frontier, so
-        `records_by_seq` below the frontier goes; a lost original above it
-        stays, since _mark_acked reaches a segment's copies through it.
+        `records_by_seq` below the frontier goes.
         """
         records = self.records
         floor = min(self._scan_from, self.largest_acked_pkt + 1)
@@ -493,21 +471,14 @@ class Connection:
 
     # -- probe timeout ----------------------------------------------------------
 
-    def _pto_interval(self) -> SimTime:
-        assert self.srtt is not None
-        return (2 * self.srtt + 4 * self.rttvar) << self._pto_backoff
-
     def _arm_pto(self, now: SimTime) -> None:
-        fire_at = now + self._pto_interval()
-        self._pto_armed = True
-        if self._pto_event is None:
-            self._pto_event = self.sim.schedule(
-                fire_at, "loss-timer", self._target, self._on_pto)
-        else:
-            self.sim.reschedule(self._pto_event, fire_at)
+        """Arm the probe timeout 2 srtt + 4 rttvar out, doubled per backoff."""
+        pto = (2 * self.srtt + 4 * self.rttvar) << self._pto_backoff
+        self._pto_event = self.sim.arm(
+            self._pto_event, now + pto, "loss-timer", self._target,
+            self._on_pto)
 
     def _on_pto(self, now: SimTime) -> None:
-        self._pto_armed = False
         if self.finished_at is not None:
             return
         oldest = self._oldest_outstanding()
@@ -520,11 +491,7 @@ class Connection:
 
     def _finish(self, now: SimTime) -> None:
         self.finished_at = now
-        if self._pacing_event is not None:
-            self.sim.cancel(self._pacing_event)
-            self._pacing_event = None
-        if self._pto_armed:
-            self.sim.cancel(self._pto_event)
-            self._pto_armed = False
+        self.sim.cancel(self._pacing_event)
+        self.sim.cancel(self._pto_event)
         if self.on_finished is not None:
             self.on_finished(now)

@@ -228,12 +228,6 @@ def test_missing_hint_falls_back_to_baseline():
     assert ctrl.mode is Mode.SLOW_START
 
 
-def test_hint_supplied_min_rtt_overrides_handshake_sample():
-    hint = BandwidthHint(AccessTech.DSL, 50_000, min_rtt_us=100_000)
-    ctrl = make_controller(hint, ms(50), 0)
-    assert ctrl.cwnd == 625_000  # 50 Mbit * 100 ms / 8
-
-
 def test_blitzstart_rejects_bad_config():
     with pytest.raises(ValueError):
         blitzstart_initial_cwnd(50_000, 0.0, ms(50))

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blitzsim.engine import (NS_PER_MS, NS_PER_S, PacketTrace, Simulator,
-                             derive_seed, ms, seconds, substream, us)
+                             derive_seed, ms, pending, seconds, substream, us)
 
 
 def test_event_at_current_time_dispatches_before_later_events():
@@ -41,6 +41,23 @@ def test_cancel_twice_counts_once():
     assert sim.cancel(ev)
     assert not sim.cancel(ev)
     assert sim.cancelled == 1
+
+
+def test_arm_schedules_once_then_rekeys_the_same_event():
+    sim = Simulator()
+    fired = []
+    ev = sim.arm(None, us(10), "loss-timer", "t", fired.append)
+    assert pending(ev) and not pending(None)
+    assert sim.arm(ev, us(20), "loss-timer", "t", fired.append) is ev
+    assert (sim.scheduled, sim.cancelled) == (2, 1)
+    sim.run_until(None)
+    assert fired == [us(20)] and not pending(ev)
+    assert sim.arm(ev, us(30), "loss-timer", "t", fired.append) is ev
+    assert sim.cancel(ev) and not pending(ev)
+    assert not sim.cancel(None)
+    sim.run_until(None)
+    assert fired == [us(20)]
+    assert (sim.scheduled, sim.cancelled, sim.dispatched) == (3, 2, 1)
 
 
 def test_cancel_after_dispatch_is_noop():
@@ -156,6 +173,11 @@ def _reschedule(sim, handles, i, fire_at):
     sim.reschedule(handles[i], fire_at)
 
 
+def _arm(sim, handles, i, fire_at):
+    ev = handles[i]
+    handles[i] = sim.arm(ev, fire_at, ev.kind, ev.target, ev.fn)
+
+
 def _cancel_and_schedule(sim, handles, i, fire_at):
     """The reference re-key: cancel the event and schedule a fresh one."""
     if fire_at < sim.now:
@@ -166,10 +188,14 @@ def _cancel_and_schedule(sim, handles, i, fire_at):
 
 
 def _drive(program, rekey):
-    """Play a schedule/cancel/re-key/run program; what a run can observe."""
+    """Play a schedule/cancel/re-key/run program; what a run can observe.
+
+    That includes which handles are pending after each step.
+    """
     sim = Simulator()
     sim.recorder = PacketTrace(only={"event"})
     handles = []
+    pendings = []
     rekeys = []  # (delay, raised) of every top-level re-key
 
     def callback(then):
@@ -196,9 +222,11 @@ def _drive(program, rekey):
                 rekeys.append((b, False))
             except RuntimeError:
                 rekeys.append((b, True))
+        pendings.append([pending(h) for h in handles])
     sim.run_until(None)
+    pendings.append([pending(h) for h in handles])
     return (sim.recorder.rows, sim.now, sim.scheduled, sim.cancelled,
-            sim.dispatched, rekeys)
+            sim.dispatched, pendings, rekeys)
 
 
 _delay = st.integers(0, 6)  # short delays, so fire times tie often
@@ -216,6 +244,7 @@ _op = st.one_of(
 def test_reschedule_matches_cancel_then_schedule(program):
     got = _drive(program, _reschedule)
     assert got == _drive(program, _cancel_and_schedule)
+    assert got == _drive(program, _arm)
     # re-keying into the past is refused, and only that
     assert all(raised == (delay < 0) for delay, raised in got[-1])
 

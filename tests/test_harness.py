@@ -6,6 +6,7 @@ import random
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 import blitzsim
 from blitzsim import harness
 from blitzsim.cli import main
-from blitzsim.engine import ms, seconds
+from blitzsim.engine import Simulator, ms, seconds
 from blitzsim.harness import (PRESETS, RUNS_HEADER, SIZES, TRACE_HEADER,
                               TRACE_ROWS, JitterDraw, PacketTrace, RunResult,
                               TwoFlowRun, Variant, _anova_two_groups, _t_abs_cdf,
@@ -268,6 +269,31 @@ def test_all_events_use_the_closed_kind_set():
     assert kinds <= set(EVENT_KINDS)
     assert {"packet-arrival", "packet-departure", "pacing-timer",
             "app-start"} <= kinds
+
+
+def test_each_timer_is_one_event_per_owner(monkeypatch):
+    # a timer is scheduled on its first arming and only re-keyed after, so
+    # even a lossy cell calls schedule at most once per timer and owner
+    calls = Counter()
+    schedule = Simulator.schedule
+
+    def counted(sim, fire_at, kind, target, fn, arg=None):
+        calls[fn.__func__.__qualname__, id(fn.__self__)] += 1
+        return schedule(sim, fire_at, kind, target, fn, arg)
+
+    monkeypatch.setattr(Simulator, "schedule", counted)
+    cfg = PRESETS["dsl-fast"]
+    result = TwoFlowRun(cfg, SIZES["2M"], Variant("blitz", 4.0), 0).run()
+    assert result.lost_pkts > 0
+    owners = Counter()
+    for (name, _owner), n in calls.items():
+        if name in ("Connection._on_pacing_timer", "Connection._on_pto",
+                    "Receiver._emit_ack", "TwoFlowRun._on_saturated"):
+            assert n == 1, name
+            owners[name] += 1
+    assert owners == {"Connection._on_pacing_timer": 2,
+                      "Connection._on_pto": 2, "Receiver._emit_ack": 2,
+                      "TwoFlowRun._on_saturated": 1}
 
 
 def test_blitz_run_reports_congestion_avoidance_from_first_packet():

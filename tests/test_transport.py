@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blitzsim.congestion import FLOOR_BYTES, CubicController
-from blitzsim.engine import PacketTrace, Simulator, ms, seconds, us
+from blitzsim.engine import PacketTrace, Simulator, ms, pending, seconds, us
 from blitzsim.harness import PRESETS, single_flow_run
 from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
                                SEGMENT_WIRE_BYTES, Link, LinkConfig)
@@ -106,9 +106,8 @@ def test_handshake_supplies_first_rtt_sample():
     sim, link, conn = make_conn(70_000)
     conn.start(0)
     sim.run_until(ms(51))
-    # one clean round trip before data: srtt = min_rtt = 50 ms
+    # one clean round trip before data: srtt = 50 ms
     assert conn.srtt == ms(50)
-    assert conn.min_rtt == ms(50)
     assert conn.rttvar == ms(25)
     assert conn.data_start_at == ms(50)
 
@@ -136,7 +135,7 @@ def test_window_limited_sender_sends_nothing_and_arms_no_timer():
     assert conn.pkts_sent == 32
     assert conn.in_flight == 32 * 1500
     assert conn.maybe_send(sim.now) == 0
-    assert conn._pacing_event is None
+    assert not pending(conn._pacing_event)
 
 
 def test_70KB_transfer_is_52_packets_and_reliable():
@@ -210,9 +209,8 @@ def test_rack_packet_threshold_declares_early_hole_lost():
     assert first.lost
     assert conn.lost_pkts >= 1
     # the hole went straight back out with a fresh packet number
-    retx = [r for r in conn.records.values() if r.is_retx]
-    assert [(r.seq, r.payload_len) for r in retx] == [(0, 1350)]
-    assert retx[0].pkt_num > 4 and retx[0].prev is first
+    assert conn.records_by_seq[0].pkt_num > 4
+    assert conn.bytes_retransmitted == 1350
 
 
 def test_lost_packet_acked_before_its_resend_is_not_resent():
@@ -279,9 +277,8 @@ def test_tail_loss_probe_retransmits_oldest():
     sim.run_until(ms(50) + first_interval + ms(1))
     assert conn.lost_pkts == 1
     assert first.lost
-    retx = [r for r in conn.records.values() if r.is_retx]
-    assert len(retx) == 1
-    assert retx[0].seq == 0 and retx[0].prev is first
+    assert conn.records_by_seq[0].pkt_num > 2
+    assert conn.bytes_retransmitted == 1350
     assert conn._pto_backoff == 1
 
 
@@ -304,10 +301,10 @@ def test_in_flight_bound_respected_at_every_send():
     sent_ok = []
     orig = conn._send_range
 
-    def checked(start, end, prev, now):
+    def checked(start, end, lost, now):
         wire = (end - start) + 150
         sent_ok.append(conn.in_flight + wire <= conn.controller.cwnd)
-        orig(start, end, prev, now)
+        orig(start, end, lost, now)
 
     conn._send_range = checked
     conn.start(0)
@@ -353,10 +350,10 @@ def test_srtt_smoothing_follows_7_8_rule():
     drive_handshake(conn, sim)
     assert conn.srtt == ms(50)
     conn._update_rtt(ms(90))
-    assert conn.srtt == (7 * ms(50) + ms(90)) // 8
-    assert conn.min_rtt == ms(50)
+    srtt = (7 * ms(50) + ms(90)) // 8
+    assert conn.srtt == srtt
     conn._update_rtt(ms(40))
-    assert conn.min_rtt == ms(40)
+    assert conn.srtt == (7 * srtt + ms(40)) // 8
 
 
 # -- bounded state ------------------------------------------------------------------

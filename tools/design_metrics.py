@@ -1,0 +1,132 @@
+"""Print the design-size figures of the blitzsim sources, one per line.
+
+Usage: python3 tools/design_metrics.py   (standard library only, no flags)
+
+src_lines
+    Lines of src/blitzsim/*.py, as `wc -l` counts them.
+settable_values
+    Values a caller or user can set independently, counted with `ast`:
+    - every parameter (positional-only, positional, keyword-only, *args
+      and **kwargs) of each function defined at module level and of each
+      method defined directly in a module-level class body, leaving out a
+      method's first parameter when it is named self or cls; nested
+      functions and lambdas are not counted;
+    - every annotated field of a module-level class decorated with
+      @dataclass, leaving out ClassVar annotations;
+    - every string in the `_SCENARIO_FILE_KEYS` set literal of harness.py
+      (the scenario-file keys);
+    - every `add_argument` call in cli.py whose first argument starts with
+      "-" (CLI flags, counted once per subcommand that takes them).
+events_per_data_packet
+    `Event` objects constructed per data packet sent, both flows counted,
+    on the dsl-fast 10M baseline cell, rep 0, seed 1. Counted by wrapping
+    `Event.__init__`.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PKG = SRC / "blitzsim"
+
+
+def src_lines() -> int:
+    return sum(path.read_bytes().count(b"\n")
+               for path in sorted(PKG.glob("*.py")))
+
+
+def _params(fn: ast.FunctionDef | ast.AsyncFunctionDef, method: bool) -> int:
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    if method and names and names[0] in ("self", "cls"):
+        names = names[1:]
+    return len(names)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else (
+            target.id if isinstance(target, ast.Name) else None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _is_classvar(annotation: ast.expr) -> bool:
+    node = annotation
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return ast.unparse(node).split(".")[-1] == "ClassVar"
+
+
+def settable_values() -> int:
+    total = 0
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                total += _params(node, method=False)
+            elif isinstance(node, ast.ClassDef):
+                dataclass = _is_dataclass(node)
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        total += _params(item, method=True)
+                    elif (dataclass and isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)
+                          and not _is_classvar(item.annotation)):
+                        total += 1
+            elif (path.name == "harness.py" and isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name)
+                          and t.id == "_SCENARIO_FILE_KEYS"
+                          for t in node.targets)):
+                total += len(node.value.elts)
+        if path.name == "cli.py":
+            for call in ast.walk(tree):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "add_argument" and call.args
+                        and isinstance(call.args[0], ast.Constant)
+                        and str(call.args[0].value).startswith("-")):
+                    total += 1
+    return total
+
+
+def events_per_data_packet() -> float:
+    sys.path.insert(0, str(SRC))
+    from blitzsim import engine
+    from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
+
+    made = 0
+    init = engine.Event.__init__
+
+    def counted(ev, *args):
+        nonlocal made
+        made += 1
+        init(ev, *args)
+
+    engine.Event.__init__ = counted
+    try:
+        run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"],
+                         Variant("baseline"), 0)
+        run.run()
+    finally:
+        engine.Event.__init__ = init
+    sent = run.long_conn.pkts_sent + run.short_conn.pkts_sent
+    return made / sent
+
+
+def main() -> int:
+    print(f"src_lines {src_lines()}")
+    print(f"settable_values {settable_values()}")
+    print(f"events_per_data_packet {events_per_data_packet():.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
