@@ -49,9 +49,9 @@ class Event:
     Heap ordering lives in the (fire_at, seq) tuple key the simulator
     pushes, so Event itself never gets compared. (fire_at, seq) is the key
     the event fires at; (heap_at, heap_seq) is the key of the earliest heap
-    entry that stands for it, which Simulator.reschedule can leave earlier
-    than the event's own key; heap_seq is -1 once a cancelled event's
-    entry has been popped.
+    entry that stands for it, which a re-key by Simulator.arm can leave
+    earlier than the event's own key; heap_seq is -1 once a cancelled
+    event's entry has been popped.
     """
 
     __slots__ = ("fire_at", "seq", "kind", "target", "fn", "arg", "cancelled",
@@ -123,14 +123,21 @@ class Simulator:
         self.scheduled += 1
         return ev
 
-    def reschedule(self, ev: Event, fire_at: SimTime) -> None:
-        """Move ev to fire_at, exactly as cancel(ev) and a fresh schedule().
+    def arm(self, ev: Optional[Event], fire_at: SimTime, kind: str,
+            target: str, fn: Callable) -> Event:
+        """(Re-)arm a timer: schedule it when ev is None, else re-key ev.
 
-        ev takes the next sequence number and counts as scheduled, and its
-        old key counts as cancelled if it was still pending. The heap is
-        only pushed when ev has no entry left or the new key is earlier
-        than its entry; a later key waits until run_until pops that entry.
+        A timer is one Event for its owner's lifetime. kind, target and fn
+        are only read on the first arming, when they go to schedule().
+        A re-key moves ev to fire_at exactly as cancel(ev) and a fresh
+        schedule() would: ev takes the next sequence number and counts as
+        scheduled, and its old key counts as cancelled if it was still
+        pending. The heap is only pushed when ev has no entry left or the
+        new key is earlier than its entry; a later key waits until
+        run_until pops that entry.
         """
+        if ev is None:
+            return self.schedule(fire_at, kind, target, fn)
         if fire_at < self.now:
             raise RuntimeError(
                 f"scheduled in the past: fire_at={fire_at} now={self.now}")
@@ -147,17 +154,6 @@ class Simulator:
             self.cancelled += 1
         ev.fire_at = fire_at
         ev.seq = seq
-
-    def arm(self, ev: Optional[Event], fire_at: SimTime, kind: str,
-            target: str, fn: Callable) -> Event:
-        """(Re-)arm a timer: schedule it when ev is None, else re-key ev.
-
-        A timer is one Event for its owner's lifetime. kind, target and fn
-        are only read on the first arming, when they go to schedule().
-        """
-        if ev is None:
-            return self.schedule(fire_at, kind, target, fn)
-        self.reschedule(ev, fire_at)
         return ev
 
     def cancel(self, ev: Optional[Event]) -> bool:

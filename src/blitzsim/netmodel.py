@@ -84,6 +84,7 @@ class Link:
         self.sim = sim
         self.config = config
         self.busy_until: SimTime = 0
+        self._serialization: dict[int, SimTime] = {}  # by packet length
         self.queued = 0
         self.max_queued = 0
         self.counters: defaultdict[int, FlowCounters] = defaultdict(FlowCounters)
@@ -98,8 +99,11 @@ class Link:
         if self.queued >= self.config.buffer_pkts:
             c.dropped += 1
             return None
-        start = max(self.busy_until, now)
-        departure = start + self.config.serialization_time(packet.len)
+        serialization = self._serialization.get(packet.len)
+        if serialization is None:
+            serialization = self.config.serialization_time(packet.len)
+            self._serialization[packet.len] = serialization
+        departure = max(self.busy_until, now) + serialization
         self.busy_until = departure
         self.queued += 1
         if self.queued > self.max_queued:

@@ -317,7 +317,8 @@ class Connection:
             self.next_seq = end
         self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
                           self._inject, pkt)
-        if not pending(self._pto_event):
+        pto = self._pto_event  # engine.pending, inline on the per-send path
+        if pto is None or pto.fire_at == -1 or pto.cancelled:
             self._arm_pto(now)
 
     def _inject(self, pkt: Packet, now: SimTime) -> None:
@@ -352,10 +353,22 @@ class Connection:
                 self.largest_acked_pkt = largest
                 self.largest_acked_sent_at = pkt.sent_at
 
+        # An ACK carries every range the receiver holds, and most of them
+        # are ranges the sender holds already, exactly. Coverage only
+        # grows, so such a range would add nothing even after the others
+        # merge: only the rest go to add(), in the ACK's order, as RFC 9002
+        # (A.7) does work only for newly acknowledged packets. The set is
+        # built only for ACKs of more than one range, so the one-range
+        # ACKs of a loss-free flow pay nothing for it.
         newly = 0
         newly_wire = 0
-        for start, end in ack.acked_ranges:
-            for added_start, added_end in self.acked_ranges.add(start, end):
+        acked = self.acked_ranges
+        ranges = ack.acked_ranges
+        held = set(acked.ranges) if len(ranges) > 1 else ()
+        for rng in ranges:
+            if rng in held:
+                continue
+            for added_start, added_end in acked.add(*rng):
                 newly += added_end - added_start
                 newly_wire += self._mark_acked(added_start, added_end)
         self.bytes_acked += newly

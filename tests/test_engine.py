@@ -169,10 +169,6 @@ def test_no_event_loss(plan):
     assert sim.scheduled - sim.cancelled == sim.dispatched
 
 
-def _reschedule(sim, handles, i, fire_at):
-    sim.reschedule(handles[i], fire_at)
-
-
 def _arm(sim, handles, i, fire_at):
     ev = handles[i]
     handles[i] = sim.arm(ev, fire_at, ev.kind, ev.target, ev.fn)
@@ -242,9 +238,8 @@ _op = st.one_of(
 @given(st.lists(_op, max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_reschedule_matches_cancel_then_schedule(program):
-    got = _drive(program, _reschedule)
+    got = _drive(program, _arm)
     assert got == _drive(program, _cancel_and_schedule)
-    assert got == _drive(program, _arm)
     # re-keying into the past is refused, and only that
     assert all(raised == (delay < 0) for delay, raised in got[-1])
 
@@ -254,7 +249,7 @@ def test_reschedule_later_pushes_nothing_until_the_old_key_pops():
     sim.recorder = PacketTrace(only={"event"})
     ev = sim.schedule(us(10), "loss-timer", "t", lambda now: None)
     for t in (us(20), us(30), us(40)):
-        sim.reschedule(ev, t)
+        assert sim.arm(ev, t, ev.kind, ev.target, ev.fn) is ev
     assert len(sim._heap) == 1
     assert (sim.scheduled, sim.cancelled) == (4, 3)
     sim.run_until(us(35))

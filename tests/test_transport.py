@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from blitzsim.congestion import FLOOR_BYTES, CubicController
 from blitzsim.engine import PacketTrace, Simulator, ms, pending, seconds, us
-from blitzsim.harness import PRESETS, single_flow_run
+from blitzsim.harness import (PRESETS, SIZES, TwoFlowRun, Variant,
+                              single_flow_run)
 from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
                                SEGMENT_WIRE_BYTES, Link, LinkConfig)
-from blitzsim.transport import (MAX_ACK_DELAY, Ack, Connection, RangeSet,
-                                 pacing_interval)
+from blitzsim.transport import (ACK_EVERY, MAX_ACK_DELAY, Ack, Connection,
+                                 RangeSet, pacing_interval)
 
 DSL_FAST = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=208)
 
@@ -190,6 +191,140 @@ def test_ack_below_prune_floor_is_old_not_an_anomaly():
     conn.on_ack(old, ms(56))
     assert conn.ack_anomalies == 0
     assert conn.largest_acked_pkt == 4
+
+
+# -- ACK processing cost ---------------------------------------------------------
+
+class UnheldRange(tuple):
+    """A byte range equal to no other, so on_ack never skips it as held.
+
+    Handing on_ack only such ranges makes it add() every range of every
+    ACK: the reference the skip of held ranges must match.
+    """
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return False
+
+
+def ack_observer(conn):
+    """Watch what ACKs do to conn: add() calls, controller calls, state."""
+    seen = {"adds": 0, "controller": [], "pkts": {}}
+    add = conn.acked_ranges.add
+
+    def counted_add(start, end):
+        seen["adds"] += 1
+        return add(start, end)
+
+    on_ack = conn.controller.on_ack
+
+    def controller_on_ack(*args, **kwargs):
+        seen["controller"].append((args, kwargs))
+        return on_ack(*args, **kwargs)
+
+    conn.acked_ranges.add = counted_add
+    conn.controller.on_ack = controller_on_ack
+
+    def state():
+        pkts = seen["pkts"]  # every packet sent so far, pruned ones too
+        for pkt in (*conn.records.values(), *conn.records_by_seq.values()):
+            pkts[pkt.pkt_num] = pkt
+        flags = [(num, pkt.acked, pkt.lost)
+                 for num, pkt in sorted(pkts.items())]
+        return (conn.bytes_acked, conn.in_flight,
+                list(conn.acked_ranges.ranges), seen["controller"][-1:], flags)
+    return seen, state
+
+
+def segment_ranges(size, segments):
+    """The merged byte ranges of a set of whole segments of the grid."""
+    ranges = []
+    for k in sorted(segments):
+        start = k * SEGMENT_PAYLOAD_BYTES
+        end = min(size, start + SEGMENT_PAYLOAD_BYTES)
+        if ranges and ranges[-1][1] == start:
+            ranges[-1] = (ranges[-1][0], end)
+        else:
+            ranges.append((start, end))
+    return ranges
+
+
+@given(size=st.sampled_from([20 * SEGMENT_PAYLOAD_BYTES + 100, 1 << 20]),
+       order=st.permutations(range(32)),
+       acks=st.lists(st.tuples(st.integers(1, 32), st.booleans()),
+                     min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_skipping_held_ack_ranges_leaves_the_state_of_adding_every_range(
+        size, order, acks):
+    # The receiver gets the first 32 segments in `order`. Each ACK reports
+    # the first n arrivals, so ACKs in any order of n are stale, duplicated
+    # and reordered ones, and a hole that a later arrival fills merges two
+    # held ranges. With the flag set, an ACK also repeats one of its ranges.
+    segments = [k for k in order if k * SEGMENT_PAYLOAD_BYTES < size]
+    sides = []
+    for _ in range(2):
+        sim, link, conn = make_conn(size, wire=False)
+        conn.start(0)
+        sim.run_until(ms(80))  # the first window is sent, nothing acked
+        sides.append((sim, conn, *ack_observer(conn)))
+    (sim, conn, seen, state), (ref_sim, ref_conn, ref_seen, ref_state) = sides
+    ranges_sent = 0
+    for i, (n, repeat) in enumerate(acks):
+        arrived = segments[:n]
+        ranges = segment_ranges(size, arrived)
+        if repeat:
+            ranges.append(ranges[0])
+        largest = max(arrived)
+        now = ms(81) + i * ms(1)
+        sim.run_until(now)
+        ref_sim.run_until(now)
+        assert state() == ref_state()
+        if not ref_conn.finished:
+            ranges_sent += len(ranges)
+        conn.on_ack(Ack(ranges, largest), now)
+        ref_conn.on_ack(Ack([UnheldRange(r) for r in ranges], largest), now)
+        assert state() == ref_state()
+    assert ref_seen["adds"] == ranges_sent  # the reference added every range
+    assert seen["adds"] <= ref_seen["adds"]
+    assert (conn.finished_at, conn.lost_pkts) == (ref_conn.finished_at,
+                                                 ref_conn.lost_pkts)
+
+
+def test_an_ack_adds_at_most_the_ranges_its_packets_changed():
+    # The reverse path is lossless and FIFO, so the sender holds exactly
+    # the ranges of the receiver's previous ACK. At most ACK_EVERY packets
+    # arrive between two ACKs and each changes one range of the list (a
+    # new range, an extended one, or two merged into one), so at most
+    # ACK_EVERY ranges of an ACK are not held already.
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant("blitz", 4.0),
+                     0)
+    per_ack = []
+    widest = 0
+    for conn in (run.long_conn, run.short_conn):
+        adds = [0]
+        add = conn.acked_ranges.add
+
+        def counted_add(start, end, add=add, adds=adds):
+            adds[0] += 1
+            return add(start, end)
+
+        on_ack = conn.on_ack
+
+        def measured_on_ack(ack, now, on_ack=on_ack, adds=adds):
+            nonlocal widest
+            widest = max(widest, len(ack.acked_ranges))
+            adds[0] = 0
+            on_ack(ack, now)
+            per_ack.append(adds[0])
+
+        conn.acked_ranges.add = counted_add
+        conn.on_ack = measured_on_ack
+    result = run.run()
+    assert result.lost_pkts > 0 and widest > 10 * ACK_EVERY
+    assert max(per_ack) <= ACK_EVERY
+    acks = run.long_conn.acks_received + run.short_conn.acks_received
+    assert sum(per_ack) < 2 * acks
 
 
 # -- loss detection --------------------------------------------------------------

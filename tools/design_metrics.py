@@ -21,6 +21,12 @@ events_per_data_packet
     `Event` objects constructed per data packet sent, both flows counted,
     on the dsl-fast 10M baseline cell, rep 0, seed 1. Counted by wrapping
     `Event.__init__`.
+range_adds_per_ack
+    `RangeSet.add` calls the senders make per ACK they receive, both flows
+    counted, on the dsl-fast 2M blitz:4 cell, rep 0, seed 1. An ACK
+    carries every range the receiver holds; a sender that merges only the
+    ranges it does not hold already makes about one call per ACK. Counted
+    by wrapping each sender's `acked_ranges.add`.
 """
 
 from __future__ import annotations
@@ -121,10 +127,31 @@ def events_per_data_packet() -> float:
     return made / sent
 
 
+def range_adds_per_ack() -> float:
+    sys.path.insert(0, str(SRC))
+    from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
+
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant("blitz", 4.0),
+                     0)
+    conns = (run.long_conn, run.short_conn)
+    made = 0
+    for conn in conns:
+        add = conn.acked_ranges.add
+
+        def counted(start, end, add=add):
+            nonlocal made
+            made += 1
+            return add(start, end)
+        conn.acked_ranges.add = counted
+    run.run()
+    return made / sum(conn.acks_received for conn in conns)
+
+
 def main() -> int:
     print(f"src_lines {src_lines()}")
     print(f"settable_values {settable_values()}")
     print(f"events_per_data_packet {events_per_data_packet():.2f}")
+    print(f"range_adds_per_ack {range_adds_per_ack():.2f}")
     return 0
 
 
