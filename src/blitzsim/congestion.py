@@ -115,6 +115,9 @@ class CubicController:
     def __init__(self, hystart_floor: SimTime = HYSTART_FLOOR):
         self.hystart_floor = hystart_floor
         self.mode = Mode.SLOW_START
+        # the fraction of the RTT a window is paced over, set with the mode:
+        # half the RTT in Slow Start, three quarters afterwards
+        self.pacing_fraction = PACE_SLOW_START
         self.cwnd = INITIAL_WINDOW_BYTES
         self.w_max_segments = 0.0
         self.epoch_start: SimTime = 0
@@ -143,17 +146,13 @@ class CubicController:
         ctrl._enter_avoidance_at_plateau(now)
         return ctrl
 
-    # -- pacing hooks ------------------------------------------------------
-
-    def pacing_fraction(self) -> tuple[int, int]:
-        # half the RTT in Slow Start, three quarters afterwards
-        return PACE_SLOW_START if self.mode is Mode.SLOW_START else PACE_AVOIDANCE
-
     # -- state transitions --------------------------------------------------
 
     def _set_mode(self, mode: Mode, now: SimTime) -> None:
         if mode is not self.mode:
             self.mode = mode
+            self.pacing_fraction = (PACE_SLOW_START if mode is Mode.SLOW_START
+                                    else PACE_AVOIDANCE)
             self.mode_trace.append((now, mode))
 
     def _enter_avoidance_at_plateau(self, now: SimTime) -> None:

@@ -31,40 +31,29 @@ def seconds(n: float) -> SimTime:
     return int(n * NS_PER_S)
 
 
-# Closed set of event kinds; new behaviors ride in the callback payload,
-# never in new queue semantics.
-EVENT_KINDS = (
-    "packet-arrival",
-    "packet-departure",
-    "pacing-timer",
-    "loss-timer",
-    "app-start",
-    "sim-end",
-)
+# Passed as schedule()'s arg by Simulator.arm on a timer's first arming.
+TIMER = object()
 
 
 class Event:
-    """A scheduled callback with a total-order key and a cancel flag.
+    """A re-armable timer, made by Simulator.arm, with a cancel flag.
 
-    Heap ordering lives in the (fire_at, seq) tuple key the simulator
-    pushes, so Event itself never gets compared. (fire_at, seq) is the key
-    the event fires at; (heap_at, heap_seq) is the key of the earliest heap
-    entry that stands for it, which a re-key by Simulator.arm can leave
-    earlier than the event's own key; heap_seq is -1 once a cancelled
-    event's entry has been popped.
+    (fire_at, seq) is the key the timer fires at; (heap_at, heap_seq) is
+    the key of the earliest heap entry that stands for it, which a re-key
+    can leave earlier than the timer's own key; heap_seq is -1 once a
+    cancelled timer's entry has been popped.
     """
 
-    __slots__ = ("fire_at", "seq", "kind", "target", "fn", "arg", "cancelled",
+    __slots__ = ("fire_at", "seq", "kind", "target", "fn", "cancelled",
                  "heap_at", "heap_seq")
 
     def __init__(self, fire_at: SimTime, seq: int, kind: str, target: str,
-                 fn: Callable, arg: object):
+                 fn: Callable):
         self.fire_at = fire_at
         self.seq = seq
         self.kind = kind
         self.target = target
         self.fn = fn
-        self.arg = arg
         self.cancelled = False
         self.heap_at = fire_at
         self.heap_seq = seq
@@ -98,11 +87,17 @@ class PacketTrace:
 
 
 class Simulator:
-    """Single-threaded event loop over an integer-nanosecond clock."""
+    """Single-threaded event loop over an integer-nanosecond clock.
+
+    The heap holds (fire_at, seq, fn, arg, kind, target) tuples, ordered
+    by their unique (fire_at, seq) prefix. A fire-and-forget event is just
+    its tuple. A timer's tuple has fn None and its Event as arg; a re-keyed
+    or cancelled timer leaves dead tuples behind, which run_until skips.
+    """
 
     def __init__(self):
         self.now: SimTime = 0
-        self._heap: list[tuple[SimTime, int, Event]] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self.scheduled = 0
         self.cancelled = 0
@@ -111,17 +106,25 @@ class Simulator:
         self.recorder: Optional[PacketTrace] = None  # every layer's rows
 
     def schedule(self, fire_at: SimTime, kind: str, target: str,
-                 fn: Callable, arg: object = None) -> Event:
-        """Schedule fn(now) (or fn(arg, now) when arg is given) at fire_at."""
+                 fn: Callable, arg: object = None) -> Optional[Event]:
+        """Schedule fn(now) (or fn(arg, now) when arg is given) at fire_at.
+
+        The event cannot be cancelled, and nothing is returned. Only
+        Simulator.arm passes arg=TIMER: the first arming of a timer, which
+        schedule() builds and returns as an Event.
+        """
         if fire_at < self.now:
             raise RuntimeError(
                 f"scheduled in the past: fire_at={fire_at} now={self.now}")
         seq = self._seq
-        ev = Event(fire_at, seq, kind, target, fn, arg)
-        heapq.heappush(self._heap, (fire_at, seq, ev))
         self._seq = seq + 1
         self.scheduled += 1
-        return ev
+        if arg is TIMER:
+            ev = Event(fire_at, seq, kind, target, fn)
+            heapq.heappush(self._heap, (fire_at, seq, None, ev, kind, target))
+            return ev
+        heapq.heappush(self._heap, (fire_at, seq, fn, arg, kind, target))
+        return None
 
     def arm(self, ev: Optional[Event], fire_at: SimTime, kind: str,
             target: str, fn: Callable) -> Event:
@@ -130,14 +133,14 @@ class Simulator:
         A timer is one Event for its owner's lifetime. kind, target and fn
         are only read on the first arming, when they go to schedule().
         A re-key moves ev to fire_at exactly as cancel(ev) and a fresh
-        schedule() would: ev takes the next sequence number and counts as
+        arming would: ev takes the next sequence number and counts as
         scheduled, and its old key counts as cancelled if it was still
         pending. The heap is only pushed when ev has no entry left or the
         new key is earlier than its entry; a later key waits until
         run_until pops that entry.
         """
         if ev is None:
-            return self.schedule(fire_at, kind, target, fn)
+            return self.schedule(fire_at, kind, target, fn, TIMER)
         if fire_at < self.now:
             raise RuntimeError(
                 f"scheduled in the past: fire_at={fire_at} now={self.now}")
@@ -145,7 +148,8 @@ class Simulator:
         self._seq = seq + 1
         self.scheduled += 1
         if ev.fire_at == -1 or ev.heap_seq == -1 or fire_at < ev.heap_at:
-            heapq.heappush(self._heap, (fire_at, seq, ev))
+            heapq.heappush(self._heap,
+                           (fire_at, seq, None, ev, ev.kind, ev.target))
             ev.heap_at = fire_at
             ev.heap_seq = seq
         if ev.cancelled:
@@ -157,7 +161,7 @@ class Simulator:
         return ev
 
     def cancel(self, ev: Optional[Event]) -> bool:
-        """Mark ev dead. Returns False if it is None, fired or cancelled."""
+        """Mark a timer dead. Returns False if it is None, fired or cancelled."""
         if ev is None or ev.fire_at == -1 or ev.cancelled:
             return False
         ev.cancelled = True
@@ -183,29 +187,34 @@ class Simulator:
             record = None
         first = self.dispatched
         while heap:
-            fire_at = heap[0][0]
-            if end is not None and fire_at > end:
+            if end is not None and heap[0][0] > end:
                 break
-            _, seq, ev = pop(heap)
-            if seq != ev.seq or ev.cancelled:
-                # a dead key; ev's earliest entry makes way for its own key
-                if seq == ev.heap_seq:
-                    if ev.cancelled:
-                        ev.heap_seq = -1
-                    else:
-                        ev.heap_at = ev.fire_at
-                        ev.heap_seq = ev.seq
-                        heapq.heappush(heap, (ev.fire_at, ev.seq, ev))
-                continue
+            fire_at, seq, fn, arg, kind, target = pop(heap)
+            if fn is None:  # a timer; arg is its Event
+                ev = arg
+                if seq != ev.seq or ev.cancelled:
+                    # a dead key; the timer's earliest entry makes way for
+                    # its own key
+                    if seq == ev.heap_seq:
+                        if ev.cancelled:
+                            ev.heap_seq = -1
+                        else:
+                            ev.heap_at = ev.fire_at
+                            ev.heap_seq = ev.seq
+                            heapq.heappush(heap, (ev.fire_at, ev.seq, None,
+                                                  ev, kind, target))
+                    continue
+                ev.fire_at = -1  # consumed; cancel() becomes a no-op
+                fn = ev.fn
+                arg = None
             self.now = fire_at
-            ev.fire_at = -1  # consumed; cancel() becomes a no-op
             if record is not None:
-                record((fire_at, seq, "event", ev.kind, ev.target))
+                record((fire_at, seq, "event", kind, target))
             self.dispatched += 1
-            if ev.arg is None:
-                ev.fn(fire_at)
+            if arg is None:
+                fn(fire_at)
             else:
-                ev.fn(ev.arg, fire_at)
+                fn(arg, fire_at)
             if self._stop:
                 return self.dispatched - first
         if end is not None and end > self.now:

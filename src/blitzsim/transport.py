@@ -54,13 +54,30 @@ class RangeSet:
     def add(self, start: int, end: int) -> list[tuple[int, int]]:
         """Insert [start, end); returns the newly covered subranges.
 
-        ranges[lo:hi] are the ranges that overlap or touch [start, end):
-        the gaps between them are the new bytes, and one merged range takes
-        their place. Extending the last range and re-adding covered bytes
-        cost two bisections.
+        A range that starts within or at the end of the last range, as
+        in-order data and a growing ACK range do, only moves that range's
+        end. Any other goes to _merge.
         """
         if end <= start:
             return []
+        ranges = self.ranges
+        if ranges:
+            last_start, last_end = ranges[-1]
+            if last_start <= start <= last_end:
+                if end <= last_end:
+                    return []
+                ranges[-1] = (last_start, end)
+                self.total += end - last_end
+                return [(last_end, end)]
+        return self._merge(start, end)
+
+    def _merge(self, start: int, end: int) -> list[tuple[int, int]]:
+        """add() for any non-empty [start, end), by bisection.
+
+        ranges[lo:hi] are the ranges that overlap or touch [start, end):
+        the gaps between them are the new bytes, and one merged range takes
+        their place.
+        """
         ranges = self.ranges
         lo = bisect.bisect_left(ranges, (start,))
         if lo and ranges[lo - 1][1] >= start:
@@ -234,60 +251,51 @@ class Connection:
 
     # -- sending ------------------------------------------------------------
 
-    def _next_chunk(self) -> Optional[tuple[int, int, Optional[Packet]]]:
-        """(seq_start, seq_end, lost copy or None) of the next packet.
+    def maybe_send(self, now: SimTime) -> int:
+        """Release packets while data, window, and pacer all permit.
 
         Every packet is one segment of the payload grid and ACK ranges are
         unions of whole packets, so a lost packet is acked whole or not at
-        all: an acked one leaves the queue, any other goes out again whole.
+        all: an acked one leaves the retransmission queue, any other goes
+        out again whole, before new data. A blocked packet stays where it
+        is, at the queue's front or at next_seq.
         """
-        while self.retx_queue:
-            lost = self.retx_queue.popleft()
-            if not lost.acked:
-                return lost.seq, lost.seq + lost.payload_len, lost
-        if self.next_seq < self.size:
-            start = self.next_seq
-            end = min(self.size, start + SEGMENT_PAYLOAD_BYTES)
-            return start, end, None
-        return None
-
-    def maybe_send(self, now: SimTime) -> int:
-        """Release packets while data, window, and pacer all permit."""
         if self.finished_at is not None:
             return 0
+        ctrl = self.controller
+        retx = self.retx_queue
         sent = 0
         while True:
-            chunk = self._next_chunk()
-            if chunk is None:
+            while retx and retx[0].acked:
+                retx.popleft()
+            if retx:
+                lost = retx[0]
+                start = lost.seq
+                end = start + lost.payload_len
+            elif self.next_seq < self.size:
+                lost = None
+                start = self.next_seq
+                end = min(self.size, start + SEGMENT_PAYLOAD_BYTES)
+            else:
                 break
-            start, end, lost = chunk
-            wire = (end - start) + HEADER_BYTES
-            if self.in_flight + wire > self.controller.cwnd:
-                # window-limited: progress resumes on the next ACK
-                if lost is not None:
-                    self.retx_queue.appendleft(lost)
-                break
+            if self.in_flight + (end - start) + HEADER_BYTES > ctrl.cwnd:
+                break  # window-limited: progress resumes on the next ACK
             if self.burst_remaining:
                 self.burst_remaining -= 1
-            elif self.next_release > now:
-                # pacer gate closed; a lost packet goes back to the queue,
-                # new data simply stays at next_seq
-                if lost is not None:
-                    self.retx_queue.appendleft(lost)
+            elif self.next_release > now:  # the pacer gate is closed
                 if not pending(self._pacing_event):
                     self._pacing_event = self.sim.arm(
                         self._pacing_event, self.next_release, "pacing-timer",
                         self._target, self._on_pacing_timer)
                 break
+            if lost is not None:
+                retx.popleft()
             self._send_range(start, end, lost, now)
             sent += 1
             if self.burst_remaining == 0:
-                self.next_release = now + self._interval()
+                self.next_release = now + pacing_interval(
+                    ctrl.cwnd, self.srtt, ctrl.pacing_fraction)
         return sent
-
-    def _interval(self) -> SimTime:
-        ctrl = self.controller
-        return pacing_interval(ctrl.cwnd, self.srtt, ctrl.pacing_fraction())
 
     def _on_pacing_timer(self, now: SimTime) -> None:
         self.maybe_send(now)

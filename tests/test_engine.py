@@ -28,7 +28,7 @@ def test_same_time_events_dispatch_in_scheduling_order():
 def test_cancelled_event_never_dispatches():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(us(5), "loss-timer", "t", lambda now: fired.append(1))
+    ev = sim.arm(None, us(5), "loss-timer", "t", lambda now: fired.append(1))
     assert sim.cancel(ev)
     sim.run_until(None)
     assert fired == []
@@ -37,7 +37,7 @@ def test_cancelled_event_never_dispatches():
 
 def test_cancel_twice_counts_once():
     sim = Simulator()
-    ev = sim.schedule(us(5), "loss-timer", "t", lambda now: None)
+    ev = sim.arm(None, us(5), "loss-timer", "t", lambda now: None)
     assert sim.cancel(ev)
     assert not sim.cancel(ev)
     assert sim.cancelled == 1
@@ -60,9 +60,19 @@ def test_arm_schedules_once_then_rekeys_the_same_event():
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (3, 2, 1)
 
 
+def test_schedule_returns_nothing_to_cancel():
+    sim = Simulator()
+    fired = []
+    assert sim.schedule(us(5), "packet-arrival", "t",
+                        lambda arg, now: fired.append((arg, now)), 7) is None
+    sim.run_until(None)
+    assert fired == [(7, us(5))]
+    assert (sim.scheduled, sim.cancelled, sim.dispatched) == (1, 0, 1)
+
+
 def test_cancel_after_dispatch_is_noop():
     sim = Simulator()
-    ev = sim.schedule(us(5), "loss-timer", "t", lambda now: None)
+    ev = sim.arm(None, us(5), "loss-timer", "t", lambda now: None)
     sim.run_until(None)
     assert not sim.cancel(ev)
 
@@ -127,7 +137,7 @@ def _random_workload(sim: Simulator, seed: int) -> list:
         log.append(now)
         for _ in range(rng.randrange(0, 3)):
             delay = rng.randrange(1, 1000)
-            ev = sim.schedule(now + delay, "pacing-timer", "w", spawn)
+            ev = sim.arm(None, now + delay, "pacing-timer", "w", spawn)
             if rng.random() < 0.2:
                 sim.cancel(ev)
 
@@ -162,10 +172,55 @@ def test_no_event_loss(plan):
     # scheduled - cancelled = dispatched after draining the queue
     sim = Simulator()
     for fire_at, cancel in plan:
-        ev = sim.schedule(fire_at, "pacing-timer", "p", lambda now: None)
+        ev = sim.arm(None, fire_at, "pacing-timer", "p", lambda now: None)
         if cancel:
             sim.cancel(ev)
     sim.run_until(None)
+    assert sim.scheduled - sim.cancelled == sim.dispatched
+
+
+_mixed_op = st.one_of(
+    st.tuples(st.just("plain"), st.integers(0, 3)),
+    st.tuples(st.just("timer"), st.integers(0, 3)),
+    st.tuples(st.just("rekey"), st.integers(0, 7), st.integers(0, 3)),
+    st.tuples(st.just("cancel"), st.integers(0, 7)),
+)
+
+
+@given(st.lists(_mixed_op, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_plain_and_timer_entries_dispatch_in_fire_at_seq_order(program):
+    # every schedule and arm takes the next sequence number, so the live
+    # keys are known up front: every plain event's, and each uncancelled
+    # timer's last one
+    sim = Simulator()
+    sim.recorder = PacketTrace(only={"event"})
+    timers, live, plain = [], {}, []
+    for op in program:
+        seq = sim.scheduled
+        if op[0] == "plain":
+            sim.schedule(op[1], "packet-arrival", f"p{seq}", lambda now: None)
+            plain.append((op[1], seq, f"p{seq}"))
+        elif op[0] == "timer":
+            i = len(timers)
+            timers.append(sim.arm(None, op[1], "pacing-timer", f"t{i}",
+                                  lambda now: None))
+            live[i] = (op[1], seq, f"t{i}")
+        elif not timers:
+            continue
+        elif op[0] == "rekey":
+            i = op[1] % len(timers)
+            sim.arm(timers[i], op[2], "pacing-timer", f"t{i}", None)
+            live[i] = (op[2], seq, f"t{i}")
+        else:
+            i = op[1] % len(timers)
+            sim.cancel(timers[i])
+            live.pop(i, None)
+    sim.run_until(None)
+    got = [(fire_at, seq, target)
+           for fire_at, seq, _event, _kind, target in sim.recorder.rows]
+    assert got == sorted(plain + list(live.values()))
+    assert sim.dispatched == len(got)
     assert sim.scheduled - sim.cancelled == sim.dispatched
 
 
@@ -174,17 +229,17 @@ def _arm(sim, handles, i, fire_at):
     handles[i] = sim.arm(ev, fire_at, ev.kind, ev.target, ev.fn)
 
 
-def _cancel_and_schedule(sim, handles, i, fire_at):
-    """The reference re-key: cancel the event and schedule a fresh one."""
+def _cancel_and_arm(sim, handles, i, fire_at):
+    """The reference re-key: cancel the timer and arm a fresh one."""
     if fire_at < sim.now:
         raise RuntimeError("scheduled in the past")
     ev = handles[i]
     sim.cancel(ev)
-    handles[i] = sim.schedule(fire_at, ev.kind, ev.target, ev.fn, ev.arg)
+    handles[i] = sim.arm(None, fire_at, ev.kind, ev.target, ev.fn)
 
 
 def _drive(program, rekey):
-    """Play a schedule/cancel/re-key/run program; what a run can observe.
+    """Play an arm/cancel/re-key/run program; what a run can observe.
 
     That includes which handles are pending after each step.
     """
@@ -205,9 +260,9 @@ def _drive(program, rekey):
 
     for op, a, b in program:
         if op == "schedule":
-            handles.append(sim.schedule(sim.now + a, "loss-timer",
-                                        f"e{len(handles)}",
-                                        callback([b] if b else [])))
+            handles.append(sim.arm(None, sim.now + a, "loss-timer",
+                                   f"e{len(handles)}",
+                                   callback([b] if b else [])))
         elif op == "run":
             sim.run_until(sim.now + a)
         elif handles and op == "cancel":
@@ -239,7 +294,7 @@ _op = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_reschedule_matches_cancel_then_schedule(program):
     got = _drive(program, _arm)
-    assert got == _drive(program, _cancel_and_schedule)
+    assert got == _drive(program, _cancel_and_arm)
     # re-keying into the past is refused, and only that
     assert all(raised == (delay < 0) for delay, raised in got[-1])
 
@@ -247,7 +302,7 @@ def test_reschedule_matches_cancel_then_schedule(program):
 def test_reschedule_later_pushes_nothing_until_the_old_key_pops():
     sim = Simulator()
     sim.recorder = PacketTrace(only={"event"})
-    ev = sim.schedule(us(10), "loss-timer", "t", lambda now: None)
+    ev = sim.arm(None, us(10), "loss-timer", "t", lambda now: None)
     for t in (us(20), us(30), us(40)):
         assert sim.arm(ev, t, ev.kind, ev.target, ev.fn) is ev
     assert len(sim._heap) == 1

@@ -262,11 +262,12 @@ def test_fct_lower_bound_two_round_trips():
 
 
 def test_all_events_use_the_closed_kind_set():
-    from blitzsim.engine import EVENT_KINDS
+    # new behaviours ride in the callback payload, never in new kinds
     trace = PacketTrace(only={"event"})
     TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0).run(trace)
     kinds = {kind for _t, _s, _event, kind, _target in trace.rows}
-    assert kinds <= set(EVENT_KINDS)
+    assert kinds <= {"packet-arrival", "packet-departure", "pacing-timer",
+                     "loss-timer", "app-start", "sim-end"}
     assert {"packet-arrival", "packet-departure", "pacing-timer",
             "app-start"} <= kinds
 

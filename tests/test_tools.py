@@ -5,14 +5,16 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "design_metrics.py"
 
 
-def test_design_metrics_prints_its_four_figures():
+def test_design_metrics_prints_every_figure():
     out = subprocess.run([sys.executable, str(TOOL)], capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     figures = dict(line.split() for line in out.stdout.splitlines())
     assert set(figures) == {"src_lines", "settable_values",
-                            "events_per_data_packet", "range_adds_per_ack"}
+                            "events_per_data_packet", "calls_per_data_packet",
+                            "range_adds_per_ack"}
     assert int(figures["src_lines"]) > 0
     assert int(figures["settable_values"]) > 0
     assert float(figures["events_per_data_packet"]) > 0
+    assert float(figures["calls_per_data_packet"]) > 0
     assert float(figures["range_adds_per_ack"]) > 0

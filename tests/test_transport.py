@@ -101,6 +101,29 @@ def test_rangeset_add_matches_byte_set_model(adds):
         assert rs.total == len(covered)
 
 
+_range_op = st.one_of(
+    # in order: from the highest end so far, or from within the last range
+    st.tuples(st.just("next"), st.integers(0, 40), st.integers(0, 60)),
+    st.tuples(st.just("any"), st.integers(0, 300), st.integers(0, 300)),
+)
+
+
+@given(st.lists(_range_op, max_size=40), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rangeset_in_order_fast_path_matches_the_general_path(ops, in_order):
+    fast, general = RangeSet(), RangeSet()
+    for kind, a, b in ops:
+        if kind == "next" or in_order:
+            top = fast.ranges[-1][1] if fast.ranges else 0
+            start, end = max(0, top - a), top + b
+        else:
+            start, end = a, b
+        expected = general._merge(start, end) if end > start else []
+        assert fast.add(start, end) == expected
+        assert fast.ranges == general.ranges
+        assert fast.total == general.total
+
+
 # -- handshake and first flight -------------------------------------------------
 
 def test_handshake_supplies_first_rtt_sample():

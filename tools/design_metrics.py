@@ -20,7 +20,13 @@ settable_values
 events_per_data_packet
     `Event` objects constructed per data packet sent, both flows counted,
     on the dsl-fast 10M baseline cell, rep 0, seed 1. Counted by wrapping
-    `Event.__init__`.
+    `Event.__init__`. Only timers are `Event`s, one per timer and owner,
+    so this is a few per run; printed to four places.
+calls_per_data_packet
+    Python function calls per data packet sent, on the same cell: the
+    `call` events a `sys.setprofile` hook sees while the run simulates,
+    over both flows' data packets. Calls into C, such as heapq and bisect,
+    are not counted.
 range_adds_per_ack
     `RangeSet.add` calls the senders make per ACK they receive, both flows
     counted, on the dsl-fast 2M blitz:4 cell, rep 0, seed 1. An ACK
@@ -127,6 +133,26 @@ def events_per_data_packet() -> float:
     return made / sent
 
 
+def calls_per_data_packet() -> float:
+    sys.path.insert(0, str(SRC))
+    from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
+
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"], Variant("baseline"), 0)
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run.run()
+    finally:
+        sys.setprofile(None)
+    return calls / (run.long_conn.pkts_sent + run.short_conn.pkts_sent)
+
+
 def range_adds_per_ack() -> float:
     sys.path.insert(0, str(SRC))
     from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
@@ -150,7 +176,8 @@ def range_adds_per_ack() -> float:
 def main() -> int:
     print(f"src_lines {src_lines()}")
     print(f"settable_values {settable_values()}")
-    print(f"events_per_data_packet {events_per_data_packet():.2f}")
+    print(f"events_per_data_packet {events_per_data_packet():.4f}")
+    print(f"calls_per_data_packet {calls_per_data_packet():.2f}")
     print(f"range_adds_per_ack {range_adds_per_ack():.2f}")
     return 0
 
