@@ -284,6 +284,7 @@ class TwoFlowRun:
         self.cfg = cfg
         self.variant = variant
         self.rep = rep
+        self.stop_on_completion = stop_on_completion
         self.sim = sim = Simulator()
         self.link = link = Link(sim, cfg.link_config())
 
@@ -299,27 +300,19 @@ class TwoFlowRun:
         self.short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
                                      _short_controller_factory(cfg, variant),
                                      jitter=jitter)
-        self.receivers = (self.long_conn.receiver, self.short_conn.receiver)
         self.sat_at: Optional[SimTime] = None
         self.sat_check = None  # the saturation check's Event, once armed
         self.short_bytes = 0  # bottleneck departures while the short flow runs
         self.long_bytes = 0
 
-        link.deliver = self._deliver
-        link.on_departure = self._on_departure
         link.on_occupancy = self._on_occupancy
-        if stop_on_completion:
-            self.short_conn.on_finished = self._stop
+        self.short_conn.on_started = self._on_started
+        self.short_conn.on_finished = self._on_finished
         sim.schedule(cfg.sim_cap, "sim-end", "cap", self._stop)
         self.long_conn.start(0)
 
-    def _deliver(self, pkt: Packet, now: SimTime) -> None:
-        self.receivers[pkt.flow_id].on_data(pkt, now)
-
-    def _on_departure(self, pkt: Packet, now: SimTime) -> None:
-        short = self.short_conn
-        if short.start_at is None or short.finished_at is not None:
-            return
+    def _on_departure(self, pkt: Packet, departed_at: SimTime) -> None:
+        # hooked while the short flow runs
         if pkt.flow_id == SHORT_FLOW:
             self.short_bytes += pkt.len
         else:
@@ -337,19 +330,46 @@ class TwoFlowRun:
             self.sim.cancel(self.sat_check)
 
     def _on_saturated(self, now: SimTime) -> None:
+        # Armed 2 rtt ago, when the queue became non-empty. A departure
+        # before now that empties it cancels the check; one at exactly now
+        # comes after it.
+        link = self.link
+        link.retire(now, now - 2 * self.cfg.rtt)
+        if not link.queued:
+            return
         self.sat_at = now
-        self.link.on_occupancy = None
+        link.on_occupancy = None
         self.sim.schedule(now + self.cfg.short_flow_start + self.start_jitter,
                           "app-start", f"conn:{SHORT_FLOW}",
                           self.short_conn.start)
+
+    # The link retires departures lazily, so each edge of the fairness
+    # window first retires the departures that rank before its event (see
+    # Link.retire), then turns the byte count on or off.
+
+    def _on_started(self, now: SimTime) -> None:
+        self.link.retire(now, self.sat_at)  # app-start was scheduled at sat_at
+        self.link.on_departure = self._on_departure
+
+    def _on_finished(self, now: SimTime) -> None:
+        # the finishing ACK was scheduled a reverse delay ago
+        link = self.link
+        link.retire(now, now - self.short_conn.reverse_delay)
+        link.on_departure = None
+        if self.stop_on_completion:
+            self.sim.stop()
 
     def _stop(self, now: SimTime) -> None:
         self.sim.stop()
 
     def run(self, recorder: Optional[PacketTrace] = None) -> RunResult:
         """Simulate to the end, recording into recorder if given."""
-        self.sim.recorder = recorder
-        self.sim.run_until(None)
+        sim = self.sim
+        sim.recorder = recorder
+        sim.run_until(None)
+        # The run stopped in the short flow's finish, which retired the
+        # link itself, or in sim-end, scheduled before any other event.
+        self.link.retire(sim.now, 0)
         short = self.short_conn
         return RunResult(
             scenario=self.cfg.name,
@@ -386,9 +406,9 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
     conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
                       _baseline_factory(cfg.hystart_floor),
                       jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max).draw)
-    link.deliver = conn.receiver.on_data
     conn.start(0)
     sim.run_until(duration)
+    link.retire(duration, duration)
     return conn
 
 

@@ -6,11 +6,15 @@ rate with a single-packet burst, so a packet enqueued on an idle link still
 departs one full serialization time later, and back-to-back packets depart
 exactly one serialization time apart. The configured round-trip is split as
 symmetric propagation delay on each direction; queueing adds on top.
+
+A packet costs the link one event, its arrival at the far end, scheduled
+when the packet is admitted. Its departure is bookkeeping done lazily, in
+departure order (Link.retire).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -75,9 +79,20 @@ class Link:
     """One direction of the bottleneck: shaper, drop-tail queue, delay.
 
     Departure times are fixed at enqueue time from the shaper state, which
-    keeps event counts linear in packets (no periodic refill events). The
-    queue is FIFO by construction: departures are scheduled in enqueue
-    order at strictly increasing times.
+    keeps event counts linear in packets (no periodic refill events), and
+    so is the arrival one propagation delay later, which enqueue schedules
+    at once. An arriving packet goes to the receiver registered for its
+    flow in `receivers`, if any. The queue is FIFO by construction:
+    packets depart in enqueue order at strictly increasing times.
+
+    A departure is not an event. `queue` holds (departure time, packet)
+    for each packet still queued, and retire() does what a departure
+    does, in departure order: the packet leaves `queued`, counts as
+    `departed` and goes to on_departure(packet, departure time), and the
+    one that empties the queue calls on_occupancy(departure time, 0).
+    enqueue retires up to its own nanosecond, so a packet departing as
+    another arrives frees its slot; any other reader of the queue, the
+    counters or the hooks' results retires first.
     """
 
     def __init__(self, sim: Simulator, config: LinkConfig):
@@ -85,19 +100,39 @@ class Link:
         self.config = config
         self.busy_until: SimTime = 0
         self._serialization: dict[int, SimTime] = {}  # by packet length
-        self.queued = 0
+        self.queue: deque[tuple[SimTime, Packet]] = deque()
         self.max_queued = 0
         self.counters: defaultdict[int, FlowCounters] = defaultdict(FlowCounters)
-        self.deliver: Optional[Callable[[Packet, SimTime], None]] = None
+        self.receivers: dict[int, Callable[[Packet, SimTime], None]] = {}
         self.on_departure: Optional[Callable[[Packet, SimTime], None]] = None
         self.on_occupancy: Optional[Callable[[SimTime, int], None]] = None
 
+    @property
+    def queued(self) -> int:
+        """Packets admitted and not yet retired."""
+        return len(self.queue)
+
     def enqueue(self, packet: Packet, now: SimTime) -> Optional[SimTime]:
-        """Admit a packet; returns its departure time, or None if dropped."""
+        """Admit a packet; returns its departure time, or None if dropped.
+
+        Every departure at or before now is retired first. With a
+        recorder, the packet's "send" row is taken, and a "drop" row too
+        when the buffer is full.
+        """
+        queue = self.queue
+        if queue and queue[0][0] <= now:
+            self.retire(now, now)
         c = self.counters[packet.flow_id]
         c.injected += 1
-        if self.queued >= self.config.buffer_pkts:
+        record = self.sim.recorder
+        if record is not None:
+            record((now, packet.flow_id, "send", packet.pkt_num, packet.seq,
+                    packet.len))
+        if len(queue) >= self.config.buffer_pkts:
             c.dropped += 1
+            if record is not None:
+                record((now, packet.flow_id, "drop", packet.pkt_num,
+                        packet.seq, packet.len))
             return None
         serialization = self._serialization.get(packet.len)
         if serialization is None:
@@ -105,30 +140,46 @@ class Link:
             self._serialization[packet.len] = serialization
         departure = max(self.busy_until, now) + serialization
         self.busy_until = departure
-        self.queued += 1
-        if self.queued > self.max_queued:
-            self.max_queued = self.queued
-        if self.queued == 1 and self.on_occupancy is not None:
-            self.on_occupancy(now, self.queued)
-        self.sim.schedule(departure, "packet-departure", LINK_TARGET,
-                          self._depart, packet)
+        queue.append((departure, packet))
+        queued = len(queue)
+        if queued > self.max_queued:
+            self.max_queued = queued
+        if queued == 1 and self.on_occupancy is not None:
+            self.on_occupancy(now, 1)
+        self.sim.schedule(departure + self.config.prop_delay, "packet-arrival",
+                          LINK_TARGET, self._arrive, packet)
         return departure
 
-    def _depart(self, packet: Packet, now: SimTime) -> None:
-        self.queued -= 1
-        self.counters[packet.flow_id].departed += 1
-        if self.on_departure is not None:
-            self.on_departure(packet, now)
-        if self.queued == 0 and self.on_occupancy is not None:
-            self.on_occupancy(now, 0)
-        arrive_at = now + self.config.prop_delay
-        self.sim.schedule(arrive_at, "packet-arrival", LINK_TARGET,
-                          self._arrive, packet)
+    def retire(self, until: SimTime, scheduled_at: SimTime) -> None:
+        """Retire each departure that comes before an event at until.
+
+        The event fires at until and was scheduled at scheduled_at. A
+        departure ranks among the events of its nanosecond as if it were
+        an event scheduled when its packet was enqueued (its sent_at): it
+        comes first if it departs before until, or at until from a packet
+        enqueued before scheduled_at. Scheduled in the same nanosecond,
+        the event comes first.
+        """
+        queue = self.queue
+        counters = self.counters
+        on_departure = self.on_departure
+        while queue:
+            departure, packet = queue[0]
+            if departure >= until and (departure > until
+                                       or packet.sent_at >= scheduled_at):
+                return
+            queue.popleft()
+            counters[packet.flow_id].departed += 1
+            if on_departure is not None:
+                on_departure(packet, departure)
+            if not queue and self.on_occupancy is not None:
+                self.on_occupancy(departure, 0)
 
     def _arrive(self, packet: Packet, now: SimTime) -> None:
         self.counters[packet.flow_id].delivered += 1
-        if self.deliver is not None:
-            self.deliver(packet, now)
+        receiver = self.receivers.get(packet.flow_id)
+        if receiver is not None:
+            receiver(packet, now)
 
 
 def link_utilization(samples: Sequence[tuple[SimTime, int]],

@@ -19,7 +19,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from .congestion import INITIAL_BURST_PACKETS, CubicController
-from .engine import NS_PER_MS, Event, SimTime, Simulator, pending
+from .engine import NS_PER_MS, Event, SimTime, Simulator
 from .netmodel import (HEADER_BYTES, LINK_TARGET, SEGMENT_PAYLOAD_BYTES,
                        SEGMENT_WIRE_BYTES, Link, Packet)
 
@@ -218,9 +218,11 @@ class Connection:
         self.start_at: Optional[SimTime] = None
         self.data_start_at: Optional[SimTime] = None
         self.finished_at: Optional[SimTime] = None
+        self.on_started: Optional[Callable[[SimTime], None]] = None
         self.on_finished: Optional[Callable[[SimTime], None]] = None
 
         self.receiver = Receiver(self)
+        link.receivers[flow_id] = self.receiver.on_data  # the far end
 
     # -- life cycle ---------------------------------------------------------
 
@@ -228,6 +230,8 @@ class Connection:
         self.start_at = now
         self.sim.schedule(now + self.handshake_rtt, "app-start", self._target,
                           self._on_handshake_done)
+        if self.on_started is not None:
+            self.on_started(now)
 
     def _on_handshake_done(self, now: SimTime) -> None:
         sample = self.handshake_rtt
@@ -283,10 +287,11 @@ class Connection:
             if self.burst_remaining:
                 self.burst_remaining -= 1
             elif self.next_release > now:  # the pacer gate is closed
-                if not pending(self._pacing_event):
+                ev = self._pacing_event  # engine.pending, inline
+                if ev is None or ev.fire_at == -1 or ev.cancelled:
                     self._pacing_event = self.sim.arm(
-                        self._pacing_event, self.next_release, "pacing-timer",
-                        self._target, self._on_pacing_timer)
+                        ev, self.next_release, "pacing-timer", self._target,
+                        self.maybe_send)
                 break
             if lost is not None:
                 retx.popleft()
@@ -296,9 +301,6 @@ class Connection:
                 self.next_release = now + pacing_interval(
                     ctrl.cwnd, self.srtt, ctrl.pacing_fraction)
         return sent
-
-    def _on_pacing_timer(self, now: SimTime) -> None:
-        self.maybe_send(now)
 
     def _send_range(self, start: int, end: int, lost: Optional[Packet],
                     now: SimTime) -> None:
@@ -324,18 +326,10 @@ class Connection:
         else:
             self.next_seq = end
         self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
-                          self._inject, pkt)
+                          self.link.enqueue, pkt)
         pto = self._pto_event  # engine.pending, inline on the per-send path
         if pto is None or pto.fire_at == -1 or pto.cancelled:
             self._arm_pto(now)
-
-    def _inject(self, pkt: Packet, now: SimTime) -> None:
-        record = self.sim.recorder
-        if record is not None:
-            record((now, self.flow_id, "send", pkt.pkt_num, pkt.seq, pkt.len))
-        departure = self.link.enqueue(pkt, now)
-        if departure is None and record is not None:
-            record((now, self.flow_id, "drop", pkt.pkt_num, pkt.seq, pkt.len))
 
     # -- receiving ----------------------------------------------------------
 

@@ -266,10 +266,9 @@ def test_all_events_use_the_closed_kind_set():
     trace = PacketTrace(only={"event"})
     TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0).run(trace)
     kinds = {kind for _t, _s, _event, kind, _target in trace.rows}
-    assert kinds <= {"packet-arrival", "packet-departure", "pacing-timer",
-                     "loss-timer", "app-start", "sim-end"}
-    assert {"packet-arrival", "packet-departure", "pacing-timer",
-            "app-start"} <= kinds
+    assert kinds <= {"packet-arrival", "pacing-timer", "loss-timer",
+                     "app-start", "sim-end"}
+    assert {"packet-arrival", "pacing-timer", "app-start"} <= kinds
 
 
 def test_each_timer_is_one_event_per_owner(monkeypatch):
@@ -288,11 +287,11 @@ def test_each_timer_is_one_event_per_owner(monkeypatch):
     assert result.lost_pkts > 0
     owners = Counter()
     for (name, _owner), n in calls.items():
-        if name in ("Connection._on_pacing_timer", "Connection._on_pto",
+        if name in ("Connection.maybe_send", "Connection._on_pto",
                     "Receiver._emit_ack", "TwoFlowRun._on_saturated"):
             assert n == 1, name
             owners[name] += 1
-    assert owners == {"Connection._on_pacing_timer": 2,
+    assert owners == {"Connection.maybe_send": 2,
                       "Connection._on_pto": 2, "Receiver._emit_ack": 2,
                       "TwoFlowRun._on_saturated": 1}
 
@@ -324,13 +323,53 @@ def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
         assert each.sim.recorder.rows == ref_trace.rows
 
 
+TIMEOUT_CFG = replace(PRESETS["dsl-fast"], short_flow_start=0,
+                      sim_cap=ms(400))
+
+
 def test_timeout_flagging():
     # the short flow starts about 0.33 s in and cannot finish by the cap
-    cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
-    r = run_scenario(cfg, FAST70K, Variant("baseline"), rep=0)
+    r = run_scenario(TIMEOUT_CFG, FAST70K, Variant("baseline"), rep=0)
     assert r.short_start_at is not None
     assert r.timeout
     assert r.fct is None
+
+
+@pytest.mark.parametrize("cfg, finished", [(PRESETS["dsl-fast"], True),
+                                           (TIMEOUT_CFG, False)])
+def test_link_counters_conserve_packets_after_a_run(cfg, finished):
+    # departures are retired lazily, so run() settles the link before it
+    # returns: every admitted packet is queued or departed, never both
+    run = TwoFlowRun(cfg, FAST70K, Variant("baseline"), 0)
+    assert run.run().timeout is not finished
+    link = run.link
+    queued = Counter(pkt.flow_id for _departure, pkt in link.queue)
+    assert set(link.counters) == {0, 1}
+    for flow, c in link.counters.items():
+        assert c.injected - c.dropped - c.departed == queued[flow]
+        assert c.delivered <= c.departed
+    assert sum(queued.values()) == link.queued > 0
+    # the first packet still queued departs after the stop
+    assert link.queue[0][0] >= run.sim.now
+
+
+def test_fairness_counts_a_departure_at_the_finish_only_if_it_came_first():
+    # A packet departs in the nanosecond the short flow's finishing ACK
+    # arrives. It counts only if it was enqueued before that ACK left the
+    # receiver; here it was not, so the row is the full matrix's.
+    cfg = replace(PRESETS["3g"], seed_base=1)
+    run = TwoFlowRun(cfg, SIZES["2M"], Variant("blitz", 4.0), 0)
+    result = run.run()
+    finish = run.short_conn.finished_at
+    head_at, head = run.link.queue[0]
+    assert head_at == finish
+    assert head.sent_at >= finish - run.short_conn.reverse_delay
+    row = (f"{result.scenario},{result.size_bytes},{result.variant},"
+           f"{result.rep},{result.seed},{result.fct // 1000},"
+           f"{result.lost_pkts},{result.retransmitted_bytes},"
+           f"{result.inflation:.6f},{result.fairness:.6f},"
+           f"{int(result.timeout)}")
+    assert row == "3g,2000000,blitz:4,0,1,4159999,256,345600,0.172800,1.147586,0"
 
 
 def test_run_matrix_covers_all_cells_and_sorts():

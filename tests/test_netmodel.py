@@ -33,6 +33,7 @@ def test_two_packets_depart_in_order_one_serialization_apart():
     assert link.enqueue(_pkt(0), 0) == us(240)
     assert link.enqueue(_pkt(1), 0) == us(480)
     sim.run_until(None)
+    link.retire(sim.now, sim.now)
     assert [t for t, _l in departures] == [us(240), us(480)]
 
 
@@ -59,11 +60,46 @@ def test_drop_recorded_against_the_packets_flow():
     assert link.counters[3].dropped == 0
 
 
+def test_a_packet_arriving_as_the_queued_one_departs_takes_its_slot():
+    # 1-slot buffer: the first packet departs at 240 us, and a packet
+    # enqueued in that same nanosecond finds the slot free
+    sim = Simulator()
+    link = Link(sim, LinkConfig(rate_bps=50_000_000, prop_delay=ms(25),
+                                buffer_pkts=1))
+    assert link.enqueue(_pkt(0), 0) == us(240)
+    assert link.enqueue(_pkt(1), us(240) - 1) is None
+    assert link.enqueue(_pkt(2), us(240)) == us(480)
+    c = link.counters[0]
+    assert (c.injected, c.dropped, c.departed) == (3, 1, 1)
+    assert link.queued == 1
+
+
+def test_retire_ranks_a_departure_by_when_its_packet_was_enqueued():
+    # a departure at `until` comes before an event at until only if its
+    # packet was enqueued before that event was scheduled
+    sim = Simulator()
+    link = Link(sim, DSL_FAST)
+    seen = []
+    link.on_departure = lambda pkt, now: seen.append((pkt.pkt_num, now))
+    link.on_occupancy = lambda now, queued: seen.append(("occupancy", now,
+                                                         queued))
+    for num, sent_at in ((0, 0), (1, us(100))):
+        pkt = _pkt(num)
+        pkt.sent_at = sent_at
+        link.enqueue(pkt, sent_at)
+    assert seen == [("occupancy", 0, 1)]
+    link.retire(us(480), us(100))  # pkt 1 was enqueued at 100 us, not before
+    assert seen[1:] == [(0, us(240))] and link.queued == 1
+    link.retire(us(480), us(100) + 1)
+    assert seen[2:] == [(1, us(480)), ("occupancy", us(480), 0)]
+    assert link.queued == 0 and link.counters[0].departed == 2
+
+
 def test_delivery_adds_propagation_delay():
     sim = Simulator()
     link = Link(sim, DSL_FAST)
     got = []
-    link.deliver = lambda pkt, now: got.append((pkt.pkt_num, now))
+    link.receivers[0] = lambda pkt, now: got.append((pkt.pkt_num, now))
     link.enqueue(_pkt(0), 0)
     sim.run_until(None)
     assert got == [(0, us(240) + ms(25))]
@@ -73,7 +109,7 @@ def test_delay_floor_every_delivery_at_least_prop_delay():
     sim = Simulator()
     link = Link(sim, DSL_FAST)
     latencies = []
-    link.deliver = lambda pkt, now: latencies.append(now - pkt.sent_at)
+    link.receivers[0] = lambda pkt, now: latencies.append(now - pkt.sent_at)
     for i in range(50):
         t = i * us(100)
         pkt = _pkt(i)
@@ -93,6 +129,7 @@ def test_utilization_of_saturated_link_within_half_percent():
     backlog = {"next": 0}
 
     def refill(now):
+        link.retire(now, now)
         while link.queued < 100:
             link.enqueue(_pkt(backlog["next"]), now)
             backlog["next"] += 1
@@ -102,6 +139,7 @@ def test_utilization_of_saturated_link_within_half_percent():
     departures = _log_departures(link)
     sim.schedule(0, "app-start", "src", refill)
     sim.run_until(seconds(2))
+    link.retire(sim.now, sim.now)
     util = link_utilization(departures, (seconds(0.5), seconds(1.9)))
     assert 50e6 * 0.995 <= util <= 50e6
 
@@ -113,6 +151,7 @@ def test_utilization_single_packet_in_one_ms_window():
     departures = _log_departures(link)
     link.enqueue(_pkt(0), 0)
     sim.run_until(None)
+    link.retire(sim.now, sim.now)
     util = link_utilization(departures, (0, ms(1)))
     assert util == pytest.approx(12e6)
 
@@ -148,7 +187,8 @@ def test_conservation_and_fifo_under_random_arrivals(arrivals):
     sim = Simulator()
     link = Link(sim, cfg)
     delivered = []
-    link.deliver = lambda pkt, now: delivered.append(pkt.pkt_num)
+    for flow in range(4):
+        link.receivers[flow] = lambda pkt, now: delivered.append(pkt.pkt_num)
     arrivals = sorted(arrivals)
     for num, (t, flow) in enumerate(arrivals):
         pkt = Packet(flow, 0, 1500, num)
@@ -178,6 +218,7 @@ def test_rate_is_never_exceeded_with_ceil_serialization():
     for i in range(900):
         link.enqueue(_pkt(i), 0)
     sim.run_until(None)
+    link.retire(sim.now, sim.now)
     last = departures[-1][0]
     bits = 900 * 1500 * 8
     assert bits * NS_PER_S / last <= cfg.rate_bps

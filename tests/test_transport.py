@@ -22,8 +22,8 @@ def make_conn(transfer_bytes, cfg=DSL_FAST, controller=None, wire=True):
     link = Link(sim, cfg)
     factory = controller or (lambda mr, now: CubicController())
     conn = Connection(sim, 0, link, transfer_bytes, factory)
-    if wire:
-        link.deliver = lambda pkt, now: conn.receiver.on_data(pkt, now)
+    if not wire:  # packets reach the far end and go no further
+        del link.receivers[0]
     return sim, link, conn
 
 
@@ -565,8 +565,8 @@ class ChaosPath:
         self.drop, self.dup, self.reorder = drop, dup, reorder
         self.max_delay = max_delay
         receiver = conn.receiver
-        link.deliver = lambda pkt, now: self.pass_on(pkt, now,
-                                                     receiver.on_data)
+        link.receivers[conn.flow_id] = (
+            lambda pkt, now: self.pass_on(pkt, now, receiver.on_data))
         on_ack = conn.on_ack
         conn.on_ack = lambda ack, now: self.pass_on(ack, now, on_ack)
 

@@ -22,6 +22,13 @@ events_per_data_packet
     on the dsl-fast 10M baseline cell, rep 0, seed 1. Counted by wrapping
     `Event.__init__`. Only timers are `Event`s, one per timer and owner,
     so this is a few per run; printed to four places.
+dispatched_per_data_packet
+    Events the simulator dispatches per data packet sent, on the same
+    cell: `Simulator.dispatched` once the run is over, over both flows'
+    data packets. Every dispatch counts, whatever its kind: packet and
+    ACK arrivals, timers that fire, the handshakes, `app-start` and
+    `sim-end`; an entry a re-key or cancel left dead on the heap is
+    skipped, not dispatched, and does not count.
 calls_per_data_packet
     Python function calls per data packet sent, on the same cell: the
     `call` events a `sys.setprofile` hook sees while the run simulates,
@@ -133,6 +140,16 @@ def events_per_data_packet() -> float:
     return made / sent
 
 
+def dispatched_per_data_packet() -> float:
+    sys.path.insert(0, str(SRC))
+    from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
+
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"], Variant("baseline"), 0)
+    run.run()
+    return run.sim.dispatched / (run.long_conn.pkts_sent
+                                 + run.short_conn.pkts_sent)
+
+
 def calls_per_data_packet() -> float:
     sys.path.insert(0, str(SRC))
     from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
@@ -177,6 +194,7 @@ def main() -> int:
     print(f"src_lines {src_lines()}")
     print(f"settable_values {settable_values()}")
     print(f"events_per_data_packet {events_per_data_packet():.4f}")
+    print(f"dispatched_per_data_packet {dispatched_per_data_packet():.2f}")
     print(f"calls_per_data_packet {calls_per_data_packet():.2f}")
     print(f"range_adds_per_ack {range_adds_per_ack():.2f}")
     return 0
