@@ -7,13 +7,13 @@ heavier banded experiments live in the test suite.
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Callable, Optional
 
 from . import harness
-from .congestion import (CUBIC_BETA, INITIAL_WINDOW_BYTES, Mode,
-                         cubic_k_seconds, cubic_window_segments)
-from .engine import NS_PER_MS, PacketTrace, seconds
-from .netmodel import link_utilization
+from .congestion import (CUBIC_BETA, FLOOR_BYTES, INITIAL_WINDOW_BYTES,
+                         CubicController, Mode, cubic_k_seconds)
+from .engine import NS_PER_MS, PacketTrace, SimTime, seconds
+from .netmodel import SEGMENT_WIRE_BYTES, link_utilization
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         decode_hint, encode_hint)
 
@@ -89,24 +89,47 @@ def check_rate_conformance(seed: int = 1) -> CheckResult:
     return True, f"utilization {util / 1e6:.4f} Mbit/s within 0.5% of rate"
 
 
+def cubic_window(w_max_segments: float, t_seconds: float,
+                 srtt: Optional[SimTime] = None) -> int:
+    """The window CubicController.on_ack grows to, t into a W_max epoch.
+
+    The controller is cut from W_max segments at time 0, leaves recovery
+    on this ACK, and starts it at the cwnd floor, so the ACK sets cwnd to
+    the window's target: the cubic W(t) in bytes, or with an srtt the
+    larger of that and the Reno-friendly floor.
+    """
+    ctrl = CubicController()
+    ctrl.cwnd = int(w_max_segments * SEGMENT_WIRE_BYTES)
+    ctrl.on_congestion_event(0, lost_pkt_num=0, largest_sent_pkt=0)
+    ctrl.cwnd = FLOOR_BYTES
+    ctrl.on_ack(SEGMENT_WIRE_BYTES, None, seconds(t_seconds), 0, 0,
+                srtt=srtt)
+    return ctrl.cwnd
+
+
 def check_cubic_shape(seed: int = 1) -> CheckResult:
-    """W(K) = W_max exactly; concave below the plateau, convex above."""
+    """W(K) = W_max; W(0) = beta * W_max; monotone, below W_max until K.
+
+    Each sample is a window the controller's own on_ack computes, in
+    bytes, so the checks hold to the byte its int() truncation costs.
+    """
     for w_max in (10.0, 100.0, 400.0):
         k = cubic_k_seconds(w_max)
-        at_k = cubic_window_segments(k, w_max, k)
-        if abs(at_k - w_max) > 1e-9:
-            return False, f"W(K) = {at_k} != {w_max}"
-        at_zero = cubic_window_segments(0.0, w_max, k)
-        if abs(at_zero - CUBIC_BETA * w_max) > 1e-6:
-            return False, f"W(0) = {at_zero} != beta * {w_max}"
+        wire_max = w_max * SEGMENT_WIRE_BYTES
+        at_k = cubic_window(w_max, k)
+        if abs(at_k - wire_max) > 1:
+            return False, f"W(K) = {at_k} B != {wire_max} B"
+        at_zero = cubic_window(w_max, 0.0)
+        if abs(at_zero - CUBIC_BETA * wire_max) > 1:
+            return False, f"W(0) = {at_zero} B != beta * {wire_max} B"
         prev = None
         for i in range(0, 200):
             t = i * (2 * k) / 199 if k > 0 else i * 0.01
-            w = cubic_window_segments(t, w_max, k)
+            w = cubic_window(w_max, t)
             if prev is not None and w < prev:
                 return False, f"W not nondecreasing at t={t}"
-            if t < k and w >= w_max:
-                return False, f"W(t<{k}) = {w} >= W_max"
+            if t < k and w >= wire_max:
+                return False, f"W(t<{k}) = {w} B >= W_max"
             prev = w
     return True, "W(K) = W_max, monotone, W < W_max below the plateau"
 

@@ -44,22 +44,8 @@ def cubic_k_seconds(w_max_segments: float) -> float:
     return (w_max_segments * (1.0 - CUBIC_BETA) / CUBIC_C) ** (1.0 / 3.0)
 
 
-def cubic_window_segments(t_seconds: float, w_max_segments: float,
-                          k_seconds: float) -> float:
-    """W(t) = C*(t - K)^3 + W_max, in segments."""
-    return CUBIC_C * (t_seconds - k_seconds) ** 3 + w_max_segments
-
-
-def reno_friendly_segments(t_seconds: float, w_max_segments: float,
-                           srtt_seconds: float) -> float:
-    """Linear-growth floor emulating a standard AIMD flow.
-
-    Keeps small windows growing roughly one segment per few round trips
-    where the cubic term would idle on its plateau; without it, short
-    flows stall for seconds and then probe explosively.
-    """
-    alpha = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
-    return w_max_segments * CUBIC_BETA + alpha * t_seconds / srtt_seconds
+# additive increase, in segments per RTT, of the Reno-friendly floor
+RENO_ALPHA = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
 
 
 # Slow Start delay-exit calibration: a sample counts as delay-inflated when
@@ -182,11 +168,18 @@ class CubicController:
             else:
                 return
         if newly_acked_bytes > 0:
-            target = self.cubic_window_bytes(now)
+            # t into the epoch, the window grows to the cubic
+            # W(t) = C*(t - K)^3 + W_max segments or, given an srtt, to the
+            # Reno-friendly floor W_max*beta + alpha*t/srtt if that is
+            # larger. The floor keeps small windows growing where the cubic
+            # term idles on its plateau; without it short flows stall for
+            # seconds, then probe explosively.
+            t = (now - self.epoch_start) / NS_PER_S
+            w_max = self.w_max_segments
+            w = CUBIC_C * (t - self.cubic_k) ** 3 + w_max
+            target = max(FLOOR_BYTES, int(w * SEGMENT_WIRE_BYTES))
             if srtt is not None and srtt > 0:
-                est = reno_friendly_segments((now - self.epoch_start) / NS_PER_S,
-                                             self.w_max_segments,
-                                             srtt / NS_PER_S)
+                est = w_max * CUBIC_BETA + RENO_ALPHA * t / (srtt / NS_PER_S)
                 est_bytes = int(est * SEGMENT_WIRE_BYTES)
                 if est_bytes > target:
                     target = est_bytes
@@ -207,11 +200,6 @@ class CubicController:
             self._round_exceed_count += 1
             if self._round_exceed_count >= HYSTART_SAMPLES:
                 self._enter_avoidance_at_plateau(now)
-
-    def cubic_window_bytes(self, now: SimTime) -> int:
-        t = (now - self.epoch_start) / NS_PER_S
-        w = cubic_window_segments(t, self.w_max_segments, self.cubic_k)
-        return max(FLOOR_BYTES, int(w * SEGMENT_WIRE_BYTES))
 
     def on_congestion_event(self, now: SimTime, lost_pkt_num: int,
                             largest_sent_pkt: int) -> bool:

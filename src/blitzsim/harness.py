@@ -26,7 +26,7 @@ from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
                          make_controller)
 from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, PacketTrace, SimTime,
                      Simulator, ms, substream, us)
-from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig, Packet
+from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         OracleEstimator, decode_hint, encode_hint)
 from .transport import Connection
@@ -273,10 +273,14 @@ class TwoFlowRun:
 
     A long Cubic flow starts at 0. Once the queue has stayed non-empty for
     two round trips, the short flow is scheduled to start the configured
-    offset plus a seeded jitter later. Every hook the link and the
-    connections call is a bound method of this run or of its parts, or a
-    function that holds no state, so a copy.deepcopy of a run taken at any
-    point carries on alone without calling back into the original.
+    offset plus a seeded jitter later. Fairness compares the bytes each
+    flow sends through the bottleneck while the short flow runs: the
+    change in the link's per-flow departed_bytes from the short flow's
+    start to its finish, or to the end of the run. Every hook the link
+    and the connections call is a bound method of this run or of its
+    parts, or a function that holds no state, so a copy.deepcopy of a run
+    taken at any point carries on alone without calling back into the
+    original.
     """
 
     def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
@@ -302,21 +306,16 @@ class TwoFlowRun:
                                      jitter=jitter)
         self.sat_at: Optional[SimTime] = None
         self.sat_check = None  # the saturation check's Event, once armed
-        self.short_bytes = 0  # bottleneck departures while the short flow runs
-        self.long_bytes = 0
+        # each flow's departed bytes when the short flow starts and when it
+        # finishes (or the run ends): the fairness window's two edges
+        self.departed_at_start: Optional[tuple[int, int]] = None
+        self.departed_at_end: Optional[tuple[int, int]] = None
 
         link.on_occupancy = self._on_occupancy
         self.short_conn.on_started = self._on_started
         self.short_conn.on_finished = self._on_finished
         sim.schedule(cfg.sim_cap, "sim-end", "cap", self._stop)
         self.long_conn.start(0)
-
-    def _on_departure(self, pkt: Packet, departed_at: SimTime) -> None:
-        # hooked while the short flow runs
-        if pkt.flow_id == SHORT_FLOW:
-            self.short_bytes += pkt.len
-        else:
-            self.long_bytes += pkt.len
 
     def _on_occupancy(self, now: SimTime, queued: int) -> None:
         # Called on each 0->1 and 1->0 queue transition. The check armed
@@ -345,17 +344,22 @@ class TwoFlowRun:
 
     # The link retires departures lazily, so each edge of the fairness
     # window first retires the departures that rank before its event (see
-    # Link.retire), then turns the byte count on or off.
+    # Link.retire), then reads each flow's departed bytes.
+
+    def _departed_bytes(self) -> tuple[int, int]:
+        """(short flow, long flow) departed bytes so far."""
+        counters = self.link.counters  # a flow has none before it sends
+        return tuple(counters[flow].departed_bytes if flow in counters else 0
+                     for flow in (SHORT_FLOW, LONG_FLOW))
 
     def _on_started(self, now: SimTime) -> None:
         self.link.retire(now, self.sat_at)  # app-start was scheduled at sat_at
-        self.link.on_departure = self._on_departure
+        self.departed_at_start = self._departed_bytes()
 
     def _on_finished(self, now: SimTime) -> None:
         # the finishing ACK was scheduled a reverse delay ago
-        link = self.link
-        link.retire(now, now - self.short_conn.reverse_delay)
-        link.on_departure = None
+        self.link.retire(now, now - self.short_conn.reverse_delay)
+        self.departed_at_end = self._departed_bytes()
         if self.stop_on_completion:
             self.sim.stop()
 
@@ -370,6 +374,12 @@ class TwoFlowRun:
         # The run stopped in the short flow's finish, which retired the
         # link itself, or in sim-end, scheduled before any other event.
         self.link.retire(sim.now, 0)
+        start = self.departed_at_start
+        if start is None:  # the short flow never started
+            short_bytes = long_bytes = 0
+        else:  # one that started and did not finish runs to the end
+            end = self.departed_at_end or self._departed_bytes()
+            short_bytes, long_bytes = end[0] - start[0], end[1] - start[1]
         short = self.short_conn
         return RunResult(
             scenario=self.cfg.name,
@@ -381,9 +391,9 @@ class TwoFlowRun:
             lost_pkts=short.lost_pkts,
             retransmitted_bytes=short.bytes_retransmitted,
             inflation=short.bytes_retransmitted / short.size,
-            fairness=fairness_ratio(self.short_bytes, self.long_bytes),
-            short_bytes=self.short_bytes,
-            long_bytes=self.long_bytes,
+            fairness=fairness_ratio(short_bytes, long_bytes),
+            short_bytes=short_bytes,
+            long_bytes=long_bytes,
             timeout=not short.finished,
             short_start_at=short.start_at,
             sat_at=self.sat_at,

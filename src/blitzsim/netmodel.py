@@ -9,7 +9,8 @@ symmetric propagation delay on each direction; queueing adds on top.
 
 A packet costs the link one event, its arrival at the far end, scheduled
 when the packet is admitted. Its departure is bookkeeping done lazily, in
-departure order (Link.retire).
+departure order (Link.retire): per-flow counters of departed packets and
+bytes, which is all a reader of departures needs.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class FlowCounters:
     delivered: int = 0
     dropped: int = 0
     departed: int = 0
+    departed_bytes: int = 0  # wire bytes of the departed packets
 
 
 class Link:
@@ -87,12 +89,12 @@ class Link:
 
     A departure is not an event. `queue` holds (departure time, packet)
     for each packet still queued, and retire() does what a departure
-    does, in departure order: the packet leaves `queued`, counts as
-    `departed` and goes to on_departure(packet, departure time), and the
-    one that empties the queue calls on_occupancy(departure time, 0).
-    enqueue retires up to its own nanosecond, so a packet departing as
-    another arrives frees its slot; any other reader of the queue, the
-    counters or the hooks' results retires first.
+    does, in departure order: the packet leaves `queued` and counts in
+    its flow's `departed` and `departed_bytes`, and the one that empties
+    the queue calls on_occupancy(departure time, 0). enqueue retires up
+    to its own nanosecond, so a packet departing as another arrives frees
+    its slot; any other reader of the queue, the counters or the hook's
+    results retires first.
     """
 
     def __init__(self, sim: Simulator, config: LinkConfig):
@@ -104,7 +106,6 @@ class Link:
         self.max_queued = 0
         self.counters: defaultdict[int, FlowCounters] = defaultdict(FlowCounters)
         self.receivers: dict[int, Callable[[Packet, SimTime], None]] = {}
-        self.on_departure: Optional[Callable[[Packet, SimTime], None]] = None
         self.on_occupancy: Optional[Callable[[SimTime, int], None]] = None
 
     @property
@@ -158,20 +159,21 @@ class Link:
         an event scheduled when its packet was enqueued (its sent_at): it
         comes first if it departs before until, or at until from a packet
         enqueued before scheduled_at. Scheduled in the same nanosecond,
-        the event comes first.
+        the event comes first. A retired packet counts in its flow's
+        departed and departed_bytes, so the counters read right after this
+        call are the ones that event sees.
         """
         queue = self.queue
         counters = self.counters
-        on_departure = self.on_departure
         while queue:
             departure, packet = queue[0]
             if departure >= until and (departure > until
                                        or packet.sent_at >= scheduled_at):
                 return
             queue.popleft()
-            counters[packet.flow_id].departed += 1
-            if on_departure is not None:
-                on_departure(packet, departure)
+            c = counters[packet.flow_id]
+            c.departed += 1
+            c.departed_bytes += packet.len
             if not queue and self.on_occupancy is not None:
                 self.on_occupancy(departure, 0)
 

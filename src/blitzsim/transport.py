@@ -128,7 +128,16 @@ class Receiver:
         self.acks_sent = 0
 
     def on_data(self, pkt: Packet, now: SimTime) -> None:
-        self.ranges.add(pkt.seq, pkt.seq + pkt.payload_len)
+        seq = pkt.seq
+        received = self.ranges
+        last = received.ranges[-1] if received.ranges else None
+        if last is not None and last[1] == seq:
+            # in order: RangeSet.add's fast path, inline on the per-packet
+            # path; the packet only moves the last range's end
+            received.ranges[-1] = (last[0], seq + pkt.payload_len)
+            received.total += pkt.payload_len
+        else:
+            received.add(seq, seq + pkt.payload_len)
         if pkt.pkt_num > self.largest_pkt_num:
             self.largest_pkt_num = pkt.pkt_num
         conn = self.conn
@@ -184,7 +193,7 @@ class Connection:
         # The sent packets themselves are the records, and only those an
         # ACK can still resolve or sample are kept: `records` from packet
         # number _records_floor up, `records_by_seq` (each segment's newest
-        # copy) from grid point _seq_floor up (see _prune).
+        # copy) from grid point _seq_floor up (see on_ack's prune).
         self.records: dict[int, Packet] = {}
         self.records_by_seq: dict[int, Packet] = {}
         self._records_floor = 0
@@ -293,47 +302,48 @@ class Connection:
                         ev, self.next_release, "pacing-timer", self._target,
                         self.maybe_send)
                 break
+            # send [start, end) as a new packet
+            payload = end - start
             if lost is not None:
                 retx.popleft()
-            self._send_range(start, end, lost, now)
+                self.bytes_retransmitted += payload
+            else:
+                self.next_seq = end
+            inject_at = now
+            if self.jitter is not None:
+                inject_at += self.jitter()
+            if inject_at < self._last_inject:
+                inject_at = self._last_inject  # a sender never reorders itself
+            self._last_inject = inject_at
+            pkt_num = self.next_pkt_num
+            self.next_pkt_num = pkt_num + 1
+            wire = payload + HEADER_BYTES
+            pkt = Packet(self.flow_id, start, wire, pkt_num, inject_at,
+                         payload)
+            self.records[pkt_num] = pkt
+            self.records_by_seq[start] = pkt
+            self.in_flight += wire
+            self.pkts_sent += 1
+            self.payload_sent += payload
+            self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
+                              self.link.enqueue, pkt)
+            pto = self._pto_event  # engine.pending, inline
+            if pto is None or pto.fire_at == -1 or pto.cancelled:
+                self._arm_pto(now)
             sent += 1
             if self.burst_remaining == 0:
                 self.next_release = now + pacing_interval(
                     ctrl.cwnd, self.srtt, ctrl.pacing_fraction)
         return sent
 
-    def _send_range(self, start: int, end: int, lost: Optional[Packet],
-                    now: SimTime) -> None:
-        """Send [start, end) as a new packet; lost is the lost copy if any."""
-        inject_at = now
-        if self.jitter is not None:
-            inject_at += self.jitter()
-        if inject_at < self._last_inject:
-            inject_at = self._last_inject  # a sender never reorders itself
-        self._last_inject = inject_at
-        pkt_num = self.next_pkt_num
-        self.next_pkt_num += 1
-        wire = (end - start) + HEADER_BYTES
-        pkt = Packet(self.flow_id, start, wire, pkt_num, inject_at,
-                     end - start)
-        self.records[pkt_num] = pkt
-        self.records_by_seq[start] = pkt
-        self.in_flight += wire
-        self.pkts_sent += 1
-        self.payload_sent += end - start
-        if lost is not None:
-            self.bytes_retransmitted += end - start
-        else:
-            self.next_seq = end
-        self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
-                          self.link.enqueue, pkt)
-        pto = self._pto_event  # engine.pending, inline on the per-send path
-        if pto is None or pto.fire_at == -1 or pto.cancelled:
-            self._arm_pto(now)
-
     # -- receiving ----------------------------------------------------------
 
     def on_ack(self, ack: Ack, now: SimTime) -> None:
+        """Handle one ACK, as RFC 9002 (A.7) does.
+
+        The RTT update, the newly acked packets, the RACK scan and the
+        prune are inline, since this runs for every ACK.
+        """
         if self.finished_at is not None:
             return
         self.acks_received += 1
@@ -341,17 +351,21 @@ class Connection:
         if record is not None:
             record((now, self.flow_id, "ack", ack.largest_acked_pkt_num, 0,
                     ACK_WIRE_BYTES))
+        records = self.records
         largest = ack.largest_acked_pkt_num
         rtt_sample: Optional[SimTime] = None
         if largest > self.largest_acked_pkt:
             # a packet number above every acked one is never pruned, so a
             # missing record means it was never sent
-            pkt = self.records.get(largest)
+            pkt = records.get(largest)
             if pkt is None:
                 self.ack_anomalies += 1
             else:
                 rtt_sample = now - pkt.sent_at
-                self._update_rtt(rtt_sample)
+                self.latest_rtt = rtt_sample
+                self.rttvar = (3 * self.rttvar
+                               + abs(self.srtt - rtt_sample)) // 4
+                self.srtt = (7 * self.srtt + rtt_sample) // 8
                 self.largest_acked_pkt = largest
                 self.largest_acked_sent_at = pkt.sent_at
 
@@ -362,9 +376,17 @@ class Connection:
         # (A.7) does work only for newly acknowledged packets. The set is
         # built only for ACKs of more than one range, so the one-range
         # ACKs of a loss-free flow pay nothing for it.
+        #
+        # Newly covered ranges are unions of whole packets, so they start
+        # on the packetization grid and each segment in them is covered
+        # once. Its newest copy is marked acked: a segment is resent only
+        # once declared lost, so its older copies are all lost and nothing
+        # reads their acked flag.
         newly = 0
         newly_wire = 0
+        in_flight = self.in_flight
         acked = self.acked_ranges
+        by_seq = self.records_by_seq
         ranges = ack.acked_ranges
         held = set(acked.ranges) if len(ranges) > 1 else ()
         for rng in ranges:
@@ -372,19 +394,65 @@ class Connection:
                 continue
             for added_start, added_end in acked.add(*rng):
                 newly += added_end - added_start
-                newly_wire += self._mark_acked(added_start, added_end)
+                for seq in range(added_start, added_end,
+                                 SEGMENT_PAYLOAD_BYTES):
+                    pkt = by_seq.get(seq)
+                    if pkt is not None:
+                        newly_wire += pkt.len
+                        pkt.acked = True
+                        if not pkt.lost:
+                            in_flight -= pkt.len
+        self.in_flight = in_flight
         self.bytes_acked += newly
 
         # the window is accounted in on-wire bytes, so growth follows the
         # wire bytes of the packets the ACK newly covered
-        self.controller.on_ack(newly_wire, rtt_sample, now,
-                               self.largest_acked_pkt, self.next_pkt_num - 1,
-                               srtt=self.srtt)
+        ctrl = self.controller
+        ctrl.on_ack(newly_wire, rtt_sample, now, self.largest_acked_pkt,
+                    self.next_pkt_num - 1, srtt=self.srtt)
         if record is not None:
-            record((now, self.flow_id, "cwnd", self.controller.cwnd,
-                    self.controller.mode))
-        self._detect_losses(now)
-        self._prune(newly)
+            record((now, self.flow_id, "cwnd", ctrl.cwnd, ctrl.mode))
+
+        # RACK: each packet neither acked nor lost, from the oldest up, is
+        # lost if it trails the largest acked packet by the packet
+        # threshold or was sent a time threshold before it; the first one
+        # that does neither ends the scan.
+        scan = self._scan_from
+        if self.largest_acked_pkt >= 0:
+            num, den = RACK_TIME_THRESHOLD
+            threshold = num * max(self.srtt, self.latest_rtt) // den
+            time_cutoff = self.largest_acked_sent_at - threshold
+            pkt_cutoff = self.largest_acked_pkt - RACK_PACKET_THRESHOLD
+            end = self.next_pkt_num
+            while scan < end:
+                pkt = records[scan]
+                if not (pkt.acked or pkt.lost):
+                    if scan > pkt_cutoff and pkt.sent_at > time_cutoff:
+                        break
+                    self._declare_lost(pkt, now)
+                scan += 1
+            self._scan_from = scan
+
+        # Drop the records no later ACK can read (RFC 9002 sent_packets).
+        # Every record below _scan_from is acked or lost, and an ACK reads
+        # a record only above largest_acked_pkt, so `records` below the
+        # lower of the two goes. Only grid points of newly covered bytes
+        # are looked up, and those lie above the cumulative ACK frontier,
+        # so `records_by_seq` below the frontier goes.
+        floor = min(scan, self.largest_acked_pkt + 1)
+        pkt_num = self._records_floor
+        while pkt_num < floor:
+            del records[pkt_num]
+            pkt_num += 1
+        self._records_floor = pkt_num
+        if newly:
+            first = acked.ranges[0]
+            if first[0] == 0:
+                seq = self._seq_floor
+                while seq < first[1]:
+                    del by_seq[seq]
+                    seq += SEGMENT_PAYLOAD_BYTES
+                self._seq_floor = seq
 
         if self.bytes_acked >= self.size:
             self._finish(now)
@@ -397,74 +465,7 @@ class Connection:
             self.sim.cancel(self._pto_event)
         self.maybe_send(now)
 
-    def _update_rtt(self, sample: SimTime) -> None:
-        self.latest_rtt = sample
-        self.rttvar = (3 * self.rttvar + abs(self.srtt - sample)) // 4
-        self.srtt = (7 * self.srtt + sample) // 8
-
-    def _mark_acked(self, start: int, end: int) -> int:
-        """Mark each covered segment's newest copy acked; returns wire bytes.
-
-        Newly covered ranges are unions of whole packets, so they start on
-        the packetization grid and each segment in them is covered once.
-        A segment is resent only once declared lost, so its older copies
-        are all lost and nothing reads their acked flag.
-        """
-        by_seq = self.records_by_seq
-        wire = 0
-        for seq in range(start, end, SEGMENT_PAYLOAD_BYTES):
-            pkt = by_seq.get(seq)
-            if pkt is not None:
-                wire += pkt.len
-                pkt.acked = True
-                if not pkt.lost:
-                    self.in_flight -= pkt.len
-        return wire
-
-    def _prune(self, newly: int) -> None:
-        """Drop the records no later ACK can read (RFC 9002 sent_packets).
-
-        Every record below _scan_from is acked or lost, and on_ack reads a
-        record only above largest_acked_pkt, so `records` below the lower
-        of the two goes. _mark_acked looks up only grid points of newly
-        covered bytes, which lie above the cumulative ACK frontier, so
-        `records_by_seq` below the frontier goes.
-        """
-        records = self.records
-        floor = min(self._scan_from, self.largest_acked_pkt + 1)
-        pkt_num = self._records_floor
-        while pkt_num < floor:
-            del records[pkt_num]
-            pkt_num += 1
-        self._records_floor = pkt_num
-        if not newly:
-            return
-        first = self.acked_ranges.ranges[0]
-        if first[0] != 0:
-            return
-        by_seq = self.records_by_seq
-        seq = self._seq_floor
-        while seq < first[1]:
-            del by_seq[seq]
-            seq += SEGMENT_PAYLOAD_BYTES
-        self._seq_floor = seq
-
     # -- loss detection -------------------------------------------------------
-
-    def _detect_losses(self, now: SimTime) -> None:
-        """RACK-style scan against the largest acknowledged packet."""
-        if self.largest_acked_pkt < 0:
-            return
-        num, den = RACK_TIME_THRESHOLD
-        threshold = num * max(self.srtt, self.latest_rtt) // den
-        time_cutoff = self.largest_acked_sent_at - threshold
-        pkt_cutoff = self.largest_acked_pkt - RACK_PACKET_THRESHOLD
-        while True:
-            pkt = self._oldest_outstanding()
-            if pkt is None or (pkt.pkt_num > pkt_cutoff
-                               and pkt.sent_at > time_cutoff):
-                return
-            self._declare_lost(pkt, now)
 
     def _oldest_outstanding(self) -> Optional[Packet]:
         """Oldest packet neither acked nor declared lost, if any."""

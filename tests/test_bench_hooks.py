@@ -80,3 +80,41 @@ def test_instrumented_cell_matches_untraced_run():
     assert got["prefix_events"] == got["short_start_index"] > 0
     assert got["acks"] == got["counters"]["acks_received"]
     assert got["ack_ranges"] >= got["acks"] > 0
+
+
+CHECK = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import run
+out = sys.argv[1]
+result = json.loads(open(out + "/result.json").read())
+result["out"] = out
+check = run.Checker("cli-matrix-jobs2", 1)
+check.runs(result)
+check.summary(result)
+check.reruns(result)
+print(json.dumps({"attempted": check.attempted, "failed": check.failed,
+                  "rows_checked": check.rows_checked, "notes": check.notes}))
+"""
+
+
+def test_cli_matrix_jobs2_pass_is_correct(tmp_path):
+    # The benchmark's only Pool workload fails when a Pool worker raises
+    # (say, because a run no longer goes through the module global
+    # harness.run_scenario its worker patches), when a run breaks a
+    # snapshot invariant, when a runs.csv row or a summary row differs from
+    # golden.json, when the determinism re-run differs from the pool run,
+    # or when the seed-7 canary row differs. One pass, checked as the
+    # benchmark checks it.
+    out = tmp_path / "pass"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload",
+         "cli-matrix-jobs2", "--seed", "1", "--mode", "measure", "--out",
+         str(out)], cwd=REPO, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    proc = subprocess.run([sys.executable, "-c", CHECK, str(out)], cwd=REPO,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    got = json.loads(proc.stdout)
+    assert got["failed"] == 0, got["notes"]
+    assert got["attempted"] == got["rows_checked"] + 2 == 50

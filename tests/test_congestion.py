@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blitzsim.checks import cubic_window
 from blitzsim.congestion import (FLOOR_BYTES, CubicController, Mode,
                                  blitzstart_initial_cwnd, cubic_k_seconds,
-                                 cubic_window_segments, hystart_threshold,
-                                 make_controller, reno_friendly_segments)
+                                 hystart_threshold, make_controller)
 from blitzsim.engine import ms, seconds
 from blitzsim.signaling import AccessTech, BandwidthHint
 
@@ -83,20 +83,22 @@ def test_cubic_k_for_100_segments():
     assert k == pytest.approx(4.2172, abs=1e-3)
 
 
+# cubic_window(w_max, t) is the cwnd the controller's on_ack sets t seconds
+# after a cut from w_max segments, in bytes (truncated to the byte)
+
 def test_cubic_window_at_plateau_equals_w_max():
     k = cubic_k_seconds(100.0)
-    assert cubic_window_segments(k, 100.0, k) == pytest.approx(100.0)
+    assert cubic_window(100.0, k) == pytest.approx(100 * SEG, abs=1)
 
 
 def test_cubic_window_just_after_reduction_is_beta_w_max():
-    k = cubic_k_seconds(100.0)
-    assert cubic_window_segments(0.0, 100.0, k) == pytest.approx(70.0, abs=1e-6)
+    assert cubic_window(100.0, 0.0) == pytest.approx(70 * SEG, abs=1)
 
 
 def test_cubic_window_one_second_past_plateau():
     # 0.4 * 1^3 + 100 = 100.4 segments
     k = cubic_k_seconds(100.0)
-    assert cubic_window_segments(k + 1.0, 100.0, k) == pytest.approx(100.4)
+    assert cubic_window(100.0, k + 1.0) == pytest.approx(100.4 * SEG, abs=1)
 
 
 def test_cubic_shape_monotone_and_below_w_max_before_k():
@@ -104,11 +106,11 @@ def test_cubic_shape_monotone_and_below_w_max_before_k():
     prev = None
     for i in range(200):
         t = i * (2 * k) / 199
-        w = cubic_window_segments(t, 100.0, k)
+        w = cubic_window(100.0, t)
         if prev is not None:
             assert w >= prev
         if t < k:
-            assert w < 100.0
+            assert w < 100 * SEG
         prev = w
 
 
@@ -169,11 +171,16 @@ def test_fast_convergence_shaves_a_shrinking_peak():
 
 
 def test_reno_friendly_floor_grows_linearly():
-    w0 = reno_friendly_segments(0.0, 100.0, 0.05)
-    w1 = reno_friendly_segments(1.0, 100.0, 0.05)
-    assert w0 == pytest.approx(70.0)
+    # with a 50 ms srtt the floor 70 + alpha * t / 0.05 segments passes the
+    # cubic window of a 100-segment peak before K = 4.2 s: it is the window
+    # at 3 s and 4 s, and it starts from beta * W_max
+    srtt = ms(50)
     alpha = 3 * 0.3 / 1.7
-    assert w1 - w0 == pytest.approx(alpha / 0.05)
+    assert cubic_window(100.0, 0.0, srtt) == pytest.approx(70 * SEG, abs=1)
+    w3, w4 = cubic_window(100.0, 3.0, srtt), cubic_window(100.0, 4.0, srtt)
+    assert w3 > cubic_window(100.0, 3.0) and w4 > cubic_window(100.0, 4.0)
+    assert w3 == pytest.approx((70 + 3 * alpha / 0.05) * SEG, abs=1)
+    assert w4 - w3 == pytest.approx(alpha / 0.05 * SEG, abs=1)
 
 
 # -- Blitzstart -------------------------------------------------------------------

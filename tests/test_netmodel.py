@@ -1,9 +1,12 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blitzsim.engine import NS_PER_S, Simulator, ms, seconds, us
-from blitzsim.netmodel import Link, LinkConfig, Packet, link_utilization
+from blitzsim.netmodel import (FlowCounters, Link, LinkConfig, Packet,
+                               link_utilization)
 
 DSL_FAST = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=208)
 
@@ -12,10 +15,12 @@ def _pkt(num, length=1500, flow=0):
     return Packet(flow, num * 1350, length, num, payload_len=min(length, 1350))
 
 
-def _log_departures(link):
-    departures = []
-    link.on_departure = lambda pkt, now: departures.append((now, pkt.len))
-    return departures
+def _enqueue(link, pkt, now, departures):
+    """link.enqueue, logging an admitted packet's (departure time, len)."""
+    departure = link.enqueue(pkt, now)
+    if departure is not None:
+        departures.append((departure, pkt.len))
+    return departure
 
 
 def test_serialization_time_on_idle_link():
@@ -29,12 +34,14 @@ def test_serialization_time_on_idle_link():
 def test_two_packets_depart_in_order_one_serialization_apart():
     sim = Simulator()
     link = Link(sim, DSL_FAST)
-    departures = _log_departures(link)
-    assert link.enqueue(_pkt(0), 0) == us(240)
-    assert link.enqueue(_pkt(1), 0) == us(480)
+    departures = []
+    assert _enqueue(link, _pkt(0), 0, departures) == us(240)
+    assert _enqueue(link, _pkt(1), 0, departures) == us(480)
     sim.run_until(None)
     link.retire(sim.now, sim.now)
     assert [t for t, _l in departures] == [us(240), us(480)]
+    c = link.counters[0]
+    assert (c.departed, c.departed_bytes) == (2, 3000)
 
 
 def test_full_buffer_drops_the_209th_packet():
@@ -80,19 +87,22 @@ def test_retire_ranks_a_departure_by_when_its_packet_was_enqueued():
     sim = Simulator()
     link = Link(sim, DSL_FAST)
     seen = []
-    link.on_departure = lambda pkt, now: seen.append((pkt.pkt_num, now))
     link.on_occupancy = lambda now, queued: seen.append(("occupancy", now,
                                                          queued))
+    departures = []
     for num, sent_at in ((0, 0), (1, us(100))):
         pkt = _pkt(num)
         pkt.sent_at = sent_at
-        link.enqueue(pkt, sent_at)
+        _enqueue(link, pkt, sent_at, departures)
+    assert departures == [(us(240), 1500), (us(480), 1500)]
     assert seen == [("occupancy", 0, 1)]
+    c = link.counters[0]
     link.retire(us(480), us(100))  # pkt 1 was enqueued at 100 us, not before
-    assert seen[1:] == [(0, us(240))] and link.queued == 1
+    assert (c.departed, c.departed_bytes) == (1, 1500) and link.queued == 1
+    assert seen == [("occupancy", 0, 1)]
     link.retire(us(480), us(100) + 1)
-    assert seen[2:] == [(1, us(480)), ("occupancy", us(480), 0)]
-    assert link.queued == 0 and link.counters[0].departed == 2
+    assert seen[1:] == [("occupancy", us(480), 0)]
+    assert link.queued == 0 and c.departed == 2 and c.departed_bytes == 3000
 
 
 def test_delivery_adds_propagation_delay():
@@ -127,19 +137,18 @@ def test_utilization_of_saturated_link_within_half_percent():
     link = Link(sim, DSL_FAST)
 
     backlog = {"next": 0}
+    departures = []
 
     def refill(now):
         link.retire(now, now)
         while link.queued < 100:
-            link.enqueue(_pkt(backlog["next"]), now)
+            _enqueue(link, _pkt(backlog["next"]), now, departures)
             backlog["next"] += 1
         if now < seconds(2):
             sim.schedule(now + ms(5), "pacing-timer", "src", refill)
 
-    departures = _log_departures(link)
     sim.schedule(0, "app-start", "src", refill)
     sim.run_until(seconds(2))
-    link.retire(sim.now, sim.now)
     util = link_utilization(departures, (seconds(0.5), seconds(1.9)))
     assert 50e6 * 0.995 <= util <= 50e6
 
@@ -148,10 +157,9 @@ def test_utilization_single_packet_in_one_ms_window():
     # 1500*8/0.001 = 12 Mbit/s
     sim = Simulator()
     link = Link(sim, DSL_FAST)
-    departures = _log_departures(link)
-    link.enqueue(_pkt(0), 0)
+    departures = []
+    _enqueue(link, _pkt(0), 0, departures)
     sim.run_until(None)
-    link.retire(sim.now, sim.now)
     util = link_utilization(departures, (0, ms(1)))
     assert util == pytest.approx(12e6)
 
@@ -214,11 +222,145 @@ def test_rate_is_never_exceeded_with_ceil_serialization():
     cfg = LinkConfig(rate_bps=7_777_777, prop_delay=0, buffer_pkts=1000)
     sim = Simulator()
     link = Link(sim, cfg)
-    departures = _log_departures(link)
+    departures = []
     for i in range(900):
-        link.enqueue(_pkt(i), 0)
+        _enqueue(link, _pkt(i), 0, departures)
     sim.run_until(None)
-    link.retire(sim.now, sim.now)
     last = departures[-1][0]
     bits = 900 * 1500 * 8
     assert bits * NS_PER_S / last <= cfg.rate_bps
+
+
+class EagerLink:
+    """Reference for Link: one departure event per packet, scheduled at
+    enqueue, so a departure ranks among the events of its nanosecond by
+    when its packet was enqueued. Link does the departures lazily, in
+    retire(), and must agree with this on every reading."""
+
+    def __init__(self, sim, config):
+        self.sim = sim
+        self.config = config
+        self.busy_until = 0
+        self.queued = 0
+        self.counters = defaultdict(FlowCounters)
+        self.receivers = {}
+        self.on_occupancy = None
+        self.departed = []  # pkt_nums, in departure order
+
+    def enqueue(self, packet, now):
+        c = self.counters[packet.flow_id]
+        c.injected += 1
+        if self.queued >= self.config.buffer_pkts:
+            c.dropped += 1
+            return None
+        departure = (max(self.busy_until, now)
+                     + self.config.serialization_time(packet.len))
+        self.busy_until = departure
+        self.queued += 1
+        if self.queued == 1 and self.on_occupancy is not None:
+            self.on_occupancy(now, 1)
+        self.sim.schedule(departure, "packet-departure", "bottleneck",
+                          self._depart, packet)
+        return departure
+
+    def _depart(self, packet, now):
+        self.queued -= 1
+        c = self.counters[packet.flow_id]
+        c.departed += 1
+        c.departed_bytes += packet.len
+        self.departed.append(packet.pkt_num)
+        if self.queued == 0 and self.on_occupancy is not None:
+            self.on_occupancy(now, 0)
+        self.sim.schedule(now + self.config.prop_delay, "packet-arrival",
+                          "bottleneck", self._arrive, packet)
+
+    def _arrive(self, packet, now):
+        self.counters[packet.flow_id].delivered += 1
+        self.receivers[packet.flow_id](packet, now)
+
+
+TIE_UNIT = us(120)  # serialization time of flow 1's packets; flow 0's is 2x
+TIE_LENGTHS = (1500, 750)
+
+
+def _drive(link_cls, buffer_pkts, injections, observers):
+    """Everything a run on link_cls shows of its departures.
+
+    An injection (k, flow, lag) enqueues a packet at k * TIE_UNIT, from an
+    event scheduled lag before that, as a sender's jitter does; the lag is
+    below one serialization time. An observer (until, scheduled_at) is an
+    event scheduled at scheduled_at that reads the link at until; on Link
+    it first retires as the event would (Link.retire). Observers are
+    scheduled ahead of any packet enqueued in the same nanosecond.
+    """
+    sim = Simulator()
+    link = link_cls(sim, LinkConfig(rate_bps=50_000_000, prop_delay=ms(1),
+                                    buffer_pkts=buffer_pkts))
+    occupancy, admitted, arrivals, readings = [], [], {}, []
+    link.on_occupancy = lambda now, queued: occupancy.append((now, queued))
+    for flow in (0, 1):
+        link.receivers[flow] = (
+            lambda pkt, now: arrivals.__setitem__(pkt.pkt_num, now))
+
+    def departed():
+        if isinstance(link, EagerLink):
+            return list(link.departed)
+        queued = {pkt.pkt_num for _departure, pkt in link.queue}
+        return [num for num in admitted if num not in queued]
+
+    def read():
+        return (departed(), link.queued, list(occupancy),
+                {flow: (c.departed, c.departed_bytes)
+                 for flow, c in sorted(link.counters.items())})
+
+    def observe(scheduled_at, now):
+        if isinstance(link, Link):
+            link.retire(now, scheduled_at)
+        readings.append((now, scheduled_at, read()))
+
+    def inject(pkt, now):
+        if link.enqueue(pkt, now) is not None:
+            admitted.append(pkt.pkt_num)
+
+    for until, scheduled_at in observers:
+        sim.schedule(scheduled_at, "app-start", "observer",
+                     lambda now, until=until: sim.schedule(
+                         until, "app-start", "observer", observe, now))
+    for num, (k, flow, lag) in enumerate(injections):
+        at = k * TIE_UNIT
+        pkt = Packet(flow, 0, TIE_LENGTHS[flow], num, sent_at=at)
+        sim.schedule(max(0, at - lag), "pacing-timer", "sender",
+                     lambda now, pkt=pkt, at=at: sim.schedule(
+                         at, "packet-arrival", "bottleneck", inject, pkt))
+    sim.run_until(None)
+    if isinstance(link, Link):
+        link.retire(sim.now, 0)
+    return admitted, arrivals, readings, read()
+
+
+_observer = st.tuples(st.integers(0, 14), st.integers(0, 14),
+                      st.sampled_from([-1, 0, 1])).map(
+    lambda o: (o[0] * TIE_UNIT,
+               min(o[0] * TIE_UNIT, max(0, o[1] * TIE_UNIT + o[2]))))
+
+
+@given(st.integers(1, 2),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(0, 1),
+                          st.sampled_from([0, 1, us(60), TIE_UNIT - 1])),
+                min_size=1, max_size=14),
+       st.lists(_observer, max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_lazy_departures_match_a_departure_event_per_packet(
+        buffer_pkts, injections, observers):
+    # tied injection times, departures on the same grid and a buffer of one
+    # or two slots make every same-nanosecond ordering of an enqueue, a
+    # departure and an observer happen; the lazy link must rank each one
+    # as the eager link's events do
+    eager = _drive(EagerLink, buffer_pkts, injections, observers)
+    lazy = _drive(Link, buffer_pkts, injections, observers)
+    admitted, arrivals, readings, final = lazy
+    assert admitted == eager[0]  # the same drops
+    assert arrivals == eager[1]
+    assert readings == eager[2]
+    assert final == eager[3]
+    assert final[0] == admitted  # FIFO, and every admitted packet departs

@@ -20,5 +20,6 @@ def test_design_metrics_prints_every_figure():
     # a data packet's injection and arrival, an ACK's arrival per two
     # packets and the pacing timer: its departure is no event
     assert 2 < float(figures["dispatched_per_data_packet"]) < 3.5
-    assert float(figures["calls_per_data_packet"]) > 0
+    # the per-packet call budget; the count is deterministic
+    assert 0 < float(figures["calls_per_data_packet"]) <= 16
     assert float(figures["range_adds_per_ack"]) > 0

@@ -455,16 +455,17 @@ def test_losses_are_retransmitted_and_transfer_completes():
 
 
 def test_in_flight_bound_respected_at_every_send():
+    # a packet's injection is scheduled once it counts as in flight
     sim, link, conn = make_conn(1 << 20)
     sent_ok = []
-    orig = conn._send_range
+    schedule = sim.schedule
 
-    def checked(start, end, lost, now):
-        wire = (end - start) + 150
-        sent_ok.append(conn.in_flight + wire <= conn.controller.cwnd)
-        orig(start, end, lost, now)
+    def checked(fire_at, kind, target, fn, arg=None):
+        if fn == link.enqueue:
+            sent_ok.append(conn.in_flight <= conn.controller.cwnd)
+        return schedule(fire_at, kind, target, fn, arg)
 
-    conn._send_range = checked
+    sim.schedule = checked
     conn.start(0)
     sim.run_until(seconds(1))
     assert sent_ok and all(sent_ok)
@@ -504,13 +505,19 @@ def test_first_flight_symmetry_with_window_equivalent_hint():
 
 
 def test_srtt_smoothing_follows_7_8_rule():
+    # an ACK samples the RTT of its largest packet, if newly acknowledged
     sim, link, conn = make_conn(1 << 20, wire=False)
     drive_handshake(conn, sim)
     assert conn.srtt == ms(50)
-    conn._update_rtt(ms(90))
+    first = conn.records[0]
+    sim.run_until(first.sent_at + ms(90))
+    conn.on_ack(Ack([(0, first.payload_len)], 0), sim.now)
     srtt = (7 * ms(50) + ms(90)) // 8
     assert conn.srtt == srtt
-    conn._update_rtt(ms(40))
+    late = conn.records[conn.next_pkt_num - 1]  # sent by that ACK
+    sim.run_until(late.sent_at + ms(40))
+    conn.on_ack(Ack([(0, late.seq + late.payload_len)], late.pkt_num),
+                sim.now)
     assert conn.srtt == (7 * srtt + ms(40)) // 8
 
 

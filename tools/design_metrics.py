@@ -33,7 +33,8 @@ calls_per_data_packet
     Python function calls per data packet sent, on the same cell: the
     `call` events a `sys.setprofile` hook sees while the run simulates,
     over both flows' data packets. Calls into C, such as heapq and bisect,
-    are not counted.
+    are not counted. The run is deterministic, and so is the count;
+    tests/test_tools.py holds it to a budget of 16.
 range_adds_per_ack
     `RangeSet.add` calls the senders make per ACK they receive, both flows
     counted, on the dsl-fast 2M blitz:4 cell, rep 0, seed 1. An ACK
