@@ -26,7 +26,7 @@ from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
                          make_controller)
 from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, PacketTrace, SimTime,
                      Simulator, ms, substream, us)
-from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig
+from .netmodel import HEADER_BYTES, SEGMENT_WIRE_BYTES, Link, LinkConfig
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         OracleEstimator, decode_hint, encode_hint)
 from .transport import Connection
@@ -71,6 +71,17 @@ class ScenarioConfig:
             raise ValueError(f"scenario {self.name!r}: short_flow_start must "
                              f"be below sim_cap {self.sim_cap}, got "
                              f"{self.short_flow_start}")
+        # Link.enqueue ranks a departure in the enqueue's nanosecond as if
+        # the packet had been injected when it was scheduled, which holds
+        # only while an injection lags less than one serialization time of
+        # the smallest packet a sender sends, one payload byte
+        smallest = self.link_config().serialization_time(HEADER_BYTES + 1)
+        if self.pkt_jitter_max >= smallest:
+            raise ValueError(
+                f"scenario {self.name!r}: pkt_jitter_max must be below "
+                f"{smallest / NS_PER_US:g} us, the serialization time of a "
+                f"{HEADER_BYTES + 1}-byte packet at {self.bottleneck_kbps} "
+                f"kbps, got {self.pkt_jitter_max / NS_PER_US:g} us")
 
     @property
     def rate_bps(self) -> int:

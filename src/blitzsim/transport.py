@@ -27,6 +27,9 @@ RACK_PACKET_THRESHOLD = 3
 RACK_TIME_THRESHOLD = (9, 8)  # (numerator, denominator) of a multiple of the RTT
 ACK_EVERY = 2
 MAX_ACK_DELAY = 25 * NS_PER_MS
+# The probe timeout is PTO_SRTT * srtt + PTO_RTTVAR * rttvar, doubled per
+# backoff; _arm_pto and on_ack both compute it from these.
+PTO_SRTT, PTO_RTTVAR = 2, 4
 ACK_WIRE_BYTES = 40  # an ACK's length in "ack" trace rows
 
 
@@ -124,6 +127,7 @@ class Receiver:
         self.largest_pkt_num = -1
         self._pending = 0
         self._ack_timer: Optional[Event] = None  # the max-ack-delay timer
+        self._ack_deadline: SimTime = 0  # the oldest unacked packet's ACK due
         self._target = f"recv:{conn.flow_id}"
         self.acks_sent = 0
 
@@ -148,20 +152,34 @@ class Receiver:
         self._pending += 1
         if self._pending >= ACK_EVERY:
             self._emit_ack(now)
-        elif self._pending == 1:  # the first unacked packet arms the timer
-            self._ack_timer = conn.sim.arm(
-                self._ack_timer, now + MAX_ACK_DELAY, "pacing-timer",
-                self._target, self._emit_ack)
+        elif self._pending == 1:  # the first unacked packet sets a deadline
+            self._ack_deadline = now + MAX_ACK_DELAY
+            ev = self._ack_timer  # engine.pending, inline
+            if ev is None or ev.fire_at == -1 or ev.cancelled:
+                self._ack_timer = conn.sim.arm(
+                    ev, self._ack_deadline, "pacing-timer", self._target,
+                    self._on_ack_timer)
+
+    def _on_ack_timer(self, now: SimTime) -> None:
+        """The max-ack-delay timer: ACK once the deadline has passed.
+
+        An ACK does not disarm the timer, and a later first unacked packet
+        only moves the deadline, which is never earlier than the timer's
+        key. So the timer can fire with nothing pending, and returns, or
+        before the deadline, and re-arms to it.
+        """
+        if not self._pending:
+            return
+        if now < self._ack_deadline:
+            self._ack_timer = self.conn.sim.arm(
+                self._ack_timer, self._ack_deadline, "pacing-timer",
+                self._target, self._on_ack_timer)
+            return
+        self._emit_ack(now)
 
     def _emit_ack(self, now: SimTime) -> None:
-        """ACK every byte received so far.
-
-        Also the max-ack-delay timer's callback: the timer is pending from
-        the first unacked packet until this call, so it only fires with
-        one packet pending.
-        """
+        """ACK every byte received so far."""
         conn = self.conn
-        conn.sim.cancel(self._ack_timer)
         self._pending = 0
         ack = Ack(list(self.ranges.ranges), self.largest_pkt_num)
         self.acks_sent += 1
@@ -214,6 +232,7 @@ class Connection:
         self.next_release: SimTime = 0
         self._pacing_event: Optional[Event] = None
         self._pto_event: Optional[Event] = None  # the probe timeout
+        self._pto_deadline: SimTime = 0  # when the probe timeout is due
         self._pto_backoff = 0
         self._last_inject: SimTime = 0
 
@@ -460,8 +479,19 @@ class Connection:
         if newly > 0:
             self._pto_backoff = 0
         if self.in_flight > 0:
-            self._arm_pto(now)
+            # the PTO counts from this ACK; its timer moves only if it
+            # must fire earlier, and a later deadline waits for _on_pto
+            deadline = now + ((PTO_SRTT * self.srtt + PTO_RTTVAR * self.rttvar)
+                              << self._pto_backoff)
+            self._pto_deadline = deadline
+            pto = self._pto_event  # engine.pending, inline
+            if (pto is None or pto.fire_at == -1 or pto.cancelled
+                    or deadline < pto.fire_at):
+                self._pto_event = self.sim.arm(
+                    pto, deadline, "loss-timer", self._target, self._on_pto)
         else:
+            # a stale pending timer would keep the next send from counting
+            # the PTO from that send
             self.sim.cancel(self._pto_event)
         self.maybe_send(now)
 
@@ -488,14 +518,26 @@ class Connection:
     # -- probe timeout ----------------------------------------------------------
 
     def _arm_pto(self, now: SimTime) -> None:
-        """Arm the probe timeout 2 srtt + 4 rttvar out, doubled per backoff."""
-        pto = (2 * self.srtt + 4 * self.rttvar) << self._pto_backoff
+        """Arm the probe timeout to fire one PTO interval from now."""
+        self._pto_deadline = now + (
+            (PTO_SRTT * self.srtt + PTO_RTTVAR * self.rttvar)
+            << self._pto_backoff)
         self._pto_event = self.sim.arm(
-            self._pto_event, now + pto, "loss-timer", self._target,
+            self._pto_event, self._pto_deadline, "loss-timer", self._target,
             self._on_pto)
 
     def _on_pto(self, now: SimTime) -> None:
+        """The probe timeout: declare the oldest outstanding packet lost.
+
+        An ACK moves the deadline later without re-keying the timer, so
+        the timer can fire before its deadline; it then re-arms to it.
+        """
         if self.finished_at is not None:
+            return
+        if now < self._pto_deadline:
+            self._pto_event = self.sim.arm(
+                self._pto_event, self._pto_deadline, "loss-timer",
+                self._target, self._on_pto)
             return
         oldest = self._oldest_outstanding()
         if oldest is None:

@@ -288,11 +288,11 @@ def test_each_timer_is_one_event_per_owner(monkeypatch):
     owners = Counter()
     for (name, _owner), n in calls.items():
         if name in ("Connection.maybe_send", "Connection._on_pto",
-                    "Receiver._emit_ack", "TwoFlowRun._on_saturated"):
+                    "Receiver._on_ack_timer", "TwoFlowRun._on_saturated"):
             assert n == 1, name
             owners[name] += 1
     assert owners == {"Connection.maybe_send": 2,
-                      "Connection._on_pto": 2, "Receiver._emit_ack": 2,
+                      "Connection._on_pto": 2, "Receiver._on_ack_timer": 2,
                       "TwoFlowRun._on_saturated": 1}
 
 
@@ -552,6 +552,10 @@ def test_cli_scenario_file(tmp_path):
     ([], CELL_FILE + "short_flow_start_ms = 300000\n", "short_flow_start"),
     (["--scenario", "dsl-fast", "--jobs", "0"], None, "--jobs"),
     (["--scenario", "dsl-fast", "--variant", "blitz:1:2"], None, "blitz:1:2"),
+    # the packet jitter must stay below a 151-byte packet's serialization
+    # time: 24.16 us at 50 Mbit/s, 6.04 us at 200 Mbit/s
+    ([], CELL_FILE + "pkt_jitter_max_us = 25\n", "pkt_jitter_max"),
+    ([], CELL_FILE.replace("= 50000", "= 200000"), "pkt_jitter_max"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):

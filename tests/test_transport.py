@@ -4,13 +4,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
 
 from blitzsim.congestion import FLOOR_BYTES, CubicController
 from blitzsim.engine import PacketTrace, Simulator, ms, pending, seconds, us
 from blitzsim.harness import (PRESETS, SIZES, TwoFlowRun, Variant,
                               single_flow_run)
 from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
-                               SEGMENT_WIRE_BYTES, Link, LinkConfig)
+                               SEGMENT_WIRE_BYTES, Link, LinkConfig, Packet)
 from blitzsim.transport import (ACK_EVERY, MAX_ACK_DELAY, Ack, Connection,
                                  RangeSet, pacing_interval)
 
@@ -521,6 +523,72 @@ def test_srtt_smoothing_follows_7_8_rule():
     assert conn.srtt == (7 * srtt + ms(40)) // 8
 
 
+# -- timers as deadlines --------------------------------------------------------------
+
+@pytest.mark.parametrize("lone_at", [
+    ms(10),  # the pair's timer entry pops at 25 ms, early, and re-arms
+    ms(30),  # it pops at 25 ms with nothing pending; the lone one arms anew
+], ids=["entry-pops-early", "entry-pops-idle"])
+def test_lone_packet_is_acked_max_ack_delay_after_it_arrived(lone_at):
+    sim, link, conn = make_conn(1 << 20)
+    acks = []  # when the receiver ACKs; the sender never sees them
+    conn.on_ack = lambda ack, now: acks.append(now - conn.reverse_delay)
+    receiver = conn.receiver
+    # a pair at 0 and 1 ms is acked at once; the first armed the timer
+    for k, at in enumerate((0, ms(1), lone_at)):
+        pkt = Packet(0, k * SEGMENT_PAYLOAD_BYTES, SEGMENT_WIRE_BYTES, k, 0,
+                     SEGMENT_PAYLOAD_BYTES)
+        sim.schedule(at, "packet-arrival", "test", receiver.on_data, pkt)
+    acked_at = lone_at + MAX_ACK_DELAY
+    sim.run_until(acked_at - 1)
+    assert acks == [ms(1)]
+    sim.run_until(seconds(1))
+    assert acks == [ms(1), acked_at]
+    assert receiver.acks_sent == 2
+
+
+def test_pto_entry_popping_before_its_deadline_only_re_arms():
+    sim, link, conn = make_conn(1 << 20, wire=False)
+    drive_handshake(conn, sim)
+    key = conn._pto_event.fire_at  # armed by the first send at 50 ms
+    assert key == ms(50) + 2 * ms(50) + 4 * ms(25)
+    sim.run_until(ms(120))
+    conn.on_ack(Ack([(0, 5 * SEGMENT_PAYLOAD_BYTES)], 4), sim.now)
+    oldest = conn.records[5]
+    deadline = ms(120) + 2 * conn.srtt + 4 * conn.rttvar
+    assert conn._pto_deadline == deadline > key
+    assert conn._pto_event.fire_at == key  # a later deadline moves nothing
+    sim.run_until(key)
+    assert conn.lost_pkts == 0
+    assert pending(conn._pto_event) and conn._pto_event.fire_at == deadline
+    sim.run_until(deadline - 1)
+    assert conn.lost_pkts == 0
+    sim.run_until(deadline)
+    assert conn.lost_pkts == 1 and oldest.lost
+
+
+def test_pto_after_in_flight_drains_counts_from_the_next_send():
+    sim, link, conn = make_conn(1 << 20, wire=False)
+    sim.recorder = trace = PacketTrace(only={"send"})
+    drive_handshake(conn, sim)  # a burst of 10 at 50 ms, then paced
+    stale = conn._pto_event.fire_at
+    sim.run_until(ms(50) + us(500))  # the pacer is closed
+    assert conn.pkts_sent == 10 and conn.next_release > sim.now
+    conn.on_ack(Ack([(0, 10 * SEGMENT_PAYLOAD_BYTES)], 9), sim.now)
+    assert conn.in_flight == 0 and not pending(conn._pto_event)
+    sim.run_until(conn.next_release)
+    sent_at = trace.rows[10][0]
+    assert sent_at == conn.next_release - pacing_interval(
+        conn.controller.cwnd, conn.srtt, conn.controller.pacing_fraction)
+    due = sent_at + 2 * conn.srtt + 4 * conn.rttvar
+    assert due > stale
+    assert conn._pto_deadline == conn._pto_event.fire_at == due
+    sim.run_until(due - 1)
+    assert conn.lost_pkts == 0
+    sim.run_until(due)
+    assert conn.lost_pkts == 1
+
+
 # -- bounded state ------------------------------------------------------------------
 
 def peak_state(monkeypatch, cfg, duration):
@@ -631,3 +699,135 @@ def test_transfer_survives_drop_duplication_and_reordering(
     for _, _, _, _, seq, length in trace.rows:
         assert seq % SEGMENT_PAYLOAD_BYTES == 0
         assert length - HEADER_BYTES == min(size - seq, SEGMENT_PAYLOAD_BYTES)
+
+
+# -- transport state machine ---------------------------------------------------------
+
+class StubLink:
+    """A Link stand-in that holds each injected packet until a rule acts."""
+
+    def __init__(self, cfg):
+        self.config = cfg
+        self.receivers = {}
+        self.held = []
+
+    def enqueue(self, pkt, now):
+        self.held.append(pkt)
+
+
+class TransportMachine(RuleBasedStateMachine):
+    """One Connection and its Receiver, with every packet and ACK in hand.
+
+    Rules deliver, drop, duplicate or hold back (so reorder) any data
+    packet or ACK in flight, and advance the clock so that the handshake,
+    the pacing timer, the PTO and the ACK-delay timer fire. The checks
+    are RFC 9002's bookkeeping (Appendix A) and the two timer deadlines.
+    """
+
+    @initialize(size=st.integers(1, 40 * SEGMENT_PAYLOAD_BYTES))
+    def start(self, size):
+        self.sim = Simulator()
+        self.link = StubLink(LinkConfig(rate_bps=10_000_000,
+                                        prop_delay=ms(10), buffer_pkts=30))
+        conn = Connection(self.sim, 0, self.link, size,
+                          lambda mr, now: CubicController())
+        self.conn = conn
+        self.acks = []
+        conn.on_ack = lambda ack, now: self.acks.append(ack)
+        # wrapped before the first arming, which reads the callback
+        self.early = []
+        self.watch(conn, "_on_pto", "_pto_deadline", "lost_pkts")
+        self.watch(conn.receiver, "_on_ack_timer", "_ack_deadline",
+                   "acks_sent")
+        conn.start(0)
+
+    def watch(self, owner, timer, deadline, count):
+        """Record each fire of owner's timer that acts before its deadline."""
+        fire = getattr(owner, timer)
+
+        def checked(now):
+            due, before = getattr(owner, deadline), getattr(owner, count)
+            fire(now)
+            if getattr(owner, count) > before and now < due:
+                self.early.append((timer, now, due))
+
+        setattr(owner, timer, checked)
+
+    @staticmethod
+    def take(items, i, dup):
+        i %= len(items)
+        return items[i] if dup else items.pop(i)
+
+    @precondition(lambda self: self.link.held)
+    @rule(i=st.integers(0, 1 << 16), dup=st.booleans())
+    def deliver_data(self, i, dup):
+        pkt = self.take(self.link.held, i, dup)
+        self.conn.receiver.on_data(pkt, self.sim.now)
+
+    @precondition(lambda self: self.link.held)
+    @rule(i=st.integers(0, 1 << 16))
+    def drop_data(self, i):
+        self.take(self.link.held, i, False)
+
+    @precondition(lambda self: self.acks)
+    @rule(i=st.integers(0, 1 << 16), dup=st.booleans())
+    def deliver_ack(self, i, dup):
+        ack = self.take(self.acks, i, dup)
+        Connection.on_ack(self.conn, ack, self.sim.now)
+
+    @precondition(lambda self: self.acks)
+    @rule(i=st.integers(0, 1 << 16))
+    def drop_ack(self, i):
+        self.take(self.acks, i, False)
+
+    @rule(dt=st.integers(1, ms(400)))
+    def advance(self, dt):
+        self.sim.run_until(self.sim.now + dt)
+
+    @precondition(lambda self: self.sim._heap)
+    @rule()
+    def step(self):
+        """Dispatch the next nanosecond that holds an event."""
+        self.sim.run_until(self.sim._heap[0][0])
+
+    @invariant()
+    def in_flight_is_what_is_neither_acked_nor_lost(self):
+        conn = self.conn
+        assert conn.in_flight == sum(pkt.len for pkt in conn.records.values()
+                                     if not (pkt.acked or pkt.lost))
+
+    @invariant()
+    def acked_bytes_are_the_acked_ranges(self):
+        assert self.conn.bytes_acked == self.conn.acked_ranges.total
+
+    @invariant()
+    def queued_retransmissions_are_lost_or_acked(self):
+        assert all(pkt.lost or pkt.acked for pkt in self.conn.retx_queue)
+
+    @invariant()
+    def no_ack_anomalies(self):
+        assert self.conn.ack_anomalies == 0
+
+    @invariant()
+    def no_pto_loss_and_no_delayed_ack_before_its_deadline(self):
+        assert self.early == []
+
+    @invariant()
+    def the_pto_is_armed_by_its_deadline_while_data_is_in_flight(self):
+        conn = self.conn
+        if conn.in_flight and not conn.finished:
+            pto = conn._pto_event
+            assert pending(pto) and pto.fire_at <= conn._pto_deadline
+
+    @invariant()
+    def an_unacked_packet_is_acked_by_its_deadline(self):
+        receiver = self.conn.receiver
+        if receiver._pending:
+            timer = receiver._ack_timer
+            assert self.sim.now < receiver._ack_deadline
+            assert pending(timer) and timer.fire_at <= receiver._ack_deadline
+
+
+TransportMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=60, deadline=None)
+test_transport_state_machine = TransportMachine.TestCase

@@ -28,13 +28,21 @@ dispatched_per_data_packet
     data packets. Every dispatch counts, whatever its kind: packet and
     ACK arrivals, timers that fire, the handshakes, `app-start` and
     `sim-end`; an entry a re-key or cancel left dead on the heap is
-    skipped, not dispatched, and does not count.
+    skipped, not dispatched, and does not count. A timer entry that pops
+    before its owner's deadline and only re-arms does count.
+cancelled_per_data_packet
+    Timer keys given up per data packet sent, on the same cell:
+    `Simulator.cancelled` once the run is over, which counts each
+    `cancel` of a pending timer and each `arm` that re-keys a pending
+    one. The PTO and the ACK-delay timer keep deadlines and move their
+    heap entry only when it must fire earlier, so this is near 0;
+    tests/test_tools.py holds it to 0.05 or below. Printed to four places.
 calls_per_data_packet
     Python function calls per data packet sent, on the same cell: the
     `call` events a `sys.setprofile` hook sees while the run simulates,
     over both flows' data packets. Calls into C, such as heapq and bisect,
     are not counted. The run is deterministic, and so is the count;
-    tests/test_tools.py holds it to a budget of 16.
+    tests/test_tools.py holds it to a budget of 14.
 range_adds_per_ack
     `RangeSet.add` calls the senders make per ACK they receive, both flows
     counted, on the dsl-fast 2M blitz:4 cell, rep 0, seed 1. An ACK
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 import ast
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -141,14 +150,27 @@ def events_per_data_packet() -> float:
     return made / sent
 
 
-def dispatched_per_data_packet() -> float:
+@lru_cache(maxsize=1)
+def _finished_run():
+    """The dsl-fast 10M baseline cell, rep 0, seed 1, run to its end."""
     sys.path.insert(0, str(SRC))
     from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
 
     run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"], Variant("baseline"), 0)
     run.run()
+    return run
+
+
+def dispatched_per_data_packet() -> float:
+    run = _finished_run()
     return run.sim.dispatched / (run.long_conn.pkts_sent
                                  + run.short_conn.pkts_sent)
+
+
+def cancelled_per_data_packet() -> float:
+    run = _finished_run()
+    return run.sim.cancelled / (run.long_conn.pkts_sent
+                                + run.short_conn.pkts_sent)
 
 
 def calls_per_data_packet() -> float:
@@ -196,6 +218,7 @@ def main() -> int:
     print(f"settable_values {settable_values()}")
     print(f"events_per_data_packet {events_per_data_packet():.4f}")
     print(f"dispatched_per_data_packet {dispatched_per_data_packet():.2f}")
+    print(f"cancelled_per_data_packet {cancelled_per_data_packet():.4f}")
     print(f"calls_per_data_packet {calls_per_data_packet():.2f}")
     print(f"range_adds_per_ack {range_adds_per_ack():.2f}")
     return 0
