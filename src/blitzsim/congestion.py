@@ -190,7 +190,7 @@ class CubicController:
                            now: SimTime, largest_acked: int,
                            largest_sent: int) -> None:
         self.cwnd += newly_acked
-        if rtt_sample is None or self._min_rtt is None:
+        if rtt_sample is None:
             return
         if largest_acked >= self._round_end_pkt:
             self._round_end_pkt = largest_sent + 1

@@ -36,16 +36,13 @@ TIMER = object()
 
 
 class Event:
-    """A re-armable timer, made by Simulator.arm, with a cancel flag.
+    """A re-armable timer, made by Simulator.arm.
 
-    (fire_at, seq) is the key the timer fires at; (heap_at, heap_seq) is
-    the key of the earliest heap entry that stands for it, which a re-key
-    can leave earlier than the timer's own key; heap_seq is -1 once a
-    cancelled timer's entry has been popped.
+    (fire_at, seq) is the key the timer is armed at; seq is -1 while it
+    is not armed, that is once it has fired or been cancelled.
     """
 
-    __slots__ = ("fire_at", "seq", "kind", "target", "fn", "cancelled",
-                 "heap_at", "heap_seq")
+    __slots__ = ("fire_at", "seq", "kind", "target", "fn")
 
     def __init__(self, fire_at: SimTime, seq: int, kind: str, target: str,
                  fn: Callable):
@@ -54,14 +51,6 @@ class Event:
         self.kind = kind
         self.target = target
         self.fn = fn
-        self.cancelled = False
-        self.heap_at = fire_at
-        self.heap_seq = seq
-
-
-def pending(ev: Optional[Event]) -> bool:
-    """True while ev is scheduled, not yet dispatched and not cancelled."""
-    return ev is not None and ev.fire_at != -1 and not ev.cancelled
 
 
 class PacketTrace:
@@ -91,12 +80,18 @@ class Simulator:
 
     The heap holds (fire_at, seq, fn, arg, kind, target) tuples, ordered
     by their unique (fire_at, seq) prefix. A fire-and-forget event is just
-    its tuple. A timer's tuple has fn None and its Event as arg; a re-keyed
+    its tuple. A timer's tuple has fn None and its Event as arg; a re-armed
     or cancelled timer leaves dead tuples behind, which run_until skips.
+
+    (now, seq) is the key of the event being dispatched, or of the last
+    one if stop() ended run_until. Before the first dispatch seq is -1,
+    before every key; once run_until returns without stop() it is past
+    every key scheduled so far, as every event up to now has fired.
     """
 
     def __init__(self):
         self.now: SimTime = 0
+        self.seq = -1
         self._heap: list[tuple] = []
         self._seq = 0
         self.scheduled = 0
@@ -106,12 +101,12 @@ class Simulator:
         self.recorder: Optional[PacketTrace] = None  # every layer's rows
 
     def schedule(self, fire_at: SimTime, kind: str, target: str,
-                 fn: Callable, arg: object = None) -> Optional[Event]:
+                 fn: Callable, arg: object = None) -> int | Event:
         """Schedule fn(now) (or fn(arg, now) when arg is given) at fire_at.
 
-        The event cannot be cancelled, and nothing is returned. Only
-        Simulator.arm passes arg=TIMER: the first arming of a timer, which
-        schedule() builds and returns as an Event.
+        The event cannot be cancelled; its sequence number is returned.
+        Only Simulator.arm passes arg=TIMER: the first arming of a timer,
+        which schedule() builds and returns as an Event.
         """
         if fire_at < self.now:
             raise RuntimeError(
@@ -124,7 +119,7 @@ class Simulator:
             heapq.heappush(self._heap, (fire_at, seq, None, ev, kind, target))
             return ev
         heapq.heappush(self._heap, (fire_at, seq, fn, arg, kind, target))
-        return None
+        return seq
 
     def arm(self, ev: Optional[Event], fire_at: SimTime, kind: str,
             target: str, fn: Callable) -> Event:
@@ -135,9 +130,7 @@ class Simulator:
         A re-key moves ev to fire_at exactly as cancel(ev) and a fresh
         arming would: ev takes the next sequence number and counts as
         scheduled, and its old key counts as cancelled if it was still
-        pending. The heap is only pushed when ev has no entry left or the
-        new key is earlier than its entry; a later key waits until
-        run_until pops that entry.
+        armed. The old key's heap entry stays behind, dead.
         """
         if ev is None:
             return self.schedule(fire_at, kind, target, fn, TIMER)
@@ -147,24 +140,18 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self.scheduled += 1
-        if ev.fire_at == -1 or ev.heap_seq == -1 or fire_at < ev.heap_at:
-            heapq.heappush(self._heap,
-                           (fire_at, seq, None, ev, ev.kind, ev.target))
-            ev.heap_at = fire_at
-            ev.heap_seq = seq
-        if ev.cancelled:
-            ev.cancelled = False
-        elif ev.fire_at != -1:
+        if ev.seq != -1:
             self.cancelled += 1
         ev.fire_at = fire_at
         ev.seq = seq
+        heapq.heappush(self._heap, (fire_at, seq, None, ev, ev.kind, ev.target))
         return ev
 
     def cancel(self, ev: Optional[Event]) -> bool:
-        """Mark a timer dead. Returns False if it is None, fired or cancelled."""
-        if ev is None or ev.fire_at == -1 or ev.cancelled:
+        """Disarm a timer. Returns False if it is None or not armed."""
+        if ev is None or ev.seq == -1:
             return False
-        ev.cancelled = True
+        ev.seq = -1
         self.cancelled += 1
         return True
 
@@ -192,22 +179,13 @@ class Simulator:
             fire_at, seq, fn, arg, kind, target = pop(heap)
             if fn is None:  # a timer; arg is its Event
                 ev = arg
-                if seq != ev.seq or ev.cancelled:
-                    # a dead key; the timer's earliest entry makes way for
-                    # its own key
-                    if seq == ev.heap_seq:
-                        if ev.cancelled:
-                            ev.heap_seq = -1
-                        else:
-                            ev.heap_at = ev.fire_at
-                            ev.heap_seq = ev.seq
-                            heapq.heappush(heap, (ev.fire_at, ev.seq, None,
-                                                  ev, kind, target))
+                if seq != ev.seq:  # re-armed or cancelled since
                     continue
-                ev.fire_at = -1  # consumed; cancel() becomes a no-op
+                ev.seq = -1
                 fn = ev.fn
                 arg = None
             self.now = fire_at
+            self.seq = seq
             if record is not None:
                 record((fire_at, seq, "event", kind, target))
             self.dispatched += 1
@@ -217,6 +195,7 @@ class Simulator:
                 fn(arg, fire_at)
             if self._stop:
                 return self.dispatched - first
+        self.seq = self._seq
         if end is not None and end > self.now:
             self.now = end
         return self.dispatched - first

@@ -26,7 +26,7 @@ from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
                          make_controller)
 from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, PacketTrace, SimTime,
                      Simulator, ms, substream, us)
-from .netmodel import HEADER_BYTES, SEGMENT_WIRE_BYTES, Link, LinkConfig
+from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         OracleEstimator, decode_hint, encode_hint)
 from .transport import Connection
@@ -71,17 +71,6 @@ class ScenarioConfig:
             raise ValueError(f"scenario {self.name!r}: short_flow_start must "
                              f"be below sim_cap {self.sim_cap}, got "
                              f"{self.short_flow_start}")
-        # Link.enqueue ranks a departure in the enqueue's nanosecond as if
-        # the packet had been injected when it was scheduled, which holds
-        # only while an injection lags less than one serialization time of
-        # the smallest packet a sender sends, one payload byte
-        smallest = self.link_config().serialization_time(HEADER_BYTES + 1)
-        if self.pkt_jitter_max >= smallest:
-            raise ValueError(
-                f"scenario {self.name!r}: pkt_jitter_max must be below "
-                f"{smallest / NS_PER_US:g} us, the serialization time of a "
-                f"{HEADER_BYTES + 1}-byte packet at {self.bottleneck_kbps} "
-                f"kbps, got {self.pkt_jitter_max / NS_PER_US:g} us")
 
     @property
     def rate_bps(self) -> int:
@@ -341,10 +330,9 @@ class TwoFlowRun:
 
     def _on_saturated(self, now: SimTime) -> None:
         # Armed 2 rtt ago, when the queue became non-empty. A departure
-        # before now that empties it cancels the check; one at exactly now
-        # comes after it.
+        # ranked before this check that empties it cancels the check.
         link = self.link
-        link.retire(now, now - 2 * self.cfg.rtt)
+        link.retire(now)
         if not link.queued:
             return
         self.sat_at = now
@@ -364,12 +352,11 @@ class TwoFlowRun:
                      for flow in (SHORT_FLOW, LONG_FLOW))
 
     def _on_started(self, now: SimTime) -> None:
-        self.link.retire(now, self.sat_at)  # app-start was scheduled at sat_at
+        self.link.retire(now)
         self.departed_at_start = self._departed_bytes()
 
     def _on_finished(self, now: SimTime) -> None:
-        # the finishing ACK was scheduled a reverse delay ago
-        self.link.retire(now, now - self.short_conn.reverse_delay)
+        self.link.retire(now)
         self.departed_at_end = self._departed_bytes()
         if self.stop_on_completion:
             self.sim.stop()
@@ -382,9 +369,9 @@ class TwoFlowRun:
         sim = self.sim
         sim.recorder = recorder
         sim.run_until(None)
-        # The run stopped in the short flow's finish, which retired the
-        # link itself, or in sim-end, scheduled before any other event.
-        self.link.retire(sim.now, 0)
+        # the run stopped in the short flow's finish or in sim-end, and
+        # sim.seq is still that event's
+        self.link.retire(sim.now)
         start = self.departed_at_start
         if start is None:  # the short flow never started
             short_bytes = long_bytes = 0
@@ -429,7 +416,7 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
                       jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max).draw)
     conn.start(0)
     sim.run_until(duration)
-    link.retire(duration, duration)
+    link.retire(duration)
     return conn
 
 

@@ -10,7 +10,9 @@ symmetric propagation delay on each direction; queueing adds on top.
 A packet costs the link one event, its arrival at the far end, scheduled
 when the packet is admitted. Its departure is bookkeeping done lazily, in
 departure order (Link.retire): per-flow counters of departed packets and
-bytes, which is all a reader of departures needs.
+bytes, which is all a reader of departures needs. A departure ranks among
+the events of its nanosecond by its arrival's sequence number, as the
+departure event the arrival stands in for would have.
 """
 
 from __future__ import annotations
@@ -87,14 +89,16 @@ class Link:
     flow in `receivers`, if any. The queue is FIFO by construction:
     packets depart in enqueue order at strictly increasing times.
 
-    A departure is not an event. `queue` holds (departure time, packet)
-    for each packet still queued, and retire() does what a departure
-    does, in departure order: the packet leaves `queued` and counts in
-    its flow's `departed` and `departed_bytes`, and the one that empties
-    the queue calls on_occupancy(departure time, 0). enqueue retires up
-    to its own nanosecond, so a packet departing as another arrives frees
-    its slot; any other reader of the queue, the counters or the hook's
-    results retires first.
+    A departure is not an event. `queue` holds (departure time, the seq
+    of the packet's arrival event, packet) for each packet still queued,
+    and retire() does what a departure does, in departure order: the
+    packet leaves `queued` and counts in its flow's `departed` and
+    `departed_bytes`, and the one that empties the queue calls
+    on_occupancy(departure time, 0). A packet admitted to an empty queue
+    calls on_occupancy(now, 1) before its arrival is scheduled, so before
+    it joins `queue`. enqueue retires first, so a packet departing as
+    another arrives frees its slot if it ranks first; any other reader of
+    the queue, the counters or the hook's results retires first too.
     """
 
     def __init__(self, sim: Simulator, config: LinkConfig):
@@ -102,7 +106,7 @@ class Link:
         self.config = config
         self.busy_until: SimTime = 0
         self._serialization: dict[int, SimTime] = {}  # by packet length
-        self.queue: deque[tuple[SimTime, Packet]] = deque()
+        self.queue: deque[tuple[SimTime, int, Packet]] = deque()
         self.max_queued = 0
         self.counters: defaultdict[int, FlowCounters] = defaultdict(FlowCounters)
         self.receivers: dict[int, Callable[[Packet, SimTime], None]] = {}
@@ -116,13 +120,13 @@ class Link:
     def enqueue(self, packet: Packet, now: SimTime) -> Optional[SimTime]:
         """Admit a packet; returns its departure time, or None if dropped.
 
-        Every departure at or before now is retired first. With a
-        recorder, the packet's "send" row is taken, and a "drop" row too
-        when the buffer is full.
+        Every departure that ranks before the enqueue is retired first.
+        With a recorder, the packet's "send" row is taken, and a "drop"
+        row too when the buffer is full.
         """
         queue = self.queue
         if queue and queue[0][0] <= now:
-            self.retire(now, now)
+            self.retire(now)
         c = self.counters[packet.flow_id]
         c.injected += 1
         record = self.sim.recorder
@@ -141,34 +145,33 @@ class Link:
             self._serialization[packet.len] = serialization
         departure = max(self.busy_until, now) + serialization
         self.busy_until = departure
-        queue.append((departure, packet))
+        if not queue and self.on_occupancy is not None:
+            self.on_occupancy(now, 1)
+        seq = self.sim.schedule(departure + self.config.prop_delay,
+                                "packet-arrival", LINK_TARGET, self._arrive,
+                                packet)
+        queue.append((departure, seq, packet))
         queued = len(queue)
         if queued > self.max_queued:
             self.max_queued = queued
-        if queued == 1 and self.on_occupancy is not None:
-            self.on_occupancy(now, 1)
-        self.sim.schedule(departure + self.config.prop_delay, "packet-arrival",
-                          LINK_TARGET, self._arrive, packet)
         return departure
 
-    def retire(self, until: SimTime, scheduled_at: SimTime) -> None:
-        """Retire each departure that comes before an event at until.
+    def retire(self, now: SimTime) -> None:
+        """Retire each departure that ranks before the event at now.
 
-        The event fires at until and was scheduled at scheduled_at. A
-        departure ranks among the events of its nanosecond as if it were
-        an event scheduled when its packet was enqueued (its sent_at): it
-        comes first if it departs before until, or at until from a packet
-        enqueued before scheduled_at. Scheduled in the same nanosecond,
-        the event comes first. A retired packet counts in its flow's
+        That event is keyed (now, sim.seq). A departure at d whose arrival
+        took seq s ranks as a departure event scheduled in the arrival's
+        place would: it comes first when (d, s) < (now, sim.seq), and only
+        a tie in time reads sim.seq. A retired packet counts in its flow's
         departed and departed_bytes, so the counters read right after this
         call are the ones that event sees.
         """
         queue = self.queue
         counters = self.counters
         while queue:
-            departure, packet = queue[0]
-            if departure >= until and (departure > until
-                                       or packet.sent_at >= scheduled_at):
+            departure, seq, packet = queue[0]
+            if departure >= now and (departure > now
+                                     or seq >= self.sim.seq):
                 return
             queue.popleft()
             c = counters[packet.flow_id]

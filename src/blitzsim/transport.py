@@ -154,8 +154,8 @@ class Receiver:
             self._emit_ack(now)
         elif self._pending == 1:  # the first unacked packet sets a deadline
             self._ack_deadline = now + MAX_ACK_DELAY
-            ev = self._ack_timer  # engine.pending, inline
-            if ev is None or ev.fire_at == -1 or ev.cancelled:
+            ev = self._ack_timer
+            if ev is None or ev.seq == -1:  # not armed
                 self._ack_timer = conn.sim.arm(
                     ev, self._ack_deadline, "pacing-timer", self._target,
                     self._on_ack_timer)
@@ -315,8 +315,8 @@ class Connection:
             if self.burst_remaining:
                 self.burst_remaining -= 1
             elif self.next_release > now:  # the pacer gate is closed
-                ev = self._pacing_event  # engine.pending, inline
-                if ev is None or ev.fire_at == -1 or ev.cancelled:
+                ev = self._pacing_event
+                if ev is None or ev.seq == -1:  # not armed
                     self._pacing_event = self.sim.arm(
                         ev, self.next_release, "pacing-timer", self._target,
                         self.maybe_send)
@@ -346,8 +346,8 @@ class Connection:
             self.payload_sent += payload
             self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
                               self.link.enqueue, pkt)
-            pto = self._pto_event  # engine.pending, inline
-            if pto is None or pto.fire_at == -1 or pto.cancelled:
+            pto = self._pto_event
+            if pto is None or pto.seq == -1:  # not armed
                 self._arm_pto(now)
             sent += 1
             if self.burst_remaining == 0:
@@ -484,13 +484,12 @@ class Connection:
             deadline = now + ((PTO_SRTT * self.srtt + PTO_RTTVAR * self.rttvar)
                               << self._pto_backoff)
             self._pto_deadline = deadline
-            pto = self._pto_event  # engine.pending, inline
-            if (pto is None or pto.fire_at == -1 or pto.cancelled
-                    or deadline < pto.fire_at):
+            pto = self._pto_event
+            if pto is None or pto.seq == -1 or deadline < pto.fire_at:
                 self._pto_event = self.sim.arm(
                     pto, deadline, "loss-timer", self._target, self._on_pto)
         else:
-            # a stale pending timer would keep the next send from counting
+            # a stale armed timer would keep the next send from counting
             # the PTO from that send
             self.sim.cancel(self._pto_event)
         self.maybe_send(now)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blitzsim.engine import (NS_PER_MS, NS_PER_S, PacketTrace, Simulator,
-                             derive_seed, ms, pending, seconds, substream, us)
+                             derive_seed, ms, seconds, substream, us)
 
 
 def test_event_at_current_time_dispatches_before_later_events():
@@ -47,13 +47,14 @@ def test_arm_schedules_once_then_rekeys_the_same_event():
     sim = Simulator()
     fired = []
     ev = sim.arm(None, us(10), "loss-timer", "t", fired.append)
-    assert pending(ev) and not pending(None)
+    assert ev.seq == 0
     assert sim.arm(ev, us(20), "loss-timer", "t", fired.append) is ev
     assert (sim.scheduled, sim.cancelled) == (2, 1)
+    assert (ev.fire_at, ev.seq) == (us(20), 1)
     sim.run_until(None)
-    assert fired == [us(20)] and not pending(ev)
+    assert fired == [us(20)] and ev.seq == -1  # fired, so not armed
     assert sim.arm(ev, us(30), "loss-timer", "t", fired.append) is ev
-    assert sim.cancel(ev) and not pending(ev)
+    assert sim.cancel(ev) and ev.seq == -1
     assert not sim.cancel(None)
     sim.run_until(None)
     assert fired == [us(20)]
@@ -63,8 +64,9 @@ def test_arm_schedules_once_then_rekeys_the_same_event():
 def test_schedule_returns_nothing_to_cancel():
     sim = Simulator()
     fired = []
+    # the event's sequence number, which is no handle to cancel
     assert sim.schedule(us(5), "packet-arrival", "t",
-                        lambda arg, now: fired.append((arg, now)), 7) is None
+                        lambda arg, now: fired.append((arg, now)), 7) == 0
     sim.run_until(None)
     assert fired == [(7, us(5))]
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (1, 0, 1)
@@ -241,12 +243,12 @@ def _cancel_and_arm(sim, handles, i, fire_at):
 def _drive(program, rekey):
     """Play an arm/cancel/re-key/run program; what a run can observe.
 
-    That includes which handles are pending after each step.
+    That includes which handles are armed after each step.
     """
     sim = Simulator()
     sim.recorder = PacketTrace(only={"event"})
     handles = []
-    pendings = []
+    armed = []
     rekeys = []  # (delay, raised) of every top-level re-key
 
     def callback(then):
@@ -273,11 +275,11 @@ def _drive(program, rekey):
                 rekeys.append((b, False))
             except RuntimeError:
                 rekeys.append((b, True))
-        pendings.append([pending(h) for h in handles])
+        armed.append([h.seq != -1 for h in handles])
     sim.run_until(None)
-    pendings.append([pending(h) for h in handles])
+    armed.append([h.seq != -1 for h in handles])
     return (sim.recorder.rows, sim.now, sim.scheduled, sim.cancelled,
-            sim.dispatched, pendings, rekeys)
+            sim.dispatched, armed, rekeys)
 
 
 _delay = st.integers(0, 6)  # short delays, so fire times tie often
@@ -299,19 +301,21 @@ def test_reschedule_matches_cancel_then_schedule(program):
     assert all(raised == (delay < 0) for delay, raised in got[-1])
 
 
-def test_reschedule_later_pushes_nothing_until_the_old_key_pops():
+def test_seq_keys_the_event_being_dispatched():
     sim = Simulator()
-    sim.recorder = PacketTrace(only={"event"})
-    ev = sim.arm(None, us(10), "loss-timer", "t", lambda now: None)
-    for t in (us(20), us(30), us(40)):
-        assert sim.arm(ev, t, ev.kind, ev.target, ev.fn) is ev
-    assert len(sim._heap) == 1
-    assert (sim.scheduled, sim.cancelled) == (4, 3)
-    sim.run_until(us(35))
-    assert sim.recorder.rows == []
+    seen = []
+    assert sim.seq == -1  # before the first dispatch: before every key
+    sim.schedule(us(5), "app-start", "t", lambda now: seen.append(sim.seq))
+    timer = sim.arm(None, us(5), "loss-timer", "t",
+                    lambda now: seen.append(sim.seq))
+    sim.arm(timer, us(5), "loss-timer", "t", None)  # re-keyed to seq 2
+    sim.schedule(us(7), "app-start", "t", lambda now: sim.stop())
+    sim.schedule(us(9), "app-start", "t", lambda now: None)
     sim.run_until(None)
-    assert sim.recorder.rows == [(us(40), 3, "event", "loss-timer", "t")]
-    assert sim.dispatched == 1
+    assert seen == [0, 2]
+    assert (sim.now, sim.seq) == (us(7), 3)  # stop() keeps the stopping key
+    sim.run_until(us(8))
+    assert (sim.now, sim.seq) == (us(8), 5)  # past every key scheduled
 
 
 def test_derive_seed_is_stable_and_label_sensitive():

@@ -343,7 +343,7 @@ def test_link_counters_conserve_packets_after_a_run(cfg, finished):
     run = TwoFlowRun(cfg, FAST70K, Variant("baseline"), 0)
     assert run.run().timeout is not finished
     link = run.link
-    queued = Counter(pkt.flow_id for _departure, pkt in link.queue)
+    queued = Counter(pkt.flow_id for _departure, _seq, pkt in link.queue)
     assert set(link.counters) == {0, 1}
     for flow, c in link.counters.items():
         assert c.injected - c.dropped - c.departed == queued[flow]
@@ -355,15 +355,16 @@ def test_link_counters_conserve_packets_after_a_run(cfg, finished):
 
 def test_fairness_counts_a_departure_at_the_finish_only_if_it_came_first():
     # A packet departs in the nanosecond the short flow's finishing ACK
-    # arrives. It counts only if it was enqueued before that ACK left the
-    # receiver; here it was not, so the row is the full matrix's.
+    # arrives. It counts only if its arrival took an earlier sequence
+    # number than that ACK's arrival, which the run stopped in; here it
+    # took a later one, so the row is the full matrix's.
     cfg = replace(PRESETS["3g"], seed_base=1)
     run = TwoFlowRun(cfg, SIZES["2M"], Variant("blitz", 4.0), 0)
     result = run.run()
     finish = run.short_conn.finished_at
-    head_at, head = run.link.queue[0]
-    assert head_at == finish
-    assert head.sent_at >= finish - run.short_conn.reverse_delay
+    head_at, head_seq, _head = run.link.queue[0]
+    assert head_at == finish == run.sim.now
+    assert head_seq > run.sim.seq
     row = (f"{result.scenario},{result.size_bytes},{result.variant},"
            f"{result.rep},{result.seed},{result.fct // 1000},"
            f"{result.lost_pkts},{result.retransmitted_bytes},"
@@ -552,10 +553,6 @@ def test_cli_scenario_file(tmp_path):
     ([], CELL_FILE + "short_flow_start_ms = 300000\n", "short_flow_start"),
     (["--scenario", "dsl-fast", "--jobs", "0"], None, "--jobs"),
     (["--scenario", "dsl-fast", "--variant", "blitz:1:2"], None, "blitz:1:2"),
-    # the packet jitter must stay below a 151-byte packet's serialization
-    # time: 24.16 us at 50 Mbit/s, 6.04 us at 200 Mbit/s
-    ([], CELL_FILE + "pkt_jitter_max_us = 25\n", "pkt_jitter_max"),
-    ([], CELL_FILE.replace("= 50000", "= 200000"), "pkt_jitter_max"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):
@@ -571,6 +568,24 @@ def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
     assert "Traceback" not in err
     assert err.count("\n") == 1 and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("file_text", [
+    # a packet jitter above a 151-byte packet's serialization time, 24.16 us
+    # at 50 Mbit/s, and the default 10 us jitter above its 6.04 us at
+    # 200 Mbit/s
+    CELL_FILE + "pkt_jitter_max_us = 25\n",
+    CELL_FILE.replace("= 50000", "= 200000"),
+], ids=["jitter-25us", "rate-200mbps"])
+def test_cli_runs_a_jitter_longer_than_a_serialization_time(tmp_path,
+                                                            file_text):
+    p = tmp_path / "cell.scenario"
+    p.write_text(file_text)
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario-file", str(p), "--size", "70K", "--out",
+               str(out), "--jobs", "1", "--reps", "2"])
+    assert rc == 0
+    assert len((out / "runs.csv").read_text().splitlines()) == 3
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -38,7 +38,7 @@ def test_two_packets_depart_in_order_one_serialization_apart():
     assert _enqueue(link, _pkt(0), 0, departures) == us(240)
     assert _enqueue(link, _pkt(1), 0, departures) == us(480)
     sim.run_until(None)
-    link.retire(sim.now, sim.now)
+    link.retire(sim.now)
     assert [t for t, _l in departures] == [us(240), us(480)]
     c = link.counters[0]
     assert (c.departed, c.departed_bytes) == (2, 3000)
@@ -69,40 +69,54 @@ def test_drop_recorded_against_the_packets_flow():
 
 def test_a_packet_arriving_as_the_queued_one_departs_takes_its_slot():
     # 1-slot buffer: the first packet departs at 240 us, and a packet
-    # enqueued in that same nanosecond finds the slot free
+    # enqueued in that same nanosecond, by an event scheduled after the
+    # first packet was admitted, finds the slot free
     sim = Simulator()
     link = Link(sim, LinkConfig(rate_bps=50_000_000, prop_delay=ms(25),
                                 buffer_pkts=1))
-    assert link.enqueue(_pkt(0), 0) == us(240)
-    assert link.enqueue(_pkt(1), us(240) - 1) is None
-    assert link.enqueue(_pkt(2), us(240)) == us(480)
+    departures = []
+    for num, at in ((0, 0), (1, us(240) - 1), (2, us(240))):
+        sim.schedule(at, "packet-arrival", "bottleneck",
+                     lambda now, p=_pkt(num): _enqueue(link, p, now,
+                                                       departures))
+        sim.run_until(at)
+    assert departures == [(us(240), 1500), (us(480), 1500)]
     c = link.counters[0]
     assert (c.injected, c.dropped, c.departed) == (3, 1, 1)
     assert link.queued == 1
 
 
-def test_retire_ranks_a_departure_by_when_its_packet_was_enqueued():
-    # a departure at `until` comes before an event at until only if its
-    # packet was enqueued before that event was scheduled
+def test_retire_ranks_a_departure_by_its_arrivals_seq():
+    # a departure at an event's nanosecond comes before that event only if
+    # its packet's arrival took an earlier sequence number than the event
     sim = Simulator()
     link = Link(sim, DSL_FAST)
     seen = []
     link.on_occupancy = lambda now, queued: seen.append(("occupancy", now,
                                                          queued))
-    departures = []
-    for num, sent_at in ((0, 0), (1, us(100))):
-        pkt = _pkt(num)
-        pkt.sent_at = sent_at
-        _enqueue(link, pkt, sent_at, departures)
-    assert departures == [(us(240), 1500), (us(480), 1500)]
-    assert seen == [("occupancy", 0, 1)]
     c = link.counters[0]
-    link.retire(us(480), us(100))  # pkt 1 was enqueued at 100 us, not before
-    assert (c.departed, c.departed_bytes) == (1, 1500) and link.queued == 1
-    assert seen == [("occupancy", 0, 1)]
-    link.retire(us(480), us(100) + 1)
-    assert seen[1:] == [("occupancy", us(480), 0)]
-    assert link.queued == 0 and c.departed == 2 and c.departed_bytes == 3000
+
+    def observe(now):
+        link.retire(now)
+        seen.append(("observe", now, link.queued, c.departed,
+                     c.departed_bytes))
+
+    departures = []
+    sim.schedule(us(480), "app-start", "early", observe)  # seq 0
+    for num, at in ((0, 0), (1, us(100))):
+        sim.schedule(at, "packet-arrival", "bottleneck",
+                     lambda now, p=_pkt(num): _enqueue(link, p, now,
+                                                       departures))
+    # scheduled at 200 us, after pkt 1's arrival took its seq at 100 us
+    sim.schedule(us(200), "app-start", "late",
+                 lambda now: sim.schedule(us(480), "app-start", "late",
+                                          observe))
+    sim.run_until(us(480))
+    assert departures == [(us(240), 1500), (us(480), 1500)]
+    assert seen == [("occupancy", 0, 1),
+                    ("observe", us(480), 1, 1, 1500),
+                    ("occupancy", us(480), 0),
+                    ("observe", us(480), 0, 2, 3000)]
 
 
 def test_delivery_adds_propagation_delay():
@@ -140,7 +154,7 @@ def test_utilization_of_saturated_link_within_half_percent():
     departures = []
 
     def refill(now):
-        link.retire(now, now)
+        link.retire(now)
         while link.queued < 100:
             _enqueue(link, _pkt(backlog["next"]), now, departures)
             backlog["next"] += 1
@@ -234,8 +248,8 @@ def test_rate_is_never_exceeded_with_ceil_serialization():
 class EagerLink:
     """Reference for Link: one departure event per packet, scheduled at
     enqueue, so a departure ranks among the events of its nanosecond by
-    when its packet was enqueued. Link does the departures lazily, in
-    retire(), and must agree with this on every reading."""
+    its own sequence number. Link does the departures lazily, in retire(),
+    and must agree with this on every reading."""
 
     def __init__(self, sim, config):
         self.sim = sim
@@ -281,17 +295,19 @@ class EagerLink:
 
 TIE_UNIT = us(120)  # serialization time of flow 1's packets; flow 0's is 2x
 TIE_LENGTHS = (1500, 750)
+TIE_LAGS = (0, 1, us(60), TIE_UNIT - 1, TIE_UNIT, TIE_UNIT + 1, 2 * TIE_UNIT,
+            5 * TIE_UNIT)
 
 
-def _drive(link_cls, buffer_pkts, injections, observers):
+def _drive(link_cls, buffer_pkts, injections, observers, order):
     """Everything a run on link_cls shows of its departures.
 
     An injection (k, flow, lag) enqueues a packet at k * TIE_UNIT, from an
-    event scheduled lag before that, as a sender's jitter does; the lag is
-    below one serialization time. An observer (until, scheduled_at) is an
-    event scheduled at scheduled_at that reads the link at until; on Link
-    it first retires as the event would (Link.retire). Observers are
-    scheduled ahead of any packet enqueued in the same nanosecond.
+    event scheduled lag before that (at 0 at the earliest), as a sender's
+    jitter does. An observer (until, scheduled_at) is an event scheduled
+    at scheduled_at that reads the link at until; on Link it first
+    retires (Link.retire). The outer events, the injections' and then the
+    observers', are scheduled before the run in the permutation `order`.
     """
     sim = Simulator()
     link = link_cls(sim, LinkConfig(rate_bps=50_000_000, prop_delay=ms(1),
@@ -305,7 +321,7 @@ def _drive(link_cls, buffer_pkts, injections, observers):
     def departed():
         if isinstance(link, EagerLink):
             return list(link.departed)
-        queued = {pkt.pkt_num for _departure, pkt in link.queue}
+        queued = {pkt.pkt_num for _departure, _seq, pkt in link.queue}
         return [num for num in admitted if num not in queued]
 
     def read():
@@ -315,26 +331,29 @@ def _drive(link_cls, buffer_pkts, injections, observers):
 
     def observe(scheduled_at, now):
         if isinstance(link, Link):
-            link.retire(now, scheduled_at)
+            link.retire(now)
         readings.append((now, scheduled_at, read()))
 
     def inject(pkt, now):
         if link.enqueue(pkt, now) is not None:
             admitted.append(pkt.pkt_num)
 
-    for until, scheduled_at in observers:
-        sim.schedule(scheduled_at, "app-start", "observer",
-                     lambda now, until=until: sim.schedule(
-                         until, "app-start", "observer", observe, now))
+    outer = []
     for num, (k, flow, lag) in enumerate(injections):
         at = k * TIE_UNIT
         pkt = Packet(flow, 0, TIE_LENGTHS[flow], num, sent_at=at)
-        sim.schedule(max(0, at - lag), "pacing-timer", "sender",
-                     lambda now, pkt=pkt, at=at: sim.schedule(
-                         at, "packet-arrival", "bottleneck", inject, pkt))
+        outer.append((max(0, at - lag),
+                      lambda now, pkt=pkt, at=at: sim.schedule(
+                          at, "packet-arrival", "bottleneck", inject, pkt)))
+    for until, scheduled_at in observers:
+        outer.append((scheduled_at,
+                      lambda now, until=until: sim.schedule(
+                          until, "app-start", "observer", observe, now)))
+    for i in order:
+        sim.schedule(outer[i][0], "app-start", "outer", outer[i][1])
     sim.run_until(None)
     if isinstance(link, Link):
-        link.retire(sim.now, 0)
+        link.retire(sim.now)
     return admitted, arrivals, readings, read()
 
 
@@ -346,18 +365,22 @@ _observer = st.tuples(st.integers(0, 14), st.integers(0, 14),
 
 @given(st.integers(1, 2),
        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 1),
-                          st.sampled_from([0, 1, us(60), TIE_UNIT - 1])),
+                          st.sampled_from(TIE_LAGS)),
                 min_size=1, max_size=14),
-       st.lists(_observer, max_size=10))
+       st.lists(_observer, max_size=10),
+       st.data())
 @settings(max_examples=300, deadline=None)
 def test_lazy_departures_match_a_departure_event_per_packet(
-        buffer_pkts, injections, observers):
-    # tied injection times, departures on the same grid and a buffer of one
-    # or two slots make every same-nanosecond ordering of an enqueue, a
-    # departure and an observer happen; the lazy link must rank each one
-    # as the eager link's events do
-    eager = _drive(EagerLink, buffer_pkts, injections, observers)
-    lazy = _drive(Link, buffer_pkts, injections, observers)
+        buffer_pkts, injections, observers, data):
+    # tied injection times, departures on the same grid, lags on and
+    # around that grid, a buffer of one or two slots and outer events
+    # scheduled in any order make every same-nanosecond ordering of an
+    # enqueue, a departure and an observer happen; the lazy link must rank
+    # each one as the eager link's events do
+    order = data.draw(st.permutations(range(len(injections)
+                                            + len(observers))))
+    eager = _drive(EagerLink, buffer_pkts, injections, observers, order)
+    lazy = _drive(Link, buffer_pkts, injections, observers, order)
     admitted, arrivals, readings, final = lazy
     assert admitted == eager[0]  # the same drops
     assert arrivals == eager[1]

@@ -8,7 +8,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from blitzsim.congestion import FLOOR_BYTES, CubicController
-from blitzsim.engine import PacketTrace, Simulator, ms, pending, seconds, us
+from blitzsim.engine import PacketTrace, Simulator, ms, seconds, us
 from blitzsim.harness import (PRESETS, SIZES, TwoFlowRun, Variant,
                               single_flow_run)
 from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
@@ -161,7 +161,7 @@ def test_window_limited_sender_sends_nothing_and_arms_no_timer():
     assert conn.pkts_sent == 32
     assert conn.in_flight == 32 * 1500
     assert conn.maybe_send(sim.now) == 0
-    assert not pending(conn._pacing_event)
+    assert conn._pacing_event.seq == -1
 
 
 def test_70KB_transfer_is_52_packets_and_reliable():
@@ -560,7 +560,7 @@ def test_pto_entry_popping_before_its_deadline_only_re_arms():
     assert conn._pto_event.fire_at == key  # a later deadline moves nothing
     sim.run_until(key)
     assert conn.lost_pkts == 0
-    assert pending(conn._pto_event) and conn._pto_event.fire_at == deadline
+    assert conn._pto_event.seq != -1 and conn._pto_event.fire_at == deadline
     sim.run_until(deadline - 1)
     assert conn.lost_pkts == 0
     sim.run_until(deadline)
@@ -575,7 +575,7 @@ def test_pto_after_in_flight_drains_counts_from_the_next_send():
     sim.run_until(ms(50) + us(500))  # the pacer is closed
     assert conn.pkts_sent == 10 and conn.next_release > sim.now
     conn.on_ack(Ack([(0, 10 * SEGMENT_PAYLOAD_BYTES)], 9), sim.now)
-    assert conn.in_flight == 0 and not pending(conn._pto_event)
+    assert conn.in_flight == 0 and conn._pto_event.seq == -1
     sim.run_until(conn.next_release)
     sent_at = trace.rows[10][0]
     assert sent_at == conn.next_release - pacing_interval(
@@ -817,7 +817,7 @@ class TransportMachine(RuleBasedStateMachine):
         conn = self.conn
         if conn.in_flight and not conn.finished:
             pto = conn._pto_event
-            assert pending(pto) and pto.fire_at <= conn._pto_deadline
+            assert pto.seq != -1 and pto.fire_at <= conn._pto_deadline
 
     @invariant()
     def an_unacked_packet_is_acked_by_its_deadline(self):
@@ -825,7 +825,7 @@ class TransportMachine(RuleBasedStateMachine):
         if receiver._pending:
             timer = receiver._ack_timer
             assert self.sim.now < receiver._ack_deadline
-            assert pending(timer) and timer.fire_at <= receiver._ack_deadline
+            assert timer.seq != -1 and timer.fire_at <= receiver._ack_deadline
 
 
 TransportMachine.TestCase.settings = settings(

@@ -33,7 +33,7 @@ dispatched_per_data_packet
 cancelled_per_data_packet
     Timer keys given up per data packet sent, on the same cell:
     `Simulator.cancelled` once the run is over, which counts each
-    `cancel` of a pending timer and each `arm` that re-keys a pending
+    `cancel` of an armed timer and each `arm` that re-keys an armed
     one. The PTO and the ACK-delay timer keep deadlines and move their
     heap entry only when it must fire earlier, so this is near 0;
     tests/test_tools.py holds it to 0.05 or below. Printed to four places.
