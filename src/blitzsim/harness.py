@@ -16,6 +16,7 @@ import csv
 import math
 import random
 import statistics
+import struct
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
@@ -27,8 +28,9 @@ from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
 from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, PacketTrace, SimTime,
                      Simulator, ms, substream, us)
 from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig
-from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
-                        OracleEstimator, decode_hint, encode_hint)
+from .signaling import (MAX_HINT_KBPS, AccessTech, BandwidthHint,
+                        HintDecodeError, OracleEstimator, decode_hint,
+                        encode_hint)
 from .transport import Connection
 
 SIZES = {"70K": 70_000, "2M": 2_000_000, "10M": 10_000_000}
@@ -197,19 +199,29 @@ def rolling_bandwidth(deliveries: Sequence[tuple[SimTime, int]],
 
 def check_variants(scenarios: Sequence[ScenarioConfig],
                    variants: Sequence[Variant]) -> None:
-    """ValueError for a blitz variant whose estimate is 0 kbps on a scenario.
+    """ValueError for a blitz variant whose estimate no hint can carry.
 
-    Such a hint is unusable, so the short flow would run Slow Start under
-    the blitz label.
+    An estimate of 0 kbps is unusable, so the short flow would run Slow
+    Start under the blitz label; one above the hint's u32 field cannot be
+    encoded at all.
     """
     for cfg in scenarios:
         for variant in variants:
-            if (variant.kind == "blitz" and OracleEstimator(variant.factor)
-                    .estimate(cfg.bottleneck_kbps) == 0):
+            if variant.kind != "blitz":
+                continue
+            kbps = OracleEstimator(variant.factor).estimate(
+                cfg.bottleneck_kbps)
+            if kbps == 0:
                 raise ValueError(
                     f"variant {variant.label()} estimates 0 kbps on scenario "
                     f"{cfg.name!r} ({cfg.bottleneck_kbps} kbps); "
                     "use a larger factor")
+            if kbps > MAX_HINT_KBPS:
+                raise ValueError(
+                    f"variant {variant.label()} estimates {kbps} kbps on "
+                    f"scenario {cfg.name!r} ({cfg.bottleneck_kbps} kbps), "
+                    f"above the hint's {MAX_HINT_KBPS} kbps; "
+                    "use a smaller factor")
 
 
 def _baseline_factory(floor: SimTime):
@@ -248,24 +260,49 @@ class JitterDraw:
     """draw() is rng.randrange(0, high + 1), from the same bits.
 
     randrange draws k = (high + 1).bit_length() random bits and redraws
-    while they reach high + 1; this does the same without its argument
-    handling, so the stream and the values are the ones randrange gives.
-    It holds rng itself rather than rng.getrandbits: copy.deepcopy shares
-    a built-in bound method, so a copied run would draw from the original.
+    while they reach high + 1. For k <= 32 each try takes one 32-bit word
+    of the generator and keeps its top k bits, and one
+    getrandbits(32 * REFILL_WORDS) yields the next REFILL_WORDS words,
+    first word lowest. So draw() refills `draws` with the values of a batch
+    of words that randrange would accept, the next one last, and returns
+    draws.pop(); a caller may pop `draws` itself and call draw() only when
+    it is empty. The stream and the values are the ones randrange gives,
+    but rng runs up to a batch ahead, so nothing else may draw from it.
+    For k > 32 a try takes several words, and draw() draws one value at a
+    time, leaving `draws` empty. It holds rng itself rather than
+    rng.getrandbits: copy.deepcopy shares a built-in bound method, so a
+    copied run would draw from the original.
     """
 
-    __slots__ = ("rng", "n", "k")
+    REFILL_WORDS = 256
+    _WORDS = struct.Struct(f"<{REFILL_WORDS}I")
+
+    __slots__ = ("rng", "n", "k", "draws")
 
     def __init__(self, rng: random.Random, high: int):
         self.rng = rng
         self.n = high + 1
         self.k = self.n.bit_length()
+        self.draws: list[int] = []
 
     def draw(self) -> int:
-        r = self.rng.getrandbits(self.k)
-        while r >= self.n:
-            r = self.rng.getrandbits(self.k)
-        return r
+        draws = self.draws
+        if draws:
+            return draws.pop()
+        n, k, rng = self.n, self.k, self.rng
+        if k > 32:
+            r = rng.getrandbits(k)
+            while r >= n:
+                r = rng.getrandbits(k)
+            return r
+        shift = 32 - k
+        limit = n << shift  # a word is accepted when word >> shift < n
+        while not draws:  # refilled in place: callers hold the list
+            words = self._WORDS.unpack(rng.getrandbits(
+                32 * self.REFILL_WORDS).to_bytes(4 * self.REFILL_WORDS,
+                                                  "little"))
+            draws.extend([w >> shift for w in reversed(words) if w < limit])
+        return draws.pop()
 
 
 class TwoFlowRun:

@@ -125,15 +125,28 @@ class Link:
         row too when the buffer is full.
         """
         queue = self.queue
+        counters = self.counters
+        sim = self.sim
         if queue and queue[0][0] <= now:
-            self.retire(now)
-        c = self.counters[packet.flow_id]
+            # retire(now), inline on the per-packet path: the same tie rule
+            while queue:
+                departure, seq, head = queue[0]
+                if departure >= now and (departure > now or seq >= sim.seq):
+                    break
+                queue.popleft()
+                c = counters[head.flow_id]
+                c.departed += 1
+                c.departed_bytes += head.len
+                if not queue and self.on_occupancy is not None:
+                    self.on_occupancy(departure, 0)
+        c = counters[packet.flow_id]
         c.injected += 1
-        record = self.sim.recorder
+        record = sim.recorder
         if record is not None:
             record((now, packet.flow_id, "send", packet.pkt_num, packet.seq,
                     packet.len))
-        if len(queue) >= self.config.buffer_pkts:
+        queued = len(queue)
+        if queued >= self.config.buffer_pkts:
             c.dropped += 1
             if record is not None:
                 record((now, packet.flow_id, "drop", packet.pkt_num,
@@ -143,15 +156,17 @@ class Link:
         if serialization is None:
             serialization = self.config.serialization_time(packet.len)
             self._serialization[packet.len] = serialization
-        departure = max(self.busy_until, now) + serialization
+        departure = self.busy_until
+        if departure < now:
+            departure = now
+        departure += serialization
         self.busy_until = departure
-        if not queue and self.on_occupancy is not None:
+        if not queued and self.on_occupancy is not None:
             self.on_occupancy(now, 1)
-        seq = self.sim.schedule(departure + self.config.prop_delay,
-                                "packet-arrival", LINK_TARGET, self._arrive,
-                                packet)
+        seq = sim.schedule(departure + self.config.prop_delay,
+                           "packet-arrival", LINK_TARGET, self._arrive, packet)
         queue.append((departure, seq, packet))
-        queued = len(queue)
+        queued += 1
         if queued > self.max_queued:
             self.max_queued = queued
         return departure

@@ -20,6 +20,7 @@ from typing import Optional
 
 HINT_VERSION = 0x01
 _FLAG_MIN_RTT = 0x01
+MAX_HINT_KBPS = 0xFFFFFFFF  # the u32 bandwidth_kbps field
 
 
 class AccessTech(enum.IntEnum):
@@ -54,7 +55,7 @@ class HintDecodeError(ValueError):
 
 
 def encode_hint(hint: BandwidthHint) -> bytes:
-    if not 0 <= hint.bandwidth_kbps <= 0xFFFFFFFF:
+    if not 0 <= hint.bandwidth_kbps <= MAX_HINT_KBPS:
         raise ValueError(f"bandwidth_kbps out of range: {hint.bandwidth_kbps}")
     flags = 0
     if hint.min_rtt_us is not None:

@@ -151,7 +151,12 @@ class Receiver:
                     pkt.len))
         self._pending += 1
         if self._pending >= ACK_EVERY:
-            self._emit_ack(now)
+            # _emit_ack, inline on the per-packet path
+            self._pending = 0
+            self.acks_sent += 1
+            conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
+                              conn._target, conn.on_ack,
+                              Ack(list(received.ranges), self.largest_pkt_num))
         elif self._pending == 1:  # the first unacked packet sets a deadline
             self._ack_deadline = now + MAX_ACK_DELAY
             ev = self._ack_timer
@@ -178,7 +183,7 @@ class Receiver:
         self._emit_ack(now)
 
     def _emit_ack(self, now: SimTime) -> None:
-        """ACK every byte received so far."""
+        """ACK every byte received so far (on_data does this inline)."""
         conn = self.conn
         self._pending = 0
         ack = Ack(list(self.ranges.ranges), self.largest_pkt_num)
@@ -204,7 +209,12 @@ class Connection:
         self.handshake_rtt = 2 * link.config.prop_delay
         self.controller_factory = controller_factory
         self.controller: Optional[CubicController] = None
+        # jitter() gives the next injection lag. When it is the draw of a
+        # harness.JitterDraw, the lags that draw holds ready are popped
+        # from its `draws` first, and jitter() is called only to refill.
         self.jitter = jitter
+        self._draws: list[int] = getattr(getattr(jitter, "__self__", None),
+                                         "draws", [])
 
         self.next_seq = 0
         self.next_pkt_num = 0
@@ -296,6 +306,7 @@ class Connection:
             return 0
         ctrl = self.controller
         retx = self.retx_queue
+        size = self.size
         sent = 0
         while True:
             while retx and retx[0].acked:
@@ -304,10 +315,12 @@ class Connection:
                 lost = retx[0]
                 start = lost.seq
                 end = start + lost.payload_len
-            elif self.next_seq < self.size:
+            elif self.next_seq < size:
                 lost = None
                 start = self.next_seq
-                end = min(self.size, start + SEGMENT_PAYLOAD_BYTES)
+                end = start + SEGMENT_PAYLOAD_BYTES
+                if end > size:
+                    end = size
             else:
                 break
             if self.in_flight + (end - start) + HEADER_BYTES > ctrl.cwnd:
@@ -329,7 +342,10 @@ class Connection:
             else:
                 self.next_seq = end
             inject_at = now
-            if self.jitter is not None:
+            draws = self._draws
+            if draws:
+                inject_at += draws.pop()
+            elif self.jitter is not None:
                 inject_at += self.jitter()
             if inject_at < self._last_inject:
                 inject_at = self._last_inject  # a sender never reorders itself
@@ -351,8 +367,10 @@ class Connection:
                 self._arm_pto(now)
             sent += 1
             if self.burst_remaining == 0:
-                self.next_release = now + pacing_interval(
-                    ctrl.cwnd, self.srtt, ctrl.pacing_fraction)
+                # pacing_interval(ctrl.cwnd, self.srtt, ctrl.pacing_fraction)
+                num, den = ctrl.pacing_fraction
+                self.next_release = now + (num * self.srtt * SEGMENT_WIRE_BYTES
+                                           // (den * ctrl.cwnd))
         return sent
 
     # -- receiving ----------------------------------------------------------
@@ -382,19 +400,25 @@ class Connection:
             else:
                 rtt_sample = now - pkt.sent_at
                 self.latest_rtt = rtt_sample
-                self.rttvar = (3 * self.rttvar
-                               + abs(self.srtt - rtt_sample)) // 4
-                self.srtt = (7 * self.srtt + rtt_sample) // 8
+                srtt = self.srtt
+                deviation = srtt - rtt_sample
+                if deviation < 0:
+                    deviation = -deviation
+                self.rttvar = (3 * self.rttvar + deviation) // 4
+                self.srtt = (7 * srtt + rtt_sample) // 8
                 self.largest_acked_pkt = largest
                 self.largest_acked_sent_at = pkt.sent_at
 
         # An ACK carries every range the receiver holds, and most of them
         # are ranges the sender holds already, exactly. Coverage only
         # grows, so such a range would add nothing even after the others
-        # merge: only the rest go to add(), in the ACK's order, as RFC 9002
+        # merge: only the rest are added, in the ACK's order, as RFC 9002
         # (A.7) does work only for newly acknowledged packets. The set is
         # built only for ACKs of more than one range, so the one-range
-        # ACKs of a loss-free flow pay nothing for it.
+        # ACKs of a loss-free flow pay nothing for it. A range that starts
+        # within or at the end of the last held range, as the one range of
+        # an in-order flow does, only moves that range's end: add()'s fast
+        # path, inline. Any other goes to add().
         #
         # Newly covered ranges are unions of whole packets, so they start
         # on the packetization grid and each segment in them is covered
@@ -405,13 +429,25 @@ class Connection:
         newly_wire = 0
         in_flight = self.in_flight
         acked = self.acked_ranges
+        held_ranges = acked.ranges
         by_seq = self.records_by_seq
         ranges = ack.acked_ranges
-        held = set(acked.ranges) if len(ranges) > 1 else ()
+        held = set(held_ranges) if len(ranges) > 1 else ()
         for rng in ranges:
             if rng in held:
                 continue
-            for added_start, added_end in acked.add(*rng):
+            start, end = rng
+            last = held_ranges[-1] if held_ranges else None
+            if last is not None and last[0] <= start <= last[1]:
+                last_end = last[1]
+                if end <= last_end:
+                    continue
+                held_ranges[-1] = (last[0], end)
+                acked.total += end - last_end
+                added = ((last_end, end),)
+            else:
+                added = acked.add(start, end)
+            for added_start, added_end in added:
                 newly += added_end - added_start
                 for seq in range(added_start, added_end,
                                  SEGMENT_PAYLOAD_BYTES):
@@ -439,7 +475,9 @@ class Connection:
         scan = self._scan_from
         if self.largest_acked_pkt >= 0:
             num, den = RACK_TIME_THRESHOLD
-            threshold = num * max(self.srtt, self.latest_rtt) // den
+            srtt, latest_rtt = self.srtt, self.latest_rtt
+            rtt = srtt if srtt > latest_rtt else latest_rtt
+            threshold = num * rtt // den
             time_cutoff = self.largest_acked_sent_at - threshold
             pkt_cutoff = self.largest_acked_pkt - RACK_PACKET_THRESHOLD
             end = self.next_pkt_num
@@ -458,7 +496,9 @@ class Connection:
         # lower of the two goes. Only grid points of newly covered bytes
         # are looked up, and those lie above the cumulative ACK frontier,
         # so `records_by_seq` below the frontier goes.
-        floor = min(scan, self.largest_acked_pkt + 1)
+        floor = self.largest_acked_pkt + 1
+        if scan < floor:
+            floor = scan
         pkt_num = self._records_floor
         while pkt_num < floor:
             del records[pkt_num]

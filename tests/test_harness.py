@@ -205,12 +205,30 @@ def test_anova_p_never_prints_negative_zero():
 
 
 def test_jitter_draw_repeats_randrange():
-    for high in (0, 1, 2, 7, 1000, 1 << 20):
+    # Up to 2**32 - 2, a draw takes one 32-bit word, and a batch of words
+    # holds at most REFILL_WORDS draws: 2 * REFILL_WORDS + 1 draws span at
+    # least three refills. From 2**32 - 1 on, a draw takes two words and
+    # is drawn alone. Half the tries or more are rejected for high 0, 1
+    # and 7. The draws are taken as Connection takes them: popped from
+    # `draws` while it holds any, else from draw().
+    for high in (0, 1, 7, 1000, (1 << 32) - 1, 1 << 32, 5 * 10**9):
         a, b = random.Random(high), random.Random(high)
-        draw = JitterDraw(b, high).draw
-        assert ([a.randrange(0, high + 1) for _ in range(500)]
-                == [draw() for _ in range(500)])
-        assert a.random() == b.random()  # the streams stay in step
+        jitter = JitterDraw(b, high)
+        batched = (high + 1).bit_length() <= 32
+        got = []
+        refills = 0
+        for _ in range(2 * JitterDraw.REFILL_WORDS + 1):
+            if jitter.draws:
+                got.append(jitter.draws.pop())
+                continue
+            got.append(jitter.draw())
+            refills += 1
+            if batched:  # a batch of words, some of them rejected
+                assert 0 < len(jitter.draws) < JitterDraw.REFILL_WORDS
+            else:
+                assert jitter.draws == []
+        assert got == [a.randrange(0, high + 1) for _ in got], high
+        assert refills >= 3
 
 
 def test_run_matrix_rejects_a_zero_kbps_estimate_before_running():
@@ -553,6 +571,12 @@ def test_cli_scenario_file(tmp_path):
     ([], CELL_FILE + "short_flow_start_ms = 300000\n", "short_flow_start"),
     (["--scenario", "dsl-fast", "--jobs", "0"], None, "--jobs"),
     (["--scenario", "dsl-fast", "--variant", "blitz:1:2"], None, "blitz:1:2"),
+    # estimates above the hint's u32 kbps field, which encode_hint rejects
+    (["--scenario", "dsl-fast", "--variant", "blitz:85900"], None,
+     "4295000000 kbps"),
+    (["--scenario", "dsl-fast", "--variant", "blitz:85900", "--jobs", "2"],
+     None, "blitz:85900"),
+    ([], CELL_FILE.replace("blitz:1.0", "blitz:1e300"), "blitz:1e+300"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):
@@ -568,6 +592,17 @@ def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
     assert "Traceback" not in err
     assert err.count("\n") == 1 and named in err
     assert not out.exists()
+
+
+def test_cli_runs_the_largest_estimate_a_hint_carries(tmp_path):
+    # 85899 x 50000 kbps = 4294950000 kbps fits the hint's u32 field;
+    # blitz:85900 does not, and exits 2 above
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", "dsl-fast", "--size", "70K", "--variant",
+               "blitz:85899", "--reps", "1", "--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "runs.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("dsl-fast,70000,blitz:85899,")
 
 
 @pytest.mark.parametrize("file_text", [
@@ -586,6 +621,33 @@ def test_cli_runs_a_jitter_longer_than_a_serialization_time(tmp_path,
                str(out), "--jobs", "1", "--reps", "2"])
     assert rc == 0
     assert len((out / "runs.csv").read_text().splitlines()) == 3
+
+
+JITTER_CELLS = {
+    # a 1 ms jitter takes 20 bits a draw, from batches of words; a 5 s one
+    # takes 33 bits, two words a draw, and draws one at a time. Each row
+    # and packet trace is the one the runs wrote when every draw called
+    # randrange's getrandbits loop.
+    1000: ("cell,70000,blitz:1,0,1,145276,0,0,0.000000,0.093622,0",
+           "3541ecdac9e760fa74efcb10bab98f8e5d79644735a48de73e18fc7fd3a43d37"),
+    5_000_000: (
+        "cell,70000,blitz:1,0,1,,0,0,0.000000,,1",
+        "000d11e5cdb1f387782984182be7c033244de54f88484f61d17dab6f5752fa40"),
+}
+
+
+@pytest.mark.parametrize("jitter_us", sorted(JITTER_CELLS))
+def test_a_wide_packet_jitter_writes_the_rows_randrange_did(tmp_path,
+                                                            jitter_us):
+    row, trace_sha = JITTER_CELLS[jitter_us]
+    p = tmp_path / "cell.scenario"
+    p.write_text(CELL_FILE + f"pkt_jitter_max_us = {jitter_us}\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario-file", str(p), "--out", str(out),
+               "--jobs", "1", "--reps", "1", "--trace"])
+    assert rc == 0
+    assert (out / "runs.csv").read_text().splitlines()[1] == row
+    assert _sha256(out / "trace_cell_70000_blitz_1_0.csv") == trace_sha
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

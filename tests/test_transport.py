@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
-from blitzsim.congestion import FLOOR_BYTES, CubicController
+from blitzsim.congestion import (FLOOR_BYTES, PACE_AVOIDANCE, PACE_SLOW_START,
+                                 CubicController)
 from blitzsim.engine import PacketTrace, Simulator, ms, seconds, us
 from blitzsim.harness import (PRESETS, SIZES, TwoFlowRun, Variant,
                               single_flow_run)
@@ -53,6 +55,30 @@ def test_pacing_interval_rejects_zero_srtt():
 def test_pacing_interval_rejects_sub_segment_window():
     with pytest.raises(ValueError):
         pacing_interval(1499, ms(50), (1, 2))
+
+
+def test_every_paced_send_waits_the_pacing_interval(monkeypatch):
+    # maybe_send computes the gap inline; on a lossy cell, in Slow Start
+    # and after it, the gap after each paced send is pacing_interval's.
+    # cwnd and srtt do not change within one call, so the gap the call
+    # leaves in next_release is the one after each of its sends.
+    maybe_send = Connection.maybe_send
+    fractions = Counter()
+
+    def checked(conn, now):
+        sent = maybe_send(conn, now)
+        if sent and conn.burst_remaining == 0:
+            ctrl = conn.controller
+            assert conn.next_release - now == pacing_interval(
+                ctrl.cwnd, conn.srtt, ctrl.pacing_fraction)
+            fractions[ctrl.pacing_fraction] += 1
+        return sent
+
+    monkeypatch.setattr(Connection, "maybe_send", checked)
+    result = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"],
+                        Variant("blitz", 4.0), 0).run()
+    assert result.lost_pkts > 0
+    assert set(fractions) == {PACE_SLOW_START, PACE_AVOIDANCE}
 
 
 # -- RangeSet ------------------------------------------------------------------
@@ -220,10 +246,28 @@ def test_ack_below_prune_floor_is_old_not_an_anomaly():
 
 # -- ACK processing cost ---------------------------------------------------------
 
-class UnheldRange(tuple):
+class TakenRange(tuple):
+    """A byte range that counts in seen["adds"] each time it is unpacked.
+
+    on_ack unpacks each range it does not skip as held once, to move the
+    last held range's end inline or to hand it to add(), so seen["adds"]
+    counts the ranges it adds either way.
+    """
+
+    def __new__(cls, rng, seen):
+        self = super().__new__(cls, rng)
+        self.seen = seen
+        return self
+
+    def __iter__(self):
+        self.seen["adds"] += 1
+        return super().__iter__()
+
+
+class UnheldRange(TakenRange):
     """A byte range equal to no other, so on_ack never skips it as held.
 
-    Handing on_ack only such ranges makes it add() every range of every
+    Handing on_ack only such ranges makes it add every range of every
     ACK: the reference the skip of held ranges must match.
     """
 
@@ -234,21 +278,14 @@ class UnheldRange(tuple):
 
 
 def ack_observer(conn):
-    """Watch what ACKs do to conn: add() calls, controller calls, state."""
+    """Watch what ACKs do to conn: ranges added, controller calls, state."""
     seen = {"adds": 0, "controller": [], "pkts": {}}
-    add = conn.acked_ranges.add
-
-    def counted_add(start, end):
-        seen["adds"] += 1
-        return add(start, end)
-
     on_ack = conn.controller.on_ack
 
     def controller_on_ack(*args, **kwargs):
         seen["controller"].append((args, kwargs))
         return on_ack(*args, **kwargs)
 
-    conn.acked_ranges.add = counted_add
     conn.controller.on_ack = controller_on_ack
 
     def state():
@@ -307,8 +344,9 @@ def test_skipping_held_ack_ranges_leaves_the_state_of_adding_every_range(
         assert state() == ref_state()
         if not ref_conn.finished:
             ranges_sent += len(ranges)
-        conn.on_ack(Ack(ranges, largest), now)
-        ref_conn.on_ack(Ack([UnheldRange(r) for r in ranges], largest), now)
+        conn.on_ack(Ack([TakenRange(r, seen) for r in ranges], largest), now)
+        ref_conn.on_ack(Ack([UnheldRange(r, ref_seen) for r in ranges],
+                            largest), now)
         assert state() == ref_state()
     assert ref_seen["adds"] == ranges_sent  # the reference added every range
     assert seen["adds"] <= ref_seen["adds"]
@@ -327,23 +365,16 @@ def test_an_ack_adds_at_most_the_ranges_its_packets_changed():
     per_ack = []
     widest = 0
     for conn in (run.long_conn, run.short_conn):
-        adds = [0]
-        add = conn.acked_ranges.add
-
-        def counted_add(start, end, add=add, adds=adds):
-            adds[0] += 1
-            return add(start, end)
-
         on_ack = conn.on_ack
 
-        def measured_on_ack(ack, now, on_ack=on_ack, adds=adds):
+        def measured_on_ack(ack, now, on_ack=on_ack):
             nonlocal widest
             widest = max(widest, len(ack.acked_ranges))
-            adds[0] = 0
+            seen = {"adds": 0}
+            ack.acked_ranges = [TakenRange(r, seen) for r in ack.acked_ranges]
             on_ack(ack, now)
-            per_ack.append(adds[0])
+            per_ack.append(seen["adds"])
 
-        conn.acked_ranges.add = counted_add
         conn.on_ack = measured_on_ack
     result = run.run()
     assert result.lost_pkts > 0 and widest > 10 * ACK_EVERY

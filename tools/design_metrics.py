@@ -42,13 +42,21 @@ calls_per_data_packet
     `call` events a `sys.setprofile` hook sees while the run simulates,
     over both flows' data packets. Calls into C, such as heapq and bisect,
     are not counted. The run is deterministic, and so is the count;
-    tests/test_tools.py holds it to a budget of 14.
+    tests/test_tools.py holds it to a budget of 10.
+c_calls_per_data_packet
+    Calls into C per data packet sent, from the same hook and run: its
+    `c_call` events, such as `heapq.heappush`, `dict.get`, `len` and
+    `list.pop`. Calling a class or a type, such as `Packet(...)` or
+    `list(...)`, is no `c_call` event. tests/test_tools.py holds it to 16.
 range_adds_per_ack
-    `RangeSet.add` calls the senders make per ACK they receive, both flows
-    counted, on the dsl-fast 2M blitz:4 cell, rep 0, seed 1. An ACK
-    carries every range the receiver holds; a sender that merges only the
-    ranges it does not hold already makes about one call per ACK. Counted
-    by wrapping each sender's `acked_ranges.add`.
+    ACK ranges a sender did not hold before the ACK, per ACK it receives,
+    both flows counted, on the dsl-fast 2M blitz:4 cell, rep 0, seed 1:
+    the ranges of each ACK that are not among the sender's
+    `acked_ranges.ranges` when the ACK arrives. An ACK carries every range
+    the receiver holds, and the sender adds only these, by extending its
+    last range inline or through `RangeSet.add`; about one per ACK.
+    Counted by wrapping each sender's `on_ack`, so ACKs that reach a
+    finished sender, which adds nothing, count in neither term.
 """
 
 from __future__ import annotations
@@ -173,24 +181,37 @@ def cancelled_per_data_packet() -> float:
                                 + run.short_conn.pkts_sent)
 
 
-def calls_per_data_packet() -> float:
+@lru_cache(maxsize=1)
+def _profiled_calls() -> tuple[float, float]:
+    """(Python calls, C calls) per data packet on the dsl-fast 10M cell."""
     sys.path.insert(0, str(SRC))
     from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
 
     run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"], Variant("baseline"), 0)
-    calls = 0
+    calls = c_calls = 0
 
     def profile(_frame, event, _arg):
-        nonlocal calls
+        nonlocal calls, c_calls
         if event == "call":
             calls += 1
+        elif event == "c_call":
+            c_calls += 1
 
     sys.setprofile(profile)
     try:
         run.run()
     finally:
         sys.setprofile(None)
-    return calls / (run.long_conn.pkts_sent + run.short_conn.pkts_sent)
+    sent = run.long_conn.pkts_sent + run.short_conn.pkts_sent
+    return calls / sent, c_calls / sent
+
+
+def calls_per_data_packet() -> float:
+    return _profiled_calls()[0]
+
+
+def c_calls_per_data_packet() -> float:
+    return _profiled_calls()[1]
 
 
 def range_adds_per_ack() -> float:
@@ -200,17 +221,17 @@ def range_adds_per_ack() -> float:
     run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant("blitz", 4.0),
                      0)
     conns = (run.long_conn, run.short_conn)
-    made = 0
+    unheld = 0
     for conn in conns:
-        add = conn.acked_ranges.add
-
-        def counted(start, end, add=add):
-            nonlocal made
-            made += 1
-            return add(start, end)
-        conn.acked_ranges.add = counted
+        def counted(ack, now, conn=conn, on_ack=conn.on_ack):
+            nonlocal unheld
+            if not conn.finished:
+                held = set(conn.acked_ranges.ranges)
+                unheld += sum(rng not in held for rng in ack.acked_ranges)
+            on_ack(ack, now)
+        conn.on_ack = counted
     run.run()
-    return made / sum(conn.acks_received for conn in conns)
+    return unheld / sum(conn.acks_received for conn in conns)
 
 
 def main() -> int:
@@ -220,6 +241,7 @@ def main() -> int:
     print(f"dispatched_per_data_packet {dispatched_per_data_packet():.2f}")
     print(f"cancelled_per_data_packet {cancelled_per_data_packet():.4f}")
     print(f"calls_per_data_packet {calls_per_data_packet():.2f}")
+    print(f"c_calls_per_data_packet {c_calls_per_data_packet():.2f}")
     print(f"range_adds_per_ack {range_adds_per_ack():.2f}")
     return 0
 
