@@ -107,6 +107,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                          jobs=args.jobs, progress=progress,
                          trace_dir=out if args.trace else None)
     print(file=sys.stderr)
+    # runs.csv reads such a run as a timeout; only this line tells them apart
+    unstarted = sum(1 for r in results if r.short_start_at is None)
+    if unstarted:
+        print(f"{unstarted} of {len(results)} runs never started the short "
+              "flow", file=sys.stderr)
 
     emit_runs_csv(results, out / "runs.csv")
     emit_summary_csv(results, out / "summary.csv")

@@ -39,10 +39,12 @@ class Event:
     """A re-armable timer, made by Simulator.arm.
 
     (fire_at, seq) is the key the timer is armed at; seq is -1 while it
-    is not armed, that is once it has fired or been cancelled.
+    is not armed, that is once it has fired or been cancelled. due is
+    when it fires: arm sets it to fire_at, and its owner may move it
+    later without a re-key, or to 0, which is never later than the key.
     """
 
-    __slots__ = ("fire_at", "seq", "kind", "target", "fn")
+    __slots__ = ("fire_at", "seq", "kind", "target", "fn", "due")
 
     def __init__(self, fire_at: SimTime, seq: int, kind: str, target: str,
                  fn: Callable):
@@ -51,6 +53,7 @@ class Event:
         self.kind = kind
         self.target = target
         self.fn = fn
+        self.due = fire_at
 
 
 class PacketTrace:
@@ -82,6 +85,8 @@ class Simulator:
     by their unique (fire_at, seq) prefix. A fire-and-forget event is just
     its tuple. A timer's tuple has fn None and its Event as arg; a re-armed
     or cancelled timer leaves dead tuples behind, which run_until skips.
+    A live timer tuple that pops before its Event's due is re-keyed to due
+    instead of dispatched.
 
     (now, seq) is the key of the event being dispatched, or of the last
     one if stop() ended run_until. Before the first dispatch seq is -1,
@@ -130,7 +135,8 @@ class Simulator:
         A re-key moves ev to fire_at exactly as cancel(ev) and a fresh
         arming would: ev takes the next sequence number and counts as
         scheduled, and its old key counts as cancelled if it was still
-        armed. The old key's heap entry stays behind, dead.
+        armed. The old key's heap entry stays behind, dead. Either way
+        ev.due is fire_at.
         """
         if ev is None:
             return self.schedule(fire_at, kind, target, fn, TIMER)
@@ -142,7 +148,7 @@ class Simulator:
         self.scheduled += 1
         if ev.seq != -1:
             self.cancelled += 1
-        ev.fire_at = fire_at
+        ev.fire_at = ev.due = fire_at
         ev.seq = seq
         heapq.heappush(self._heap, (fire_at, seq, None, ev, ev.kind, ev.target))
         return ev
@@ -162,6 +168,10 @@ class Simulator:
     def run_until(self, end: Optional[SimTime]) -> int:
         """Dispatch every event with fire_at <= end (all events if None).
 
+        A live timer entry that pops before its Event's due is not
+        dispatched, recorded or counted: it moves to due with the next
+        sequence number and counts as scheduled, as an arm() from its
+        own callback would have.
         The clock finishes at `end` when given, even if the queue drains
         earlier; with end=None it rests at the last dispatched event.
         Returns the number of events dispatched by this call.
@@ -180,6 +190,15 @@ class Simulator:
             if fn is None:  # a timer; arg is its Event
                 ev = arg
                 if seq != ev.seq:  # re-armed or cancelled since
+                    continue
+                due = ev.due
+                if due > fire_at:  # postponed: re-key, do not dispatch
+                    seq = self._seq
+                    self._seq = seq + 1
+                    self.scheduled += 1
+                    ev.fire_at = due
+                    ev.seq = seq
+                    heapq.heappush(heap, (due, seq, None, ev, kind, target))
                     continue
                 ev.seq = -1
                 fn = ev.fn

@@ -57,30 +57,13 @@ class RangeSet:
     def add(self, start: int, end: int) -> list[tuple[int, int]]:
         """Insert [start, end); returns the newly covered subranges.
 
-        A range that starts within or at the end of the last range, as
-        in-order data and a growing ACK range do, only moves that range's
-        end. Any other goes to _merge.
+        ranges[lo:hi] are the ranges that overlap or touch [start, end):
+        the gaps between them are the new bytes, and one merged range takes
+        their place. In-order data and a growing ACK range, which only move
+        the last range's end, are extended inline by their callers.
         """
         if end <= start:
             return []
-        ranges = self.ranges
-        if ranges:
-            last_start, last_end = ranges[-1]
-            if last_start <= start <= last_end:
-                if end <= last_end:
-                    return []
-                ranges[-1] = (last_start, end)
-                self.total += end - last_end
-                return [(last_end, end)]
-        return self._merge(start, end)
-
-    def _merge(self, start: int, end: int) -> list[tuple[int, int]]:
-        """add() for any non-empty [start, end), by bisection.
-
-        ranges[lo:hi] are the ranges that overlap or touch [start, end):
-        the gaps between them are the new bytes, and one merged range takes
-        their place.
-        """
         ranges = self.ranges
         lo = bisect.bisect_left(ranges, (start,))
         if lo and ranges[lo - 1][1] >= start:
@@ -127,7 +110,6 @@ class Receiver:
         self.largest_pkt_num = -1
         self._pending = 0
         self._ack_timer: Optional[Event] = None  # the max-ack-delay timer
-        self._ack_deadline: SimTime = 0  # the oldest unacked packet's ACK due
         self._target = f"recv:{conn.flow_id}"
         self.acks_sent = 0
 
@@ -136,8 +118,8 @@ class Receiver:
         received = self.ranges
         last = received.ranges[-1] if received.ranges else None
         if last is not None and last[1] == seq:
-            # in order: RangeSet.add's fast path, inline on the per-packet
-            # path; the packet only moves the last range's end
+            # in order, inline on the per-packet path: the packet only
+            # moves the last range's end
             received.ranges[-1] = (last[0], seq + pkt.payload_len)
             received.total += pkt.payload_len
         else:
@@ -151,46 +133,41 @@ class Receiver:
                     pkt.len))
         self._pending += 1
         if self._pending >= ACK_EVERY:
-            # _emit_ack, inline on the per-packet path
+            # ACK every byte received so far; reverse path: fixed
+            # propagation only, never congested or dropped
             self._pending = 0
             self.acks_sent += 1
             conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
                               conn._target, conn.on_ack,
                               Ack(list(received.ranges), self.largest_pkt_num))
-        elif self._pending == 1:  # the first unacked packet sets a deadline
-            self._ack_deadline = now + MAX_ACK_DELAY
+            # nothing is due, so an armed timer fires idle; the first
+            # unacked packet made the timer
+            self._ack_timer.due = 0
+        elif self._pending == 1:  # the first unacked packet sets the due
             ev = self._ack_timer
             if ev is None or ev.seq == -1:  # not armed
                 self._ack_timer = conn.sim.arm(
-                    ev, self._ack_deadline, "pacing-timer", self._target,
+                    ev, now + MAX_ACK_DELAY, "pacing-timer", self._target,
                     self._on_ack_timer)
+            else:
+                ev.due = now + MAX_ACK_DELAY
 
     def _on_ack_timer(self, now: SimTime) -> None:
-        """The max-ack-delay timer: ACK once the deadline has passed.
+        """The max-ack-delay timer: ACK what is pending, if anything.
 
-        An ACK does not disarm the timer, and a later first unacked packet
-        only moves the deadline, which is never earlier than the timer's
-        key. So the timer can fire with nothing pending, and returns, or
-        before the deadline, and re-arms to it.
+        An ACK does not disarm the timer, it only sets its due to 0, and
+        a later first unacked packet moves the due, never earlier than the
+        timer's key, which the engine then re-keys. So the timer fires at
+        the oldest unacked packet's deadline, or with nothing pending.
         """
         if not self._pending:
             return
-        if now < self._ack_deadline:
-            self._ack_timer = self.conn.sim.arm(
-                self._ack_timer, self._ack_deadline, "pacing-timer",
-                self._target, self._on_ack_timer)
-            return
-        self._emit_ack(now)
-
-    def _emit_ack(self, now: SimTime) -> None:
-        """ACK every byte received so far (on_data does this inline)."""
         conn = self.conn
         self._pending = 0
-        ack = Ack(list(self.ranges.ranges), self.largest_pkt_num)
         self.acks_sent += 1
-        # reverse path: fixed propagation only, never congested or dropped
         conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
-                          conn._target, conn.on_ack, ack)
+                          conn._target, conn.on_ack,
+                          Ack(list(self.ranges.ranges), self.largest_pkt_num))
 
 
 class Connection:
@@ -242,7 +219,6 @@ class Connection:
         self.next_release: SimTime = 0
         self._pacing_event: Optional[Event] = None
         self._pto_event: Optional[Event] = None  # the probe timeout
-        self._pto_deadline: SimTime = 0  # when the probe timeout is due
         self._pto_backoff = 0
         self._last_inject: SimTime = 0
 
@@ -417,8 +393,8 @@ class Connection:
         # built only for ACKs of more than one range, so the one-range
         # ACKs of a loss-free flow pay nothing for it. A range that starts
         # within or at the end of the last held range, as the one range of
-        # an in-order flow does, only moves that range's end: add()'s fast
-        # path, inline. Any other goes to add().
+        # an in-order flow does, only moves that range's end, inline. Any
+        # other goes to add().
         #
         # Newly covered ranges are unions of whole packets, so they start
         # on the packetization grid and each segment in them is covered
@@ -519,15 +495,16 @@ class Connection:
         if newly > 0:
             self._pto_backoff = 0
         if self.in_flight > 0:
-            # the PTO counts from this ACK; its timer moves only if it
-            # must fire earlier, and a later deadline waits for _on_pto
+            # the PTO counts from this ACK; its timer is re-keyed only if
+            # it must fire earlier, and a later due waits for the engine
             deadline = now + ((PTO_SRTT * self.srtt + PTO_RTTVAR * self.rttvar)
                               << self._pto_backoff)
-            self._pto_deadline = deadline
             pto = self._pto_event
             if pto is None or pto.seq == -1 or deadline < pto.fire_at:
                 self._pto_event = self.sim.arm(
                     pto, deadline, "loss-timer", self._target, self._on_pto)
+            else:
+                pto.due = deadline
         else:
             # a stale armed timer would keep the next send from counting
             # the PTO from that send
@@ -558,26 +535,19 @@ class Connection:
 
     def _arm_pto(self, now: SimTime) -> None:
         """Arm the probe timeout to fire one PTO interval from now."""
-        self._pto_deadline = now + (
-            (PTO_SRTT * self.srtt + PTO_RTTVAR * self.rttvar)
-            << self._pto_backoff)
         self._pto_event = self.sim.arm(
-            self._pto_event, self._pto_deadline, "loss-timer", self._target,
-            self._on_pto)
+            self._pto_event,
+            now + ((PTO_SRTT * self.srtt + PTO_RTTVAR * self.rttvar)
+                   << self._pto_backoff),
+            "loss-timer", self._target, self._on_pto)
 
     def _on_pto(self, now: SimTime) -> None:
         """The probe timeout: declare the oldest outstanding packet lost.
 
-        An ACK moves the deadline later without re-keying the timer, so
-        the timer can fire before its deadline; it then re-arms to it.
+        An ACK moves the timer's due later without re-keying it; the
+        engine re-keys an entry that pops early, so this runs only once
+        the due has come. _finish cancels it, so it never runs after.
         """
-        if self.finished_at is not None:
-            return
-        if now < self._pto_deadline:
-            self._pto_event = self.sim.arm(
-                self._pto_event, self._pto_deadline, "loss-timer",
-                self._target, self._on_pto)
-            return
         oldest = self._oldest_outstanding()
         if oldest is None:
             return

@@ -240,46 +240,74 @@ def _cancel_and_arm(sim, handles, i, fire_at):
     handles[i] = sim.arm(None, fire_at, ev.kind, ev.target, ev.fn)
 
 
-def _drive(program, rekey):
-    """Play an arm/cancel/re-key/run program; what a run can observe.
+def _drive(program, reference=False):
+    """Play an arm/cancel/re-key/postpone/run program; what a run can observe.
 
-    That includes which handles are armed after each step.
+    That includes which handles are armed after each step, and when each
+    callback ran against its timer's due. A postpone moves a timer's due
+    later. The reference re-keys by a cancel and a fresh arming, and keeps
+    each timer's due itself, as an owner without Event.due would: the
+    callback of an entry that pops before it only re-arms to it. Those
+    pops are left out of the reference's rows and dispatched count.
     """
     sim = Simulator()
     sim.recorder = PacketTrace(only={"event"})
     handles = []
+    dues = []  # the reference's due of each handle
     armed = []
     rekeys = []  # (delay, raised) of every top-level re-key
+    ran = []  # (handle, now, due) of every callback run
+    rearmed = set()  # the reference's pops that only re-armed
 
-    def callback(then):
+    def rekey(i, fire_at):
+        if reference:
+            _cancel_and_arm(sim, handles, i, fire_at)
+            dues[i] = fire_at
+        else:
+            _arm(sim, handles, i, fire_at)
+
+    def callback(i, then):
         # the first time it fires, an event may re-key any event, itself
         # included; only once, so a zero delay cannot loop forever
         def fn(now):
+            if reference and now < dues[i]:
+                rearmed.add((now, sim.seq))
+                _arm(sim, handles, i, dues[i])
+                return
+            ran.append((i, now, dues[i] if reference else handles[i].due))
             if then:
-                i, delay = then.pop()
-                rekey(sim, handles, i % len(handles), now + delay)
+                j, delay = then.pop()
+                rekey(j % len(handles), now + delay)
         return fn
 
     for op, a, b in program:
         if op == "schedule":
-            handles.append(sim.arm(None, sim.now + a, "loss-timer",
-                                   f"e{len(handles)}",
-                                   callback([b] if b else [])))
+            i = len(handles)
+            handles.append(sim.arm(None, sim.now + a, "loss-timer", f"e{i}",
+                                   callback(i, [b] if b else [])))
+            dues.append(sim.now + a)
         elif op == "run":
             sim.run_until(sim.now + a)
         elif handles and op == "cancel":
             sim.cancel(handles[a % len(handles)])
+        elif handles and op == "postpone":
+            i = a % len(handles)
+            if reference:
+                dues[i] += b
+            else:
+                handles[i].due += b
         elif handles:
             try:
-                rekey(sim, handles, a % len(handles), sim.now + b)
+                rekey(a % len(handles), sim.now + b)
                 rekeys.append((b, False))
             except RuntimeError:
                 rekeys.append((b, True))
         armed.append([h.seq != -1 for h in handles])
     sim.run_until(None)
     armed.append([h.seq != -1 for h in handles])
-    return (sim.recorder.rows, sim.now, sim.scheduled, sim.cancelled,
-            sim.dispatched, armed, rekeys)
+    rows = [row for row in sim.recorder.rows if row[:2] not in rearmed]
+    return (rows, sim.now, sim.scheduled, sim.cancelled,
+            sim.dispatched - len(rearmed), armed, ran, rekeys)
 
 
 _delay = st.integers(0, 6)  # short delays, so fire times tie often
@@ -288,6 +316,7 @@ _op = st.one_of(
               st.none() | st.tuples(st.integers(0, 7), _delay)),
     st.tuples(st.just("cancel"), st.integers(0, 7), st.none()),
     st.tuples(st.just("rekey"), st.integers(0, 7), st.integers(-3, 8)),
+    st.tuples(st.just("postpone"), st.integers(0, 7), _delay),
     st.tuples(st.just("run"), st.integers(0, 8), st.none()),
 )
 
@@ -295,10 +324,35 @@ _op = st.one_of(
 @given(st.lists(_op, max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_reschedule_matches_cancel_then_schedule(program):
-    got = _drive(program, _arm)
-    assert got == _drive(program, _cancel_and_arm)
+    got = _drive(program)
+    assert got == _drive(program, reference=True)
     # re-keying into the past is refused, and only that
     assert all(raised == (delay < 0) for delay, raised in got[-1])
+    # no callback runs before its timer's due
+    assert all(now >= due for _, now, due in got[-2])
+
+
+def test_an_entry_popping_before_due_is_re_keyed_not_dispatched():
+    sim = Simulator()
+    sim.recorder = PacketTrace(only={"event"})
+    fired = []
+    ev = sim.arm(None, us(5), "loss-timer", "t", fired.append)
+    assert ev.due == us(5)
+    ev.due = us(8)
+    sim.schedule(us(6), "app-start", "t", lambda now: None)  # seq 1
+    sim.run_until(us(7))
+    # popped at 5 us and moved to 8 us with the next seq, unrecorded
+    assert fired == [] and (ev.fire_at, ev.seq) == (us(8), 2)
+    assert (sim.scheduled, sim.cancelled, sim.dispatched) == (3, 0, 1)
+    sim.run_until(None)
+    assert fired == [us(8)] and ev.seq == -1
+    assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1), (us(8), 2)]
+    ev.due = 0  # never later than the key: the timer fires at its key
+    sim.arm(ev, us(9), "loss-timer", "t", None)
+    assert ev.due == us(9)
+    ev.due = 0
+    sim.run_until(None)
+    assert fired == [us(8), us(9)]
 
 
 def test_seq_keys_the_event_being_dispatched():

@@ -55,14 +55,14 @@ def test_cell_matches_golden_row(tmp_path, golden_rows, scenario, size,
 # (scenario, size, variant, rep): (trace sha256, scheduled, cancelled, dispatched)
 TRACES = {
     ("dsl-fast", "70K", "baseline", 0): (
-        "e41fd338d988b810d6a6fecd18f2381e4bfd3f81d13fc1a7330347503a3ff2f0",
-        18231, 168, 17806),
+        "cdab8073bb5d20b360414a685fda41ffd3224327dbbbcb2634f3611efd5981fc",
+        18231, 168, 17744),
     ("3g", "2M", "blitz:4", 1): (
-        "c2420bf8d091fe4532c99de921b5dddf417050b3fff5865bd5a6ba23c3c7babf",
-        43599, 13, 43535),
+        "2af7204bbc386c53c0c15f82f9269d1bf59a22dda87b628830b57b408558cbe8",
+        43599, 13, 42660),
     ("lte", "2M", "blitz:3", 0): (
-        "7c05015db850df2018b0de54d44cfe38f1c2c68ef946da95846ce12a8216b9e6",
-        18816, 173, 18533),
+        "e8e4c543a05b56966c7f41c3e0b3d287d6f64cfdfbbb9cf23d6115988ecbb13e",
+        18816, 173, 18439),
 }
 
 

@@ -518,7 +518,7 @@ def test_parse_scenario_file_requires_core_fields(tmp_path):
 
 # -- CLI -------------------------------------------------------------------------------------
 
-def test_cli_single_cell_run(tmp_path):
+def test_cli_single_cell_run(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["run", "--scenario", "dsl-fast", "--size", "70K",
                "--variant", "baseline", "--reps", "2", "--seed", "7",
@@ -527,6 +527,7 @@ def test_cli_single_cell_run(tmp_path):
     runs = (out / "runs.csv").read_text().splitlines()
     assert len(runs) == 3
     assert (out / "summary.csv").exists()
+    assert "never started" not in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_scenario(tmp_path):
@@ -648,6 +649,30 @@ def test_a_wide_packet_jitter_writes_the_rows_randrange_did(tmp_path,
     assert rc == 0
     assert (out / "runs.csv").read_text().splitlines()[1] == row
     assert _sha256(out / "trace_cell_70000_blitz_1_0.csv") == trace_sha
+
+
+@pytest.mark.parametrize("file_text", [
+    # one byte of long flow never fills the bottleneck's queue
+    CELL_FILE + "long_flow_bytes = 1\n",
+    # the long flow's injections queue behind a running maximum of 5 s lags
+    CELL_FILE + "pkt_jitter_max_us = 5000000\n",
+], ids=["long-flow-1-byte", "jitter-5s"])
+def test_cli_reports_runs_that_never_started_the_short_flow(tmp_path, capsys,
+                                                            file_text):
+    p = tmp_path / "cell.scenario"
+    p.write_text(file_text)
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario-file", str(p), "--out", str(out),
+               "--jobs", "1", "--reps", "2"])
+    assert rc == 0
+    # the rows read as timeouts, as they did before the report
+    assert (out / "runs.csv").read_text().splitlines()[1:] == [
+        "cell,70000,blitz:1,0,1,,0,0,0.000000,,1",
+        "cell,70000,blitz:1,1,1,,0,0,0.000000,,1"]
+    captured = capsys.readouterr()
+    assert captured.err.count("never started") == 1
+    assert "\n2 of 2 runs never started the short flow\n" in captured.err
+    assert "never started" not in captured.out
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -110,13 +110,24 @@ def test_rangeset_partial_overlap_counts_only_new_bytes():
     assert rs.total == 3000
 
 
-@given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
-                max_size=40))
+_range_op = st.one_of(
+    # in order: from the highest end so far, or from within the last range
+    st.tuples(st.just("next"), st.integers(0, 40), st.integers(0, 60)),
+    st.tuples(st.just("any"), st.integers(0, 300), st.integers(0, 300)),
+)
+
+
+@given(st.lists(_range_op, max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_rangeset_add_matches_byte_set_model(adds):
     rs = RangeSet()
     covered: set[int] = set()
-    for start, end in adds:
+    for kind, a, b in adds:
+        if kind == "next":
+            top = rs.ranges[-1][1] if rs.ranges else 0
+            start, end = max(0, top - a), top + b
+        else:
+            start, end = a, b
         added = rs.add(start, end)
         new = set(range(start, end)) - covered
         assert added == sorted(added)
@@ -127,29 +138,6 @@ def test_rangeset_add_matches_byte_set_model(adds):
         assert all(e < s for (_, e), (s, _) in zip(rs.ranges, rs.ranges[1:]))
         assert {b for s, e in rs.ranges for b in range(s, e)} == covered
         assert rs.total == len(covered)
-
-
-_range_op = st.one_of(
-    # in order: from the highest end so far, or from within the last range
-    st.tuples(st.just("next"), st.integers(0, 40), st.integers(0, 60)),
-    st.tuples(st.just("any"), st.integers(0, 300), st.integers(0, 300)),
-)
-
-
-@given(st.lists(_range_op, max_size=40), st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_rangeset_in_order_fast_path_matches_the_general_path(ops, in_order):
-    fast, general = RangeSet(), RangeSet()
-    for kind, a, b in ops:
-        if kind == "next" or in_order:
-            top = fast.ranges[-1][1] if fast.ranges else 0
-            start, end = max(0, top - a), top + b
-        else:
-            start, end = a, b
-        expected = general._merge(start, end) if end > start else []
-        assert fast.add(start, end) == expected
-        assert fast.ranges == general.ranges
-        assert fast.total == general.total
 
 
 # -- handshake and first flight -------------------------------------------------
@@ -557,7 +545,7 @@ def test_srtt_smoothing_follows_7_8_rule():
 # -- timers as deadlines --------------------------------------------------------------
 
 @pytest.mark.parametrize("lone_at", [
-    ms(10),  # the pair's timer entry pops at 25 ms, early, and re-arms
+    ms(10),  # the pair's timer entry pops at 25 ms, early, and is re-keyed
     ms(30),  # it pops at 25 ms with nothing pending; the lone one arms anew
 ], ids=["entry-pops-early", "entry-pops-idle"])
 def test_lone_packet_is_acked_max_ack_delay_after_it_arrived(lone_at):
@@ -587,7 +575,7 @@ def test_pto_entry_popping_before_its_deadline_only_re_arms():
     conn.on_ack(Ack([(0, 5 * SEGMENT_PAYLOAD_BYTES)], 4), sim.now)
     oldest = conn.records[5]
     deadline = ms(120) + 2 * conn.srtt + 4 * conn.rttvar
-    assert conn._pto_deadline == deadline > key
+    assert conn._pto_event.due == deadline > key
     assert conn._pto_event.fire_at == key  # a later deadline moves nothing
     sim.run_until(key)
     assert conn.lost_pkts == 0
@@ -613,11 +601,30 @@ def test_pto_after_in_flight_drains_counts_from_the_next_send():
         conn.controller.cwnd, conn.srtt, conn.controller.pacing_fraction)
     due = sent_at + 2 * conn.srtt + 4 * conn.rttvar
     assert due > stale
-    assert conn._pto_deadline == conn._pto_event.fire_at == due
+    assert conn._pto_event.due == conn._pto_event.fire_at == due
     sim.run_until(due - 1)
     assert conn.lost_pkts == 0
     sim.run_until(due)
     assert conn.lost_pkts == 1
+
+
+@pytest.mark.parametrize("scenario, ptos", [("dsl-fast", 0), ("dsl-slow", 1)])
+def test_every_pto_that_runs_declares_a_loss(monkeypatch, scenario, ptos):
+    # an entry that pops before the PTO's due is re-keyed by the engine,
+    # so _on_pto runs only when the probe timeout has come; ACKs move the
+    # due on both cells, and on dsl-slow one PTO declares a loss
+    on_pto = Connection._on_pto
+    losses = []
+
+    def counted(conn, now):
+        before = conn.lost_pkts
+        on_pto(conn, now)
+        losses.append(conn.lost_pkts - before)
+
+    monkeypatch.setattr(Connection, "_on_pto", counted)
+    TwoFlowRun(replace(PRESETS[scenario], seed_base=1), SIZES["70K"],
+               Variant("blitz", 3.0), 0).run()
+    assert losses == [1] * ptos
 
 
 # -- bounded state ------------------------------------------------------------------
@@ -752,7 +759,7 @@ class TransportMachine(RuleBasedStateMachine):
     Rules deliver, drop, duplicate or hold back (so reorder) any data
     packet or ACK in flight, and advance the clock so that the handshake,
     the pacing timer, the PTO and the ACK-delay timer fire. The checks
-    are RFC 9002's bookkeeping (Appendix A) and the two timer deadlines.
+    are RFC 9002's bookkeeping (Appendix A) and the two timers' dues.
     """
 
     @initialize(size=st.integers(1, 40 * SEGMENT_PAYLOAD_BYTES))
@@ -767,17 +774,16 @@ class TransportMachine(RuleBasedStateMachine):
         conn.on_ack = lambda ack, now: self.acks.append(ack)
         # wrapped before the first arming, which reads the callback
         self.early = []
-        self.watch(conn, "_on_pto", "_pto_deadline", "lost_pkts")
-        self.watch(conn.receiver, "_on_ack_timer", "_ack_deadline",
-                   "acks_sent")
+        self.watch(conn, "_on_pto", "_pto_event", "lost_pkts")
+        self.watch(conn.receiver, "_on_ack_timer", "_ack_timer", "acks_sent")
         conn.start(0)
 
-    def watch(self, owner, timer, deadline, count):
-        """Record each fire of owner's timer that acts before its deadline."""
+    def watch(self, owner, timer, event, count):
+        """Record each fire of owner's timer that acts before its due."""
         fire = getattr(owner, timer)
 
         def checked(now):
-            due, before = getattr(owner, deadline), getattr(owner, count)
+            due, before = getattr(owner, event).due, getattr(owner, count)
             fire(now)
             if getattr(owner, count) > before and now < due:
                 self.early.append((timer, now, due))
@@ -848,15 +854,15 @@ class TransportMachine(RuleBasedStateMachine):
         conn = self.conn
         if conn.in_flight and not conn.finished:
             pto = conn._pto_event
-            assert pto.seq != -1 and pto.fire_at <= conn._pto_deadline
+            assert pto.seq != -1 and pto.fire_at <= pto.due
 
     @invariant()
     def an_unacked_packet_is_acked_by_its_deadline(self):
         receiver = self.conn.receiver
         if receiver._pending:
             timer = receiver._ack_timer
-            assert self.sim.now < receiver._ack_deadline
-            assert timer.seq != -1 and timer.fire_at <= receiver._ack_deadline
+            assert self.sim.now < timer.due
+            assert timer.seq != -1 and timer.fire_at <= timer.due
 
 
 TransportMachine.TestCase.settings = settings(

@@ -28,14 +28,15 @@ dispatched_per_data_packet
     data packets. Every dispatch counts, whatever its kind: packet and
     ACK arrivals, timers that fire, the handshakes, `app-start` and
     `sim-end`; an entry a re-key or cancel left dead on the heap is
-    skipped, not dispatched, and does not count. A timer entry that pops
-    before its owner's deadline and only re-arms does count.
+    skipped, not dispatched, and does not count. Nor does a timer entry
+    that pops before its `Event.due`: the engine re-keys it to the due
+    instead of dispatching it.
 cancelled_per_data_packet
     Timer keys given up per data packet sent, on the same cell:
     `Simulator.cancelled` once the run is over, which counts each
     `cancel` of an armed timer and each `arm` that re-keys an armed
-    one. The PTO and the ACK-delay timer keep deadlines and move their
-    heap entry only when it must fire earlier, so this is near 0;
+    one. The PTO and the ACK-delay timer move their `Event.due` and
+    re-key only when they must fire earlier, so this is near 0;
     tests/test_tools.py holds it to 0.05 or below. Printed to four places.
 calls_per_data_packet
     Python function calls per data packet sent, on the same cell: the
