@@ -140,6 +140,27 @@ def test_rangeset_add_matches_byte_set_model(adds):
         assert rs.total == len(covered)
 
 
+@given(st.lists(_range_op, max_size=40), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rangeset_in_order_fast_path_matches_the_general_path(ops, in_order):
+    # The receiver extends the last range inline for a packet that starts
+    # where it ends, and hands any other packet to RangeSet.add; fed the
+    # same packets, its ranges and total match those of add alone.
+    _, _, conn = make_conn(10**6, wire=False)
+    fast, general = conn.receiver, RangeSet()
+    for pkt_num, (kind, a, b) in enumerate(ops):
+        if kind == "next" or in_order:
+            top = fast.ranges.ranges[-1][1] if fast.ranges.ranges else 0
+            start, length = max(0, top - a), a + b
+        else:
+            start, length = a, b
+        fast.on_data(Packet(0, start, HEADER_BYTES + length, pkt_num,
+                            payload_len=length), 0)
+        general.add(start, start + length)
+        assert fast.ranges.ranges == general.ranges
+        assert fast.ranges.total == general.total
+
+
 # -- handshake and first flight -------------------------------------------------
 
 def test_handshake_supplies_first_rtt_sample():
