@@ -131,11 +131,12 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
             return 2
     top_end = seconds(args.top_duration_s)
     bottom_end = seconds(args.bottom_duration_s)
-    if bottom_end <= cfg.short_flow_start:
-        offset = cfg.short_flow_start / NS_PER_S
-        print(f"blitzsim demo-fig1: --bottom-duration-s must exceed the "
-              f"second flow's {offset:g} s start offset after saturation, "
-              f"got {args.bottom_duration_s:g}", file=sys.stderr)
+    try:
+        bottom_cfg = replace(cfg, sim_cap=bottom_end)
+    except ValueError as exc:
+        print(f"blitzsim demo-fig1: --bottom-duration-s "
+              f"{args.bottom_duration_s:g} is too short: {exc}",
+              file=sys.stderr)
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,8 +152,8 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
             fh.write(f"{t // 1000},0,{rtt // 1000},{bps:.1f}\n")
 
     # second flow entering a bottleneck the first flow has saturated
-    run = TwoFlowRun(replace(cfg, sim_cap=bottom_end), 1 << 30,
-                     Variant("baseline"), 0, stop_on_completion=False)
+    run = TwoFlowRun(bottom_cfg, 1 << 30, Variant("baseline"), 0,
+                     stop_on_completion=False)
     dtrace = PacketTrace(only={"deliver"})
     run.run(dtrace)
     with open(out / "fig1_bottom.csv", "w") as fh:

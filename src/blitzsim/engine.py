@@ -41,7 +41,8 @@ class Event:
     (fire_at, seq) is the key the timer is armed at; seq is -1 while it
     is not armed, that is once it has fired or been cancelled. due is
     when it fires: arm sets it to fire_at, and its owner may move it
-    later without a re-key, or to 0, which is never later than the key.
+    later without a re-key, or to -1, which disarms it in place: its
+    entry is dropped when it pops.
     """
 
     __slots__ = ("fire_at", "seq", "kind", "target", "fn", "due")
@@ -86,19 +87,19 @@ class Simulator:
     its tuple. A timer's tuple has fn None and its Event as arg; a re-armed
     or cancelled timer leaves dead tuples behind, which run_until skips.
     A live timer tuple that pops before its Event's due is re-keyed to due
-    instead of dispatched.
+    instead of dispatched, and one whose due is negative is dropped.
 
     (now, seq) is the key of the event being dispatched, or of the last
     one if stop() ended run_until. Before the first dispatch seq is -1,
     before every key; once run_until returns without stop() it is past
     every key scheduled so far, as every event up to now has fired.
+    scheduled counts the keys handed out, so it is also the next seq.
     """
 
     def __init__(self):
         self.now: SimTime = 0
         self.seq = -1
         self._heap: list[tuple] = []
-        self._seq = 0
         self.scheduled = 0
         self.cancelled = 0
         self.dispatched = 0
@@ -116,9 +117,8 @@ class Simulator:
         if fire_at < self.now:
             raise RuntimeError(
                 f"scheduled in the past: fire_at={fire_at} now={self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        self.scheduled += 1
+        seq = self.scheduled
+        self.scheduled = seq + 1
         if arg is TIMER:
             ev = Event(fire_at, seq, kind, target, fn)
             heapq.heappush(self._heap, (fire_at, seq, None, ev, kind, target))
@@ -143,9 +143,8 @@ class Simulator:
         if fire_at < self.now:
             raise RuntimeError(
                 f"scheduled in the past: fire_at={fire_at} now={self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        self.scheduled += 1
+        seq = self.scheduled
+        self.scheduled = seq + 1
         if ev.seq != -1:
             self.cancelled += 1
         ev.fire_at = ev.due = fire_at
@@ -171,7 +170,9 @@ class Simulator:
         A live timer entry that pops before its Event's due is not
         dispatched, recorded or counted: it moves to due with the next
         sequence number and counts as scheduled, as an arm() from its
-        own callback would have.
+        own callback would have. One whose due is negative, disarmed in
+        place, is dropped: its Event is no longer armed, and nothing is
+        dispatched, recorded or counted, not even as cancelled.
         The clock finishes at `end` when given, even if the queue drains
         earlier; with end=None it rests at the last dispatched event.
         Returns the number of events dispatched by this call.
@@ -193,14 +194,15 @@ class Simulator:
                     continue
                 due = ev.due
                 if due > fire_at:  # postponed: re-key, do not dispatch
-                    seq = self._seq
-                    self._seq = seq + 1
-                    self.scheduled += 1
+                    seq = self.scheduled
+                    self.scheduled = seq + 1
                     ev.fire_at = due
                     ev.seq = seq
                     heapq.heappush(heap, (due, seq, None, ev, kind, target))
                     continue
                 ev.seq = -1
+                if due < 0:  # disarmed in place: drop it
+                    continue
                 fn = ev.fn
                 arg = None
             self.now = fire_at
@@ -214,7 +216,7 @@ class Simulator:
                 fn(arg, fire_at)
             if self._stop:
                 return self.dispatched - first
-        self.seq = self._seq
+        self.seq = self.scheduled
         if end is not None and end > self.now:
             self.now = end
         return self.dispatched - first

@@ -68,11 +68,15 @@ class ScenarioConfig:
             if value is not None and value < 0:
                 raise ValueError(f"scenario {self.name!r}: {field} must not "
                                  f"be negative, got {value}")
-        if self.short_flow_start >= self.sim_cap:
-            # the short flow could never start: every run would time out
-            raise ValueError(f"scenario {self.name!r}: short_flow_start must "
-                             f"be below sim_cap {self.sim_cap}, got "
-                             f"{self.short_flow_start}")
+        # the earliest the short flow can start: the long flow's handshake
+        # and first enqueue, the saturation hold and the start offset
+        earliest = 2 * (self.rtt // 2) + 2 * self.rtt + self.short_flow_start
+        if earliest >= self.sim_cap:
+            # every run would time out
+            raise ValueError(f"scenario {self.name!r}: the short flow could "
+                             "never start: the handshake, the two-RTT "
+                             f"saturation hold and short_flow_start take "
+                             f"{earliest} ns, not below sim_cap {self.sim_cap}")
 
     @property
     def rate_bps(self) -> int:
@@ -257,21 +261,20 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
 
 
 class JitterDraw:
-    """draw() is rng.randrange(0, high + 1), from the same bits.
+    """The values of rng.randrange(0, high + 1), from the same bits.
 
-    randrange draws k = (high + 1).bit_length() random bits and redraws
-    while they reach high + 1. For k <= 32 each try takes one 32-bit word
-    of the generator and keeps its top k bits, and one
-    getrandbits(32 * REFILL_WORDS) yields the next REFILL_WORDS words,
-    first word lowest. So draw() refills `draws` with the values of a batch
-    of words that randrange would accept, the next one last, and returns
-    draws.pop(); a caller may pop `draws` itself and call draw() only when
-    it is empty. The stream and the values are the ones randrange gives,
-    but rng runs up to a batch ahead, so nothing else may draw from it.
-    For k > 32 a try takes several words, and draw() draws one value at a
-    time, leaving `draws` empty. It holds rng itself rather than
-    rng.getrandbits: copy.deepcopy shares a built-in bound method, so a
-    copied run would draw from the original.
+    A caller pops them from `draws`, and calls draw(), which only refills
+    it, when it is empty. randrange draws k = (high + 1).bit_length()
+    random bits and redraws while they reach high + 1. For k <= 32 each
+    try takes one 32-bit word of the generator and keeps its top k bits,
+    and one getrandbits(32 * REFILL_WORDS) yields the next REFILL_WORDS
+    words, first word lowest. So draw() refills `draws` with the values of
+    a batch of words that randrange would accept, the next one last. The
+    stream and the values are the ones randrange gives, but rng runs up to
+    a batch ahead, so nothing else may draw from it. For k > 32 a try
+    takes several words, and draw() appends one value. It holds rng itself
+    rather than rng.getrandbits: copy.deepcopy shares a built-in bound
+    method, so a copied run would draw from the original.
     """
 
     REFILL_WORDS = 256
@@ -285,16 +288,15 @@ class JitterDraw:
         self.k = self.n.bit_length()
         self.draws: list[int] = []
 
-    def draw(self) -> int:
+    def draw(self) -> None:
         draws = self.draws
-        if draws:
-            return draws.pop()
         n, k, rng = self.n, self.k, self.rng
         if k > 32:
             r = rng.getrandbits(k)
             while r >= n:
                 r = rng.getrandbits(k)
-            return r
+            draws.append(r)
+            return
         shift = 32 - k
         limit = n << shift  # a word is accepted when word >> shift < n
         while not draws:  # refilled in place: callers hold the list
@@ -302,7 +304,6 @@ class JitterDraw:
                 32 * self.REFILL_WORDS).to_bytes(4 * self.REFILL_WORDS,
                                                   "little"))
             draws.extend([w >> shift for w in reversed(words) if w < limit])
-        return draws.pop()
 
 
 class TwoFlowRun:
@@ -334,7 +335,7 @@ class TwoFlowRun:
         jitter_max = (cfg.start_jitter_max if cfg.start_jitter_max is not None
                       else cfg.rtt)
         self.start_jitter = start_rng.randrange(0, jitter_max + 1)
-        jitter = JitterDraw(pkt_rng, cfg.pkt_jitter_max).draw
+        jitter = JitterDraw(pkt_rng, cfg.pkt_jitter_max)
         self.long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
                                     _baseline_factory(cfg.hystart_floor),
                                     jitter=jitter)
@@ -351,7 +352,6 @@ class TwoFlowRun:
         link.on_occupancy = self._on_occupancy
         self.short_conn.on_started = self._on_started
         self.short_conn.on_finished = self._on_finished
-        sim.schedule(cfg.sim_cap, "sim-end", "cap", self._stop)
         self.long_conn.start(0)
 
     def _on_occupancy(self, now: SimTime, queued: int) -> None:
@@ -398,16 +398,14 @@ class TwoFlowRun:
         if self.stop_on_completion:
             self.sim.stop()
 
-    def _stop(self, now: SimTime) -> None:
-        self.sim.stop()
-
     def run(self, recorder: Optional[PacketTrace] = None) -> RunResult:
         """Simulate to the end, recording into recorder if given."""
         sim = self.sim
         sim.recorder = recorder
-        sim.run_until(None)
-        # the run stopped in the short flow's finish or in sim-end, and
-        # sim.seq is still that event's
+        # the cap is exclusive: no event at sim_cap or later runs
+        sim.run_until(self.cfg.sim_cap - 1)
+        # the run stopped in the short flow's finish, and sim.seq is still
+        # that event's, or it reached the cap, and sim.seq is past every key
         self.link.retire(sim.now)
         start = self.departed_at_start
         if start is None:  # the short flow never started
@@ -450,7 +448,7 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
     pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
     conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
                       _baseline_factory(cfg.hystart_floor),
-                      jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max).draw)
+                      jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max))
     conn.start(0)
     sim.run_until(duration)
     link.retire(duration)

@@ -82,12 +82,14 @@ class FlowCounters:
 class Link:
     """One direction of the bottleneck: shaper, drop-tail queue, delay.
 
-    Departure times are fixed at enqueue time from the shaper state, which
-    keeps event counts linear in packets (no periodic refill events), and
-    so is the arrival one propagation delay later, which enqueue schedules
-    at once. An arriving packet goes to the receiver registered for its
-    flow in `receivers`, if any. The queue is FIFO by construction:
-    packets depart in enqueue order at strictly increasing times.
+    Departure times are fixed at enqueue time, one serialization time
+    after the departure of the last packet queued, or after now when the
+    queue is empty and the shaper idle. That keeps event counts linear in
+    packets (no periodic refill events), and so is the arrival one
+    propagation delay later, which enqueue schedules at once. An arriving
+    packet goes to the receiver registered for its flow in `receivers`, if
+    any. The queue is FIFO by construction: packets depart in enqueue
+    order at strictly increasing times.
 
     A departure is not an event. `queue` holds (departure time, the seq
     of the packet's arrival event, packet) for each packet still queued,
@@ -104,7 +106,6 @@ class Link:
     def __init__(self, sim: Simulator, config: LinkConfig):
         self.sim = sim
         self.config = config
-        self.busy_until: SimTime = 0
         self._serialization: dict[int, SimTime] = {}  # by packet length
         self.queue: deque[tuple[SimTime, int, Packet]] = deque()
         self.max_queued = 0
@@ -156,11 +157,8 @@ class Link:
         if serialization is None:
             serialization = self.config.serialization_time(packet.len)
             self._serialization[packet.len] = serialization
-        departure = self.busy_until
-        if departure < now:
-            departure = now
-        departure += serialization
-        self.busy_until = departure
+        # every packet still queued departs at or after now, retired above
+        departure = (queue[-1][0] if queued else now) + serialization
         if not queued and self.on_occupancy is not None:
             self.on_occupancy(now, 1)
         seq = sim.schedule(departure + self.config.prop_delay,

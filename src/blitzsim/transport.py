@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .congestion import INITIAL_BURST_PACKETS, CubicController
 from .engine import NS_PER_MS, Event, SimTime, Simulator
 from .netmodel import (HEADER_BYTES, LINK_TARGET, SEGMENT_PAYLOAD_BYTES,
                        SEGMENT_WIRE_BYTES, Link, Packet)
+
+if TYPE_CHECKING:
+    from .harness import JitterDraw
 
 RACK_PACKET_THRESHOLD = 3
 RACK_TIME_THRESHOLD = (9, 8)  # (numerator, denominator) of a multiple of the RTT
@@ -140,9 +143,10 @@ class Receiver:
             conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
                               conn._target, conn.on_ack,
                               Ack(list(received.ranges), self.largest_pkt_num))
-            # nothing is due, so an armed timer fires idle; the first
-            # unacked packet made the timer
-            self._ack_timer.due = 0
+            # nothing is due: disarm the timer in place, so that its
+            # entry is dropped when it pops; the first unacked packet made
+            # the timer
+            self._ack_timer.due = -1
         elif self._pending == 1:  # the first unacked packet sets the due
             ev = self._ack_timer
             if ev is None or ev.seq == -1:  # not armed
@@ -153,15 +157,13 @@ class Receiver:
                 ev.due = now + MAX_ACK_DELAY
 
     def _on_ack_timer(self, now: SimTime) -> None:
-        """The max-ack-delay timer: ACK what is pending, if anything.
+        """The max-ack-delay timer: ACK what is pending.
 
-        An ACK does not disarm the timer, it only sets its due to 0, and
-        a later first unacked packet moves the due, never earlier than the
-        timer's key, which the engine then re-keys. So the timer fires at
-        the oldest unacked packet's deadline, or with nothing pending.
+        An ACK disarms the timer in place, setting its due to -1, and a
+        later first unacked packet moves the due, never earlier than the
+        timer's key, which the engine then re-keys. So the timer fires
+        only at the oldest unacked packet's deadline.
         """
-        if not self._pending:
-            return
         conn = self.conn
         self._pending = 0
         self.acks_sent += 1
@@ -176,7 +178,7 @@ class Connection:
     def __init__(self, sim: Simulator, flow_id: int, link: Link,
                  transfer_bytes: int,
                  controller_factory: Callable[[SimTime, SimTime], CubicController],
-                 jitter: Optional[Callable[[], int]] = None):
+                 jitter: JitterDraw):
         self.sim = sim
         self.flow_id = flow_id
         self._target = f"conn:{flow_id}"  # event target of this flow's events
@@ -186,15 +188,13 @@ class Connection:
         self.handshake_rtt = 2 * link.config.prop_delay
         self.controller_factory = controller_factory
         self.controller: Optional[CubicController] = None
-        # jitter() gives the next injection lag. When it is the draw of a
-        # harness.JitterDraw, the lags that draw holds ready are popped
-        # from its `draws` first, and jitter() is called only to refill.
-        self.jitter = jitter
-        self._draws: list[int] = getattr(getattr(jitter, "__self__", None),
-                                         "draws", [])
+        # each injection lag is popped from the JitterDraw's `draws`, and
+        # jitter() is called only to refill the list when it is empty
+        self.jitter = jitter.draw
+        self._draws = jitter.draws
 
         self.next_seq = 0
-        self.next_pkt_num = 0
+        self.pkts_sent = 0  # packet numbers start at 0: also the next one
         # The sent packets themselves are the records, and only those an
         # ACK can still resolve or sample are kept: `records` from packet
         # number _records_floor up, `records_by_seq` (each segment's newest
@@ -222,10 +222,8 @@ class Connection:
         self._pto_backoff = 0
         self._last_inject: SimTime = 0
 
-        self.bytes_acked = 0
         self.bytes_retransmitted = 0
         self.lost_pkts = 0
-        self.pkts_sent = 0
         self.payload_sent = 0
         self.acks_received = 0
         self.ack_anomalies = 0
@@ -260,6 +258,10 @@ class Connection:
     @property
     def finished(self) -> bool:
         return self.finished_at is not None
+
+    @property
+    def bytes_acked(self) -> int:
+        return self.acked_ranges.total
 
     @property
     def fct(self) -> Optional[SimTime]:
@@ -317,24 +319,21 @@ class Connection:
                 self.bytes_retransmitted += payload
             else:
                 self.next_seq = end
-            inject_at = now
             draws = self._draws
-            if draws:
-                inject_at += draws.pop()
-            elif self.jitter is not None:
-                inject_at += self.jitter()
+            if not draws:
+                self.jitter()
+            inject_at = now + draws.pop()
             if inject_at < self._last_inject:
                 inject_at = self._last_inject  # a sender never reorders itself
             self._last_inject = inject_at
-            pkt_num = self.next_pkt_num
-            self.next_pkt_num = pkt_num + 1
+            pkt_num = self.pkts_sent
+            self.pkts_sent = pkt_num + 1
             wire = payload + HEADER_BYTES
             pkt = Packet(self.flow_id, start, wire, pkt_num, inject_at,
                          payload)
             self.records[pkt_num] = pkt
             self.records_by_seq[start] = pkt
             self.in_flight += wire
-            self.pkts_sent += 1
             self.payload_sent += payload
             self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
                               self.link.enqueue, pkt)
@@ -401,10 +400,10 @@ class Connection:
         # once. Its newest copy is marked acked: a segment is resent only
         # once declared lost, so its older copies are all lost and nothing
         # reads their acked flag.
-        newly = 0
         newly_wire = 0
         in_flight = self.in_flight
         acked = self.acked_ranges
+        total = acked.total
         held_ranges = acked.ranges
         by_seq = self.records_by_seq
         ranges = ack.acked_ranges
@@ -424,7 +423,6 @@ class Connection:
             else:
                 added = acked.add(start, end)
             for added_start, added_end in added:
-                newly += added_end - added_start
                 for seq in range(added_start, added_end,
                                  SEGMENT_PAYLOAD_BYTES):
                     pkt = by_seq.get(seq)
@@ -434,13 +432,13 @@ class Connection:
                         if not pkt.lost:
                             in_flight -= pkt.len
         self.in_flight = in_flight
-        self.bytes_acked += newly
+        newly = acked.total - total
 
         # the window is accounted in on-wire bytes, so growth follows the
         # wire bytes of the packets the ACK newly covered
         ctrl = self.controller
         ctrl.on_ack(newly_wire, rtt_sample, now, self.largest_acked_pkt,
-                    self.next_pkt_num - 1, srtt=self.srtt)
+                    self.pkts_sent - 1, srtt=self.srtt)
         if record is not None:
             record((now, self.flow_id, "cwnd", ctrl.cwnd, ctrl.mode))
 
@@ -456,7 +454,7 @@ class Connection:
             threshold = num * rtt // den
             time_cutoff = self.largest_acked_sent_at - threshold
             pkt_cutoff = self.largest_acked_pkt - RACK_PACKET_THRESHOLD
-            end = self.next_pkt_num
+            end = self.pkts_sent
             while scan < end:
                 pkt = records[scan]
                 if not (pkt.acked or pkt.lost):
@@ -489,7 +487,7 @@ class Connection:
                     seq += SEGMENT_PAYLOAD_BYTES
                 self._seq_floor = seq
 
-        if self.bytes_acked >= self.size:
+        if acked.total >= self.size:
             self._finish(now)
             return
         if newly > 0:
@@ -515,7 +513,7 @@ class Connection:
 
     def _oldest_outstanding(self) -> Optional[Packet]:
         """Oldest packet neither acked nor declared lost, if any."""
-        records, end = self.records, self.next_pkt_num
+        records, end = self.records, self.pkts_sent
         pkt_num = self._scan_from
         while pkt_num < end and (records[pkt_num].acked
                                  or records[pkt_num].lost):
@@ -529,7 +527,7 @@ class Connection:
         self.lost_pkts += 1
         self.retx_queue.append(pkt)
         self.controller.on_congestion_event(now, pkt.pkt_num,
-                                            self.next_pkt_num - 1)
+                                            self.pkts_sent - 1)
 
     # -- probe timeout ----------------------------------------------------------
 

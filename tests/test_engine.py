@@ -241,14 +241,16 @@ def _cancel_and_arm(sim, handles, i, fire_at):
 
 
 def _drive(program, reference=False):
-    """Play an arm/cancel/re-key/postpone/run program; what a run can observe.
+    """Play an arm/cancel/re-key/postpone/disarm/run program.
 
-    That includes which handles are armed after each step, and when each
-    callback ran against its timer's due. A postpone moves a timer's due
-    later. The reference re-keys by a cancel and a fresh arming, and keeps
-    each timer's due itself, as an owner without Event.due would: the
-    callback of an entry that pops before it only re-arms to it. Those
-    pops are left out of the reference's rows and dispatched count.
+    Returns what a run can observe. That includes which handles are armed,
+    that is will fire, after each step, and when each callback ran against
+    its timer's due. A postpone moves a timer's due later, and a disarm
+    sets it to -1 in place. The reference re-keys by a cancel and a fresh
+    arming, disarms by a cancel, and keeps each timer's due itself, as an
+    owner without Event.due would: the callback of an entry that pops
+    before it only re-arms to it. Those pops are left out of the
+    reference's rows and dispatched count.
     """
     sim = Simulator()
     sim.recorder = PacketTrace(only={"event"})
@@ -294,17 +296,23 @@ def _drive(program, reference=False):
             i = a % len(handles)
             if reference:
                 dues[i] += b
-            else:
+            elif handles[i].due >= 0:  # a disarmed timer has no due
                 handles[i].due += b
+        elif handles and op == "disarm":
+            i = a % len(handles)
+            if reference:
+                sim.cancel(handles[i])
+            else:
+                handles[i].due = -1
         elif handles:
             try:
                 rekey(a % len(handles), sim.now + b)
                 rekeys.append((b, False))
             except RuntimeError:
                 rekeys.append((b, True))
-        armed.append([h.seq != -1 for h in handles])
+        armed.append([h.seq != -1 and h.due >= 0 for h in handles])
     sim.run_until(None)
-    armed.append([h.seq != -1 for h in handles])
+    armed.append([h.seq != -1 and h.due >= 0 for h in handles])
     rows = [row for row in sim.recorder.rows if row[:2] not in rearmed]
     return (rows, sim.now, sim.scheduled, sim.cancelled,
             sim.dispatched - len(rearmed), armed, ran, rekeys)
@@ -317,6 +325,7 @@ _op = st.one_of(
     st.tuples(st.just("cancel"), st.integers(0, 7), st.none()),
     st.tuples(st.just("rekey"), st.integers(0, 7), st.integers(-3, 8)),
     st.tuples(st.just("postpone"), st.integers(0, 7), _delay),
+    st.tuples(st.just("disarm"), st.integers(0, 7), st.none()),
     st.tuples(st.just("run"), st.integers(0, 8), st.none()),
 )
 
@@ -325,7 +334,15 @@ _op = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_reschedule_matches_cancel_then_schedule(program):
     got = _drive(program)
-    assert got == _drive(program, reference=True)
+    want = _drive(program, reference=True)
+    # a disarm counts no cancel, and neither does dropping its entry
+    cancelled = 3
+    assert got[:cancelled] + got[cancelled + 1:] == (
+        want[:cancelled] + want[cancelled + 1:])
+    if all(op != "disarm" for op, _a, _b in program):
+        assert got[cancelled] == want[cancelled]
+    else:
+        assert got[cancelled] <= want[cancelled]
     # re-keying into the past is refused, and only that
     assert all(raised == (delay < 0) for delay, raised in got[-1])
     # no callback runs before its timer's due
@@ -353,6 +370,30 @@ def test_an_entry_popping_before_due_is_re_keyed_not_dispatched():
     ev.due = 0
     sim.run_until(None)
     assert fired == [us(8), us(9)]
+
+
+def test_an_entry_popping_with_a_negative_due_is_dropped():
+    sim = Simulator()
+    sim.recorder = PacketTrace(only={"event"})
+    fired = []
+    ev = sim.arm(None, us(5), "loss-timer", "t", fired.append)
+    ev.due = -1  # disarmed in place: the entry stays on the heap
+    assert ev.seq == 0
+    sim.schedule(us(6), "app-start", "t", lambda now: None)  # seq 1
+    sim.run_until(us(7))
+    # popped at 5 us and dropped: not dispatched, recorded or counted
+    assert fired == [] and ev.seq == -1 and sim._heap == []
+    assert (sim.scheduled, sim.cancelled, sim.dispatched) == (2, 0, 1)
+    assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1)]
+    assert not sim.cancel(ev)  # no longer armed
+    # so the next arming pushes a fresh key, and gives up none
+    sim.arm(ev, us(9), "loss-timer", "t", None)
+    assert (ev.fire_at, ev.seq, ev.due) == (us(9), 2, us(9))
+    assert [entry[:2] for entry in sim._heap] == [(us(9), 2)]
+    assert (sim.scheduled, sim.cancelled) == (3, 0)
+    sim.run_until(None)
+    assert fired == [us(9)]
+    assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1), (us(9), 2)]
 
 
 def test_seq_keys_the_event_being_dispatched():

@@ -55,14 +55,14 @@ def test_cell_matches_golden_row(tmp_path, golden_rows, scenario, size,
 # (scenario, size, variant, rep): (trace sha256, scheduled, cancelled, dispatched)
 TRACES = {
     ("dsl-fast", "70K", "baseline", 0): (
-        "cdab8073bb5d20b360414a685fda41ffd3224327dbbbcb2634f3611efd5981fc",
-        18231, 168, 17744),
+        "00a34b82d1f6a4c140fed2931075356be9331d3f96193b0875df9a5416ef460d",
+        18230, 168, 17737),
     ("3g", "2M", "blitz:4", 1): (
-        "2af7204bbc386c53c0c15f82f9269d1bf59a22dda87b628830b57b408558cbe8",
-        43599, 13, 42660),
+        "6c69d6b80ce9e5e6f1a883eafb24bc0ba601fb446d62c9474b82506590276e17",
+        43598, 13, 42498),
     ("lte", "2M", "blitz:3", 0): (
-        "e8e4c543a05b56966c7f41c3e0b3d287d6f64cfdfbbb9cf23d6115988ecbb13e",
-        18816, 173, 18439),
+        "03d03db2dc1b8fed806c11c19aff5da3bafd37479c85fd45b3fe04d7e058b7b3",
+        18815, 173, 18401),
 }
 
 

@@ -209,8 +209,8 @@ def test_jitter_draw_repeats_randrange():
     # holds at most REFILL_WORDS draws: 2 * REFILL_WORDS + 1 draws span at
     # least three refills. From 2**32 - 1 on, a draw takes two words and
     # is drawn alone. Half the tries or more are rejected for high 0, 1
-    # and 7. The draws are taken as Connection takes them: popped from
-    # `draws` while it holds any, else from draw().
+    # and 7. The draws are taken as Connection.maybe_send takes them:
+    # popped from `draws`, which draw() refills when it is empty.
     for high in (0, 1, 7, 1000, (1 << 32) - 1, 1 << 32, 5 * 10**9):
         a, b = random.Random(high), random.Random(high)
         jitter = JitterDraw(b, high)
@@ -218,15 +218,14 @@ def test_jitter_draw_repeats_randrange():
         got = []
         refills = 0
         for _ in range(2 * JitterDraw.REFILL_WORDS + 1):
-            if jitter.draws:
-                got.append(jitter.draws.pop())
-                continue
-            got.append(jitter.draw())
-            refills += 1
-            if batched:  # a batch of words, some of them rejected
-                assert 0 < len(jitter.draws) < JitterDraw.REFILL_WORDS
-            else:
-                assert jitter.draws == []
+            if not jitter.draws:
+                jitter.draw()
+                refills += 1
+                if batched:  # a batch of words, some of them rejected
+                    assert 1 < len(jitter.draws) <= JitterDraw.REFILL_WORDS
+                else:
+                    assert len(jitter.draws) == 1
+            got.append(jitter.draws.pop())
         assert got == [a.randrange(0, high + 1) for _ in got], high
         assert refills >= 3
 
@@ -285,7 +284,7 @@ def test_all_events_use_the_closed_kind_set():
     TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0).run(trace)
     kinds = {kind for _t, _s, _event, kind, _target in trace.rows}
     assert kinds <= {"packet-arrival", "pacing-timer", "loss-timer",
-                     "app-start", "sim-end"}
+                     "app-start"}
     assert {"packet-arrival", "pacing-timer", "app-start"} <= kinds
 
 
@@ -351,6 +350,18 @@ def test_timeout_flagging():
     assert r.short_start_at is not None
     assert r.timeout
     assert r.fct is None
+
+
+def test_a_capped_run_dispatches_nothing_at_or_after_the_cap():
+    trace = PacketTrace(only={"event"})
+    run = TwoFlowRun(TIMEOUT_CFG, FAST70K, Variant("baseline"), 0)
+    assert run.run(trace).timeout
+    cap = TIMEOUT_CFG.sim_cap
+    assert max(row[0] for row in trace.rows) < cap
+    assert all(row[3] != "sim-end" for row in trace.rows)
+    # events at the cap and after it were left undone
+    assert min(entry[0] for entry in run.sim._heap) >= cap
+    assert run.sim.now == cap - 1
 
 
 @pytest.mark.parametrize("cfg, finished", [(PRESETS["dsl-fast"], True),
@@ -578,6 +589,11 @@ def test_cli_scenario_file(tmp_path):
     (["--scenario", "dsl-fast", "--variant", "blitz:85900", "--jobs", "2"],
      None, "blitz:85900"),
     ([], CELL_FILE.replace("blitz:1.0", "blitz:1e300"), "blitz:1e+300"),
+    # the handshake and the saturation hold alone outlast the 300 s cap
+    ([], CELL_FILE.replace("rtt_ms = 50", "rtt_ms = 100000"),
+     "could never start"),
+    ([], CELL_FILE.replace("rtt_ms = 50", "rtt_ms = 200000"),
+     "could never start"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):
@@ -737,11 +753,17 @@ def test_cli_demo_fig1_rejects_empty_bottom_run(tmp_path, capsys):
                         ("--top-duration-s", "nan"),
                         ("--bottom-duration-s", "inf"),
                         ("--top-duration-s", "-1"),
+                        # the second flow could enter 1.15 s in at the
+                        # earliest, so a 1.1 s run would never see it
+                        ("--bottom-duration-s", "1.1"),
                         ("--bottom-duration-s", "0.5")):
         rc = main(["demo-fig1", "--out", str(out), flag, value])
         err = capsys.readouterr().err
         assert rc == 2, (flag, value)
         assert err.count("\n") == 1 and flag in err, err
         assert not out.exists()
-    assert err.endswith("must exceed the second flow's 1 s start offset "
-                        "after saturation, got 0.5\n"), err
+    assert err.endswith("--bottom-duration-s 0.5 is too short: scenario "
+                        "'dsl-fast': the short flow could never start: the "
+                        "handshake, the two-RTT saturation hold and "
+                        "short_flow_start take 1150000000 ns, not below "
+                        "sim_cap 500000000\n"), err

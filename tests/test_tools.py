@@ -11,14 +11,12 @@ def test_design_metrics_prints_every_figure():
     assert out.returncode == 0, out.stderr
     figures = dict(line.split() for line in out.stdout.splitlines())
     assert set(figures) == {"src_lines", "settable_values",
-                            "events_per_data_packet",
                             "dispatched_per_data_packet",
                             "cancelled_per_data_packet",
                             "calls_per_data_packet",
                             "c_calls_per_data_packet", "range_adds_per_ack"}
     assert int(figures["src_lines"]) > 0
     assert int(figures["settable_values"]) > 0
-    assert float(figures["events_per_data_packet"]) > 0
     # a data packet's injection and arrival, an ACK's arrival per two
     # packets and the pacing timer: its departure is no event
     assert 2 < float(figures["dispatched_per_data_packet"]) < 3.5

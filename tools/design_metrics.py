@@ -17,20 +17,16 @@ settable_values
       (the scenario-file keys);
     - every `add_argument` call in cli.py whose first argument starts with
       "-" (CLI flags, counted once per subcommand that takes them).
-events_per_data_packet
-    `Event` objects constructed per data packet sent, both flows counted,
-    on the dsl-fast 10M baseline cell, rep 0, seed 1. Counted by wrapping
-    `Event.__init__`. Only timers are `Event`s, one per timer and owner,
-    so this is a few per run; printed to four places.
 dispatched_per_data_packet
-    Events the simulator dispatches per data packet sent, on the same
-    cell: `Simulator.dispatched` once the run is over, over both flows'
-    data packets. Every dispatch counts, whatever its kind: packet and
-    ACK arrivals, timers that fire, the handshakes, `app-start` and
-    `sim-end`; an entry a re-key or cancel left dead on the heap is
-    skipped, not dispatched, and does not count. Nor does a timer entry
-    that pops before its `Event.due`: the engine re-keys it to the due
-    instead of dispatching it.
+    Events the simulator dispatches per data packet sent, both flows
+    counted, on the dsl-fast 10M baseline cell, rep 0, seed 1:
+    `Simulator.dispatched` once the run is over, over both flows' data
+    packets. Every dispatch counts, whatever its kind: packet and ACK
+    arrivals, timers that fire, the handshakes and `app-start`; an entry
+    a re-key or cancel left dead on the heap is skipped, not dispatched,
+    and does not count. Nor does a timer entry that pops before its
+    `Event.due`, which the engine re-keys to the due, or one whose due is
+    negative, which it drops.
 cancelled_per_data_packet
     Timer keys given up per data packet sent, on the same cell:
     `Simulator.cancelled` once the run is over, which counts each
@@ -135,30 +131,6 @@ def settable_values() -> int:
     return total
 
 
-def events_per_data_packet() -> float:
-    sys.path.insert(0, str(SRC))
-    from blitzsim import engine
-    from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
-
-    made = 0
-    init = engine.Event.__init__
-
-    def counted(ev, *args):
-        nonlocal made
-        made += 1
-        init(ev, *args)
-
-    engine.Event.__init__ = counted
-    try:
-        run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"],
-                         Variant("baseline"), 0)
-        run.run()
-    finally:
-        engine.Event.__init__ = init
-    sent = run.long_conn.pkts_sent + run.short_conn.pkts_sent
-    return made / sent
-
-
 @lru_cache(maxsize=1)
 def _finished_run():
     """The dsl-fast 10M baseline cell, rep 0, seed 1, run to its end."""
@@ -238,7 +210,6 @@ def range_adds_per_ack() -> float:
 def main() -> int:
     print(f"src_lines {src_lines()}")
     print(f"settable_values {settable_values()}")
-    print(f"events_per_data_packet {events_per_data_packet():.4f}")
     print(f"dispatched_per_data_packet {dispatched_per_data_packet():.2f}")
     print(f"cancelled_per_data_packet {cancelled_per_data_packet():.4f}")
     print(f"calls_per_data_packet {calls_per_data_packet():.2f}")
