@@ -12,6 +12,7 @@ are paired.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import random
@@ -20,6 +21,7 @@ import struct
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
+from types import MethodType
 from typing import Callable, Optional, Sequence
 
 from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
@@ -319,6 +321,13 @@ class TwoFlowRun:
     parts, or a function that holds no state, so a copy.deepcopy of a run
     taken at any point carries on alone without calling back into the
     original.
+
+    The seeds depend on (cfg, size, rep) only, and the variant is first
+    read when the short flow's handshake completes, through its
+    controller_factory. So the variants of a group share every event
+    before that: warm_up() runs to just before it, and adopt() gives a
+    freshly built run of any variant the state of such a warm run, after
+    which run() finishes it exactly as a cold run of that variant would.
     """
 
     def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
@@ -327,6 +336,7 @@ class TwoFlowRun:
         self.variant = variant
         self.rep = rep
         self.stop_on_completion = stop_on_completion
+        self._stop_on_saturation = False  # set while warm_up() runs
         self.sim = sim = Simulator()
         self.link = link = Link(sim, cfg.link_config())
 
@@ -377,6 +387,8 @@ class TwoFlowRun:
         self.sim.schedule(now + self.cfg.short_flow_start + self.start_jitter,
                           "app-start", f"conn:{SHORT_FLOW}",
                           self.short_conn.start)
+        if self._stop_on_saturation:
+            self.sim.stop()
 
     # The link retires departures lazily, so each edge of the fairness
     # window first retires the departures that rank before its event (see
@@ -397,6 +409,64 @@ class TwoFlowRun:
         self.departed_at_end = self._departed_bytes()
         if self.stop_on_completion:
             self.sim.stop()
+
+    def warm_up(self) -> bool:
+        """Run to 1 ns before the short flow's handshake completes.
+
+        Returns False if the run never gets there: the link never
+        saturates, or the handshake would complete at or after the cap.
+        Either way run() then finishes the run as if it had not stopped.
+        """
+        cfg, sim = self.cfg, self.sim
+        end = cfg.sim_cap - 1
+        self._stop_on_saturation = True
+        sim.run_until(end)
+        self._stop_on_saturation = False
+        if self.sat_at is None:  # ran to the cap
+            return False
+        done = (self.sat_at + cfg.short_flow_start + self.start_jitter
+                + self.short_conn.handshake_rtt)
+        if done > end:
+            return False
+        sim.run_until(done - 1)
+        return True
+
+    def forkable(self) -> bool:
+        """Whether a copy of this run calls back only into the copy.
+
+        copy.deepcopy rebinds a bound method to the copy of its object,
+        but shares a plain function and whatever it closes over, as a
+        wrapper installed from outside (a tracer, say) would be.
+        """
+        for _at, _seq, fn, arg, _kind, _target in self.sim._heap:
+            if type(fn if fn is not None else arg.fn) is not MethodType:
+                return False
+        return all(type(conn.jitter) is MethodType
+                   for conn in (self.long_conn, self.short_conn))
+
+    def _parts(self) -> tuple:
+        """The objects the constructor builds that adopt() keeps."""
+        long_conn, short_conn = self.long_conn, self.short_conn
+        return (self, self.sim, self.link, long_conn, short_conn,
+                long_conn.receiver, short_conn.receiver)
+
+    def adopt(self, warm: "TwoFlowRun") -> None:
+        """Take over warm's state, keeping this run's variant.
+
+        warm is a run of the same (cfg, size, rep), stopped by warm_up(),
+        and is left as it was. Each part this run's constructor built
+        takes a deep copy of the matching part's attributes, in which
+        every reference to a warm part, and to warm's cfg, variant and
+        short flow's controller factory, is this run's own.
+        """
+        parts = list(zip(warm._parts(), self._parts()))
+        memo = {id(old): new for old, new in parts}
+        memo[id(warm.cfg)] = self.cfg
+        memo[id(warm.variant)] = self.variant
+        memo[id(warm.short_conn.controller_factory)] = (
+            self.short_conn.controller_factory)
+        for old, new in parts:
+            new.__dict__ = copy.deepcopy(old.__dict__, memo)
 
     def run(self, recorder: Optional[PacketTrace] = None) -> RunResult:
         """Simulate to the end, recording into recorder if given."""
@@ -433,10 +503,41 @@ class TwoFlowRun:
         )
 
 
+class _WarmUp:
+    """The group (cfg, size_bytes, rep) asked for last, in this process.
+
+    requests counts its run_scenario calls so far, and run is its warm
+    run, once one is kept.
+    """
+    key: Optional[tuple] = None
+    requests = 0
+    run: Optional[TwoFlowRun] = None
+
+
 def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, trace: Optional[PacketTrace] = None) -> RunResult:
-    """One repetition of one matrix cell, recorded into trace if given."""
-    return TwoFlowRun(cfg, size_bytes, variant, rep).run(trace)
+    """One repetition of one matrix cell, recorded into trace if given.
+
+    The variants of a group share their warm-up (see TwoFlowRun), so
+    consecutive calls for one group simulate it once. The first call runs
+    cold, as a caller that never repeats a group would want. The second
+    stops at the end of the warm-up, keeps a copy of the warm run and
+    finishes. The third and later build their run and adopt that copy's
+    state. A recorded run, or one that is not forkable() when it is built
+    or warm, is run cold.
+    """
+    run = TwoFlowRun(cfg, size_bytes, variant, rep)
+    if trace is not None:
+        return run.run(trace)
+    key = (cfg, size_bytes, rep)
+    if key != _WarmUp.key:
+        _WarmUp.key, _WarmUp.requests, _WarmUp.run = key, 0, None
+    _WarmUp.requests += 1
+    if _WarmUp.run is not None and run.forkable():
+        run.adopt(_WarmUp.run)
+    elif _WarmUp.requests == 2 and run.warm_up() and run.forkable():
+        _WarmUp.run = copy.deepcopy(run)
+    return run.run()
 
 
 def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
@@ -611,15 +712,19 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
                trace_dir: Optional[Path] = None) -> list[RunResult]:
     """Run every (scenario, size, variant, rep) cell; order-independent.
 
-    With trace_dir, each run also writes its packet trace there as
+    The tasks go group by group, (cfg, size, rep), each group's variants
+    in a row, and a worker takes a whole group at a time, so run_scenario
+    simulates each group's warm-up once. With trace_dir, each run also
+    writes its packet trace there as
     trace_<scenario>_<size>_<variant>_<rep>.csv.
     """
     check_variants(scenarios, variants)
     tasks = [(cfg, size, variant, rep, trace_dir)
-             for cfg in scenarios for size in sizes for variant in variants
-             for rep in range(reps)]
+             for cfg in scenarios for size in sizes for rep in range(reps)
+             for variant in variants]
     results: list[RunResult] = []
-    jobs = min(jobs, len(tasks))  # no idle workers
+    group = len(variants)
+    jobs = min(jobs, len(tasks) // max(group, 1))  # no idle workers
     if jobs <= 1:
         for i, task in enumerate(tasks):
             results.append(_run_cell(task))
@@ -628,7 +733,7 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
     else:
         with Pool(jobs) as pool:
             for i, res in enumerate(pool.imap_unordered(_run_cell, tasks,
-                                                        chunksize=4)):
+                                                        chunksize=group)):
                 results.append(res)
                 if progress is not None:
                     progress(i + 1, len(tasks))

@@ -1,16 +1,21 @@
+import contextlib
 import copy
 import hashlib
+import io
 import math
 import os
 import random
 import statistics
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blitzsim
 from blitzsim import harness
@@ -340,6 +345,102 @@ def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
         assert each.sim.recorder.rows == ref_trace.rows
 
 
+def _counters(run):
+    """What a run leaves behind besides its RunResult."""
+    sim, link = run.sim, run.link
+    return ({flow: vars(c) for flow, c in link.counters.items()},
+            link.queued, link.max_queued,
+            [(conn.pkts_sent, conn.bytes_acked, conn.payload_sent,
+              conn.acks_received, conn.bytes_retransmitted, conn.lost_pkts)
+             for conn in (run.long_conn, run.short_conn)],
+            (sim.scheduled, sim.cancelled, sim.dispatched))
+
+
+FORK_CELLS = ([(seed, name, "70K", rep) for seed in (1, 7) for name in PRESETS
+               for rep in (0, 1)]
+              + [(1, "lte", "2M", 1), (7, "dsl-slow", "10M", 0)])
+
+
+@pytest.mark.parametrize("seed, scenario, size, rep", FORK_CELLS)
+def test_a_forked_run_equals_a_cold_run(seed, scenario, size, rep):
+    # one warm-up, adopted by a fresh run of each variant in turn; the
+    # warm run is left as it was, so every fork starts from the same state
+    cfg = replace(PRESETS[scenario], seed_base=seed)
+    variants = default_variants()
+    warm = TwoFlowRun(cfg, SIZES[size], variants[0], rep)
+    assert warm.warm_up() and warm.forkable()
+    done = warm.sim.now + 1  # the short flow's handshake completes here
+    assert warm.short_conn.start_at + warm.short_conn.handshake_rtt == done
+    assert warm.short_conn.controller is None
+    for variant in variants:
+        cold = TwoFlowRun(cfg, SIZES[size], variant, rep)
+        cold_rows = PacketTrace(only={"event"})
+        expected = cold.run(cold_rows)
+        fork = TwoFlowRun(cfg, SIZES[size], variant, rep)
+        fork.adopt(warm)
+        fork_rows = PacketTrace(only={"event"})
+        assert fork.run(fork_rows) == expected
+        assert _counters(fork) == _counters(cold)
+        assert fork_rows.rows == [row for row in cold_rows.rows
+                                  if row[0] >= done]
+    assert warm.sim.now == done - 1 and warm.short_conn.controller is None
+
+
+def test_run_scenario_forks_the_third_and_later_runs_of_a_group(monkeypatch):
+    adopted = []
+    adopt = TwoFlowRun.adopt
+    monkeypatch.setattr(TwoFlowRun, "adopt",
+                        lambda run, warm: adopted.append(run.variant)
+                        or adopt(run, warm))
+    cfg = replace(PRESETS["dsl-fast"], seed_base=7)
+    variants = default_variants()
+    harness._WarmUp.key = None  # whatever ran before, a new group
+    for rep in (2, 3):
+        got = [run_scenario(cfg, FAST70K, v, rep) for v in variants]
+        assert got == [TwoFlowRun(cfg, FAST70K, v, rep).run()
+                       for v in variants]
+    assert adopted == variants[2:] * 2
+    # a recorded run never forks, and leaves the group's warm run alone
+    trace = PacketTrace(only={"event"})
+    assert run_scenario(cfg, FAST70K, variants[1], 3, trace) == got[1]
+    assert trace.rows[0][1] == 0 and len(adopted) == 8
+    assert run_scenario(cfg, FAST70K, variants[1], 3) == got[1]
+    assert len(adopted) == 9
+    # a run built with a wrapped callback does not adopt a warm run that
+    # was kept before the wrapper came
+    schedule = Simulator.schedule
+    monkeypatch.setattr(
+        Simulator, "schedule",
+        lambda sim, at, kind, target, fn, arg=None: schedule(
+            sim, at, kind, target, lambda *a: fn(*a), arg))
+    assert run_scenario(cfg, FAST70K, variants[4], 3) == got[4]
+    assert len(adopted) == 9 and harness._WarmUp.run is not None
+
+
+def test_a_run_with_a_plain_function_callback_is_not_forkable():
+    # deepcopy would share the function and whatever it closes over
+    run = TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("baseline"), 0)
+    assert run.warm_up() and run.forkable()
+    run.sim.schedule(run.sim.now + 1, "app-start", "x", lambda now: None)
+    assert not run.forkable()
+    run = TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("baseline"), 0)
+    run.long_conn.jitter = lambda: None
+    assert not run.forkable()
+
+
+def test_a_group_that_never_saturates_caches_nothing_and_times_out(tmp_path):
+    cfg = replace(PRESETS["dsl-fast"], long_flow_bytes=1)
+    results = [run_scenario(cfg, FAST70K, v, 0) for v in default_variants()]
+    assert harness._WarmUp.key == (cfg, FAST70K, 0)
+    assert harness._WarmUp.requests == 6 and harness._WarmUp.run is None
+    path = tmp_path / "runs.csv"
+    emit_runs_csv(results, path)
+    assert path.read_text().splitlines()[1:] == [
+        f"dsl-fast,70000,{v.label()},0,1,,0,0,0.000000,,1"
+        for v in sorted(default_variants(), key=Variant.label)]
+    assert all(r.short_start_at is None for r in results)
+
+
 TIMEOUT_CFG = replace(PRESETS["dsl-fast"], short_flow_start=0,
                       sim_cap=ms(400))
 
@@ -425,14 +526,28 @@ def test_run_matrix_starts_no_more_workers_than_runs(monkeypatch):
             return False
 
         def imap_unordered(self, fn, tasks, chunksize=1):
+            chunks.append([task[:4] for task in tasks][::chunksize])
             return map(fn, tasks)
 
+    chunks = []
     monkeypatch.setattr(harness, "Pool", FakePool)
     cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
     results = run_matrix([cfg], [FAST70K], [Variant("baseline")], reps=3,
                          jobs=8)
     assert sizes == [3]
     assert [r.rep for r in results] == [0, 1, 2]
+    # a worker takes a whole group, (cfg, size, rep), so one group of six
+    # variants runs in one process
+    variants = default_variants()
+    results = run_matrix([cfg], [FAST70K], variants, reps=1, jobs=2)
+    assert sizes == [3]
+    assert len(results) == 6
+    results = run_matrix([cfg], [FAST70K], variants, reps=2, jobs=8)
+    assert sizes == [3, 2]
+    assert chunks[-1] == [(cfg, FAST70K, variants[0], 0),
+                          (cfg, FAST70K, variants[0], 1)]
+    assert [(r.variant, r.rep) for r in results] == sorted(
+        (v.label(), rep) for v in variants for rep in (0, 1))
 
 
 # -- emission ---------------------------------------------------------------------------
@@ -609,6 +724,77 @@ def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
     assert "Traceback" not in err
     assert err.count("\n") == 1 and named in err
     assert not out.exists()
+
+
+# bounds of each numeric key of a scenario file. The flows are kept small,
+# and long_flow_bytes is always given, since its default, 1 GiB, keeps a
+# fast link busy up to the 300 s cap.
+SCENARIO_INTS = {
+    "rtt_ms": (-5, 400_000),
+    "bottleneck_kbps": (-5, 50_000_000),
+    "buffer_pkts": (-5, 5_000),
+    "short_flow_bytes": (-5, 200_000),
+    "long_flow_bytes": (-5, 300_000),
+    "short_flow_start_ms": (-5, 400_000),
+    "start_jitter_max_ms": (-5, 400_000),
+    "pkt_jitter_max_us": (-5, 10_000_000),
+}
+ALWAYS_KEYS = {"rtt_ms", "bottleneck_kbps", "buffer_pkts",
+               "short_flow_bytes", "long_flow_bytes"}
+
+
+@st.composite
+def scenario_files(draw) -> dict[str, str]:
+    values = {"name": draw(st.sampled_from(["cell", "a b", "x,y"]))}
+    for key, (lo, hi) in SCENARIO_INTS.items():
+        if key in ALWAYS_KEYS or draw(st.booleans()):
+            values[key] = str(draw(st.integers(lo, hi)))
+    if draw(st.booleans()):
+        values["access_tech"] = draw(st.sampled_from(
+            ["dsl", "LTE", "3g", "three_g", "unknown", "fiber", ""]))
+    if draw(st.booleans()):
+        values["variant"] = draw(st.one_of(
+            st.just("baseline"),
+            st.floats(-1, 1e12).map(lambda f: f"blitz:{f!r}"),
+            st.sampled_from(["blitz", "blitz:nan", "blitz:inf", "cubic:1",
+                             "blitz:1:2"])))
+    # now and then one key is malformed, unknown or (but for
+    # long_flow_bytes) missing
+    fault = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from(sorted(values) + ["repetitions", "bogus"]),
+        st.sampled_from([None, "", "x", "1.5", "1e3", "0x10"]))))
+    if fault is not None:
+        key, text = fault
+        if text is not None:
+            values[key] = text
+        elif key != "long_flow_bytes":
+            values.pop(key, None)
+    return values
+
+
+@given(scenario_files())
+@settings(max_examples=100, deadline=None)
+def test_any_scenario_file_runs_or_is_one_line_and_exit_2(values):
+    # whatever the file says, the CLI writes its rows or rejects it with
+    # one line, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cell.scenario"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--scenario-file", str(path), "--out", str(out),
+                       "--jobs", "1", "--reps", "2"])
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if rc == 0:
+            rows = (out / "runs.csv").read_text().splitlines()
+            assert rows[0] == RUNS_HEADER and len(rows) == 3
+        else:
+            assert rc == 2
+            assert err.count("\n") == 1 and err.startswith("blitzsim run: ")
+            assert not out.exists()
 
 
 def test_cli_runs_the_largest_estimate_a_hint_carries(tmp_path):
