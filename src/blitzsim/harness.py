@@ -507,10 +507,12 @@ class _WarmUp:
     """The group (cfg, size_bytes, rep) asked for last, in this process.
 
     requests counts its run_scenario calls so far, and run is its warm
-    run, once one is kept.
+    run, once one is kept. keep_at is the request that keeps it: the
+    first if the group before got more than one request, else the second.
     """
     key: Optional[tuple] = None
     requests = 0
+    keep_at = 2
     run: Optional[TwoFlowRun] = None
 
 
@@ -519,24 +521,29 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     """One repetition of one matrix cell, recorded into trace if given.
 
     The variants of a group share their warm-up (see TwoFlowRun), so
-    consecutive calls for one group simulate it once. The first call runs
-    cold, as a caller that never repeats a group would want. The second
-    stops at the end of the warm-up, keeps a copy of the warm run and
-    finishes. The third and later build their run and adopt that copy's
-    state. A recorded run, or one that is not forkable() when it is built
-    or warm, is run cold.
+    consecutive calls for one group simulate it once: one call stops at
+    the end of the warm-up, keeps a copy of the warm run and finishes,
+    and the later calls build their run and adopt that copy's state. The
+    first call keeps it once the group before got more than one call, as
+    such a caller repeats groups. Otherwise the first runs cold, so a
+    caller that never repeats a group never copies, and the second keeps
+    it. A recorded run, or one that is not forkable() when it is built or
+    warm, is run cold.
     """
     run = TwoFlowRun(cfg, size_bytes, variant, rep)
     if trace is not None:
         return run.run(trace)
     key = (cfg, size_bytes, rep)
     if key != _WarmUp.key:
+        _WarmUp.keep_at = 1 if _WarmUp.requests > 1 else 2
         _WarmUp.key, _WarmUp.requests, _WarmUp.run = key, 0, None
     _WarmUp.requests += 1
-    if _WarmUp.run is not None and run.forkable():
-        run.adopt(_WarmUp.run)
-    elif _WarmUp.requests == 2 and run.warm_up() and run.forkable():
-        _WarmUp.run = copy.deepcopy(run)
+    if run.forkable():  # else it would stop at the warm-up for nothing
+        if _WarmUp.run is not None:
+            run.adopt(_WarmUp.run)
+        elif (_WarmUp.requests == _WarmUp.keep_at and run.warm_up()
+              and run.forkable()):
+            _WarmUp.run = copy.deepcopy(run)
     return run.run()
 
 

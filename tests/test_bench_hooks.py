@@ -1,7 +1,7 @@
 """The benchmark's instrumentation still fits the program.
 
 perfbench/instrument.py patches and reads simulator, transport, congestion
-and harness names from outside. This runs one small cell, and one group
+and harness names from outside. This runs one small cell, and two groups
 of six variants that share a warm-up, with that instrumentation in a fresh
 interpreter (the patches are process-wide), so a refactor that renames or
 reshapes one of those names fails here.
@@ -79,24 +79,31 @@ cfg, size = harness.PRESETS["lte"], harness.SIZES["70K"]
 variants = harness.default_variants()
 
 
-def group(run):
+def group(run, reps=(0,)):
     out = []
-    for variant in variants:
-        run(variant)
-        conns = objs.take()
-        counters, errors = snapshot(conns)
-        out.append({"conns": len(conns), "counters": counters,
-                    "errors": errors})
+    for rep in reps:
+        for variant in variants:
+            run(variant, rep)
+            conns = objs.take()
+            counters, errors = snapshot(conns)
+            out.append({"conns": len(conns), "counters": counters,
+                        "errors": errors})
     return out
 
 
-cold = group(lambda v: harness.TwoFlowRun(cfg, size, v, 0).run())
-forked = group(lambda v: harness.run_scenario(cfg, size, v, 0))
+def new_cache():
+    cache = harness._WarmUp
+    cache.key, cache.requests, cache.keep_at, cache.run = None, 0, 2, None
+
+
+cold = group(lambda v, rep: harness.TwoFlowRun(cfg, size, v, rep).run(),
+             (0, 1))
+forked = group(lambda v, rep: harness.run_scenario(cfg, size, v, rep), (0, 1))
 kept = harness._WarmUp.run is not None
-harness._WarmUp.key = None  # a new group
+new_cache()
 tracer = Tracer()
 tracer.install()
-traced = group(lambda v: harness.run_scenario(cfg, size, v, 0))
+traced = group(lambda v, rep: harness.run_scenario(cfg, size, v, rep))
 print(json.dumps({"cold": cold, "forked": forked, "traced": traced,
                   "kept": kept, "kept_traced": harness._WarmUp.run is not None,
                   "requests": harness._WarmUp.requests}))
@@ -104,22 +111,25 @@ print(json.dumps({"cold": cold, "forked": forked, "traced": traced,
 
 
 def test_a_group_of_six_variants_is_counted_like_cold_runs():
-    # The third and later runs of a group adopt a warm run's state, which
-    # deepcopy builds without calling Connection.__init__; each run must
-    # still build exactly two connections for RunObjects to find. With the
-    # Tracer installed, its callback closures make a run unforkable, so
-    # nothing is kept and every run is cold.
+    # Runs 3-6 of the first group, and 2-6 of the second, adopt a warm
+    # run's state, which deepcopy builds without calling
+    # Connection.__init__; each run must still build exactly two
+    # connections for RunObjects to find. With the Tracer installed, its
+    # callback closures make a run unforkable, so nothing is kept and
+    # every run is cold.
     proc = subprocess.run([sys.executable, "-c", GROUP], cwd=REPO,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["kept"] and not got["kept_traced"] and got["requests"] == 6
+    assert (len(got["cold"]), len(got["forked"]), len(got["traced"])) == (
+        12, 12, 6)
     for runs in (got["cold"], got["forked"], got["traced"]):
-        assert [run["conns"] for run in runs] == [2] * 6
+        assert all(run["conns"] == 2 for run in runs)
         assert all(run["errors"] == [] for run in runs)
     counters = [run["counters"] for run in got["cold"]]
     assert [run["counters"] for run in got["forked"]] == counters
-    assert [run["counters"] for run in got["traced"]] == counters
+    assert [run["counters"] for run in got["traced"]] == counters[:6]
 
 
 def test_instrumented_cell_matches_untraced_run():

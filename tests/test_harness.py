@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import math
 import os
@@ -244,6 +245,7 @@ def test_run_matrix_rejects_a_zero_kbps_estimate_before_running():
 # -- running scenarios --------------------------------------------------------------------
 
 FAST70K = SIZES["70K"]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_run_scenario_is_deterministic():
@@ -386,35 +388,108 @@ def test_a_forked_run_equals_a_cold_run(seed, scenario, size, rep):
     assert warm.sim.now == done - 1 and warm.short_conn.controller is None
 
 
-def test_run_scenario_forks_the_third_and_later_runs_of_a_group(monkeypatch):
-    adopted = []
-    adopt = TwoFlowRun.adopt
-    monkeypatch.setattr(TwoFlowRun, "adopt",
-                        lambda run, warm: adopted.append(run.variant)
-                        or adopt(run, warm))
-    cfg = replace(PRESETS["dsl-fast"], seed_base=7)
-    variants = default_variants()
-    harness._WarmUp.key = None  # whatever ran before, a new group
-    for rep in (2, 3):
-        got = [run_scenario(cfg, FAST70K, v, rep) for v in variants]
-        assert got == [TwoFlowRun(cfg, FAST70K, v, rep).run()
-                       for v in variants]
-    assert adopted == variants[2:] * 2
-    # a recorded run never forks, and leaves the group's warm run alone
-    trace = PacketTrace(only={"event"})
-    assert run_scenario(cfg, FAST70K, variants[1], 3, trace) == got[1]
-    assert trace.rows[0][1] == 0 and len(adopted) == 8
-    assert run_scenario(cfg, FAST70K, variants[1], 3) == got[1]
-    assert len(adopted) == 9
-    # a run built with a wrapped callback does not adopt a warm run that
-    # was kept before the wrapper came
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """run_scenario's warm-up cache as a new process finds it."""
+    for name, value in (("key", None), ("requests", 0), ("keep_at", 2),
+                        ("run", None)):
+        monkeypatch.setattr(harness._WarmUp, name, value)
+
+
+def _record(monkeypatch, name):
+    """The (variant, rep) of each run that TwoFlowRun.<name> is called on."""
+    calls = []
+    method = getattr(TwoFlowRun, name)
+
+    def recorded(run, *args):
+        calls.append((run.variant, run.rep))
+        return method(run, *args)
+    monkeypatch.setattr(TwoFlowRun, name, recorded)
+    return calls
+
+
+def _wrap_schedule(monkeypatch):
+    """Schedule every callback wrapped in a lambda, as a tracer would."""
     schedule = Simulator.schedule
     monkeypatch.setattr(
         Simulator, "schedule",
         lambda sim, at, kind, target, fn, arg=None: schedule(
             sim, at, kind, target, lambda *a: fn(*a), arg))
+
+
+def test_run_scenario_forks_from_the_second_run_once_groups_repeat(
+        fresh_cache, monkeypatch):
+    adopted = _record(monkeypatch, "adopt")
+    cfg = replace(PRESETS["dsl-fast"], seed_base=7)
+    variants = default_variants()
+    for rep in (2, 3):
+        got = [run_scenario(cfg, FAST70K, v, rep) for v in variants]
+        assert got == [TwoFlowRun(cfg, FAST70K, v, rep).run()
+                       for v in variants]
+    # the first group forks from its third run; its caller repeated it, so
+    # the next group's first run keeps the warm run and the rest fork
+    assert adopted == ([(v, 2) for v in variants[2:]]
+                       + [(v, 3) for v in variants[1:]])
+    # a recorded run never forks, and leaves the group's warm run alone
+    trace = PacketTrace(only={"event"})
+    assert run_scenario(cfg, FAST70K, variants[1], 3, trace) == got[1]
+    assert trace.rows[0][1] == 0 and len(adopted) == 9
+    assert run_scenario(cfg, FAST70K, variants[1], 3) == got[1]
+    assert len(adopted) == 10
+    # a run built with a wrapped callback does not adopt a warm run that
+    # was kept before the wrapper came
+    _wrap_schedule(monkeypatch)
     assert run_scenario(cfg, FAST70K, variants[4], 3) == got[4]
-    assert len(adopted) == 9 and harness._WarmUp.run is not None
+    assert len(adopted) == 10 and harness._WarmUp.run is not None
+
+
+def test_a_run_that_cannot_fork_never_stops_to_warm_up(fresh_cache,
+                                                        monkeypatch):
+    # forkable() is asked of the freshly built run, before any warm-up
+    warm_ups = _record(monkeypatch, "warm_up")
+    _wrap_schedule(monkeypatch)
+    cfg = replace(PRESETS["dsl-fast"], seed_base=7)
+    variants = default_variants()[:3]
+    for rep in (2, 3):
+        got = [run_scenario(cfg, FAST70K, v, rep) for v in variants]
+        assert got == [TwoFlowRun(cfg, FAST70K, v, rep).run()
+                       for v in variants]
+    assert warm_ups == [] and harness._WarmUp.run is None
+
+
+def test_a_caller_that_never_repeats_a_group_never_warms_up(fresh_cache,
+                                                            monkeypatch):
+    # the bulk-10M and overshoot-loss benchmark workloads ask for each
+    # group once, in this order; at 70K to stay fast
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    warm_ups = _record(monkeypatch, "warm_up")
+    runs = 0
+    for name in ("bulk-10M", "overshoot-loss"):
+        for round_index in range(2):
+            for cfg, _size, variant, rep in workloads.WORKLOADS[name].tasks(
+                    1, round_index):
+                run_scenario(cfg, FAST70K, variant, rep)
+                assert harness._WarmUp.requests == 1
+                assert harness._WarmUp.run is None
+                runs += 1
+    assert runs == 32 and warm_ups == []
+
+
+def test_run_matrix_of_two_variants_forks_each_group_after_the_first(
+        fresh_cache, monkeypatch):
+    # the first group's second run keeps a warm run that nothing adopts;
+    # from then on each group's first run keeps it and the second adopts it
+    adopted = _record(monkeypatch, "adopt")
+    warm_ups = _record(monkeypatch, "warm_up")
+    cfg = replace(PRESETS["dsl-fast"], seed_base=7)
+    variants = [Variant("baseline"), Variant("blitz", 4.0)]
+    results = run_matrix([cfg], [FAST70K], variants, reps=3, jobs=1)
+    assert warm_ups == [(variants[1], 0), (variants[0], 1), (variants[0], 2)]
+    assert adopted == [(variants[1], 1), (variants[1], 2)]
+    assert results == sorted(
+        (TwoFlowRun(cfg, FAST70K, v, rep).run() for v in variants
+         for rep in range(3)), key=lambda r: (r.variant, r.rep))
 
 
 def test_a_run_with_a_plain_function_callback_is_not_forkable():
@@ -428,7 +503,8 @@ def test_a_run_with_a_plain_function_callback_is_not_forkable():
     assert not run.forkable()
 
 
-def test_a_group_that_never_saturates_caches_nothing_and_times_out(tmp_path):
+def test_a_group_that_never_saturates_caches_nothing_and_times_out(
+        fresh_cache, tmp_path):
     cfg = replace(PRESETS["dsl-fast"], long_flow_bytes=1)
     results = [run_scenario(cfg, FAST70K, v, 0) for v in default_variants()]
     assert harness._WarmUp.key == (cfg, FAST70K, 0)
