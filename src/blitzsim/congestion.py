@@ -98,6 +98,12 @@ class CubicController:
     congestion avoidance at the hinted BDP and can never enter Slow Start.
     """
 
+    __slots__ = ("hystart_floor", "mode", "pacing_fraction", "cwnd",
+                 "w_max_segments", "epoch_start", "cubic_k",
+                 "recovery_until_pkt_num", "started_in_avoidance", "_min_rtt",
+                 "_round_end_pkt", "_round_exceed_count", "congestion_events",
+                 "mode_trace")
+
     def __init__(self, hystart_floor: SimTime = HYSTART_FLOOR):
         self.hystart_floor = hystart_floor
         self.mode = Mode.SLOW_START

@@ -96,6 +96,9 @@ class Simulator:
     scheduled counts the keys handed out, so it is also the next seq.
     """
 
+    __slots__ = ("now", "seq", "_heap", "scheduled", "cancelled",
+                 "dispatched", "_stop", "recorder")
+
     def __init__(self):
         self.now: SimTime = 0
         self.seq = -1

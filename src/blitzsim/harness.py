@@ -19,16 +19,17 @@ import random
 import statistics
 import struct
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from multiprocessing import Pool
 from pathlib import Path
-from types import MethodType
+from types import FunctionType, MethodType
 from typing import Callable, Optional, Sequence
 
 from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
                          INITIAL_WINDOW_SEGMENTS, CubicController,
                          make_controller)
-from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, PacketTrace, SimTime,
-                     Simulator, ms, substream, us)
+from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, Event, PacketTrace,
+                     SimTime, Simulator, ms, substream, us)
 from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig
 from .signaling import (MAX_HINT_KBPS, AccessTech, BandwidthHint,
                         HintDecodeError, OracleEstimator, decode_hint,
@@ -45,7 +46,7 @@ LONG_FLOW = 0
 SHORT_FLOW = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     name: str
     rtt: SimTime
@@ -119,7 +120,7 @@ PRESETS: dict[str, ScenarioConfig] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variant:
     kind: str  # "baseline" | "blitz"
     factor: float = 1.0
@@ -230,12 +231,25 @@ def check_variants(scenarios: Sequence[ScenarioConfig],
                     "use a smaller factor")
 
 
-def _baseline_factory(floor: SimTime):
-    """Slow Start controllers with the given delay-exit floor."""
-    return lambda min_rtt, now: CubicController(hystart_floor=floor)
+# A controller factory is a partial of one of these two, so that it holds
+# no state but its arguments and a copy of a run can rebuild it (see
+# TwoFlowRun.forkable).
+
+def _baseline_controller(floor: SimTime, min_rtt: SimTime,
+                         now: SimTime) -> CubicController:
+    return CubicController(hystart_floor=floor)
 
 
-def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
+def _hinted_controller(wire: bytes, floor: SimTime, min_rtt: SimTime,
+                       now: SimTime) -> CubicController:
+    try:
+        received = decode_hint(wire)
+    except HintDecodeError:
+        return CubicController(hystart_floor=floor)
+    return make_controller(received, min_rtt, now, hystart_floor=floor)
+
+
+def _short_controller_factory(cfg: ScenarioConfig, variant: Variant) -> partial:
     """Build the short flow's controller the way the wire protocol would.
 
     For the blitz variant the bandwidth estimate is produced by the oracle
@@ -245,21 +259,11 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant):
     """
     floor = cfg.hystart_floor
     if variant.kind == "baseline":
-        return _baseline_factory(floor)
-
+        return partial(_baseline_controller, floor)
     estimator = OracleEstimator(variant.factor)
     hint = BandwidthHint(cfg.access_tech,
                          estimator.estimate(cfg.bottleneck_kbps))
-    wire = encode_hint(hint)
-
-    def factory(min_rtt: SimTime, now: SimTime) -> CubicController:
-        try:
-            received = decode_hint(wire)
-        except HintDecodeError:
-            return CubicController(hystart_floor=floor)
-        return make_controller(received, min_rtt, now, hystart_floor=floor)
-
-    return factory
+    return partial(_hinted_controller, encode_hint(hint), floor)
 
 
 class JitterDraw:
@@ -276,7 +280,9 @@ class JitterDraw:
     a batch ahead, so nothing else may draw from it. For k > 32 a try
     takes several words, and draw() appends one value. It holds rng itself
     rather than rng.getrandbits: copy.deepcopy shares a built-in bound
-    method, so a copied run would draw from the original.
+    method, so a copied run would draw from the original, and
+    TwoFlowRun.forkable() rejects one. Its state is in slots, so a copy
+    sets each slot and makes no instance dict.
     """
 
     REFILL_WORDS = 256
@@ -308,6 +314,34 @@ class JitterDraw:
             draws.extend([w >> shift for w in reversed(words) if w < limit])
 
 
+@cache
+def _slot_names(cls: type) -> tuple[str, ...]:
+    """The slots cls and its bases declare, but __dict__ and __weakref__."""
+    return tuple(name for klass in reversed(cls.__mro__)
+                 for name in klass.__dict__.get("__slots__", ())
+                 if name not in ("__dict__", "__weakref__"))
+
+
+def _copies_alone(value: object) -> bool:
+    """Whether a deep copy of value calls back only into copied objects.
+
+    copy.deepcopy rebinds a bound method to the copy of its object and
+    copies a partial's arguments, but shares a plain function, a built-in
+    method and whatever they hold. So any callable but a bound method, or
+    a partial of a module-level function whose arguments pass, fails; a
+    timer's Event passes if its callback does.
+    """
+    if type(value) is Event:
+        value = value.fn
+    if type(value) is partial:
+        fn = value.func
+        return (type(fn) is FunctionType and fn.__closure__ is None
+                and fn.__qualname__ == fn.__name__
+                and all(map(_copies_alone, value.args))
+                and all(map(_copies_alone, value.keywords.values())))
+    return type(value) is MethodType or not callable(value)
+
+
 class TwoFlowRun:
     """One repetition of one matrix cell, built and ready to run.
 
@@ -318,9 +352,9 @@ class TwoFlowRun:
     change in the link's per-flow departed_bytes from the short flow's
     start to its finish, or to the end of the run. Every hook the link
     and the connections call is a bound method of this run or of its
-    parts, or a function that holds no state, so a copy.deepcopy of a run
-    taken at any point carries on alone without calling back into the
-    original.
+    parts, and each controller factory is a partial of a module-level
+    function, so a copy.deepcopy of a run taken at any point carries on
+    alone without calling back into the original; forkable() checks that.
 
     The seeds depend on (cfg, size, rep) only, and the variant is first
     read when the short flow's handshake completes, through its
@@ -328,7 +362,19 @@ class TwoFlowRun:
     before that: warm_up() runs to just before it, and adopt() gives a
     freshly built run of any variant the state of such a warm run, after
     which run() finishes it exactly as a cold run of that variant would.
+
+    The run, its parts and the values they hold keep their state in
+    slots (or, as random.Random, copy through their own reduce), so a
+    copy sets each slot with setattr and reads no instance dict but the
+    empty ones Link, Connection and Receiver keep for outside hooks. On
+    CPython 3.11, reading the dict of an object without slots moves its
+    attributes into a dict, and every later access to them is slower.
     """
+
+    __slots__ = ("cfg", "variant", "rep", "stop_on_completion",
+                 "_stop_on_saturation", "sim", "link", "start_jitter",
+                 "long_conn", "short_conn", "sat_at", "sat_check",
+                 "departed_at_start", "departed_at_end")
 
     def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, stop_on_completion: bool = True):
@@ -347,7 +393,8 @@ class TwoFlowRun:
         self.start_jitter = start_rng.randrange(0, jitter_max + 1)
         jitter = JitterDraw(pkt_rng, cfg.pkt_jitter_max)
         self.long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
-                                    _baseline_factory(cfg.hystart_floor),
+                                    partial(_baseline_controller,
+                                            cfg.hystart_floor),
                                     jitter=jitter)
         self.short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
                                      _short_controller_factory(cfg, variant),
@@ -396,9 +443,9 @@ class TwoFlowRun:
 
     def _departed_bytes(self) -> tuple[int, int]:
         """(short flow, long flow) departed bytes so far."""
-        counters = self.link.counters  # a flow has none before it sends
-        return tuple(counters[flow].departed_bytes if flow in counters else 0
-                     for flow in (SHORT_FLOW, LONG_FLOW))
+        counters = self.link.counters
+        return (counters[SHORT_FLOW].departed_bytes,
+                counters[LONG_FLOW].departed_bytes)
 
     def _on_started(self, now: SimTime) -> None:
         self.link.retire(now)
@@ -434,15 +481,22 @@ class TwoFlowRun:
     def forkable(self) -> bool:
         """Whether a copy of this run calls back only into the copy.
 
-        copy.deepcopy rebinds a bound method to the copy of its object,
-        but shares a plain function and whatever it closes over, as a
-        wrapper installed from outside (a tracer, say) would be.
+        Every attribute of every part is checked, slots and instance dict
+        alike, and so are each heap entry's callback and argument and each
+        receiver attached to the link: see _copies_alone. A wrapper
+        installed from outside (a tracer, say) is a plain function, so a
+        run that holds one is not forkable. Every part is slotted, so
+        reading a part's instance dict leaves its slots as fast as before.
         """
-        for _at, _seq, fn, arg, _kind, _target in self.sim._heap:
-            if type(fn if fn is not None else arg.fn) is not MethodType:
+        for part in self._parts():
+            values = [getattr(part, name) for name in _slot_names(type(part))]
+            values += getattr(part, "__dict__", {}).values()
+            if not all(map(_copies_alone, values)):
                 return False
-        return all(type(conn.jitter) is MethodType
-                   for conn in (self.long_conn, self.short_conn))
+        for _at, _seq, fn, arg, _kind, _target in self.sim._heap:
+            if not (_copies_alone(fn) and _copies_alone(arg)):
+                return False
+        return all(map(_copies_alone, self.link.receivers.values()))
 
     def _parts(self) -> tuple:
         """The objects the constructor builds that adopt() keeps."""
@@ -455,9 +509,11 @@ class TwoFlowRun:
 
         warm is a run of the same (cfg, size, rep), stopped by warm_up(),
         and is left as it was. Each part this run's constructor built
-        takes a deep copy of the matching part's attributes, in which
-        every reference to a warm part, and to warm's cfg, variant and
-        short flow's controller factory, is this run's own.
+        sets each of its slots, with setattr, to a deep copy of the
+        matching part's, in which every reference to a warm part, and to
+        warm's cfg, variant and short flow's controller factory, is this
+        run's own. Anything warm's part holds in its instance dict is
+        copied the same way; this run's dicts are never read or replaced.
         """
         parts = list(zip(warm._parts(), self._parts()))
         memo = {id(old): new for old, new in parts}
@@ -466,7 +522,10 @@ class TwoFlowRun:
         memo[id(warm.short_conn.controller_factory)] = (
             self.short_conn.controller_factory)
         for old, new in parts:
-            new.__dict__ = copy.deepcopy(old.__dict__, memo)
+            for name in _slot_names(type(old)):
+                setattr(new, name, copy.deepcopy(getattr(old, name), memo))
+            for name, value in getattr(old, "__dict__", {}).items():
+                setattr(new, name, copy.deepcopy(value, memo))
 
     def run(self, recorder: Optional[PacketTrace] = None) -> RunResult:
         """Simulate to the end, recording into recorder if given."""
@@ -555,7 +614,7 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
     link = Link(sim, cfg.link_config())
     pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
     conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
-                      _baseline_factory(cfg.hystart_floor),
+                      partial(_baseline_controller, cfg.hystart_floor),
                       jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max))
     conn.start(0)
     sim.run_until(duration)

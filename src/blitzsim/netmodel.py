@@ -8,16 +8,19 @@ exactly one serialization time apart. The configured round-trip is split as
 symmetric propagation delay on each direction; queueing adds on top.
 
 A packet costs the link one event, its arrival at the far end, scheduled
-when the packet is admitted. Its departure is bookkeeping done lazily, in
-departure order (Link.retire): per-flow counters of departed packets and
-bytes, which is all a reader of departures needs. A departure ranks among
-the events of its nanosecond by its arrival's sequence number, as the
-departure event the arrival stands in for would have.
+when the packet is admitted. That event calls the receiver its flow
+attached to the link (Link.attach), which counts the packet in the flow's
+`delivered`: a flow that enqueues needs a receiver. The departure is
+bookkeeping done lazily, in departure order (Link.retire): per-flow
+counters of departed packets and bytes, which is all a reader of
+departures needs. A departure ranks among the events of its nanosecond by
+its arrival's sequence number, as the departure event the arrival stands
+in for would have.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -67,7 +70,7 @@ class Packet:
         return twin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkConfig:
     rate_bps: int
     prop_delay: SimTime          # one-way
@@ -85,10 +88,10 @@ class LinkConfig:
         return -(-bits * NS_PER_S // self.rate_bps)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowCounters:
     injected: int = 0
-    delivered: int = 0
+    delivered: int = 0  # counted by the flow's receiver
     dropped: int = 0
     departed: int = 0
     departed_bytes: int = 0  # wire bytes of the departed packets
@@ -101,9 +104,11 @@ class Link:
     after the departure of the last packet queued, or after now when the
     queue is empty and the shaper idle. That keeps event counts linear in
     packets (no periodic refill events), and so is the arrival one
-    propagation delay later, which enqueue schedules at once. An arriving
-    packet goes to the receiver registered for its flow in `receivers`, if
-    any. The queue is FIFO by construction: packets depart in enqueue
+    propagation delay later, which enqueue schedules at once: the event
+    calls the receiver attached for the packet's flow in `receivers`,
+    which counts the packet in its flow's `delivered`. A flow must attach
+    its receiver before it enqueues; attach() also makes the flow's
+    counters. The queue is FIFO by construction: packets depart in enqueue
     order at strictly increasing times.
 
     A departure is not an event. `queue` holds (departure time, the seq
@@ -116,7 +121,13 @@ class Link:
     it joins `queue`. enqueue retires first, so a packet departing as
     another arrives frees its slot if it ranks first; any other reader of
     the queue, the counters or the hook's results retires first too.
+
+    The state is in slots. `__dict__` stays, empty, for an observer that
+    keeps a wrapped hook on the instance.
     """
+
+    __slots__ = ("sim", "config", "_serialization", "queue", "max_queued",
+                 "counters", "receivers", "on_occupancy", "__dict__")
 
     def __init__(self, sim: Simulator, config: LinkConfig):
         self.sim = sim
@@ -124,9 +135,21 @@ class Link:
         self._serialization: dict[int, SimTime] = {}  # by packet length
         self.queue: deque[tuple[SimTime, int, Packet]] = deque()
         self.max_queued = 0
-        self.counters: defaultdict[int, FlowCounters] = defaultdict(FlowCounters)
+        self.counters: dict[int, FlowCounters] = {}
         self.receivers: dict[int, Callable[[Packet, SimTime], None]] = {}
         self.on_occupancy: Optional[Callable[[SimTime, int], None]] = None
+
+    def attach(self, flow_id: int,
+               receiver: Callable[[Packet, SimTime], None]) -> FlowCounters:
+        """Make receiver flow_id's far end; returns the flow's counters.
+
+        Each packet of the flow that the link admits is handed to
+        receiver(packet, now) at its arrival, and receiver counts it in
+        the returned counters' `delivered`. Attaching again replaces the
+        receiver and keeps the counters.
+        """
+        self.receivers[flow_id] = receiver
+        return self.counters.setdefault(flow_id, FlowCounters())
 
     @property
     def queued(self) -> int:
@@ -135,6 +158,8 @@ class Link:
 
     def enqueue(self, packet: Packet, now: SimTime) -> Optional[SimTime]:
         """Admit a packet; returns its departure time, or None if dropped.
+
+        The packet's flow must have a receiver attached.
 
         Every departure that ranks before the enqueue is retired first.
         With a recorder, the packet's "send" row is taken, and a "drop"
@@ -177,7 +202,8 @@ class Link:
         if not queued and self.on_occupancy is not None:
             self.on_occupancy(now, 1)
         seq = sim.schedule(departure + self.config.prop_delay,
-                           "packet-arrival", LINK_TARGET, self._arrive, packet)
+                           "packet-arrival", LINK_TARGET,
+                           self.receivers[packet.flow_id], packet)
         queue.append((departure, seq, packet))
         queued += 1
         if queued > self.max_queued:
@@ -207,12 +233,6 @@ class Link:
             c.departed_bytes += packet.len
             if not queue and self.on_occupancy is not None:
                 self.on_occupancy(departure, 0)
-
-    def _arrive(self, packet: Packet, now: SimTime) -> None:
-        self.counters[packet.flow_id].delivered += 1
-        receiver = self.receivers.get(packet.flow_id)
-        if receiver is not None:
-            receiver(packet, now)
 
 
 def link_utilization(samples: Sequence[tuple[SimTime, int]],

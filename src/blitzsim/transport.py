@@ -53,6 +53,8 @@ def pacing_interval(cwnd_bytes: int, srtt: SimTime,
 class RangeSet:
     """Sorted disjoint half-open byte ranges with coverage accounting."""
 
+    __slots__ = ("ranges", "total")
+
     def __init__(self):
         self.ranges: list[tuple[int, int]] = []
         self.total = 0
@@ -105,7 +107,17 @@ class Ack:
 
 
 class Receiver:
-    """Receiving endpoint: tracks byte ranges, generates ACKs."""
+    """Receiving endpoint: tracks byte ranges, generates ACKs.
+
+    It is its flow's far end on the link: the link's arrival event calls
+    on_data, which counts the packet in the flow's `delivered`. The state
+    is in slots; `__dict__` stays, empty, for an observer that wraps a
+    callback on one instance.
+    """
+
+    __slots__ = ("conn", "ranges", "largest_pkt_num", "_pending",
+                 "_ack_timer", "_target", "acks_sent", "_counters",
+                 "__dict__")
 
     def __init__(self, conn: "Connection"):
         self.conn = conn
@@ -115,8 +127,10 @@ class Receiver:
         self._ack_timer: Optional[Event] = None  # the max-ack-delay timer
         self._target = f"recv:{conn.flow_id}"
         self.acks_sent = 0
+        self._counters = conn.link.attach(conn.flow_id, self.on_data)
 
     def on_data(self, pkt: Packet, now: SimTime) -> None:
+        self._counters.delivered += 1
         seq = pkt.seq
         received = self.ranges
         last = received.ranges[-1] if received.ranges else None
@@ -173,7 +187,23 @@ class Receiver:
 
 
 class Connection:
-    """Sending endpoint of one flow."""
+    """Sending endpoint of one flow.
+
+    The state is in slots. `__dict__` stays, empty, for an observer that
+    keeps a wrapped hook or callback on the instance.
+    """
+
+    __slots__ = (
+        "sim", "flow_id", "_target", "link", "size", "reverse_delay",
+        "handshake_rtt", "controller_factory", "controller", "jitter",
+        "_draws", "next_seq", "pkts_sent", "records", "records_by_seq",
+        "_records_floor", "_seq_floor", "_scan_from", "retx_queue",
+        "acked_ranges", "in_flight", "srtt", "rttvar", "latest_rtt",
+        "largest_acked_pkt", "largest_acked_sent_at", "burst_remaining",
+        "next_release", "_pacing_event", "_pto_event", "_pto_backoff",
+        "_last_inject", "bytes_retransmitted", "lost_pkts", "payload_sent",
+        "acks_received", "ack_anomalies", "start_at", "data_start_at",
+        "finished_at", "on_started", "on_finished", "receiver", "__dict__")
 
     def __init__(self, sim: Simulator, flow_id: int, link: Link,
                  transfer_bytes: int,
@@ -233,8 +263,7 @@ class Connection:
         self.on_started: Optional[Callable[[SimTime], None]] = None
         self.on_finished: Optional[Callable[[SimTime], None]] = None
 
-        self.receiver = Receiver(self)
-        link.receivers[flow_id] = self.receiver.on_data  # the far end
+        self.receiver = Receiver(self)  # the far end, attached to link
 
     # -- life cycle ---------------------------------------------------------
 

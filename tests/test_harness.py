@@ -11,20 +11,21 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blitzsim
 from blitzsim import harness
 from blitzsim.cli import main
 from blitzsim.engine import Simulator, ms, seconds
-from blitzsim.harness import (PRESETS, RUNS_HEADER, SIZES, TRACE_HEADER,
-                              TRACE_ROWS, JitterDraw, PacketTrace, RunResult,
-                              TwoFlowRun, Variant, _anova_two_groups, _t_abs_cdf,
+from blitzsim.harness import (ESTIMATE_FACTORS, PRESETS, RUNS_HEADER, SIZES,
+                              TRACE_HEADER, TRACE_ROWS, JitterDraw, PacketTrace,
+                              RunResult, ScenarioConfig, TwoFlowRun, Variant,
+                              _anova_two_groups, _t_abs_cdf,
                               _t_critical, aggregate, default_variants,
                               emit_runs_csv, emit_summary_csv, emit_trace_csv,
                               fairness_ratio,
@@ -350,7 +351,7 @@ def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
 def _counters(run):
     """What a run leaves behind besides its RunResult."""
     sim, link = run.sim, run.link
-    return ({flow: vars(c) for flow, c in link.counters.items()},
+    return ({flow: asdict(c) for flow, c in link.counters.items()},
             link.queued, link.max_queued,
             [(conn.pkts_sent, conn.bytes_acked, conn.payload_sent,
               conn.acks_received, conn.bytes_retransmitted, conn.lost_pkts)
@@ -386,6 +387,100 @@ def test_a_forked_run_equals_a_cold_run(seed, scenario, size, rep):
         assert fork_rows.rows == [row for row in cold_rows.rows
                                   if row[0] >= done]
     assert warm.sim.now == done - 1 and warm.short_conn.controller is None
+
+
+@st.composite
+def lossy_scenarios(draw) -> ScenarioConfig:
+    """Small buffers, a packet jitter up to several serialization times
+    and a short settle: the long flow has lost and resent packets by the
+    time the short flow's handshake completes."""
+    return ScenarioConfig(
+        "gen", rtt=ms(draw(st.integers(2, 60))),
+        bottleneck_kbps=draw(st.integers(1_000, 30_000)),
+        buffer_pkts=draw(st.integers(2, 16)),
+        access_tech=draw(st.sampled_from(AccessTech)),
+        short_flow_start=ms(draw(st.integers(0, 200))),
+        start_jitter_max=draw(st.one_of(st.none(),
+                                        st.integers(0, ms(100)))),
+        pkt_jitter_max=draw(st.integers(0, ms(5))),
+        seed_base=draw(st.integers(0, 1000)), sim_cap=seconds(8))
+
+
+@given(cfg=lossy_scenarios(), size=st.sampled_from([20_000, 70_000]),
+       rep=st.integers(0, 3), factor=st.sampled_from(ESTIMATE_FACTORS))
+@settings(max_examples=100, deadline=None)
+def test_a_forked_run_equals_a_cold_run_on_generated_scenarios(
+        cfg, size, rep, factor):
+    warm = TwoFlowRun(cfg, size, Variant("baseline"), rep)
+    assume(warm.warm_up())
+    assert warm.forkable()
+    done = warm.sim.now + 1
+    for variant in (Variant("baseline"), Variant("blitz", factor)):
+        cold = TwoFlowRun(cfg, size, variant, rep)
+        cold_rows = PacketTrace(only={"event"})
+        expected = cold.run(cold_rows)
+        fork = TwoFlowRun(cfg, size, variant, rep)
+        fork.adopt(warm)
+        fork_rows = PacketTrace(only={"event"})
+        assert fork.run(fork_rows) == expected
+        assert _counters(fork) == _counters(cold)
+        assert fork_rows.rows == [row for row in cold_rows.rows
+                                  if row[0] >= done]
+
+
+def _hot_parts(run):
+    """The run and the objects it reads or writes for every packet."""
+    link, conns = run.link, (run.long_conn, run.short_conn)
+    return [run, run.sim, link, link.config, *link.counters.values(),
+            *conns, *(conn.controller for conn in conns),
+            *(conn.acked_ranges for conn in conns),
+            *(conn.receiver for conn in conns),
+            *(conn.receiver.ranges for conn in conns)]
+
+
+def test_hot_parts_keep_their_state_in_slots():
+    # Link, Connection and Receiver keep a __dict__ for outside hooks, so
+    # an attribute missing from their __slots__ would land there quietly
+    cfg = PRESETS["dsl-fast"]
+    variants = [Variant("baseline"), Variant("blitz", 4.0)]
+    cold = TwoFlowRun(cfg, FAST70K, variants[1], 0)
+    cold.run()
+    warm = TwoFlowRun(cfg, FAST70K, variants[0], 0)
+    assert warm.warm_up()
+    fork = TwoFlowRun(cfg, FAST70K, variants[1], 0)
+    fork.adopt(warm)
+    fork.run()
+    for run in (cold, fork):
+        for part in _hot_parts(run):
+            assert "__slots__" in type(part).__dict__, type(part).__name__
+            assert getattr(part, "__dict__", {}) == {}, type(part).__name__
+
+
+def test_a_plain_function_hook_on_a_part_keeps_the_group_cold(
+        fresh_cache, monkeypatch):
+    # The short flow's on_finished wrapped in a plain function, as an
+    # outside observer might. A copy would share the wrapper, so a fork
+    # would call the warm run's _on_finished and never stop: on lte 70K
+    # rep 0, blitz:3 would run to the cap and report fairness 6.5e-05.
+    cfg = PRESETS["lte"]
+    variants = [Variant("baseline"), Variant("blitz", 1.0),
+                Variant("blitz", 3.0)]
+    expected = [TwoFlowRun(cfg, FAST70K, v, 0).run() for v in variants]
+    assert round(expected[2].fairness, 4) == 0.1187
+    init = TwoFlowRun.__init__
+
+    def hooked(run, *args, **kwargs):
+        init(run, *args, **kwargs)
+        on_finished = run.short_conn.on_finished
+        run.short_conn.on_finished = lambda now: on_finished(now)
+
+    monkeypatch.setattr(TwoFlowRun, "__init__", hooked)
+    run = TwoFlowRun(cfg, FAST70K, variants[0], 0)
+    assert not run.forkable()
+    assert run.warm_up() and not run.forkable()
+    adopted = _record(monkeypatch, "adopt")
+    assert [run_scenario(cfg, FAST70K, v, 0) for v in variants] == expected
+    assert adopted == [] and harness._WarmUp.run is None
 
 
 @pytest.fixture

@@ -11,6 +11,27 @@ from blitzsim.netmodel import (FlowCounters, Link, LinkConfig, Packet,
 DSL_FAST = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=208)
 
 
+def _attach(link, flow, log=None):
+    """Attach a receiver for flow to link.
+
+    It counts each arrival in the flow's delivered, as a transport
+    Receiver does, and hands the packet to log(pkt, now) if given.
+    """
+    def on_data(pkt, now):
+        counters.delivered += 1
+        if log is not None:
+            log(pkt, now)
+    counters = link.attach(flow, on_data)
+
+
+def _link(sim, config=DSL_FAST, flows=(0,)):
+    """A Link on sim with an _attach receiver for each of flows."""
+    link = Link(sim, config)
+    for flow in flows:
+        _attach(link, flow)
+    return link
+
+
 def _pkt(num, length=1500, flow=0):
     return Packet(flow, num * 1350, length, num, payload_len=min(length, 1350))
 
@@ -26,14 +47,14 @@ def _enqueue(link, pkt, now, departures):
 def test_serialization_time_on_idle_link():
     # 1500 B at 50 Mbit/s: 1500*8/50e6 = 240 us
     sim = Simulator()
-    link = Link(sim, DSL_FAST)
+    link = _link(sim)
     departure = link.enqueue(_pkt(0), 0)
     assert departure == us(240)
 
 
 def test_two_packets_depart_in_order_one_serialization_apart():
     sim = Simulator()
-    link = Link(sim, DSL_FAST)
+    link = _link(sim)
     departures = []
     assert _enqueue(link, _pkt(0), 0, departures) == us(240)
     assert _enqueue(link, _pkt(1), 0, departures) == us(480)
@@ -47,7 +68,7 @@ def test_two_packets_depart_in_order_one_serialization_apart():
 def test_full_buffer_drops_the_209th_packet():
     # buffer from the fast DSL profile: 208 packet slots
     sim = Simulator()
-    link = Link(sim, DSL_FAST)
+    link = _link(sim)
     for i in range(208):
         assert link.enqueue(_pkt(i), 0) is not None
     assert link.enqueue(_pkt(208), 0) is None
@@ -59,8 +80,8 @@ def test_full_buffer_drops_the_209th_packet():
 
 def test_drop_recorded_against_the_packets_flow():
     sim = Simulator()
-    link = Link(sim, LinkConfig(rate_bps=50_000_000, prop_delay=ms(25),
-                                buffer_pkts=1))
+    link = _link(sim, LinkConfig(rate_bps=50_000_000, prop_delay=ms(25),
+                                 buffer_pkts=1), flows=(3, 5))
     link.enqueue(_pkt(0, flow=3), 0)
     link.enqueue(_pkt(1, flow=5), 0)
     assert link.counters[5].dropped == 1
@@ -72,8 +93,8 @@ def test_a_packet_arriving_as_the_queued_one_departs_takes_its_slot():
     # enqueued in that same nanosecond, by an event scheduled after the
     # first packet was admitted, finds the slot free
     sim = Simulator()
-    link = Link(sim, LinkConfig(rate_bps=50_000_000, prop_delay=ms(25),
-                                buffer_pkts=1))
+    link = _link(sim, LinkConfig(rate_bps=50_000_000, prop_delay=ms(25),
+                                 buffer_pkts=1))
     departures = []
     for num, at in ((0, 0), (1, us(240) - 1), (2, us(240))):
         sim.schedule(at, "packet-arrival", "bottleneck",
@@ -90,7 +111,7 @@ def test_retire_ranks_a_departure_by_its_arrivals_seq():
     # a departure at an event's nanosecond comes before that event only if
     # its packet's arrival took an earlier sequence number than the event
     sim = Simulator()
-    link = Link(sim, DSL_FAST)
+    link = _link(sim)
     seen = []
     link.on_occupancy = lambda now, queued: seen.append(("occupancy", now,
                                                          queued))
@@ -123,7 +144,7 @@ def test_delivery_adds_propagation_delay():
     sim = Simulator()
     link = Link(sim, DSL_FAST)
     got = []
-    link.receivers[0] = lambda pkt, now: got.append((pkt.pkt_num, now))
+    _attach(link, 0, lambda pkt, now: got.append((pkt.pkt_num, now)))
     link.enqueue(_pkt(0), 0)
     sim.run_until(None)
     assert got == [(0, us(240) + ms(25))]
@@ -133,7 +154,7 @@ def test_delay_floor_every_delivery_at_least_prop_delay():
     sim = Simulator()
     link = Link(sim, DSL_FAST)
     latencies = []
-    link.receivers[0] = lambda pkt, now: latencies.append(now - pkt.sent_at)
+    _attach(link, 0, lambda pkt, now: latencies.append(now - pkt.sent_at))
     for i in range(50):
         t = i * us(100)
         pkt = _pkt(i)
@@ -148,7 +169,7 @@ def test_delay_floor_every_delivery_at_least_prop_delay():
 def test_utilization_of_saturated_link_within_half_percent():
     # derived oracle: count departures of a long backlogged flow
     sim = Simulator()
-    link = Link(sim, DSL_FAST)
+    link = _link(sim)
 
     backlog = {"next": 0}
     departures = []
@@ -170,7 +191,7 @@ def test_utilization_of_saturated_link_within_half_percent():
 def test_utilization_single_packet_in_one_ms_window():
     # 1500*8/0.001 = 12 Mbit/s
     sim = Simulator()
-    link = Link(sim, DSL_FAST)
+    link = _link(sim)
     departures = []
     _enqueue(link, _pkt(0), 0, departures)
     sim.run_until(None)
@@ -189,8 +210,8 @@ def test_utilization_rejects_empty_interval():
 
 def test_occupancy_never_exceeds_buffer():
     sim = Simulator()
-    link = Link(sim, LinkConfig(rate_bps=8_000_000, prop_delay=ms(45),
-                                buffer_pkts=20))
+    link = _link(sim, LinkConfig(rate_bps=8_000_000, prop_delay=ms(45),
+                                 buffer_pkts=20))
     for i in range(300):
         link.enqueue(_pkt(i), 0)
     sim.run_until(None)
@@ -210,7 +231,7 @@ def test_conservation_and_fifo_under_random_arrivals(arrivals):
     link = Link(sim, cfg)
     delivered = []
     for flow in range(4):
-        link.receivers[flow] = lambda pkt, now: delivered.append(pkt.pkt_num)
+        _attach(link, flow, lambda pkt, now: delivered.append(pkt.pkt_num))
     arrivals = sorted(arrivals)
     for num, (t, flow) in enumerate(arrivals):
         pkt = Packet(flow, 0, 1500, num)
@@ -235,7 +256,7 @@ def test_config_validation():
 def test_rate_is_never_exceeded_with_ceil_serialization():
     cfg = LinkConfig(rate_bps=7_777_777, prop_delay=0, buffer_pkts=1000)
     sim = Simulator()
-    link = Link(sim, cfg)
+    link = _link(sim, cfg)
     departures = []
     for i in range(900):
         _enqueue(link, _pkt(i), 0, departures)
@@ -286,11 +307,11 @@ class EagerLink:
         if self.queued == 0 and self.on_occupancy is not None:
             self.on_occupancy(now, 0)
         self.sim.schedule(now + self.config.prop_delay, "packet-arrival",
-                          "bottleneck", self._arrive, packet)
+                          "bottleneck", self.receivers[packet.flow_id], packet)
 
-    def _arrive(self, packet, now):
-        self.counters[packet.flow_id].delivered += 1
-        self.receivers[packet.flow_id](packet, now)
+    def attach(self, flow_id, receiver):
+        self.receivers[flow_id] = receiver
+        return self.counters[flow_id]
 
 
 TIE_UNIT = us(120)  # serialization time of flow 1's packets; flow 0's is 2x
@@ -315,8 +336,8 @@ def _drive(link_cls, buffer_pkts, injections, observers, order):
     occupancy, admitted, arrivals, readings = [], [], {}, []
     link.on_occupancy = lambda now, queued: occupancy.append((now, queued))
     for flow in (0, 1):
-        link.receivers[flow] = (
-            lambda pkt, now: arrivals.__setitem__(pkt.pkt_num, now))
+        _attach(link, flow,
+                lambda pkt, now: arrivals.__setitem__(pkt.pkt_num, now))
 
     def departed():
         if isinstance(link, EagerLink):

@@ -14,7 +14,8 @@ from blitzsim.engine import PacketTrace, Simulator, ms, seconds, us
 from blitzsim.harness import (PRESETS, SIZES, JitterDraw, TwoFlowRun,
                               Variant, single_flow_run)
 from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
-                               SEGMENT_WIRE_BYTES, Link, LinkConfig, Packet)
+                               SEGMENT_WIRE_BYTES, FlowCounters, Link,
+                               LinkConfig, Packet)
 from blitzsim.transport import (ACK_EVERY, MAX_ACK_DELAY, Ack, Connection,
                                  RangeSet, Receiver, pacing_interval)
 
@@ -29,7 +30,9 @@ def make_conn(transfer_bytes, cfg=DSL_FAST, controller=None, wire=True):
     conn = Connection(sim, 0, link, transfer_bytes, factory,
                       JitterDraw(random.Random(0), 0))
     if not wire:  # packets reach the far end and go no further
-        del link.receivers[0]
+        def absorb(pkt, now):
+            counters.delivered += 1
+        counters = link.attach(0, absorb)
     return sim, link, conn
 
 
@@ -288,16 +291,26 @@ class UnheldRange(TakenRange):
         return False
 
 
+class ObservedController(CubicController):
+    """A CubicController that logs the arguments of each on_ack call."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def on_ack(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return super().on_ack(*args, **kwargs)
+
+
 def ack_observer(conn):
-    """Watch what ACKs do to conn: ranges added, controller calls, state."""
-    seen = {"adds": 0, "controller": [], "pkts": {}}
-    on_ack = conn.controller.on_ack
+    """Watch what ACKs do to conn: ranges added, controller calls, state.
 
-    def controller_on_ack(*args, **kwargs):
-        seen["controller"].append((args, kwargs))
-        return on_ack(*args, **kwargs)
-
-    conn.controller.on_ack = controller_on_ack
+    conn's controller must be an ObservedController.
+    """
+    seen = {"adds": 0, "controller": conn.controller.calls, "pkts": {}}
 
     def state():
         pkts = seen["pkts"]  # every packet sent so far, pruned ones too
@@ -337,7 +350,9 @@ def test_skipping_held_ack_ranges_leaves_the_state_of_adding_every_range(
     segments = [k for k in order if k * SEGMENT_PAYLOAD_BYTES < size]
     sides = []
     for _ in range(2):
-        sim, link, conn = make_conn(size, wire=False)
+        sim, link, conn = make_conn(
+            size, wire=False,
+            controller=lambda mr, now: ObservedController())
         conn.start(0)
         sim.run_until(ms(80))  # the first window is sent, nothing acked
         sides.append((sim, conn, *ack_observer(conn)))
@@ -498,18 +513,18 @@ def test_losses_are_retransmitted_and_transfer_completes():
     assert conn.receiver.ranges.ranges == [(0, 300_000)]
 
 
-def test_in_flight_bound_respected_at_every_send():
+def test_in_flight_bound_respected_at_every_send(monkeypatch):
     # a packet's injection is scheduled once it counts as in flight
     sim, link, conn = make_conn(1 << 20)
     sent_ok = []
-    schedule = sim.schedule
+    schedule = Simulator.schedule
 
-    def checked(fire_at, kind, target, fn, arg=None):
+    def checked(sim, fire_at, kind, target, fn, arg=None):
         if fn == link.enqueue:
             sent_ok.append(conn.in_flight <= conn.controller.cwnd)
-        return schedule(fire_at, kind, target, fn, arg)
+        return schedule(sim, fire_at, kind, target, fn, arg)
 
-    sim.schedule = checked
+    monkeypatch.setattr(Simulator, "schedule", checked)
     conn.start(0)
     sim.run_until(seconds(1))
     assert sent_ok and all(sent_ok)
@@ -721,8 +736,8 @@ class ChaosPath:
         self.drop, self.dup, self.reorder = drop, dup, reorder
         self.max_delay = max_delay
         receiver = conn.receiver
-        link.receivers[conn.flow_id] = (
-            lambda pkt, now: self.pass_on(pkt, now, receiver.on_data))
+        link.attach(conn.flow_id,
+                    lambda pkt, now: self.pass_on(pkt, now, receiver.on_data))
         on_ack = conn.on_ack
         conn.on_ack = lambda ack, now: self.pass_on(ack, now, on_ack)
 
@@ -791,6 +806,10 @@ class StubLink:
         self.config = cfg
         self.receivers = {}
         self.held = []
+
+    def attach(self, flow_id, receiver):
+        self.receivers[flow_id] = receiver
+        return FlowCounters()
 
     def enqueue(self, pkt, now):
         self.held.append(pkt)
