@@ -15,7 +15,7 @@ from .harness import (PRESETS, SIZES, RunResult, ScenarioConfig, Variant,
 from .netmodel import Link, LinkConfig, Packet, link_utilization
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         decode_hint, encode_hint)
-from .transport import Connection, pacing_interval
+from .transport import Connection
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,5 @@ __all__ = [
     "RunResult", "SIZES", "ScenarioConfig", "SimTime", "Simulator",
     "Variant", "aggregate", "blitzstart_initial_cwnd", "decode_hint",
     "encode_hint", "fairness_ratio", "link_utilization", "make_controller",
-    "pacing_interval", "rolling_bandwidth", "run_matrix", "run_scenario",
+    "rolling_bandwidth", "run_matrix", "run_scenario",
 ]

@@ -89,6 +89,18 @@ def _cells(args: argparse.Namespace) -> tuple[list, list, list]:
     return scenarios, sizes, variants
 
 
+def _out_dir(command: str, out: str) -> Path | None:
+    """The --out directory, made if missing, or None, said on stderr."""
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"blitzsim {command}: cannot make the --out directory {out}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return None
+    return path
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenarios, sizes, variants = _cells(args)
@@ -96,8 +108,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"blitzsim run: {exc}", file=sys.stderr)
         return 2
     scenarios = [replace(cfg, seed_base=args.seed) for cfg in scenarios]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir("run", args.out)
+    if out is None:
+        return 2
 
     def progress(done: int, n: int) -> None:
         if done % 50 == 0 or done == n:
@@ -138,8 +151,9 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
               f"{args.bottom_duration_s:g} is too short: {exc}",
               file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir("demo-fig1", args.out)
+    if out is None:
+        return 2
     rtt = cfg.rtt
 
     # lone flow on an idle link: exponential startup, then avoidance

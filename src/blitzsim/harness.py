@@ -12,23 +12,25 @@ are paired.
 
 from __future__ import annotations
 
-import copy
 import csv
+import io
 import math
+import pickle
 import random
 import statistics
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from multiprocessing import Pool
 from pathlib import Path
-from types import FunctionType, MethodType
+from types import MethodType
 from typing import Callable, Optional, Sequence
 
 from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
                          INITIAL_WINDOW_SEGMENTS, CubicController,
                          make_controller)
-from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, Event, PacketTrace,
+from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, PacketTrace,
                      SimTime, Simulator, ms, substream, us)
 from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig
 from .signaling import (MAX_HINT_KBPS, AccessTech, BandwidthHint,
@@ -232,8 +234,8 @@ def check_variants(scenarios: Sequence[ScenarioConfig],
 
 
 # A controller factory is a partial of one of these two, so that it holds
-# no state but its arguments and a copy of a run can rebuild it (see
-# TwoFlowRun.forkable).
+# no state but its arguments and a run that holds it pickles (see
+# TwoFlowRun.freeze).
 
 def _baseline_controller(floor: SimTime, min_rtt: SimTime,
                          now: SimTime) -> CubicController:
@@ -278,11 +280,9 @@ class JitterDraw:
     a batch of words that randrange would accept, the next one last. The
     stream and the values are the ones randrange gives, but rng runs up to
     a batch ahead, so nothing else may draw from it. For k > 32 a try
-    takes several words, and draw() appends one value. It holds rng itself
-    rather than rng.getrandbits: copy.deepcopy shares a built-in bound
-    method, so a copied run would draw from the original, and
-    TwoFlowRun.forkable() rejects one. Its state is in slots, so a copy
-    sets each slot and makes no instance dict.
+    takes several words, and draw() appends one value. Its state is in
+    slots, so a run loaded from TwoFlowRun.freeze() sets each slot and
+    makes no instance dict.
     """
 
     REFILL_WORDS = 256
@@ -322,26 +322,6 @@ def _slot_names(cls: type) -> tuple[str, ...]:
                  if name not in ("__dict__", "__weakref__"))
 
 
-def _copies_alone(value: object) -> bool:
-    """Whether a deep copy of value calls back only into copied objects.
-
-    copy.deepcopy rebinds a bound method to the copy of its object and
-    copies a partial's arguments, but shares a plain function, a built-in
-    method and whatever they hold. So any callable but a bound method, or
-    a partial of a module-level function whose arguments pass, fails; a
-    timer's Event passes if its callback does.
-    """
-    if type(value) is Event:
-        value = value.fn
-    if type(value) is partial:
-        fn = value.func
-        return (type(fn) is FunctionType and fn.__closure__ is None
-                and fn.__qualname__ == fn.__name__
-                and all(map(_copies_alone, value.args))
-                and all(map(_copies_alone, value.keywords.values())))
-    return type(value) is MethodType or not callable(value)
-
-
 class TwoFlowRun:
     """One repetition of one matrix cell, built and ready to run.
 
@@ -353,22 +333,22 @@ class TwoFlowRun:
     start to its finish, or to the end of the run. Every hook the link
     and the connections call is a bound method of this run or of its
     parts, and each controller factory is a partial of a module-level
-    function, so a copy.deepcopy of a run taken at any point carries on
-    alone without calling back into the original; forkable() checks that.
+    function, so freeze() can pickle a run taken at any point, and a run
+    that adopts it calls back only into its own objects.
 
     The seeds depend on (cfg, size, rep) only, and the variant is first
     read when the short flow's handshake completes, through its
     controller_factory. So the variants of a group share every event
     before that: warm_up() runs to just before it, and adopt() gives a
-    freshly built run of any variant the state of such a warm run, after
+    fresh run of any variant the frozen state of such a warm run, after
     which run() finishes it exactly as a cold run of that variant would.
 
     The run, its parts and the values they hold keep their state in
-    slots (or, as random.Random, copy through their own reduce), so a
-    copy sets each slot with setattr and reads no instance dict but the
-    empty ones Link, Connection and Receiver keep for outside hooks. On
-    CPython 3.11, reading the dict of an object without slots moves its
-    attributes into a dict, and every later access to them is slower.
+    slots, so adopt() sets each slot with setattr and reads no instance
+    dict but the empty ones Link, Connection and Receiver keep for
+    outside hooks. On CPython 3.11, reading the dict of an object without
+    slots moves its attributes into a dict, and every later access to
+    them is slower.
     """
 
     __slots__ = ("cfg", "variant", "rep", "stop_on_completion",
@@ -478,54 +458,62 @@ class TwoFlowRun:
         sim.run_until(done - 1)
         return True
 
-    def forkable(self) -> bool:
-        """Whether a copy of this run calls back only into the copy.
-
-        Every attribute of every part is checked, slots and instance dict
-        alike, and so are each heap entry's callback and argument and each
-        receiver attached to the link: see _copies_alone. A wrapper
-        installed from outside (a tracer, say) is a plain function, so a
-        run that holds one is not forkable. Every part is slotted, so
-        reading a part's instance dict leaves its slots as fast as before.
-        """
-        for part in self._parts():
-            values = [getattr(part, name) for name in _slot_names(type(part))]
-            values += getattr(part, "__dict__", {}).values()
-            if not all(map(_copies_alone, values)):
-                return False
-        for _at, _seq, fn, arg, _kind, _target in self.sim._heap:
-            if not (_copies_alone(fn) and _copies_alone(arg)):
-                return False
-        return all(map(_copies_alone, self.link.receivers.values()))
-
     def _parts(self) -> tuple:
         """The objects the constructor builds that adopt() keeps."""
         long_conn, short_conn = self.long_conn, self.short_conn
         return (self, self.sim, self.link, long_conn, short_conn,
                 long_conn.receiver, short_conn.receiver)
 
-    def adopt(self, warm: "TwoFlowRun") -> None:
-        """Take over warm's state, keeping this run's variant.
+    def _shared(self) -> tuple:
+        """What a frozen run names: its parts, and what its variant sets."""
+        return (*self._parts(), self.cfg, self.variant,
+                self.short_conn.controller_factory)
 
-        warm is a run of the same (cfg, size, rep), stopped by warm_up(),
-        and is left as it was. Each part this run's constructor built
-        sets each of its slots, with setattr, to a deep copy of the
-        matching part's, in which every reference to a warm part, and to
-        warm's cfg, variant and short flow's controller factory, is this
-        run's own. Anything warm's part holds in its instance dict is
-        copied the same way; this run's dicts are never read or replaced.
+    def freeze(self) -> Optional[bytes]:
+        """Each part's slots and instance dict, pickled for adopt().
+
+        One dump holds them all, so a value two parts share stays shared,
+        and each object of _shared() is pickled as its place there. A
+        bound method pickles as its function bound to its object, a
+        partial as its function and arguments, and a module-level
+        function by name. A closure, a lambda or a local function, which
+        a copy would share with this run, cannot be pickled, so a run
+        that holds one anywhere, such as a tracer's wrapper, gives None.
         """
-        parts = list(zip(warm._parts(), self._parts()))
-        memo = {id(old): new for old, new in parts}
-        memo[id(warm.cfg)] = self.cfg
-        memo[id(warm.variant)] = self.variant
-        memo[id(warm.short_conn.controller_factory)] = (
-            self.short_conn.controller_factory)
-        for old, new in parts:
-            for name in _slot_names(type(old)):
-                setattr(new, name, copy.deepcopy(getattr(old, name), memo))
-            for name, value in getattr(old, "__dict__", {}).items():
-                setattr(new, name, copy.deepcopy(value, memo))
+        state = [{name: getattr(part, name)
+                  for name in _slot_names(type(part))}
+                 | getattr(part, "__dict__", {}) for part in self._parts()]
+        ids = {id(obj): i for i, obj in enumerate(self._shared())}
+        out = io.BytesIO()
+        pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: ids.get(id(obj))
+        # not by name, as getattr(obj, name): a wrapper patched onto a
+        # class under another name would not load
+        pickler.dispatch_table = {
+            MethodType: lambda m: (m.__func__.__get__, (m.__self__,))}
+        try:
+            pickler.dump(state)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            return None
+        return out.getvalue()
+
+    def forkable(self) -> bool:
+        """Whether freeze() can pickle this run."""
+        return self.freeze() is not None
+
+    def adopt(self, frozen: bytes) -> None:
+        """Take over the state freeze() gave, keeping this run's variant.
+
+        frozen comes from a run of the same (cfg, size, rep), stopped by
+        warm_up(). It loads over this run's own _shared() objects, and
+        each part sets each loaded attribute with setattr; this run's
+        instance dicts are never read or replaced.
+        """
+        unpickler = pickle.Unpickler(io.BytesIO(frozen))
+        unpickler.persistent_load = self._shared().__getitem__
+        for part, state in zip(self._parts(), unpickler.load()):
+            for name, value in state.items():
+                setattr(part, name, value)
 
     def run(self, recorder: Optional[PacketTrace] = None) -> RunResult:
         """Simulate to the end, recording into recorder if given."""
@@ -565,14 +553,14 @@ class TwoFlowRun:
 class _WarmUp:
     """The group (cfg, size_bytes, rep) asked for last, in this process.
 
-    requests counts its run_scenario calls so far, and run is its warm
-    run, once one is kept. keep_at is the request that keeps it: the
+    requests counts its run_scenario calls so far, and run is its frozen
+    warm run, once one is kept. keep_at is the request that keeps it: the
     first if the group before got more than one request, else the second.
     """
     key: Optional[tuple] = None
     requests = 0
     keep_at = 2
-    run: Optional[TwoFlowRun] = None
+    run: Optional[bytes] = None
 
 
 def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
@@ -581,11 +569,11 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
 
     The variants of a group share their warm-up (see TwoFlowRun), so
     consecutive calls for one group simulate it once: one call stops at
-    the end of the warm-up, keeps a copy of the warm run and finishes,
-    and the later calls build their run and adopt that copy's state. The
-    first call keeps it once the group before got more than one call, as
-    such a caller repeats groups. Otherwise the first runs cold, so a
-    caller that never repeats a group never copies, and the second keeps
+    the end of the warm-up, keeps the warm run frozen and finishes, and
+    the later calls build their run and adopt that state. The first call
+    keeps it once the group before got more than one call, as such a
+    caller repeats groups. Otherwise the first runs cold, so a caller
+    that never repeats a group never freezes a run, and the second keeps
     it. A recorded run, or one that is not forkable() when it is built or
     warm, is run cold.
     """
@@ -597,12 +585,13 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
         _WarmUp.keep_at = 1 if _WarmUp.requests > 1 else 2
         _WarmUp.key, _WarmUp.requests, _WarmUp.run = key, 0, None
     _WarmUp.requests += 1
-    if run.forkable():  # else it would stop at the warm-up for nothing
-        if _WarmUp.run is not None:
-            run.adopt(_WarmUp.run)
-        elif (_WarmUp.requests == _WarmUp.keep_at and run.warm_up()
-              and run.forkable()):
-            _WarmUp.run = copy.deepcopy(run)
+    if _WarmUp.run is not None and run.forkable():
+        run.adopt(_WarmUp.run)
+    # once a run is kept, requests is past keep_at; and a run that
+    # cannot fork would stop at the warm-up for nothing
+    elif (_WarmUp.requests == _WarmUp.keep_at and run.forkable()
+          and run.warm_up()):
+        _WarmUp.run = run.freeze()
     return run.run()
 
 
@@ -791,18 +780,13 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
     results: list[RunResult] = []
     group = len(variants)
     jobs = min(jobs, len(tasks) // max(group, 1))  # no idle workers
-    if jobs <= 1:
-        for i, task in enumerate(tasks):
-            results.append(_run_cell(task))
+    with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
+        done = (map(_run_cell, tasks) if pool is None else
+                pool.imap_unordered(_run_cell, tasks, chunksize=group))
+        for i, result in enumerate(done, 1):
+            results.append(result)
             if progress is not None:
-                progress(i + 1, len(tasks))
-    else:
-        with Pool(jobs) as pool:
-            for i, res in enumerate(pool.imap_unordered(_run_cell, tasks,
-                                                        chunksize=group)):
-                results.append(res)
-                if progress is not None:
-                    progress(i + 1, len(tasks))
+                progress(i, len(tasks))
     results.sort(key=lambda r: (r.scenario, r.size_bytes, r.variant, r.rep))
     return results
 

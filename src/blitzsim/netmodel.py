@@ -54,21 +54,6 @@ class Packet:
         self.acked = False
         self.lost = False
 
-    def __deepcopy__(self, memo: dict) -> "Packet":
-        # every field is an int or a bool: copy them, skipping the
-        # generic reduce protocol, which a warm run's copy spends most of
-        # its time in
-        twin = Packet.__new__(Packet)
-        twin.flow_id = self.flow_id
-        twin.seq = self.seq
-        twin.len = self.len
-        twin.sent_at = self.sent_at
-        twin.pkt_num = self.pkt_num
-        twin.payload_len = self.payload_len
-        twin.acked = self.acked
-        twin.lost = self.lost
-        return twin
-
 
 @dataclass(frozen=True, slots=True)
 class LinkConfig:

@@ -36,20 +36,6 @@ PTO_SRTT, PTO_RTTVAR = 2, 4
 ACK_WIRE_BYTES = 40  # an ACK's length in "ack" trace rows
 
 
-def pacing_interval(cwnd_bytes: int, srtt: SimTime,
-                    fraction: tuple[int, int]) -> SimTime:
-    """Gap between paced segments: spread cwnd over fraction * srtt.
-
-    fraction is a (numerator, denominator) pair of ints.
-    """
-    if srtt <= 0:
-        raise ValueError("srtt must be positive")
-    if cwnd_bytes < SEGMENT_WIRE_BYTES:
-        raise ValueError("cwnd below one segment")
-    num, den = fraction
-    return (num * srtt * SEGMENT_WIRE_BYTES) // (den * cwnd_bytes)
-
-
 class RangeSet:
     """Sorted disjoint half-open byte ranges with coverage accounting."""
 
@@ -371,7 +357,7 @@ class Connection:
                 self._arm_pto(now)
             sent += 1
             if self.burst_remaining == 0:
-                # pacing_interval(ctrl.cwnd, self.srtt, ctrl.pacing_fraction)
+                # the pacing gap: cwnd spread over pacing_fraction * srtt
                 num, den = ctrl.pacing_fraction
                 self.next_release = now + (num * self.srtt * SEGMENT_WIRE_BYTES
                                            // (den * ctrl.cwnd))

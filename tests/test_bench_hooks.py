@@ -112,11 +112,11 @@ print(json.dumps({"cold": cold, "forked": forked, "traced": traced,
 
 def test_a_group_of_six_variants_is_counted_like_cold_runs():
     # Runs 3-6 of the first group, and 2-6 of the second, adopt a warm
-    # run's state, which deepcopy builds without calling
+    # run's state, which a pickle load builds without calling
     # Connection.__init__; each run must still build exactly two
     # connections for RunObjects to find. With the Tracer installed, its
-    # callback closures make a run unforkable, so nothing is kept and
-    # every run is cold.
+    # callback closures do not pickle, so nothing is kept and every run
+    # is cold.
     proc = subprocess.run([sys.executable, "-c", GROUP], cwd=REPO,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

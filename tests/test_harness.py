@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import hashlib
 import importlib
 import io
@@ -12,6 +11,7 @@ import sys
 import tempfile
 from collections import Counter
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -333,8 +333,9 @@ ALL_ROWS = {"event", "send", "deliver", "drop", "ack", "cwnd"}
 
 
 def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
-    # a deep copy shares no stateful hook with its original: each calls back
-    # only into its own objects, so both end exactly as an unforked run
+    # a frozen run holds no stateful hook of its original: the run that
+    # adopts it, recorder and all, calls back only into its own objects,
+    # so both end exactly as an unforked run
     cell = (PRESETS["dsl-fast"], FAST70K, Variant("blitz", 4.0), 3)
     ref_trace = PacketTrace(only=ALL_ROWS)
     ref = TwoFlowRun(*cell).run(ref_trace)
@@ -342,7 +343,8 @@ def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
     run.sim.recorder = PacketTrace(only=ALL_ROWS)
     run.sim.run_until(ref.sat_at)
     assert run.sat_at == ref.sat_at and run.short_conn.start_at is None
-    fork = copy.deepcopy(run)
+    fork = TwoFlowRun(*cell)
+    fork.adopt(run.freeze())
     for each in (fork, run):
         assert each.run(each.sim.recorder) == ref
         assert each.sim.recorder.rows == ref_trace.rows
@@ -380,7 +382,7 @@ def test_a_forked_run_equals_a_cold_run(seed, scenario, size, rep):
         cold_rows = PacketTrace(only={"event"})
         expected = cold.run(cold_rows)
         fork = TwoFlowRun(cfg, SIZES[size], variant, rep)
-        fork.adopt(warm)
+        fork.adopt(warm.freeze())
         fork_rows = PacketTrace(only={"event"})
         assert fork.run(fork_rows) == expected
         assert _counters(fork) == _counters(cold)
@@ -420,7 +422,7 @@ def test_a_forked_run_equals_a_cold_run_on_generated_scenarios(
         cold_rows = PacketTrace(only={"event"})
         expected = cold.run(cold_rows)
         fork = TwoFlowRun(cfg, size, variant, rep)
-        fork.adopt(warm)
+        fork.adopt(warm.freeze())
         fork_rows = PacketTrace(only={"event"})
         assert fork.run(fork_rows) == expected
         assert _counters(fork) == _counters(cold)
@@ -448,7 +450,7 @@ def test_hot_parts_keep_their_state_in_slots():
     warm = TwoFlowRun(cfg, FAST70K, variants[0], 0)
     assert warm.warm_up()
     fork = TwoFlowRun(cfg, FAST70K, variants[1], 0)
-    fork.adopt(warm)
+    fork.adopt(warm.freeze())
     fork.run()
     for run in (cold, fork):
         for part in _hot_parts(run):
@@ -559,6 +561,7 @@ def test_a_caller_that_never_repeats_a_group_never_warms_up(fresh_cache,
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     warm_ups = _record(monkeypatch, "warm_up")
+    frozen = _record(monkeypatch, "freeze")
     runs = 0
     for name in ("bulk-10M", "overshoot-loss"):
         for round_index in range(2):
@@ -568,7 +571,7 @@ def test_a_caller_that_never_repeats_a_group_never_warms_up(fresh_cache,
                 assert harness._WarmUp.requests == 1
                 assert harness._WarmUp.run is None
                 runs += 1
-    assert runs == 32 and warm_ups == []
+    assert runs == 32 and warm_ups == [] and frozen == []
 
 
 def test_run_matrix_of_two_variants_forks_each_group_after_the_first(
@@ -587,15 +590,90 @@ def test_run_matrix_of_two_variants_forks_each_group_after_the_first(
          for rep in range(3)), key=lambda r: (r.variant, r.rep))
 
 
-def test_a_run_with_a_plain_function_callback_is_not_forkable():
-    # deepcopy would share the function and whatever it closes over
-    run = TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("baseline"), 0)
-    assert run.warm_up() and run.forkable()
-    run.sim.schedule(run.sim.now + 1, "app-start", "x", lambda now: None)
-    assert not run.forkable()
-    run = TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("baseline"), 0)
-    run.long_conn.jitter = lambda: None
-    assert not run.forkable()
+def _call(fn, now):
+    fn(now)
+
+
+def _after_init(hook):
+    """An installer of hook(run) on every TwoFlowRun built after it."""
+    def install(monkeypatch):
+        init = TwoFlowRun.__init__
+
+        def hooked(run, *args, **kwargs):
+            init(run, *args, **kwargs)
+            hook(run)
+        monkeypatch.setattr(TwoFlowRun, "__init__", hooked)
+    return install
+
+
+def _closure_on_finished(run):
+    on_finished = run.short_conn.on_finished
+    run.short_conn.on_finished = lambda now: on_finished(now)
+
+
+def _closure_in_a_property_hook(monkeypatch):
+    # as perfbench's Tracer._hook does: the class attribute becomes a
+    # property that keeps a wrapper in the instance dict
+    def store(conn, fn):
+        conn.__dict__["hooked"] = lambda: fn()
+    monkeypatch.setattr(harness.Connection, "jitter", property(
+        lambda conn: conn.__dict__["hooked"], store))
+
+
+def _closure_in_a_dict(run):
+    # no slot names it: it sits in the link's instance dict alone
+    run.link.observer = lambda now: None
+
+
+def _closure_as_a_method(monkeypatch):
+    # a wrapper patched onto the class under another name, as perfbench's
+    # Tracer.patch does: a timer and the pacing events hold it bound
+    maybe_send = harness.Connection.maybe_send
+
+    def spanned(conn, now):
+        return maybe_send(conn, now)
+    monkeypatch.setattr(harness.Connection, "maybe_send", spanned)
+
+
+def _closure_as_heap_callback(run):
+    # an event at the cap is never dispatched
+    run.sim.schedule(run.cfg.sim_cap, "app-start", "x", lambda now: None)
+
+
+def _closure_as_heap_argument(run):
+    run.sim.schedule(run.cfg.sim_cap, "app-start", "x", run.link.enqueue,
+                     lambda: None)
+
+
+def _partial_on_finished(run):
+    run.short_conn.on_finished = partial(_call, run.short_conn.on_finished)
+
+
+@pytest.mark.parametrize("install, forks", [
+    (_after_init(_closure_on_finished), False),
+    (_closure_in_a_property_hook, False),
+    (_after_init(_closure_in_a_dict), False),
+    (_after_init(_closure_as_heap_callback), False),
+    (_after_init(_closure_as_heap_argument), False),
+    (_closure_as_a_method, False), (_after_init(_partial_on_finished), True),
+], ids=["slot", "property-hook", "instance-dict", "heap-callback",
+        "heap-argument", "method", "partial"])
+def test_a_run_with_a_plain_function_callback_is_not_forkable(
+        fresh_cache, monkeypatch, install, forks):
+    # A copy would share a closure, lambda or local function and whatever
+    # it holds, so a run that holds one anywhere does not pickle; a
+    # partial of a module-level function pickles with its arguments.
+    cfg, variants = PRESETS["dsl-fast"], default_variants()[:3]
+    install(monkeypatch)
+    run = TwoFlowRun(cfg, FAST70K, variants[0], 0)
+    assert run.warm_up() and (run.freeze() is not None) is forks
+    expected = [TwoFlowRun(cfg, FAST70K, v, rep).run()
+                for rep in (0, 1) for v in variants]
+    adopted = _record(monkeypatch, "adopt")
+    assert [run_scenario(cfg, FAST70K, v, rep)
+            for rep in (0, 1) for v in variants] == expected
+    assert len(adopted) == (3 if forks else 0)
+    assert (harness._WarmUp.run is not None) is forks
 
 
 def test_a_group_that_never_saturates_caches_nothing_and_times_out(
@@ -895,6 +973,25 @@ def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
     assert "Traceback" not in err
     assert err.count("\n") == 1 and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "demo-fig1"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+def test_cli_bad_out_is_one_line_and_exit_2(tmp_path, capsys, command,
+                                            below):
+    # --out names an existing file, or a directory under one
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "out" if below else taken
+    argv = ["--scenario", "dsl-fast", "--size", "70K", "--reps", "1",
+            "--jobs", "1"] if command == "run" else []
+    rc = main([command, "--out", str(out)] + argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "--out" in err and str(out) in err
+    assert err.startswith(f"blitzsim {command}: ")
+    assert taken.read_text() == "kept\n"
 
 
 # bounds of each numeric key of a scenario file. The flows are kept small,

