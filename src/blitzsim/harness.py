@@ -314,6 +314,29 @@ class JitterDraw:
             draws.extend([w >> shift for w in reversed(words) if w < limit])
 
 
+_MT_STATE = struct.Struct("<625I")  # a Mersenne Twister's words and index
+
+
+def _load_random(state: bytes, gauss_next: Optional[float]) -> random.Random:
+    """The random.Random freeze() wrote as its packed state."""
+    rng = random.Random(0)  # seeded, so it reads no urandom
+    rng.setstate((rng.VERSION, _MT_STATE.unpack(state), gauss_next))
+    return rng
+
+
+def _reduce_random(rng: random.Random) -> tuple:
+    _version, state, gauss_next = rng.getstate()
+    return _load_random, (_MT_STATE.pack(*state), gauss_next)
+
+
+# How freeze() writes a bound method and a random.Random. A method is its
+# function bound to its object, not getattr(obj, name) as pickle's default
+# would have it: a wrapper patched onto a class under another name would
+# not load.
+_REDUCERS = {MethodType: lambda m: (m.__func__.__get__, (m.__self__,)),
+             random.Random: _reduce_random}
+
+
 @cache
 def _slot_names(cls: type) -> tuple[str, ...]:
     """The slots cls and its bases declare, but __dict__ and __weakref__."""
@@ -476,30 +499,34 @@ class TwoFlowRun:
         and each object of _shared() is pickled as its place there. A
         bound method pickles as its function bound to its object, a
         partial as its function and arguments, and a module-level
-        function by name. A closure, a lambda or a local function, which
-        a copy would share with this run, cannot be pickled, so a run
-        that holds one anywhere, such as a tracer's wrapper, gives None.
+        function by name. The many small values pickle compactly: the
+        jitter generator as its state packed in one bytes, and a Packet or
+        an Ack as its constructor's arguments. A closure, a lambda or a
+        local function, which a copy would share with this run, cannot be
+        pickled, so a run that holds one anywhere, such as a tracer's
+        wrapper, gives None.
         """
+        out = io.BytesIO()
+        return out.getvalue() if self._dump(out) else None
+
+    def forkable(self) -> bool:
+        """Whether freeze() can pickle this run; the bytes are dropped."""
+        return self._dump(io.BytesIO())
+
+    def _dump(self, out: io.BytesIO) -> bool:
+        """Pickle freeze()'s state into out; False if a value does not."""
         state = [{name: getattr(part, name)
                   for name in _slot_names(type(part))}
                  | getattr(part, "__dict__", {}) for part in self._parts()]
         ids = {id(obj): i for i, obj in enumerate(self._shared())}
-        out = io.BytesIO()
         pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
         pickler.persistent_id = lambda obj: ids.get(id(obj))
-        # not by name, as getattr(obj, name): a wrapper patched onto a
-        # class under another name would not load
-        pickler.dispatch_table = {
-            MethodType: lambda m: (m.__func__.__get__, (m.__self__,))}
+        pickler.dispatch_table = _REDUCERS
         try:
             pickler.dump(state)
         except (pickle.PicklingError, AttributeError, TypeError):
-            return None
-        return out.getvalue()
-
-    def forkable(self) -> bool:
-        """Whether freeze() can pickle this run."""
-        return self.freeze() is not None
+            return False
+        return True
 
     def adopt(self, frozen: bytes) -> None:
         """Take over the state freeze() gave, keeping this run's variant.
@@ -555,11 +582,13 @@ class _WarmUp:
 
     requests counts its run_scenario calls so far, and run is its frozen
     warm run, once one is kept. keep_at is the request that keeps it: the
-    first if the group before got more than one request, else the second.
+    first, unless the group before got exactly one request, then the
+    second. A new process starts as if the group before had repeated, so
+    its first group forks from its second request too.
     """
     key: Optional[tuple] = None
     requests = 0
-    keep_at = 2
+    keep_at = 1
     run: Optional[bytes] = None
 
 
@@ -571,18 +600,19 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     consecutive calls for one group simulate it once: one call stops at
     the end of the warm-up, keeps the warm run frozen and finishes, and
     the later calls build their run and adopt that state. The first call
-    keeps it once the group before got more than one call, as such a
-    caller repeats groups. Otherwise the first runs cold, so a caller
-    that never repeats a group never freezes a run, and the second keeps
-    it. A recorded run, or one that is not forkable() when it is built or
-    warm, is run cold.
+    keeps it, unless the group before got exactly one call: such a caller
+    does not repeat groups, so its first call runs cold and the second
+    keeps it. A caller that never repeats a group thus freezes one run,
+    the first of the process, and drops it at its second group. A
+    recorded run, or one that is not forkable() when it is built or warm,
+    is run cold.
     """
     run = TwoFlowRun(cfg, size_bytes, variant, rep)
     if trace is not None:
         return run.run(trace)
     key = (cfg, size_bytes, rep)
     if key != _WarmUp.key:
-        _WarmUp.keep_at = 1 if _WarmUp.requests > 1 else 2
+        _WarmUp.keep_at = 2 if _WarmUp.requests == 1 else 1
         _WarmUp.key, _WarmUp.requests, _WarmUp.run = key, 0, None
     _WarmUp.requests += 1
     if _WarmUp.run is not None and run.forkable():

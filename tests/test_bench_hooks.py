@@ -93,7 +93,7 @@ def group(run, reps=(0,)):
 
 def new_cache():
     cache = harness._WarmUp
-    cache.key, cache.requests, cache.keep_at, cache.run = None, 0, 2, None
+    cache.key, cache.requests, cache.keep_at, cache.run = None, 0, 1, None
 
 
 cold = group(lambda v, rep: harness.TwoFlowRun(cfg, size, v, rep).run(),
@@ -111,12 +111,11 @@ print(json.dumps({"cold": cold, "forked": forked, "traced": traced,
 
 
 def test_a_group_of_six_variants_is_counted_like_cold_runs():
-    # Runs 3-6 of the first group, and 2-6 of the second, adopt a warm
-    # run's state, which a pickle load builds without calling
-    # Connection.__init__; each run must still build exactly two
-    # connections for RunObjects to find. With the Tracer installed, its
-    # callback closures do not pickle, so nothing is kept and every run
-    # is cold.
+    # Runs 2-6 of each group adopt a warm run's state, which a pickle
+    # load builds without calling Connection.__init__; each run must
+    # still build exactly two connections for RunObjects to find. With
+    # the Tracer installed, its callback closures do not pickle, so
+    # nothing is kept and every run is cold.
     proc = subprocess.run([sys.executable, "-c", GROUP], cwd=REPO,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

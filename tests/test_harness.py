@@ -31,7 +31,9 @@ from blitzsim.harness import (ESTIMATE_FACTORS, PRESETS, RUNS_HEADER, SIZES,
                               fairness_ratio,
                               parse_scenario_file, rolling_bandwidth,
                               run_matrix, run_scenario, summarize)
+from blitzsim.netmodel import Packet
 from blitzsim.signaling import AccessTech
+from blitzsim.transport import Ack
 
 
 # -- presets: the four built-in profiles -------------------------------------------
@@ -430,6 +432,76 @@ def test_a_forked_run_equals_a_cold_run_on_generated_scenarios(
                                   if row[0] >= done]
 
 
+def _packet_refs(run):
+    """Every reference to a Packet the sender, link and heap hold."""
+    refs = []
+    for conn in (run.long_conn, run.short_conn):
+        refs += [*conn.records.values(), *conn.records_by_seq.values(),
+                 *conn.retx_queue]
+    refs += [pkt for _, _, pkt in run.link.queue]
+    refs += [entry[3] for entry in run.sim._heap
+             if isinstance(entry[3], Packet)]
+    return refs
+
+
+def _sharing(objs):
+    """Each object's index of first appearance: which references alias."""
+    first = {}
+    return [first.setdefault(id(obj), len(first)) for obj in objs]
+
+
+def test_a_lossy_run_frozen_mid_flight_resumes_in_a_fresh_run():
+    # Packets and ACKs pickle as their constructor's arguments and the
+    # jitter generator as its packed state; a loaded copy must keep each
+    # packet one object across the places that hold it, and its flags
+    cfg, variant = PRESETS["dsl-slow"], Variant("blitz", 4.0)
+    source = TwoFlowRun(cfg, SIZES["70K"], variant, 0)
+    assert source.warm_up()
+
+    def lossy():
+        conns = (source.long_conn, source.short_conn)
+        heap_args = [entry[3] for entry in source.sim._heap]
+        return (any(conn.retx_queue for conn in conns)
+                and any(pkt.acked for conn in conns
+                        for pkt in conn.records.values())
+                and any(isinstance(arg, Ack) for arg in heap_args)
+                and any(isinstance(arg, Packet) for arg in heap_args)
+                and source.link.queue)
+    while not lossy():
+        assert not source.short_conn.finished
+        source.sim.run_until(source.sim.now + ms(1))
+    fork = TwoFlowRun(cfg, SIZES["70K"], variant, 0)
+    fork.adopt(source.freeze())
+
+    refs, fork_refs = _packet_refs(source), _packet_refs(fork)
+    assert len(set(map(id, refs))) < len(refs)  # some packets are shared
+    assert _sharing(fork_refs) == _sharing(refs)
+    assert not set(map(id, fork_refs)) & set(map(id, refs))
+    fields = Packet.__slots__
+    assert ([[getattr(pkt, name) for name in fields] for pkt in fork_refs]
+            == [[getattr(pkt, name) for name in fields] for pkt in refs])
+    assert any(pkt.lost for pkt in refs) and any(pkt.acked for pkt in refs)
+    acks = [(entry[0], entry[3]) for entry in source.sim._heap
+            if isinstance(entry[3], Ack)]
+    fork_acks = [(entry[0], entry[3]) for entry in fork.sim._heap
+                 if isinstance(entry[3], Ack)]
+    assert ([(at, ack.acked_ranges, ack.largest_acked_pkt_num)
+             for at, ack in fork_acks]
+            == [(at, ack.acked_ranges, ack.largest_acked_pkt_num)
+                for at, ack in acks])
+
+    jitter = source.long_conn.jitter.__self__
+    fork_jitter = fork.long_conn.jitter.__self__
+    assert fork.short_conn.jitter.__self__ is fork_jitter
+    assert fork.short_conn._draws is fork.long_conn._draws is fork_jitter.draws
+    assert fork_jitter.rng is not jitter.rng
+    assert fork_jitter.rng.getstate() == jitter.rng.getstate()
+    assert fork_jitter.draws == jitter.draws
+    assert fork.run() == source.run()
+    assert _counters(fork) == _counters(source)
+    assert fork_jitter.rng.getstate() == jitter.rng.getstate()
+
+
 def _hot_parts(run):
     """The run and the objects it reads or writes for every packet."""
     link, conns = run.link, (run.long_conn, run.short_conn)
@@ -488,7 +560,7 @@ def test_a_plain_function_hook_on_a_part_keeps_the_group_cold(
 @pytest.fixture
 def fresh_cache(monkeypatch):
     """run_scenario's warm-up cache as a new process finds it."""
-    for name, value in (("key", None), ("requests", 0), ("keep_at", 2),
+    for name, value in (("key", None), ("requests", 0), ("keep_at", 1),
                         ("run", None)):
         monkeypatch.setattr(harness._WarmUp, name, value)
 
@@ -523,21 +595,21 @@ def test_run_scenario_forks_from_the_second_run_once_groups_repeat(
         got = [run_scenario(cfg, FAST70K, v, rep) for v in variants]
         assert got == [TwoFlowRun(cfg, FAST70K, v, rep).run()
                        for v in variants]
-    # the first group forks from its third run; its caller repeated it, so
-    # the next group's first run keeps the warm run and the rest fork
-    assert adopted == ([(v, 2) for v in variants[2:]]
+    # a new process takes its caller to repeat groups: the first run of
+    # each group keeps the warm run and the rest fork
+    assert adopted == ([(v, 2) for v in variants[1:]]
                        + [(v, 3) for v in variants[1:]])
     # a recorded run never forks, and leaves the group's warm run alone
     trace = PacketTrace(only={"event"})
     assert run_scenario(cfg, FAST70K, variants[1], 3, trace) == got[1]
-    assert trace.rows[0][1] == 0 and len(adopted) == 9
+    assert trace.rows[0][1] == 0 and len(adopted) == 10
     assert run_scenario(cfg, FAST70K, variants[1], 3) == got[1]
-    assert len(adopted) == 10
+    assert len(adopted) == 11
     # a run built with a wrapped callback does not adopt a warm run that
     # was kept before the wrapper came
     _wrap_schedule(monkeypatch)
     assert run_scenario(cfg, FAST70K, variants[4], 3) == got[4]
-    assert len(adopted) == 10 and harness._WarmUp.run is not None
+    assert len(adopted) == 11 and harness._WarmUp.run is not None
 
 
 def test_a_run_that_cannot_fork_never_stops_to_warm_up(fresh_cache,
@@ -554,37 +626,40 @@ def test_a_run_that_cannot_fork_never_stops_to_warm_up(fresh_cache,
     assert warm_ups == [] and harness._WarmUp.run is None
 
 
-def test_a_caller_that_never_repeats_a_group_never_warms_up(fresh_cache,
-                                                            monkeypatch):
+def test_a_caller_that_never_repeats_a_group_warms_up_only_its_first_run(
+        fresh_cache, monkeypatch):
     # the bulk-10M and overshoot-loss benchmark workloads ask for each
-    # group once, in this order; at 70K to stay fast
+    # group once, in this order; at 70K to stay fast. A new process keeps
+    # its first run warm, as for a caller that repeats groups, and drops
+    # it at the second group, whose caller has shown it does not.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     warm_ups = _record(monkeypatch, "warm_up")
     frozen = _record(monkeypatch, "freeze")
-    runs = 0
-    for name in ("bulk-10M", "overshoot-loss"):
-        for round_index in range(2):
-            for cfg, _size, variant, rep in workloads.WORKLOADS[name].tasks(
-                    1, round_index):
-                run_scenario(cfg, FAST70K, variant, rep)
-                assert harness._WarmUp.requests == 1
-                assert harness._WarmUp.run is None
-                runs += 1
-    assert runs == 32 and warm_ups == [] and frozen == []
+    adopted = _record(monkeypatch, "adopt")
+    tasks = [task for name in ("bulk-10M", "overshoot-loss")
+             for round_index in range(2)
+             for task in workloads.WORKLOADS[name].tasks(1, round_index)]
+    first = (tasks[0][2], tasks[0][3])
+    for runs, (cfg, _size, variant, rep) in enumerate(tasks, 1):
+        run_scenario(cfg, FAST70K, variant, rep)
+        assert harness._WarmUp.requests == 1
+        assert (harness._WarmUp.run is not None) is (runs == 1)
+        assert warm_ups == frozen == [first]
+    assert runs == 32 and adopted == []
 
 
 def test_run_matrix_of_two_variants_forks_each_group_after_the_first(
         fresh_cache, monkeypatch):
-    # the first group's second run keeps a warm run that nothing adopts;
-    # from then on each group's first run keeps it and the second adopts it
+    # each group's first run keeps a warm run and the second adopts it,
+    # the first group's too
     adopted = _record(monkeypatch, "adopt")
     warm_ups = _record(monkeypatch, "warm_up")
     cfg = replace(PRESETS["dsl-fast"], seed_base=7)
     variants = [Variant("baseline"), Variant("blitz", 4.0)]
     results = run_matrix([cfg], [FAST70K], variants, reps=3, jobs=1)
-    assert warm_ups == [(variants[1], 0), (variants[0], 1), (variants[0], 2)]
-    assert adopted == [(variants[1], 1), (variants[1], 2)]
+    assert warm_ups == [(variants[0], rep) for rep in range(3)]
+    assert adopted == [(variants[1], rep) for rep in range(3)]
     assert results == sorted(
         (TwoFlowRun(cfg, FAST70K, v, rep).run() for v in variants
          for rep in range(3)), key=lambda r: (r.variant, r.rep))
@@ -672,7 +747,7 @@ def test_a_run_with_a_plain_function_callback_is_not_forkable(
     adopted = _record(monkeypatch, "adopt")
     assert [run_scenario(cfg, FAST70K, v, rep)
             for rep in (0, 1) for v in variants] == expected
-    assert len(adopted) == (3 if forks else 0)
+    assert len(adopted) == (4 if forks else 0)
     assert (harness._WarmUp.run is not None) is forks
 
 

@@ -14,7 +14,8 @@ def test_design_metrics_prints_every_figure():
                             "dispatched_per_data_packet",
                             "cancelled_per_data_packet",
                             "calls_per_data_packet",
-                            "c_calls_per_data_packet", "range_adds_per_ack"}
+                            "c_calls_per_data_packet", "range_adds_per_ack",
+                            "frozen_warm_run_bytes"}
     assert int(figures["src_lines"]) > 0
     assert int(figures["settable_values"]) > 0
     # a data packet's injection and arrival, an ACK's arrival per two
@@ -28,3 +29,6 @@ def test_design_metrics_prints_every_figure():
     assert 0 < float(figures["c_calls_per_data_packet"]) <= 14
     # a sender adds about one range it did not hold per ACK
     assert 0 < float(figures["range_adds_per_ack"]) < 2
+    # the warm copy a fork loads; deterministic, and compact since packets
+    # pickle as their constructor's arguments and the generator as bytes
+    assert 0 < int(figures["frozen_warm_run_bytes"]) <= 28_000

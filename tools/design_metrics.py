@@ -54,6 +54,11 @@ range_adds_per_ack
     last range inline or through `RangeSet.add`; about one per ACK.
     Counted by wrapping each sender's `on_ack`, so ACKs that reach a
     finished sender, which adds nothing, count in neither term.
+frozen_warm_run_bytes
+    Bytes of the pickle `TwoFlowRun.freeze()` gives for the dsl-fast 70K
+    baseline cell, rep 0, seed 1, at the end of `warm_up()`: the warm copy
+    each fork of that group loads. The run is deterministic, and so is the
+    size; tests/test_tools.py holds it to a budget of 28,000.
 """
 
 from __future__ import annotations
@@ -207,6 +212,16 @@ def range_adds_per_ack() -> float:
     return unheld / sum(conn.acks_received for conn in conns)
 
 
+def frozen_warm_run_bytes() -> int:
+    sys.path.insert(0, str(SRC))
+    from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
+
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["70K"], Variant("baseline"), 0)
+    if not run.warm_up():
+        raise RuntimeError("the dsl-fast 70K baseline cell never warms up")
+    return len(run.freeze())
+
+
 def main() -> int:
     print(f"src_lines {src_lines()}")
     print(f"settable_values {settable_values()}")
@@ -215,6 +230,7 @@ def main() -> int:
     print(f"calls_per_data_packet {calls_per_data_packet():.2f}")
     print(f"c_calls_per_data_packet {c_calls_per_data_packet():.2f}")
     print(f"range_adds_per_ack {range_adds_per_ack():.2f}")
+    print(f"frozen_warm_run_bytes {frozen_warm_run_bytes()}")
     return 0
 
 
