@@ -19,7 +19,9 @@ from .engine import NS_PER_MS, NS_PER_S, seconds
 from .harness import (PRESETS, SIZES, PacketTrace, TwoFlowRun, Variant,
                       check_variants, default_variants, emit_runs_csv,
                       emit_summary_csv, parse_scenario_file, rolling_bandwidth,
-                      run_matrix, single_flow_run)
+                      run_matrix, single_flow_run, write_csv)
+
+FIG1_HEADER = "time_us,flow_id,window_us,bps"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,25 +161,21 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
     # lone flow on an idle link: exponential startup, then avoidance
     trace = PacketTrace(only={"deliver"})
     single_flow_run(cfg, 1 << 30, top_end, trace)
-    with open(out / "fig1_top.csv", "w") as fh:
-        fh.write("time_us,flow_id,window_us,bps\n")
-        series = rolling_bandwidth(trace.deliveries(0), rtt, top_end)
-        for t, bps in series:
-            fh.write(f"{t // 1000},0,{rtt // 1000},{bps:.1f}\n")
+    write_csv(out / "fig1_top.csv", FIG1_HEADER,
+              ((t // 1000, 0, rtt // 1000, f"{bps:.1f}") for t, bps
+               in rolling_bandwidth(trace.deliveries(0), rtt, top_end)))
 
     # second flow entering a bottleneck the first flow has saturated
     run = TwoFlowRun(bottom_cfg, 1 << 30, Variant("baseline"), 0,
                      stop_on_completion=False)
     dtrace = PacketTrace(only={"deliver"})
     run.run(dtrace)
-    with open(out / "fig1_bottom.csv", "w") as fh:
-        fh.write("time_us,flow_id,window_us,bps\n")
-        for flow in (harness.LONG_FLOW, harness.SHORT_FLOW):
-            for window in (rtt, NS_PER_S):
-                series = rolling_bandwidth(dtrace.deliveries(flow), window,
-                                           bottom_end)
-                for t, bps in series:
-                    fh.write(f"{t // 1000},{flow},{window // 1000},{bps:.1f}\n")
+    write_csv(out / "fig1_bottom.csv", FIG1_HEADER,
+              ((t // 1000, flow, window // 1000, f"{bps:.1f}")
+               for flow in (harness.LONG_FLOW, harness.SHORT_FLOW)
+               for window in (rtt, NS_PER_S)
+               for t, bps in rolling_bandwidth(dtrace.deliveries(flow),
+                                               window, bottom_end)))
     start = run.short_conn.start_at
     start_ms = "n/a" if start is None else start // NS_PER_MS
     print(f"fig1_top.csv and fig1_bottom.csv written to {out} "

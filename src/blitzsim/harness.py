@@ -12,11 +12,11 @@ are paired.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import pickle
 import random
+import re
 import statistics
 import struct
 from contextlib import nullcontext
@@ -25,18 +25,18 @@ from functools import cache, partial
 from multiprocessing import Pool
 from pathlib import Path
 from types import MethodType
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
                          INITIAL_WINDOW_SEGMENTS, CubicController,
                          make_controller)
 from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, PacketTrace,
                      SimTime, Simulator, ms, substream, us)
-from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig
+from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig, Packet
 from .signaling import (MAX_HINT_KBPS, AccessTech, BandwidthHint,
                         HintDecodeError, OracleEstimator, decode_hint,
                         encode_hint)
-from .transport import Connection
+from .transport import Ack, Connection
 
 SIZES = {"70K": 70_000, "2M": 2_000_000, "10M": 10_000_000}
 ESTIMATE_FACTORS = (0.5, 1.0, 1.5, 3.0, 4.0)
@@ -46,6 +46,9 @@ PKT_JITTER_MAX = 10 * NS_PER_US
 
 LONG_FLOW = 0
 SHORT_FLOW = 1
+
+# a scenario name goes unquoted into CSV cells and into trace file names
+_SCENARIO_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +66,10 @@ class ScenarioConfig:
     sim_cap: SimTime = SIM_CAP
 
     def __post_init__(self):
+        if not _SCENARIO_NAME.fullmatch(self.name):
+            raise ValueError(f"scenario name {self.name!r} must be letters, "
+                             "digits, '.', '_' or '-', starting with a "
+                             "letter or digit")
         for field in ("rtt", "bottleneck_kbps", "buffer_pkts",
                       "long_flow_bytes", "sim_cap"):
             if getattr(self, field) <= 0:
@@ -163,8 +170,6 @@ class RunResult:
     retransmitted_bytes: int
     inflation: float
     fairness: Optional[float]
-    short_bytes: int
-    long_bytes: int
     timeout: bool
     short_start_at: Optional[SimTime] = None
     sat_at: Optional[SimTime] = None
@@ -233,22 +238,21 @@ def check_variants(scenarios: Sequence[ScenarioConfig],
                     "use a smaller factor")
 
 
-# A controller factory is a partial of one of these two, so that it holds
-# no state but its arguments and a run that holds it pickles (see
-# TwoFlowRun.freeze).
+def _controller(floor: SimTime, wire: Optional[bytes], min_rtt: SimTime,
+                now: SimTime) -> CubicController:
+    """The server's controller for the hint on the wire, if any.
 
-def _baseline_controller(floor: SimTime, min_rtt: SimTime,
-                         now: SimTime) -> CubicController:
-    return CubicController(hystart_floor=floor)
-
-
-def _hinted_controller(wire: bytes, floor: SimTime, min_rtt: SimTime,
-                       now: SimTime) -> CubicController:
-    try:
-        received = decode_hint(wire)
-    except HintDecodeError:
-        return CubicController(hystart_floor=floor)
-    return make_controller(received, min_rtt, now, hystart_floor=floor)
+    Every controller factory is a partial of this over (floor, wire), so
+    a run that holds one pickles (see TwoFlowRun.freeze). No wire, or one
+    that does not decode, leaves make_controller to pick Slow Start.
+    """
+    hint = None
+    if wire is not None:
+        try:
+            hint = decode_hint(wire)
+        except HintDecodeError:
+            pass
+    return make_controller(hint, min_rtt, now, hystart_floor=floor)
 
 
 def _short_controller_factory(cfg: ScenarioConfig, variant: Variant) -> partial:
@@ -256,16 +260,14 @@ def _short_controller_factory(cfg: ScenarioConfig, variant: Variant) -> partial:
 
     For the blitz variant the bandwidth estimate is produced by the oracle
     estimator, encoded as the transport parameter, and decoded again on the
-    server side; any decode failure or unusable hint falls back to the
-    baseline Slow Start controller.
+    server side; the baseline sends no hint.
     """
-    floor = cfg.hystart_floor
-    if variant.kind == "baseline":
-        return partial(_baseline_controller, floor)
-    estimator = OracleEstimator(variant.factor)
-    hint = BandwidthHint(cfg.access_tech,
-                         estimator.estimate(cfg.bottleneck_kbps))
-    return partial(_hinted_controller, encode_hint(hint), floor)
+    wire = None
+    if variant.kind != "baseline":
+        estimator = OracleEstimator(variant.factor)
+        wire = encode_hint(BandwidthHint(
+            cfg.access_tech, estimator.estimate(cfg.bottleneck_kbps)))
+    return partial(_controller, cfg.hystart_floor, wire)
 
 
 class JitterDraw:
@@ -329,12 +331,24 @@ def _reduce_random(rng: random.Random) -> tuple:
     return _load_random, (_MT_STATE.pack(*state), gauss_next)
 
 
-# How freeze() writes a bound method and a random.Random. A method is its
+def _reduce_packet(pkt: Packet) -> tuple:
+    args = (pkt.flow_id, pkt.seq, pkt.len, pkt.pkt_num, pkt.sent_at,
+            pkt.payload_len)
+    if pkt.acked or pkt.lost:
+        return Packet, args, (None, {"acked": pkt.acked, "lost": pkt.lost})
+    return Packet, args
+
+
+# How freeze() writes the values that are not plain data. A method is its
 # function bound to its object, not getattr(obj, name) as pickle's default
 # would have it: a wrapper patched onto a class under another name would
-# not load.
+# not load. A Packet or an Ack is its constructor's arguments, and a
+# packet's flags follow only when one is set.
 _REDUCERS = {MethodType: lambda m: (m.__func__.__get__, (m.__self__,)),
-             random.Random: _reduce_random}
+             random.Random: _reduce_random,
+             Packet: _reduce_packet,
+             Ack: lambda ack: (Ack, (ack.acked_ranges,
+                                     ack.largest_acked_pkt_num))}
 
 
 @cache
@@ -355,9 +369,9 @@ class TwoFlowRun:
     change in the link's per-flow departed_bytes from the short flow's
     start to its finish, or to the end of the run. Every hook the link
     and the connections call is a bound method of this run or of its
-    parts, and each controller factory is a partial of a module-level
-    function, so freeze() can pickle a run taken at any point, and a run
-    that adopts it calls back only into its own objects.
+    parts, and each controller factory is a partial of _controller, so
+    freeze() can pickle a run taken at any point, and a run that adopts
+    it calls back only into its own objects.
 
     The seeds depend on (cfg, size, rep) only, and the variant is first
     read when the short flow's handshake completes, through its
@@ -396,8 +410,8 @@ class TwoFlowRun:
         self.start_jitter = start_rng.randrange(0, jitter_max + 1)
         jitter = JitterDraw(pkt_rng, cfg.pkt_jitter_max)
         self.long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
-                                    partial(_baseline_controller,
-                                            cfg.hystart_floor),
+                                    partial(_controller, cfg.hystart_floor,
+                                            None),
                                     jitter=jitter)
         self.short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
                                      _short_controller_factory(cfg, variant),
@@ -497,36 +511,30 @@ class TwoFlowRun:
 
         One dump holds them all, so a value two parts share stays shared,
         and each object of _shared() is pickled as its place there. A
-        bound method pickles as its function bound to its object, a
-        partial as its function and arguments, and a module-level
-        function by name. The many small values pickle compactly: the
-        jitter generator as its state packed in one bytes, and a Packet or
-        an Ack as its constructor's arguments. A closure, a lambda or a
-        local function, which a copy would share with this run, cannot be
-        pickled, so a run that holds one anywhere, such as a tracer's
-        wrapper, gives None.
+        partial pickles as its function and arguments, a module-level
+        function by name, and what _REDUCERS names as it says: a bound
+        method, the jitter generator, a Packet and an Ack. A closure, a
+        lambda or a local function, which a copy would share with this
+        run, cannot be pickled, so a run that holds one anywhere, such as
+        a tracer's wrapper, gives None.
         """
-        out = io.BytesIO()
-        return out.getvalue() if self._dump(out) else None
-
-    def forkable(self) -> bool:
-        """Whether freeze() can pickle this run; the bytes are dropped."""
-        return self._dump(io.BytesIO())
-
-    def _dump(self, out: io.BytesIO) -> bool:
-        """Pickle freeze()'s state into out; False if a value does not."""
         state = [{name: getattr(part, name)
                   for name in _slot_names(type(part))}
                  | getattr(part, "__dict__", {}) for part in self._parts()]
         ids = {id(obj): i for i, obj in enumerate(self._shared())}
+        out = io.BytesIO()
         pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
         pickler.persistent_id = lambda obj: ids.get(id(obj))
         pickler.dispatch_table = _REDUCERS
         try:
             pickler.dump(state)
         except (pickle.PicklingError, AttributeError, TypeError):
-            return False
-        return True
+            return None
+        return out.getvalue()
+
+    def forkable(self) -> bool:
+        """Whether freeze() can pickle this run; the bytes are dropped."""
+        return self.freeze() is not None
 
     def adopt(self, frozen: bytes) -> None:
         """Take over the state freeze() gave, keeping this run's variant.
@@ -569,8 +577,6 @@ class TwoFlowRun:
             retransmitted_bytes=short.bytes_retransmitted,
             inflation=short.bytes_retransmitted / short.size,
             fairness=fairness_ratio(short_bytes, long_bytes),
-            short_bytes=short_bytes,
-            long_bytes=long_bytes,
             timeout=not short.finished,
             short_start_at=short.start_at,
             sat_at=self.sat_at,
@@ -581,10 +587,11 @@ class _WarmUp:
     """The group (cfg, size_bytes, rep) asked for last, in this process.
 
     requests counts its run_scenario calls so far, and run is its frozen
-    warm run, once one is kept. keep_at is the request that keeps it: the
-    first, unless the group before got exactly one request, then the
-    second. A new process starts as if the group before had repeated, so
-    its first group forks from its second request too.
+    warm run, once one is kept; it stays None if that run did not pickle.
+    keep_at is the request that keeps it: the first, unless the group
+    before got exactly one request, then the second. A new process starts
+    as if the group before had repeated, so its first group forks from its
+    second request too.
     """
     key: Optional[tuple] = None
     requests = 0
@@ -604,8 +611,10 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     does not repeat groups, so its first call runs cold and the second
     keeps it. A caller that never repeats a group thus freezes one run,
     the first of the process, and drops it at its second group. A
-    recorded run, or one that is not forkable() when it is built or warm,
-    is run cold.
+    recorded run runs cold. A run that does not pickle stops at its
+    warm-up, keeps nothing and finishes as it would have cold. A fork
+    adopts only if forkable(): a hook installed after the warm run was
+    kept, such as a tracer's, would see the fork but not its prefix.
     """
     run = TwoFlowRun(cfg, size_bytes, variant, rep)
     if trace is not None:
@@ -617,10 +626,8 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     _WarmUp.requests += 1
     if _WarmUp.run is not None and run.forkable():
         run.adopt(_WarmUp.run)
-    # once a run is kept, requests is past keep_at; and a run that
-    # cannot fork would stop at the warm-up for nothing
-    elif (_WarmUp.requests == _WarmUp.keep_at and run.forkable()
-          and run.warm_up()):
+    # once a run is kept, requests is past keep_at
+    elif _WarmUp.requests == _WarmUp.keep_at and run.warm_up():
         _WarmUp.run = run.freeze()
     return run.run()
 
@@ -633,7 +640,7 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
     link = Link(sim, cfg.link_config())
     pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
     conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
-                      partial(_baseline_controller, cfg.hystart_floor),
+                      partial(_controller, cfg.hystart_floor, None),
                       jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max))
     conn.start(0)
     sim.run_until(duration)
@@ -829,18 +836,35 @@ TRACE_HEADER = "time_us,flow_id,event,pkt_num,seq,len"
 TRACE_ROWS = {"send", "deliver", "drop", "ack"}  # the row kinds of a trace CSV
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+def write_csv(path: Path, header: str, rows: Iterable[Sequence]) -> None:
+    """The header line, then one line per row.
+
+    A cell is empty for None, a float to six places, and anything else
+    as str gives it. No cell is quoted: a scenario name, the only free
+    text in a row, holds no comma (see ScenarioConfig).
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 def emit_runs_csv(results: Sequence[RunResult], path: Path) -> None:
     rows = sorted(results, key=lambda r: (r.scenario, r.size_bytes,
                                           r.variant, r.rep))
-    with open(path, "w", newline="") as fh:
-        fh.write(RUNS_HEADER + "\n")
-        for r in rows:
-            fct_us = "" if r.fct is None else r.fct // NS_PER_US
-            fairness = "" if r.fairness is None else f"{r.fairness:.6f}"
-            fh.write(f"{r.scenario},{r.size_bytes},{r.variant},{r.rep},"
-                     f"{r.seed},{fct_us},{r.lost_pkts},"
-                     f"{r.retransmitted_bytes},{r.inflation:.6f},{fairness},"
-                     f"{int(r.timeout)}\n")
+    write_csv(path, RUNS_HEADER, (
+        (r.scenario, r.size_bytes, r.variant, r.rep, r.seed,
+         None if r.fct is None else r.fct // NS_PER_US, r.lost_pkts,
+         r.retransmitted_bytes, r.inflation, r.fairness, int(r.timeout))
+        for r in rows))
 
 
 SUMMARY_FIELDS = (
@@ -901,22 +925,9 @@ def summarize(results: Sequence[RunResult]) -> list[dict]:
 
 
 def emit_summary_csv(results: Sequence[RunResult], path: Path) -> None:
-    rows = summarize(results)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS,
-                                restval="", extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            formatted = {}
-            for key, value in row.items():
-                if value is None:
-                    formatted[key] = ""
-                elif isinstance(value, float):
-                    formatted[key] = f"{value:.6f}"
-                else:
-                    formatted[key] = value
-            writer.writerow(formatted)
+    write_csv(path, ",".join(SUMMARY_FIELDS),
+              ([row.get(field) for field in SUMMARY_FIELDS]
+               for row in summarize(results)))
 
 
 def emit_trace_csv(trace: PacketTrace, path: Path) -> None:

@@ -37,8 +37,7 @@ class Packet:
     """A data packet on the link, and its sender's record of it.
 
     acked and lost are the sender's; the link and the receiver read only
-    the wire fields. A packet pickles as its constructor's arguments, and
-    its flags only when one is set (see TwoFlowRun.freeze).
+    the wire fields.
     """
 
     __slots__ = ("flow_id", "seq", "len", "sent_at", "pkt_num", "payload_len",
@@ -54,14 +53,6 @@ class Packet:
         self.payload_len = payload_len
         self.acked = False
         self.lost = False
-
-    def __reduce__(self):
-        args = (self.flow_id, self.seq, self.len, self.pkt_num, self.sent_at,
-                self.payload_len)
-        if self.acked or self.lost:
-            return Packet, args, (None, {"acked": self.acked,
-                                         "lost": self.lost})
-        return Packet, args
 
 
 @dataclass(frozen=True, slots=True)

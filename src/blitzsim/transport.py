@@ -91,9 +91,6 @@ class Ack:
         self.acked_ranges = acked_ranges
         self.largest_acked_pkt_num = largest_acked_pkt_num
 
-    def __reduce__(self):
-        return Ack, (self.acked_ranges, self.largest_acked_pkt_num)
-
 
 class Receiver:
     """Receiving endpoint: tracks byte ranges, generates ACKs.

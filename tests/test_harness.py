@@ -124,7 +124,7 @@ def _result(variant, rep, fct_ms, lost, fairness=1.0):
     return RunResult(scenario="t", size_bytes=2_000_000, variant=variant,
                      rep=rep, seed=1, fct=ms(fct_ms), lost_pkts=lost,
                      retransmitted_bytes=0, inflation=0.0, fairness=fairness,
-                     short_bytes=1, long_bytes=1, timeout=False)
+                     timeout=False)
 
 
 def test_aggregate_identical_groups():
@@ -612,18 +612,22 @@ def test_run_scenario_forks_from_the_second_run_once_groups_repeat(
     assert len(adopted) == 11 and harness._WarmUp.run is not None
 
 
-def test_a_run_that_cannot_fork_never_stops_to_warm_up(fresh_cache,
-                                                        monkeypatch):
-    # forkable() is asked of the freshly built run, before any warm-up
+def test_a_run_that_cannot_fork_warms_up_and_finishes_cold(fresh_cache,
+                                                           monkeypatch):
+    # freeze() is the only check on the keeping side: the first run of
+    # each group stops at its warm-up, gets None and finishes as if cold
     warm_ups = _record(monkeypatch, "warm_up")
+    adopted = _record(monkeypatch, "adopt")
     _wrap_schedule(monkeypatch)
     cfg = replace(PRESETS["dsl-fast"], seed_base=7)
     variants = default_variants()[:3]
     for rep in (2, 3):
         got = [run_scenario(cfg, FAST70K, v, rep) for v in variants]
+        assert harness._WarmUp.run is None
         assert got == [TwoFlowRun(cfg, FAST70K, v, rep).run()
                        for v in variants]
-    assert warm_ups == [] and harness._WarmUp.run is None
+    assert warm_ups == [(variants[0], 2), (variants[0], 3)]
+    assert adopted == []
 
 
 def test_a_caller_that_never_repeats_a_group_warms_up_only_its_first_run(
@@ -1033,13 +1037,18 @@ def test_cli_scenario_file(tmp_path):
      "could never start"),
     ([], CELL_FILE.replace("rtt_ms = 50", "rtt_ms = 200000"),
      "could never start"),
+    # a name goes unquoted into CSV cells and trace file names
+    ([], CELL_FILE.replace("= cell", "= x,y"), "'x,y'"),
+    (["--trace", "--jobs", "2"], CELL_FILE.replace("= cell", "= a/b"),
+     "'a/b'"),
+    ([], CELL_FILE.replace("= cell", "="), "name ''"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):
     if file_text is not None:
         p = tmp_path / "cell.scenario"
         p.write_text(file_text)
-        argv = ["--scenario-file", str(p)]
+        argv = argv + ["--scenario-file", str(p)]
     out = tmp_path / "out"
     rc = main(["run", "--size", "70K", "--out", str(out), "--jobs", "1"]
               + argv)
@@ -1134,6 +1143,10 @@ def test_any_scenario_file_runs_or_is_one_line_and_exit_2(values):
         if rc == 0:
             rows = (out / "runs.csv").read_text().splitlines()
             assert rows[0] == RUNS_HEADER and len(rows) == 3
+            for name in ("runs.csv", "summary.csv"):
+                header, *lines = (out / name).read_text().splitlines()
+                assert all(line.count(",") == header.count(",")
+                           for line in lines), name
         else:
             assert rc == 2
             assert err.count("\n") == 1 and err.startswith("blitzsim run: ")
