@@ -26,6 +26,10 @@ class Mode(enum.Enum):
     RECOVERY = "recovery"
 
 
+# for on_ack: 3.11 does not specialize a member read through EnumType
+_SLOW_START, _RECOVERY = Mode.SLOW_START, Mode.RECOVERY
+
+
 # fractions of the RTT a window is paced over, as (numerator, denominator)
 PACE_SLOW_START = (1, 2)
 PACE_AVOIDANCE = (3, 4)
@@ -164,11 +168,21 @@ class CubicController:
         if rtt_sample is not None:
             if self._min_rtt is None or rtt_sample < self._min_rtt:
                 self._min_rtt = rtt_sample
-        if self.mode is Mode.SLOW_START:
-            self._slow_start_on_ack(newly_acked_bytes, rtt_sample, now,
-                                    largest_acked_pkt, largest_sent_pkt)
+        mode = self.mode
+        if mode is _SLOW_START:
+            self.cwnd += newly_acked_bytes
+            if rtt_sample is None:
+                return
+            if largest_acked_pkt >= self._round_end_pkt:
+                self._round_end_pkt = largest_sent_pkt + 1
+                self._round_exceed_count = 0
+            if rtt_sample >= self._min_rtt + hystart_threshold(
+                    self._min_rtt, self.hystart_floor):
+                self._round_exceed_count += 1
+                if self._round_exceed_count >= HYSTART_SAMPLES:
+                    self._enter_avoidance_at_plateau(now)
             return
-        if self.mode is Mode.RECOVERY:
+        if mode is _RECOVERY:
             if largest_acked_pkt >= self.recovery_until_pkt_num:
                 self._set_mode(Mode.AVOIDANCE, now)
             else:
@@ -193,21 +207,6 @@ class CubicController:
                     target = est_bytes
             if target > self.cwnd:
                 self.cwnd = target
-
-    def _slow_start_on_ack(self, newly_acked: int, rtt_sample: Optional[SimTime],
-                           now: SimTime, largest_acked: int,
-                           largest_sent: int) -> None:
-        self.cwnd += newly_acked
-        if rtt_sample is None:
-            return
-        if largest_acked >= self._round_end_pkt:
-            self._round_end_pkt = largest_sent + 1
-            self._round_exceed_count = 0
-        if rtt_sample >= self._min_rtt + hystart_threshold(self._min_rtt,
-                                                           self.hystart_floor):
-            self._round_exceed_count += 1
-            if self._round_exceed_count >= HYSTART_SAMPLES:
-                self._enter_avoidance_at_plateau(now)
 
     def on_congestion_event(self, now: SimTime, lost_pkt_num: int,
                             largest_sent_pkt: int) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from typing import Callable, Optional
 
@@ -187,8 +188,9 @@ class Simulator:
         if record is not None and "event" not in record.only:
             record = None
         first = self.dispatched
+        bound = math.inf if end is None else end  # one test per event
         while heap:
-            if end is not None and heap[0][0] > end:
+            if heap[0][0] > bound:
                 break
             fire_at, seq, fn, arg, kind, target = pop(heap)
             if fn is None:  # a timer; arg is its Event

@@ -339,12 +339,17 @@ def _reduce_packet(pkt: Packet) -> tuple:
     return Packet, args
 
 
+def _bind(func: Callable, obj: object) -> MethodType:
+    return MethodType(func, obj)
+
+
 # How freeze() writes the values that are not plain data. A method is its
 # function bound to its object, not getattr(obj, name) as pickle's default
 # would have it: a wrapper patched onto a class under another name would
-# not load. A Packet or an Ack is its constructor's arguments, and a
-# packet's flags follow only when one is set.
-_REDUCERS = {MethodType: lambda m: (m.__func__.__get__, (m.__self__,)),
+# not load. The function is pickled once, and each method names it. A
+# Packet or an Ack is its constructor's arguments, and a packet's flags
+# follow only when one is set.
+_REDUCERS = {MethodType: lambda m: (_bind, (m.__func__, m.__self__)),
              random.Random: _reduce_random,
              Packet: _reduce_packet,
              Ack: lambda ack: (Ack, (ack.acked_ranges,

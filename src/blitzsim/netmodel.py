@@ -178,8 +178,9 @@ class Link:
                 record((now, packet.flow_id, "drop", packet.pkt_num,
                         packet.seq, packet.len))
             return None
-        serialization = self._serialization.get(packet.len)
-        if serialization is None:
+        try:  # a subscript, not .get(): no call on the per-packet path
+            serialization = self._serialization[packet.len]
+        except KeyError:
             serialization = self.config.serialization_time(packet.len)
             self._serialization[packet.len] = serialization
         # every packet still queued departs at or after now, retired above

@@ -34,6 +34,7 @@ MAX_ACK_DELAY = 25 * NS_PER_MS
 # backoff; _arm_pto and on_ack both compute it from these.
 PTO_SRTT, PTO_RTTVAR = 2, 4
 ACK_WIRE_BYTES = 40  # an ACK's length in "ack" trace rows
+_new_instance = object.__new__  # how maybe_send makes each Packet
 
 
 class RangeSet:
@@ -180,10 +181,10 @@ class Connection:
     """
 
     __slots__ = (
-        "sim", "flow_id", "_target", "link", "size", "reverse_delay",
-        "handshake_rtt", "controller_factory", "controller", "jitter",
-        "_draws", "next_seq", "pkts_sent", "records", "records_by_seq",
-        "_records_floor", "_seq_floor", "_scan_from", "retx_queue",
+        "sim", "flow_id", "_target", "link", "_enqueue", "size",
+        "reverse_delay", "handshake_rtt", "controller_factory", "controller",
+        "jitter", "_draws", "next_seq", "pkts_sent", "records",
+        "records_by_seq", "_records_floor", "_scan_from", "retx_queue",
         "acked_ranges", "in_flight", "srtt", "rttvar", "latest_rtt",
         "largest_acked_pkt", "largest_acked_sent_at", "burst_remaining",
         "next_release", "_pacing_event", "_pto_event", "_pto_backoff",
@@ -199,6 +200,7 @@ class Connection:
         self.flow_id = flow_id
         self._target = f"conn:{flow_id}"  # event target of this flow's events
         self.link = link
+        self._enqueue = link.enqueue  # each injection's callback
         self.size = transfer_bytes
         self.reverse_delay = link.config.prop_delay
         self.handshake_rtt = 2 * link.config.prop_delay
@@ -211,14 +213,12 @@ class Connection:
 
         self.next_seq = 0
         self.pkts_sent = 0  # packet numbers start at 0: also the next one
-        # The sent packets themselves are the records, and only those an
-        # ACK can still resolve or sample are kept: `records` from packet
-        # number _records_floor up, `records_by_seq` (each segment's newest
-        # copy) from grid point _seq_floor up (see on_ack's prune).
+        # The sent packets are the records, and only those an ACK can still
+        # resolve or sample are kept: `records` from _records_floor up (see
+        # on_ack), `records_by_seq` each segment's newest unacked copy.
         self.records: dict[int, Packet] = {}
         self.records_by_seq: dict[int, Packet] = {}
         self._records_floor = 0
-        self._seq_floor = 0
         # every record below this packet number is acked or declared lost
         self._scan_from = 0
         self.retx_queue: deque[Packet] = deque()  # lost, to resend
@@ -293,10 +293,9 @@ class Connection:
         unions of whole packets, so a lost packet is acked whole or not at
         all: an acked one leaves the retransmission queue, any other goes
         out again whole, before new data. A blocked packet stays where it
-        is, at the queue's front or at next_seq.
+        is, at the queue's front or at next_seq. It never runs on a finished
+        sender: _finish cancels both its timers, and on_ack returns first.
         """
-        if self.finished_at is not None:
-            return 0
         ctrl = self.controller
         retx = self.retx_queue
         size = self.size
@@ -344,14 +343,22 @@ class Connection:
             pkt_num = self.pkts_sent
             self.pkts_sent = pkt_num + 1
             wire = payload + HEADER_BYTES
-            pkt = Packet(self.flow_id, start, wire, pkt_num, inject_at,
-                         payload)
+            # Packet(self.flow_id, start, wire, pkt_num, inject_at, payload),
+            # inline on the per-packet path: a class call is not specialized
+            pkt = _new_instance(Packet)
+            pkt.flow_id = self.flow_id
+            pkt.seq = start
+            pkt.len = wire
+            pkt.sent_at = inject_at
+            pkt.pkt_num = pkt_num
+            pkt.payload_len = payload
+            pkt.acked = pkt.lost = False
             self.records[pkt_num] = pkt
             self.records_by_seq[start] = pkt
             self.in_flight += wire
             self.payload_sent += payload
             self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
-                              self.link.enqueue, pkt)
+                              self._enqueue, pkt)
             pto = self._pto_event
             if pto is None or pto.seq == -1:  # not armed
                 self._arm_pto(now)
@@ -412,9 +419,9 @@ class Connection:
         #
         # Newly covered ranges are unions of whole packets, so they start
         # on the packetization grid and each segment in them is covered
-        # once. Its newest copy is marked acked: a segment is resent only
-        # once declared lost, so its older copies are all lost and nothing
-        # reads their acked flag.
+        # once, as coverage only grows. Its newest copy is marked acked and
+        # leaves records_by_seq, as in RFC 9002 (A.7): a segment is resent
+        # only once declared lost, so its older copies are all lost.
         newly_wire = 0
         in_flight = self.in_flight
         acked = self.acked_ranges
@@ -440,7 +447,7 @@ class Connection:
             for added_start, added_end in added:
                 for seq in range(added_start, added_end,
                                  SEGMENT_PAYLOAD_BYTES):
-                    pkt = by_seq.get(seq)
+                    pkt = by_seq.pop(seq, None)
                     if pkt is not None:
                         newly_wire += pkt.len
                         pkt.acked = True
@@ -453,7 +460,7 @@ class Connection:
         # wire bytes of the packets the ACK newly covered
         ctrl = self.controller
         ctrl.on_ack(newly_wire, rtt_sample, now, self.largest_acked_pkt,
-                    self.pkts_sent - 1, srtt=self.srtt)
+                    self.pkts_sent - 1, self.srtt)
         if record is not None:
             record((now, self.flow_id, "cwnd", ctrl.cwnd, ctrl.mode))
 
@@ -482,9 +489,7 @@ class Connection:
         # Drop the records no later ACK can read (RFC 9002 sent_packets).
         # Every record below _scan_from is acked or lost, and an ACK reads
         # a record only above largest_acked_pkt, so `records` below the
-        # lower of the two goes. Only grid points of newly covered bytes
-        # are looked up, and those lie above the cumulative ACK frontier,
-        # so `records_by_seq` below the frontier goes.
+        # lower of the two goes.
         floor = self.largest_acked_pkt + 1
         if scan < floor:
             floor = scan
@@ -493,14 +498,6 @@ class Connection:
             del records[pkt_num]
             pkt_num += 1
         self._records_floor = pkt_num
-        if newly:
-            first = acked.ranges[0]
-            if first[0] == 0:
-                seq = self._seq_floor
-                while seq < first[1]:
-                    del by_seq[seq]
-                    seq += SEGMENT_PAYLOAD_BYTES
-                self._seq_floor = seq
 
         if acked.total >= self.size:
             self._finish(now)
@@ -526,16 +523,6 @@ class Connection:
 
     # -- loss detection -------------------------------------------------------
 
-    def _oldest_outstanding(self) -> Optional[Packet]:
-        """Oldest packet neither acked nor declared lost, if any."""
-        records, end = self.records, self.pkts_sent
-        pkt_num = self._scan_from
-        while pkt_num < end and (records[pkt_num].acked
-                                 or records[pkt_num].lost):
-            pkt_num += 1
-        self._scan_from = pkt_num
-        return records[pkt_num] if pkt_num < end else None
-
     def _declare_lost(self, pkt: Packet, now: SimTime) -> None:
         pkt.lost = True
         self.in_flight -= pkt.len
@@ -560,11 +547,17 @@ class Connection:
         An ACK moves the timer's due later without re-keying it; the
         engine re-keys an entry that pops early, so this runs only once
         the due has come. _finish cancels it, so it never runs after.
+        The oldest packet neither acked nor declared lost goes, if any.
         """
-        oldest = self._oldest_outstanding()
-        if oldest is None:
+        records, end = self.records, self.pkts_sent
+        pkt_num = self._scan_from
+        while pkt_num < end and (records[pkt_num].acked
+                                 or records[pkt_num].lost):
+            pkt_num += 1
+        self._scan_from = pkt_num
+        if pkt_num == end:
             return
-        self._declare_lost(oldest, now)
+        self._declare_lost(records[pkt_num], now)
         self._pto_backoff += 1
         self._arm_pto(now)
         self.maybe_send(now)

@@ -12,7 +12,7 @@ from blitzsim.congestion import (FLOOR_BYTES, PACE_AVOIDANCE, PACE_SLOW_START,
                                  CubicController)
 from blitzsim.engine import PacketTrace, Simulator, ms, seconds, us
 from blitzsim.harness import (PRESETS, SIZES, JitterDraw, TwoFlowRun,
-                              Variant, single_flow_run)
+                              Variant, default_variants, single_flow_run)
 from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
                                SEGMENT_WIRE_BYTES, FlowCounters, Link,
                                LinkConfig, Packet)
@@ -544,6 +544,57 @@ def test_in_flight_bound_respected_at_every_send(monkeypatch):
     assert sent_ok and all(sent_ok)
 
 
+def test_each_sent_packet_equals_the_one_its_constructor_builds(monkeypatch):
+    # maybe_send fills a Packet's slots itself; on a lossy link, so that
+    # retransmissions count too, each packet it injects holds, slot for
+    # slot, what Packet(...) gives for the same arguments
+    size = 300_000
+    tight = LinkConfig(rate_bps=8_000_000, prop_delay=ms(10), buffer_pkts=5)
+    sim, link, conn = make_conn(size, cfg=tight)
+    sent = []
+    schedule = Simulator.schedule
+
+    def watched(sim, fire_at, kind, target, fn, arg=None):
+        if fn == link.enqueue:
+            payload = min(SEGMENT_PAYLOAD_BYTES, size - arg.seq)
+            twin = Packet(conn.flow_id, arg.seq, payload + HEADER_BYTES,
+                          conn.pkts_sent - 1, fire_at, payload)
+            sent.append([(type(pkt), *(getattr(pkt, name)
+                                        for name in Packet.__slots__))
+                         for pkt in (arg, twin)])
+        return schedule(sim, fire_at, kind, target, fn, arg)
+
+    monkeypatch.setattr(Simulator, "schedule", watched)
+    conn.start(0)
+    sim.run_until(seconds(60))
+    assert conn.finished and conn.bytes_retransmitted > 0
+    assert len(sent) == conn.pkts_sent
+    assert all(pkt == twin for pkt, twin in sent)
+
+
+@pytest.mark.parametrize("scenario", sorted(PRESETS))
+def test_maybe_send_never_runs_on_a_finished_sender(monkeypatch, scenario):
+    # _finish cancels the pacing timer and the PTO, and on_ack returns
+    # before it sends, so nothing calls maybe_send once a sender finished.
+    # Each run goes on for a second past the short flow's finish, so any
+    # timer the flow left armed would have fired; no preset cell sends an
+    # ACK after the finish, which the ChaosPath property does
+    maybe_send = Connection.maybe_send
+    entries = Counter()
+
+    def entered(conn, now):
+        entries[conn.finished_at is None] += 1
+        return maybe_send(conn, now)
+
+    monkeypatch.setattr(Connection, "maybe_send", entered)
+    for size in ("70K", "2M"):
+        for variant in default_variants():
+            run = TwoFlowRun(PRESETS[scenario], SIZES[size], variant, 0)
+            assert run.run().fct is not None
+            run.sim.run_until(run.sim.now + seconds(1))
+    assert entries[True] > 0 and entries[False] == 0
+
+
 def test_receiver_acks_every_second_packet_and_on_timer():
     sim, link, conn = make_conn(3 * 1350)
     sim.recorder = trace = PacketTrace(only={"deliver", "ack"})
@@ -735,6 +786,41 @@ def test_sent_records_stay_bounded_by_the_window(monkeypatch, cfg):
         assert abs(long[key] - short[key]) <= short[key] // 10
 
 
+def unacked_grid_points(conn):
+    """The grid points of the segments conn sent and has not seen acked.
+
+    Every grid point below next_seq was sent, and each acked range is a
+    union of whole segments, so it starts on the grid.
+    """
+    ranges = conn.acked_ranges.ranges
+    frontier = ranges[0][1] if ranges and ranges[0][0] == 0 else 0
+    points = set(range(frontier, conn.next_seq, SEGMENT_PAYLOAD_BYTES))
+    for start, end in ranges:
+        points.difference_update(range(max(start, frontier), end,
+                                       SEGMENT_PAYLOAD_BYTES))
+    return points
+
+
+def test_records_by_seq_holds_the_segments_sent_and_not_acked(monkeypatch):
+    # on_ack pops each segment it marks acked, and nothing else removes
+    # one; the out-of-order ranges of a lossy cell pop above the frontier
+    on_ack = Connection.on_ack
+    acks = Counter()
+
+    def checked(conn, ack, now):
+        on_ack(conn, ack, now)
+        if not conn.finished:
+            acks[conn.flow_id] += 1
+            assert set(conn.records_by_seq) == unacked_grid_points(conn)
+            assert all(pkt.seq == seq and not pkt.acked
+                       for seq, pkt in conn.records_by_seq.items())
+
+    monkeypatch.setattr(Connection, "on_ack", checked)
+    result = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"],
+                        Variant("blitz", 4.0), 0).run()
+    assert result.lost_pkts > 0 and acks[0] > 0 and acks[1] > 0
+
+
 class ChaosPath:
     """Test-only wrapper around a connection's two directions.
 
@@ -781,18 +867,29 @@ def test_transfer_survives_drop_duplication_and_reordering(
     cfg = LinkConfig(rate_bps=10_000_000, prop_delay=ms(10), buffer_pkts=30)
     sim, link, conn = make_conn(size, cfg=cfg)
     sim.recorder = trace = PacketTrace(only={"send"})
-    seen = {"min_in_flight": 0, "min_cwnd": FLOOR_BYTES}
+    seen = {"min_in_flight": 0, "min_cwnd": FLOOR_BYTES, "finished_sends": 0}
 
     def checked(fn):
         def run(*args):
             fn(*args)
             seen["min_in_flight"] = min(seen["min_in_flight"], conn.in_flight)
             seen["min_cwnd"] = min(seen["min_cwnd"], conn.controller.cwnd)
+            # spurious retransmissions are acked above the largest acked
+            # packet, and a duplicated ACK covers nothing new
+            assert set(conn.records_by_seq) == unacked_grid_points(conn)
         return run
 
     # wrapped before ChaosPath, so the checks follow every ACK that arrives
     conn.on_ack = checked(conn.on_ack)
     conn._on_pto = checked(conn._on_pto)
+    maybe_send = conn.maybe_send
+
+    def sending(now):
+        seen["finished_sends"] += conn.finished_at is not None
+        return maybe_send(now)
+
+    # before the start: the handshake and the pacing timer call it
+    conn.maybe_send = sending
     ChaosPath(sim, link, conn, seed, drop / 1000, dup / 1000, reorder / 1000,
               ms(max_delay_ms) + 1)
     conn.start(0)
@@ -804,6 +901,7 @@ def test_transfer_survives_drop_duplication_and_reordering(
     assert conn.payload_sent == size + conn.bytes_retransmitted
     assert seen["min_cwnd"] >= FLOOR_BYTES
     assert conn.ack_anomalies == 0
+    assert seen["finished_sends"] == 0
     # the payload grid that lets a lost packet be resent whole: every
     # packet, retransmissions too, is [k*1350, min(size, (k+1)*1350))
     for _, _, _, _, seq, length in trace.rows:
@@ -913,6 +1011,10 @@ class TransportMachine(RuleBasedStateMachine):
     @invariant()
     def queued_retransmissions_are_lost_or_acked(self):
         assert all(pkt.lost or pkt.acked for pkt in self.conn.retx_queue)
+
+    @invariant()
+    def records_by_seq_holds_the_segments_sent_and_not_acked(self):
+        assert set(self.conn.records_by_seq) == unacked_grid_points(self.conn)
 
     @invariant()
     def no_ack_anomalies(self):
