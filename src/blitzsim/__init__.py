@@ -12,7 +12,7 @@ from .engine import SimTime, Simulator
 from .harness import (PRESETS, SIZES, RunResult, ScenarioConfig, Variant,
                       aggregate, fairness_ratio, rolling_bandwidth,
                       run_matrix, run_scenario)
-from .netmodel import Link, LinkConfig, Packet, link_utilization
+from .netmodel import Link, LinkConfig, Packet
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         decode_hint, encode_hint)
 from .transport import Connection
@@ -24,6 +24,6 @@ __all__ = [
     "HintDecodeError", "Link", "LinkConfig", "Mode", "Packet", "PRESETS",
     "RunResult", "SIZES", "ScenarioConfig", "SimTime", "Simulator",
     "Variant", "aggregate", "blitzstart_initial_cwnd", "decode_hint",
-    "encode_hint", "fairness_ratio", "link_utilization", "make_controller",
-    "rolling_bandwidth", "run_matrix", "run_scenario",
+    "encode_hint", "fairness_ratio", "make_controller", "rolling_bandwidth",
+    "run_matrix", "run_scenario",
 ]

@@ -13,7 +13,7 @@ from . import harness
 from .congestion import (CUBIC_BETA, FLOOR_BYTES, INITIAL_WINDOW_BYTES,
                          CubicController, Mode, cubic_k_seconds)
 from .engine import NS_PER_MS, PacketTrace, SimTime, seconds
-from .netmodel import SEGMENT_WIRE_BYTES, link_utilization
+from .netmodel import SEGMENT_WIRE_BYTES
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         decode_hint, encode_hint)
 
@@ -79,10 +79,13 @@ def check_rate_conformance(seed: int = 1) -> CheckResult:
     trace = PacketTrace(only={"deliver"})
     conn = harness.single_flow_run(cfg, 1 << 30, seconds(2.5), trace)
     # a packet arrives exactly one propagation delay after it departs, so
-    # arrivals in the shifted window are the departures in [1.0 s, 2.4 s)
+    # arrivals in the shifted window are the departures in [1.0 s, 2.4 s);
+    # rolling_bandwidth's window is closed, so one sample at end - 1 over
+    # end - 1 - start counts exactly the arrivals in [start, end)
     delay = conn.link.config.prop_delay
-    window = (seconds(1.0) + delay, seconds(2.4) + delay)
-    util = link_utilization(trace.deliveries(0), window)
+    start, end = seconds(1.0) + delay, seconds(2.4) + delay
+    [(_t, util)] = harness.rolling_bandwidth(
+        trace.deliveries(0), end - 1 - start, end - 1, start=end - 1)
     rate = cfg.rate_bps
     if not rate * 0.995 <= util <= rate:
         return False, f"utilization {util / 1e6:.3f} Mbit/s vs rate {rate / 1e6}"
@@ -162,12 +165,7 @@ def check_hint_roundtrip(seed: int = 1) -> CheckResult:
     rng = random.Random(seed)
     techs = list(AccessTech)
     for _ in range(FUZZ_CASES):
-        hint = BandwidthHint(
-            access_tech=rng.choice(techs),
-            bandwidth_kbps=rng.randrange(0, 1 << 32),
-            min_rtt_us=(rng.randrange(0, 1 << 32)
-                        if rng.random() < 0.5 else None),
-        )
+        hint = BandwidthHint(rng.choice(techs), rng.randrange(0, 1 << 32))
         if decode_hint(encode_hint(hint)) != hint:
             return False, f"roundtrip failed for {hint}"
     return True, f"{FUZZ_CASES} randomized hints survive encode/decode"

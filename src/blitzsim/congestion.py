@@ -12,7 +12,6 @@ at the boundary. cwnd never drops below two segments.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import Optional
 
 from .engine import NS_PER_MS, NS_PER_S, SimTime
@@ -75,22 +74,16 @@ def hystart_threshold(min_rtt: SimTime, floor: SimTime = HYSTART_FLOOR) -> SimTi
     return max(floor, min_rtt // HYSTART_DIVISOR)
 
 
-def blitzstart_initial_cwnd(bandwidth_kbps: int, factor: float,
-                            min_rtt: SimTime) -> int:
-    """Bandwidth-delay product in bytes, exactly.
+def blitzstart_initial_cwnd(bandwidth_kbps: int, min_rtt: SimTime) -> int:
+    """Bandwidth-delay product in bytes, floored, at least the cwnd floor.
 
-    bandwidth * factor * min_rtt / 8, evaluated in rational arithmetic and
-    floored, then clamped to the two-segment cwnd floor.
+    Exact: every input is an integer.
     """
     if bandwidth_kbps <= 0:
         raise ValueError("bandwidth must be positive")
-    if factor <= 0:
-        raise ValueError("factor must be positive")
     if min_rtt <= 0:
         raise ValueError("min_rtt must be positive")
-    bits = (Fraction(bandwidth_kbps * 1000) * Fraction(factor)
-            * Fraction(min_rtt, NS_PER_S))
-    cwnd = int(bits / 8)
+    cwnd = bandwidth_kbps * 1000 * min_rtt // (8 * NS_PER_S)
     return max(cwnd, FLOOR_BYTES)
 
 
@@ -137,7 +130,7 @@ class CubicController:
         Raises ValueError on a non-positive bandwidth or min RTT.
         """
         ctrl = cls()
-        ctrl.cwnd = blitzstart_initial_cwnd(bandwidth_kbps, 1, min_rtt)
+        ctrl.cwnd = blitzstart_initial_cwnd(bandwidth_kbps, min_rtt)
         ctrl.started_in_avoidance = True
         ctrl._enter_avoidance_at_plateau(now)
         return ctrl
@@ -243,6 +236,6 @@ def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
     baseline Slow Start controller; a usable one selects Blitzstart, sized
     with the handshake's min-RTT sample.
     """
-    if hint is None or not hint.is_usable():
+    if hint is None or hint.bandwidth_kbps <= 0:
         return CubicController(hystart_floor)
     return CubicController.blitzstart(hint.bandwidth_kbps, min_rtt, now)

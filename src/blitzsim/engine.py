@@ -168,7 +168,7 @@ class Simulator:
         """Request the current run_until() call to return after this event."""
         self._stop = True
 
-    def run_until(self, end: Optional[SimTime]) -> int:
+    def run_until(self, end: Optional[SimTime]) -> None:
         """Dispatch every event with fire_at <= end (all events if None).
 
         A live timer entry that pops before its Event's due is not
@@ -179,7 +179,6 @@ class Simulator:
         dispatched, recorded or counted, not even as cancelled.
         The clock finishes at `end` when given, even if the queue drains
         earlier; with end=None it rests at the last dispatched event.
-        Returns the number of events dispatched by this call.
         """
         self._stop = False
         heap = self._heap
@@ -187,7 +186,6 @@ class Simulator:
         record = self.recorder
         if record is not None and "event" not in record.only:
             record = None
-        first = self.dispatched
         bound = math.inf if end is None else end  # one test per event
         while heap:
             if heap[0][0] > bound:
@@ -220,11 +218,10 @@ class Simulator:
             else:
                 fn(arg, fire_at)
             if self._stop:
-                return self.dispatched - first
+                return
         self.seq = self.scheduled
         if end is not None and end > self.now:
             self.now = end
-        return self.dispatched - first
 
 
 def derive_seed(base: int, *labels: object) -> int:

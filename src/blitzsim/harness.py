@@ -172,7 +172,6 @@ class RunResult:
     fairness: Optional[float]
     timeout: bool
     short_start_at: Optional[SimTime] = None
-    sat_at: Optional[SimTime] = None
 
 
 def fairness_ratio(short_bytes: int, long_bytes: int) -> Optional[float]:
@@ -343,12 +342,9 @@ def _bind(func: Callable, obj: object) -> MethodType:
     return MethodType(func, obj)
 
 
-# How freeze() writes the values that are not plain data. A method is its
-# function bound to its object, not getattr(obj, name) as pickle's default
-# would have it: a wrapper patched onto a class under another name would
-# not load. The function is pickled once, and each method names it. A
-# Packet or an Ack is its constructor's arguments, and a packet's flags
-# follow only when one is set.
+# freeze()'s dispatch_table. A method is _bind(func, obj), not pickle's
+# getattr(obj, name): a wrapper patched onto a class under another name
+# would not load.
 _REDUCERS = {MethodType: lambda m: (_bind, (m.__func__, m.__self__)),
              random.Random: _reduce_random,
              Packet: _reduce_packet,
@@ -372,25 +368,13 @@ class TwoFlowRun:
     offset plus a seeded jitter later. Fairness compares the bytes each
     flow sends through the bottleneck while the short flow runs: the
     change in the link's per-flow departed_bytes from the short flow's
-    start to its finish, or to the end of the run. Every hook the link
-    and the connections call is a bound method of this run or of its
-    parts, and each controller factory is a partial of _controller, so
-    freeze() can pickle a run taken at any point, and a run that adopts
-    it calls back only into its own objects.
+    start to its finish, or to the end of the run.
 
-    The seeds depend on (cfg, size, rep) only, and the variant is first
-    read when the short flow's handshake completes, through its
-    controller_factory. So the variants of a group share every event
-    before that: warm_up() runs to just before it, and adopt() gives a
-    fresh run of any variant the frozen state of such a warm run, after
-    which run() finishes it exactly as a cold run of that variant would.
-
-    The run, its parts and the values they hold keep their state in
-    slots, so adopt() sets each slot with setattr and reads no instance
-    dict but the empty ones Link, Connection and Receiver keep for
-    outside hooks. On CPython 3.11, reading the dict of an object without
-    slots moves its attributes into a dict, and every later access to
-    them is slower.
+    The variant is first read when the short flow's handshake completes,
+    so every variant of a group shares the events before it (README,
+    "Warm-up fork"). For freeze() to pickle a run, every hook its parts
+    call must be a bound method of the run or of a part, and every
+    controller factory a partial of _controller.
     """
 
     __slots__ = ("cfg", "variant", "rep", "stop_on_completion",
@@ -514,14 +498,8 @@ class TwoFlowRun:
     def freeze(self) -> Optional[bytes]:
         """Each part's slots and instance dict, pickled for adopt().
 
-        One dump holds them all, so a value two parts share stays shared,
-        and each object of _shared() is pickled as its place there. A
-        partial pickles as its function and arguments, a module-level
-        function by name, and what _REDUCERS names as it says: a bound
-        method, the jitter generator, a Packet and an Ack. A closure, a
-        lambda or a local function, which a copy would share with this
-        run, cannot be pickled, so a run that holds one anywhere, such as
-        a tracer's wrapper, gives None.
+        None when the run holds a closure, a lambda or a local function
+        anywhere, such as a tracer's wrapper: a copy would share it.
         """
         state = [{name: getattr(part, name)
                   for name in _slot_names(type(part))}
@@ -537,17 +515,12 @@ class TwoFlowRun:
             return None
         return out.getvalue()
 
-    def forkable(self) -> bool:
-        """Whether freeze() can pickle this run; the bytes are dropped."""
-        return self.freeze() is not None
-
     def adopt(self, frozen: bytes) -> None:
         """Take over the state freeze() gave, keeping this run's variant.
 
         frozen comes from a run of the same (cfg, size, rep), stopped by
-        warm_up(). It loads over this run's own _shared() objects, and
-        each part sets each loaded attribute with setattr; this run's
-        instance dicts are never read or replaced.
+        warm_up(). Each part's instance dict is never read: on CPython
+        3.11 that would slow every later access to its attributes.
         """
         unpickler = pickle.Unpickler(io.BytesIO(frozen))
         unpickler.persistent_load = self._shared().__getitem__
@@ -584,19 +557,14 @@ class TwoFlowRun:
             fairness=fairness_ratio(short_bytes, long_bytes),
             timeout=not short.finished,
             short_start_at=short.start_at,
-            sat_at=self.sat_at,
         )
 
 
 class _WarmUp:
     """The group (cfg, size_bytes, rep) asked for last, in this process.
 
-    requests counts its run_scenario calls so far, and run is its frozen
-    warm run, once one is kept; it stays None if that run did not pickle.
-    keep_at is the request that keeps it: the first, unless the group
-    before got exactly one request, then the second. A new process starts
-    as if the group before had repeated, so its first group forks from its
-    second request too.
+    run is its frozen warm run once kept, and stays None if that run did
+    not pickle.
     """
     key: Optional[tuple] = None
     requests = 0
@@ -608,17 +576,10 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, trace: Optional[PacketTrace] = None) -> RunResult:
     """One repetition of one matrix cell, recorded into trace if given.
 
-    The variants of a group share their warm-up (see TwoFlowRun), so
-    consecutive calls for one group simulate it once: one call stops at
-    the end of the warm-up, keeps the warm run frozen and finishes, and
-    the later calls build their run and adopt that state. The first call
-    keeps it, unless the group before got exactly one call: such a caller
-    does not repeat groups, so its first call runs cold and the second
-    keeps it. A caller that never repeats a group thus freezes one run,
-    the first of the process, and drops it at its second group. A
-    recorded run runs cold. A run that does not pickle stops at its
-    warm-up, keeps nothing and finishes as it would have cold. A fork
-    adopts only if forkable(): a hook installed after the warm run was
+    Consecutive calls for one group (cfg, size_bytes, rep) simulate its
+    warm-up once: one call keeps its warm run frozen, and the later ones
+    adopt it (README, "Warm-up fork"). A recorded run runs cold. A fork
+    adopts only if it pickles itself: a hook installed after the copy was
     kept, such as a tracer's, would see the fork but not its prefix.
     """
     run = TwoFlowRun(cfg, size_bytes, variant, rep)
@@ -629,7 +590,7 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
         _WarmUp.keep_at = 2 if _WarmUp.requests == 1 else 1
         _WarmUp.key, _WarmUp.requests, _WarmUp.run = key, 0, None
     _WarmUp.requests += 1
-    if _WarmUp.run is not None and run.forkable():
+    if _WarmUp.run is not None and run.freeze() is not None:
         run.adopt(_WarmUp.run)
     # once a run is kept, requests is past keep_at
     elif _WarmUp.requests == _WarmUp.keep_at and run.warm_up():
@@ -936,11 +897,8 @@ def emit_summary_csv(results: Sequence[RunResult], path: Path) -> None:
 
 
 def emit_trace_csv(trace: PacketTrace, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for t, flow, event, pkt_num, seq, length in trace.rows:
-            fh.write(f"{t // NS_PER_US},{flow},{event},{pkt_num},{seq},"
-                     f"{length}\n")
+    write_csv(path, TRACE_HEADER,
+              ((t // NS_PER_US, *rest) for t, *rest in trace.rows))
 
 
 # -- declarative scenario files -------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .engine import NS_PER_S, SimTime, Simulator
 
@@ -220,15 +220,3 @@ class Link:
             if not queue and self.on_occupancy is not None:
                 self.on_occupancy(departure, 0)
 
-
-def link_utilization(samples: Sequence[tuple[SimTime, int]],
-                     window: tuple[SimTime, SimTime]) -> float:
-    """Bits per second carried by the (t, bytes) samples within [start, end)."""
-    start, end = window
-    if end <= start:
-        raise ValueError(f"empty utilization window: [{start}, {end})")
-    total = 0
-    for t, length in samples:
-        if start <= t < end:
-            total += length
-    return total * 8 * NS_PER_S / (end - start)

@@ -1,13 +1,13 @@
 """Client-to-server bandwidth hint: wire format and the oracle estimator.
 
 The hint travels once, at connection establishment, as an opaque transport
-parameter. Layout (big-endian):
+parameter. Layout (big-endian), 6 bytes:
 
-    version u8 (0x01) | access_tech u8 | bandwidth_kbps u32 |
-    flags u8 (bit0: min_rtt present) | [min_rtt_us u32]
+    version u8 (0x01) | access_tech u8 | bandwidth_kbps u32
 
-7 bytes without the RTT sample, 11 with it. bandwidth_kbps == 0 means
-"no estimate"; the receiving side falls back to its regular startup.
+bandwidth_kbps == 0 means "no estimate"; the receiving side falls back to
+its regular startup. A field the server would read goes in under a new
+version.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ import enum
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 HINT_VERSION = 0x01
-_FLAG_MIN_RTT = 0x01
+_WIRE = struct.Struct(">BBI")
 MAX_HINT_KBPS = 0xFFFFFFFF  # the u32 bandwidth_kbps field
 
 
@@ -37,16 +36,12 @@ class AccessTech(enum.IntEnum):
 class BandwidthHint:
     access_tech: AccessTech = AccessTech.UNKNOWN
     bandwidth_kbps: int = 0
-    min_rtt_us: Optional[int] = None
-
-    def is_usable(self) -> bool:
-        return self.bandwidth_kbps > 0
 
 
 class HintDecodeError(ValueError):
     """Structured decode failure; `reason` is one of the REASONS."""
 
-    REASONS = ("truncated", "version", "access_tech", "flags", "trailing")
+    REASONS = ("truncated", "version", "access_tech", "trailing")
 
     def __init__(self, reason: str, detail: str = ""):
         assert reason in self.REASONS
@@ -57,16 +52,7 @@ class HintDecodeError(ValueError):
 def encode_hint(hint: BandwidthHint) -> bytes:
     if not 0 <= hint.bandwidth_kbps <= MAX_HINT_KBPS:
         raise ValueError(f"bandwidth_kbps out of range: {hint.bandwidth_kbps}")
-    flags = 0
-    if hint.min_rtt_us is not None:
-        if not 0 <= hint.min_rtt_us <= 0xFFFFFFFF:
-            raise ValueError(f"min_rtt_us out of range: {hint.min_rtt_us}")
-        flags |= _FLAG_MIN_RTT
-    out = struct.pack(">BBIB", HINT_VERSION, int(hint.access_tech),
-                      hint.bandwidth_kbps, flags)
-    if hint.min_rtt_us is not None:
-        out += struct.pack(">I", hint.min_rtt_us)
-    return out
+    return _WIRE.pack(HINT_VERSION, int(hint.access_tech), hint.bandwidth_kbps)
 
 
 def decode_hint(data: bytes) -> BandwidthHint:
@@ -75,27 +61,19 @@ def decode_hint(data: bytes) -> BandwidthHint:
     Raises HintDecodeError on anything else; never any other exception,
     whatever the input bytes are.
     """
-    if len(data) < 7:
-        raise HintDecodeError("truncated", f"{len(data)} bytes, need 7")
-    version, tech, kbps, flags = struct.unpack(">BBIB", data[:7])
+    if len(data) < _WIRE.size:
+        raise HintDecodeError("truncated",
+                              f"{len(data)} bytes, need {_WIRE.size}")
+    version, tech, kbps = _WIRE.unpack_from(data)
     if version != HINT_VERSION:
         raise HintDecodeError("version", f"0x{version:02x}")
     try:
         access = AccessTech(tech)
     except ValueError:
         raise HintDecodeError("access_tech", str(tech)) from None
-    if flags & ~_FLAG_MIN_RTT:
-        raise HintDecodeError("flags", f"0x{flags:02x}")
-    min_rtt = None
-    expected_len = 7
-    if flags & _FLAG_MIN_RTT:
-        expected_len = 11
-        if len(data) < 11:
-            raise HintDecodeError("truncated", f"{len(data)} bytes, need 11")
-        (min_rtt,) = struct.unpack(">I", data[7:11])
-    if len(data) != expected_len:
-        raise HintDecodeError("trailing", f"{len(data) - expected_len} bytes")
-    return BandwidthHint(access, kbps, min_rtt)
+    if len(data) != _WIRE.size:
+        raise HintDecodeError("trailing", f"{len(data) - _WIRE.size} bytes")
+    return BandwidthHint(access, kbps)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ from collections import defaultdict
 import pytest
 
 from blitzsim import checks
-from blitzsim.congestion import FLOOR_BYTES, Mode, blitzstart_initial_cwnd
+from blitzsim.congestion import FLOOR_BYTES, Mode, make_controller
 from blitzsim.engine import NS_PER_MS, NS_PER_S, ms, seconds
 from blitzsim.harness import (PRESETS, SIZES, PacketTrace, TwoFlowRun,
                               Variant, default_variants, replace,
                               rolling_bandwidth, run_matrix, single_flow_run)
+from blitzsim.signaling import (AccessTech, BandwidthHint, OracleEstimator,
+                                decode_hint, encode_hint)
 
 JOBS = os.cpu_count() or 2
 
@@ -208,7 +210,11 @@ def test_criterion_8_property_suite_under_a_minute(capsys):
 
 
 def test_criterion_9_bdp_arithmetic_oracle():
-    """blitzstart windows against an independent integer recomputation."""
+    """blitzstart windows against an independent integer recomputation.
+
+    Each window takes the matrix's path: the oracle's estimate, encoded
+    and decoded as the hint, and the server's controller for it.
+    """
     ratios = {0.5: (1, 2), 1.0: (1, 1), 1.5: (3, 2), 3.0: (3, 1), 4.0: (4, 1)}
     floor = FLOOR_BYTES
     bandwidths = [1, 2, 5, 10, 25, 50, 100, 320, 700, 1000]  # Mbit/s
@@ -221,7 +227,10 @@ def test_criterion_9_bdp_arithmetic_oracle():
             for factor, (num, den) in ratios.items():
                 expected = (kbps * 1000 * rtt_ns * num) // (den * 8 * 10**9)
                 expected = max(expected, floor)
-                got = blitzstart_initial_cwnd(kbps, factor, rtt_ns)
+                hint = BandwidthHint(AccessTech.DSL,
+                                     OracleEstimator(factor).estimate(kbps))
+                got = make_controller(decode_hint(encode_hint(hint)), rtt_ns,
+                                      0).cwnd
                 assert got == expected, (kbps, rtt_ms, factor, got, expected)
                 points += 1
     _verdict("criterion-9", True,

@@ -274,10 +274,11 @@ def test_paired_seeding_same_start_jitter_across_variants():
 
 def test_short_flow_waits_for_saturation():
     cfg = PRESETS["dsl-fast"]
-    r = run_scenario(cfg, FAST70K, Variant("baseline"), rep=0)
-    assert r.sat_at is not None
-    assert r.sat_at >= 2 * cfg.rtt
-    assert r.short_start_at >= r.sat_at + cfg.short_flow_start
+    run = TwoFlowRun(cfg, FAST70K, Variant("baseline"), rep=0)
+    r = run.run()
+    assert run.sat_at is not None
+    assert run.sat_at >= 2 * cfg.rtt
+    assert r.short_start_at >= run.sat_at + cfg.short_flow_start
 
 
 def test_fct_lower_bound_two_round_trips():
@@ -340,11 +341,12 @@ def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
     # so both end exactly as an unforked run
     cell = (PRESETS["dsl-fast"], FAST70K, Variant("blitz", 4.0), 3)
     ref_trace = PacketTrace(only=ALL_ROWS)
-    ref = TwoFlowRun(*cell).run(ref_trace)
+    ref_run = TwoFlowRun(*cell)
+    ref = ref_run.run(ref_trace)
     run = TwoFlowRun(*cell)
     run.sim.recorder = PacketTrace(only=ALL_ROWS)
-    run.sim.run_until(ref.sat_at)
-    assert run.sat_at == ref.sat_at and run.short_conn.start_at is None
+    run.sim.run_until(ref_run.sat_at)
+    assert run.sat_at == ref_run.sat_at and run.short_conn.start_at is None
     fork = TwoFlowRun(*cell)
     fork.adopt(run.freeze())
     for each in (fork, run):
@@ -360,7 +362,7 @@ def _counters(run):
             [(conn.pkts_sent, conn.bytes_acked, conn.payload_sent,
               conn.acks_received, conn.bytes_retransmitted, conn.lost_pkts)
              for conn in (run.long_conn, run.short_conn)],
-            (sim.scheduled, sim.cancelled, sim.dispatched))
+            (sim.scheduled, sim.cancelled, sim.dispatched), run.sat_at)
 
 
 FORK_CELLS = ([(seed, name, "70K", rep) for seed in (1, 7) for name in PRESETS
@@ -375,7 +377,7 @@ def test_a_forked_run_equals_a_cold_run(seed, scenario, size, rep):
     cfg = replace(PRESETS[scenario], seed_base=seed)
     variants = default_variants()
     warm = TwoFlowRun(cfg, SIZES[size], variants[0], rep)
-    assert warm.warm_up() and warm.forkable()
+    assert warm.warm_up() and warm.freeze() is not None
     done = warm.sim.now + 1  # the short flow's handshake completes here
     assert warm.short_conn.start_at + warm.short_conn.handshake_rtt == done
     assert warm.short_conn.controller is None
@@ -417,7 +419,7 @@ def test_a_forked_run_equals_a_cold_run_on_generated_scenarios(
         cfg, size, rep, factor):
     warm = TwoFlowRun(cfg, size, Variant("baseline"), rep)
     assume(warm.warm_up())
-    assert warm.forkable()
+    assert warm.freeze() is not None
     done = warm.sim.now + 1
     for variant in (Variant("baseline"), Variant("blitz", factor)):
         cold = TwoFlowRun(cfg, size, variant, rep)
@@ -550,8 +552,8 @@ def test_a_plain_function_hook_on_a_part_keeps_the_group_cold(
 
     monkeypatch.setattr(TwoFlowRun, "__init__", hooked)
     run = TwoFlowRun(cfg, FAST70K, variants[0], 0)
-    assert not run.forkable()
-    assert run.warm_up() and not run.forkable()
+    assert run.freeze() is None
+    assert run.warm_up() and run.freeze() is None
     adopted = _record(monkeypatch, "adopt")
     assert [run_scenario(cfg, FAST70K, v, 0) for v in variants] == expected
     assert adopted == [] and harness._WarmUp.run is None

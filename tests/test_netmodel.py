@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blitzsim.engine import NS_PER_S, Simulator, ms, seconds, us
-from blitzsim.netmodel import (FlowCounters, Link, LinkConfig, Packet,
-                               link_utilization)
+from blitzsim.harness import rolling_bandwidth
+from blitzsim.netmodel import FlowCounters, Link, LinkConfig, Packet
 
 DSL_FAST = LinkConfig(rate_bps=50_000_000, prop_delay=ms(25), buffer_pkts=208)
 
@@ -34,6 +34,17 @@ def _link(sim, config=DSL_FAST, flows=(0,)):
 
 def _pkt(num, length=1500, flow=0):
     return Packet(flow, num * 1350, length, num, payload_len=min(length, 1350))
+
+
+def _rate(samples, start, end):
+    """Bits per second of the (t, bytes) samples in [start, end).
+
+    Read as the rate-conformance check reads it: one sample of
+    rolling_bandwidth's closed window [start, end - 1].
+    """
+    [(_t, rate)] = rolling_bandwidth(samples, end - 1 - start, end - 1,
+                                     start=end - 1)
+    return rate
 
 
 def _enqueue(link, pkt, now, departures):
@@ -184,28 +195,27 @@ def test_utilization_of_saturated_link_within_half_percent():
 
     sim.schedule(0, "app-start", "src", refill)
     sim.run_until(seconds(2))
-    util = link_utilization(departures, (seconds(0.5), seconds(1.9)))
+    util = _rate(departures, seconds(0.5), seconds(1.9))
     assert 50e6 * 0.995 <= util <= 50e6
 
 
 def test_utilization_single_packet_in_one_ms_window():
-    # 1500*8/0.001 = 12 Mbit/s
+    # 1500*8 bits over the 1 ms window less its open end's 1 ns: 12 Mbit/s
     sim = Simulator()
     link = _link(sim)
     departures = []
     _enqueue(link, _pkt(0), 0, departures)
     sim.run_until(None)
-    util = link_utilization(departures, (0, ms(1)))
-    assert util == pytest.approx(12e6)
+    assert _rate(departures, 0, ms(1)) == 1500 * 8 * NS_PER_S / (ms(1) - 1)
 
 
 def test_utilization_empty_window_is_zero():
-    assert link_utilization([], (0, seconds(1))) == 0.0
-
-
-def test_utilization_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        link_utilization([], (ms(5), ms(5)))
+    # the window is half-open: a sample at its start counts, one at its
+    # end does not
+    outside = [(ms(5) - 1, 1500), (ms(10), 1500)]
+    assert _rate(outside, ms(5), ms(10)) == 0.0
+    edges = [(ms(5), 1500), (ms(10) - 1, 1500)]
+    assert _rate(edges, ms(5), ms(10)) == 2 * 1500 * 8 * NS_PER_S / (ms(5) - 1)
 
 
 def test_occupancy_never_exceeds_buffer():

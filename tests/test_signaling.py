@@ -9,48 +9,35 @@ from blitzsim.signaling import (AccessTech, BandwidthHint, HintDecodeError,
 
 def test_encode_dsl_50mbit_no_rtt():
     wire = encode_hint(BandwidthHint(AccessTech.DSL, 50_000))
-    assert wire == bytes.fromhex("010200 00c350 00".replace(" ", ""))
-    assert len(wire) == 7
+    assert wire == bytes.fromhex("0102 0000c350".replace(" ", ""))
+    assert len(wire) == 6
 
 
 def test_encode_empty_hint():
     wire = encode_hint(BandwidthHint(AccessTech.UNKNOWN, 0))
-    assert wire == bytes.fromhex("01000000000000")
-
-
-def test_encode_lte_with_min_rtt():
-    wire = encode_hint(BandwidthHint(AccessTech.LTE, 32_000, 70_000))
-    assert wire == bytes.fromhex("0106 00007d00 01 00011170".replace(" ", ""))
-    assert len(wire) == 11
+    assert wire == bytes.fromhex("010000000000")
 
 
 def test_encode_rejects_out_of_range():
     with pytest.raises(ValueError):
         encode_hint(BandwidthHint(AccessTech.DSL, 1 << 32))
     with pytest.raises(ValueError):
-        encode_hint(BandwidthHint(AccessTech.DSL, 1, min_rtt_us=1 << 32))
+        encode_hint(BandwidthHint(AccessTech.DSL, -1))
 
 
 # -- decoding ---------------------------------------------------------------------
 
 def test_roundtrip_simple():
     for hint in (BandwidthHint(AccessTech.CABLE, 123_456),
-                 BandwidthHint(AccessTech.WIFI, 1, 0),
-                 BandwidthHint(AccessTech.THREE_G, 0xFFFFFFFF, 0xFFFFFFFF)):
+                 BandwidthHint(AccessTech.WIFI, 1),
+                 BandwidthHint(AccessTech.THREE_G, 0xFFFFFFFF)):
         assert decode_hint(encode_hint(hint)) == hint
 
 
 def test_truncated_input_raises_structured_error():
     wire = encode_hint(BandwidthHint(AccessTech.DSL, 50_000))
     with pytest.raises(HintDecodeError) as err:
-        decode_hint(wire[:6])
-    assert err.value.reason == "truncated"
-
-
-def test_truncated_rtt_extension():
-    wire = encode_hint(BandwidthHint(AccessTech.LTE, 32_000, 70_000))
-    with pytest.raises(HintDecodeError) as err:
-        decode_hint(wire[:9])
+        decode_hint(wire[:5])
     assert err.value.reason == "truncated"
 
 
@@ -70,26 +57,19 @@ def test_unknown_access_tech_rejected():
     assert err.value.reason == "access_tech"
 
 
-def test_unknown_flags_rejected():
-    wire = bytearray(encode_hint(BandwidthHint(AccessTech.DSL, 50_000)))
-    wire[6] = 0x02
-    with pytest.raises(HintDecodeError) as err:
-        decode_hint(bytes(wire))
-    assert err.value.reason == "flags"
-
-
 def test_trailing_bytes_rejected():
-    wire = encode_hint(BandwidthHint(AccessTech.DSL, 50_000)) + b"\x00"
-    with pytest.raises(HintDecodeError) as err:
-        decode_hint(wire)
-    assert err.value.reason == "trailing"
+    wire = encode_hint(BandwidthHint(AccessTech.DSL, 50_000))
+    # the earlier layouts: a flags byte, then min_rtt_us when bit 0 is set
+    for blob in (wire + b"\x00", wire + bytes.fromhex("01 00011170")):
+        with pytest.raises(HintDecodeError) as err:
+            decode_hint(blob)
+        assert err.value.reason == "trailing"
 
 
 hints = st.builds(
     BandwidthHint,
     access_tech=st.sampled_from(list(AccessTech)),
     bandwidth_kbps=st.integers(0, 0xFFFFFFFF),
-    min_rtt_us=st.one_of(st.none(), st.integers(0, 0xFFFFFFFF)),
 )
 
 

@@ -10,13 +10,13 @@ def test_design_metrics_prints_every_figure():
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     figures = dict(line.split() for line in out.stdout.splitlines())
-    assert set(figures) == {"src_lines", "settable_values",
+    assert set(figures) == {"src_lines", "src_prose_lines", "settable_values",
                             "dispatched_per_data_packet",
                             "cancelled_per_data_packet",
                             "calls_per_data_packet",
                             "c_calls_per_data_packet", "range_adds_per_ack",
                             "frozen_warm_run_bytes"}
-    assert int(figures["src_lines"]) > 0
+    assert 0 < int(figures["src_prose_lines"]) < int(figures["src_lines"])
     assert int(figures["settable_values"]) > 0
     # a data packet's injection and arrival, an ACK's arrival per two
     # packets and the pacing timer: its departure is no event

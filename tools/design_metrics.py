@@ -4,6 +4,12 @@ Usage: python3 tools/design_metrics.py   (standard library only, no flags)
 
 src_lines
     Lines of src/blitzsim/*.py, as `wc -l` counts them.
+src_prose_lines
+    The lines of src_lines that hold a comment or a docstring and no code,
+    found with `tokenize`. A docstring is a string that makes up a whole
+    statement; each line it spans counts. A line with code and a trailing
+    comment is code. So src_lines - src_prose_lines is the code and blank
+    lines.
 settable_values
     Values a caller or user can set independently, counted with `ast`:
     - every parameter (positional-only, positional, keyword-only, *args
@@ -67,6 +73,7 @@ from __future__ import annotations
 
 import ast
 import sys
+import tokenize
 from functools import lru_cache
 from pathlib import Path
 
@@ -77,6 +84,36 @@ PKG = SRC / "blitzsim"
 def src_lines() -> int:
     return sum(path.read_bytes().count(b"\n")
                for path in sorted(PKG.glob("*.py")))
+
+
+# tokens that neither hold prose nor make a line code
+_LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def src_prose_lines() -> int:
+    total = 0
+    for path in sorted(PKG.glob("*.py")):
+        with path.open("rb") as fh:
+            tokens = list(tokenize.tokenize(fh.readline))
+        prose: set[int] = set()
+        code: set[int] = set()
+        # a docstring follows a statement's end, with only comments between
+        after_statement = True
+        for tok, nxt in zip(tokens, tokens[1:]):
+            if tok.type in _LAYOUT:
+                after_statement |= tok.type != tokenize.NL
+                continue
+            lines = range(tok.start[0], tok.end[0] + 1)
+            if tok.type == tokenize.COMMENT or (
+                    tok.type == tokenize.STRING and after_statement
+                    and nxt.type in (tokenize.NEWLINE, tokenize.COMMENT)):
+                prose.update(lines)
+            else:
+                code.update(lines)
+            after_statement = after_statement and tok.type == tokenize.COMMENT
+        total += len(prose - code)
+    return total
 
 
 def _params(fn: ast.FunctionDef | ast.AsyncFunctionDef, method: bool) -> int:
@@ -226,6 +263,7 @@ def frozen_warm_run_bytes() -> int:
 
 def main() -> int:
     print(f"src_lines {src_lines()}")
+    print(f"src_prose_lines {src_prose_lines()}")
     print(f"settable_values {settable_values()}")
     print(f"dispatched_per_data_packet {dispatched_per_data_packet():.2f}")
     print(f"cancelled_per_data_packet {cancelled_per_data_packet():.4f}")
