@@ -173,9 +173,17 @@ def check_hint_roundtrip(seed: int = 1) -> CheckResult:
 
 def check_decode_totality(seed: int = 2) -> CheckResult:
     rng = random.Random(seed)
+    techs = list(AccessTech)
     decoded = 0
     for _ in range(FUZZ_CASES):
-        blob = rng.randbytes(rng.randrange(0, 65))
+        if rng.randrange(2):
+            blob = rng.randbytes(rng.randrange(0, 65))
+        else:  # a valid hint with one byte changed, cut out or added
+            blob = bytearray(encode_hint(BandwidthHint(
+                rng.choice(techs), rng.randrange(0, 1 << 32))))
+            at = rng.randrange(len(blob))
+            cut, add = rng.choice(((1, 1), (1, 0), (0, 1)))
+            blob[at:at + cut] = rng.randbytes(add)
         try:
             decode_hint(blob)
             decoded += 1
@@ -183,7 +191,8 @@ def check_decode_totality(seed: int = 2) -> CheckResult:
             pass
         except Exception as exc:  # noqa: BLE001 - the check is the point
             return False, f"decode raised {type(exc).__name__} on {blob.hex()}"
-    return True, f"{FUZZ_CASES} arbitrary inputs handled ({decoded} decoded cleanly)"
+    return True, (f"{FUZZ_CASES} random or near-valid inputs handled "
+                  f"({decoded} decoded cleanly)")
 
 
 ALL_CHECKS: list[tuple[str, Callable[..., CheckResult]]] = [

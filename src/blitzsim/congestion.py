@@ -120,21 +120,6 @@ class CubicController:
         self.congestion_events = 0
         self.mode_trace: list[tuple[SimTime, Mode]] = []
 
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def blitzstart(cls, bandwidth_kbps: int, min_rtt: SimTime,
-                   now: SimTime) -> "CubicController":
-        """Skip Slow Start: window = hinted BDP, mode = congestion avoidance.
-
-        Raises ValueError on a non-positive bandwidth or min RTT.
-        """
-        ctrl = cls()
-        ctrl.cwnd = blitzstart_initial_cwnd(bandwidth_kbps, min_rtt)
-        ctrl.started_in_avoidance = True
-        ctrl._enter_avoidance_at_plateau(now)
-        return ctrl
-
     # -- state transitions --------------------------------------------------
 
     def _set_mode(self, mode: Mode, now: SimTime) -> None:
@@ -233,9 +218,13 @@ def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
     """Controller selection as the server would do it.
 
     A missing or unusable hint (no estimate, zero bandwidth) selects the
-    baseline Slow Start controller; a usable one selects Blitzstart, sized
-    with the handshake's min-RTT sample.
+    baseline Slow Start controller; a usable one selects Blitzstart, in
+    congestion avoidance at the hinted BDP, sized with the handshake's
+    min-RTT sample (ValueError if that is not positive).
     """
-    if hint is None or hint.bandwidth_kbps <= 0:
-        return CubicController(hystart_floor)
-    return CubicController.blitzstart(hint.bandwidth_kbps, min_rtt, now)
+    ctrl = CubicController(hystart_floor)
+    if hint is not None and hint.bandwidth_kbps > 0:
+        ctrl.cwnd = blitzstart_initial_cwnd(hint.bandwidth_kbps, min_rtt)
+        ctrl.started_in_avoidance = True
+        ctrl._enter_avoidance_at_plateau(now)
+    return ctrl

@@ -20,7 +20,7 @@ import re
 import statistics
 import struct
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import cache, partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -212,29 +212,10 @@ def rolling_bandwidth(deliveries: Sequence[tuple[SimTime, int]],
 
 def check_variants(scenarios: Sequence[ScenarioConfig],
                    variants: Sequence[Variant]) -> None:
-    """ValueError for a blitz variant whose estimate no hint can carry.
-
-    An estimate of 0 kbps is unusable, so the short flow would run Slow
-    Start under the blitz label; one above the hint's u32 field cannot be
-    encoded at all.
-    """
+    """Build each (scenario, variant) factory: ValueError if one fails."""
     for cfg in scenarios:
         for variant in variants:
-            if variant.kind != "blitz":
-                continue
-            kbps = OracleEstimator(variant.factor).estimate(
-                cfg.bottleneck_kbps)
-            if kbps == 0:
-                raise ValueError(
-                    f"variant {variant.label()} estimates 0 kbps on scenario "
-                    f"{cfg.name!r} ({cfg.bottleneck_kbps} kbps); "
-                    "use a larger factor")
-            if kbps > MAX_HINT_KBPS:
-                raise ValueError(
-                    f"variant {variant.label()} estimates {kbps} kbps on "
-                    f"scenario {cfg.name!r} ({cfg.bottleneck_kbps} kbps), "
-                    f"above the hint's {MAX_HINT_KBPS} kbps; "
-                    "use a smaller factor")
+            _controller_factory(cfg, variant)
 
 
 def _controller(floor: SimTime, wire: Optional[bytes], min_rtt: SimTime,
@@ -254,18 +235,29 @@ def _controller(floor: SimTime, wire: Optional[bytes], min_rtt: SimTime,
     return make_controller(hint, min_rtt, now, hystart_floor=floor)
 
 
-def _short_controller_factory(cfg: ScenarioConfig, variant: Variant) -> partial:
-    """Build the short flow's controller the way the wire protocol would.
+def _controller_factory(cfg: ScenarioConfig, variant: Variant) -> partial:
+    """The controller factory of a flow of variant on cfg.
 
-    For the blitz variant the bandwidth estimate is produced by the oracle
-    estimator, encoded as the transport parameter, and decoded again on the
-    server side; the baseline sends no hint.
+    A blitz variant's oracle estimate goes on the wire as the hint, which
+    _controller decodes; the baseline sends none. ValueError for an
+    estimate no hint can carry: 0 kbps would run Slow Start under the
+    blitz label, and the u32 field cannot hold one above MAX_HINT_KBPS.
     """
     wire = None
-    if variant.kind != "baseline":
-        estimator = OracleEstimator(variant.factor)
-        wire = encode_hint(BandwidthHint(
-            cfg.access_tech, estimator.estimate(cfg.bottleneck_kbps)))
+    if variant.kind == "blitz":
+        kbps = OracleEstimator(variant.factor).estimate(cfg.bottleneck_kbps)
+        if kbps == 0:
+            raise ValueError(
+                f"variant {variant.label()} estimates 0 kbps on scenario "
+                f"{cfg.name!r} ({cfg.bottleneck_kbps} kbps); "
+                "use a larger factor")
+        if kbps > MAX_HINT_KBPS:
+            raise ValueError(
+                f"variant {variant.label()} estimates {kbps} kbps on "
+                f"scenario {cfg.name!r} ({cfg.bottleneck_kbps} kbps), "
+                f"above the hint's {MAX_HINT_KBPS} kbps; "
+                "use a smaller factor")
+        wire = encode_hint(BandwidthHint(cfg.access_tech, kbps))
     return partial(_controller, cfg.hystart_floor, wire)
 
 
@@ -399,11 +391,11 @@ class TwoFlowRun:
         self.start_jitter = start_rng.randrange(0, jitter_max + 1)
         jitter = JitterDraw(pkt_rng, cfg.pkt_jitter_max)
         self.long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
-                                    partial(_controller, cfg.hystart_floor,
-                                            None),
+                                    _controller_factory(cfg,
+                                                        Variant("baseline")),
                                     jitter=jitter)
         self.short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
-                                     _short_controller_factory(cfg, variant),
+                                     _controller_factory(cfg, variant),
                                      jitter=jitter)
         self.sat_at: Optional[SimTime] = None
         self.sat_check = None  # the saturation check's Event, once armed
@@ -606,7 +598,7 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
     link = Link(sim, cfg.link_config())
     pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
     conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
-                      partial(_controller, cfg.hystart_floor, None),
+                      _controller_factory(cfg, Variant("baseline")),
                       jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max))
     conn.start(0)
     sim.run_until(duration)
@@ -870,22 +862,10 @@ def summarize(results: Sequence[RunResult]) -> list[dict]:
             except ValueError:
                 stats = None
             if stats is not None:
-                row.update({
-                    "fct_factor": stats.fct.factor,
-                    "fct_delta_us": stats.fct.delta,
-                    "fct_ci_lo_us": stats.fct.ci_lo,
-                    "fct_ci_hi_us": stats.fct.ci_hi,
-                    "fct_significant": int(stats.fct.significant),
-                    "fct_anova_f": stats.fct.anova_f,
-                    "fct_anova_p": stats.fct.anova_p,
-                    "loss_factor": stats.loss.factor,
-                    "loss_delta_pkts": stats.loss.delta,
-                    "loss_ci_lo": stats.loss.ci_lo,
-                    "loss_ci_hi": stats.loss.ci_hi,
-                    "loss_significant": int(stats.loss.significant),
-                    "loss_anova_f": stats.loss.anova_f,
-                    "loss_anova_p": stats.loss.anova_p,
-                })
+                for fields, metric in ((SUMMARY_FIELDS[8:15], stats.fct),
+                                       (SUMMARY_FIELDS[15:22], stats.loss)):
+                    row.update(zip(fields, astuple(metric)))
+                    row[fields[4]] = int(metric.significant)
         rows.append(row)
     return rows
 

@@ -54,8 +54,6 @@ class RangeSet:
         their place. In-order data and a growing ACK range, which only move
         the last range's end, are extended inline by their callers.
         """
-        if end <= start:
-            return []
         ranges = self.ranges
         lo = bisect.bisect_left(ranges, (start,))
         if lo and ranges[lo - 1][1] >= start:

@@ -204,14 +204,17 @@ def test_blitzstart_clamps_to_floor():
 
 
 def test_blitzstart_controller_starts_in_avoidance():
-    ctrl = CubicController.blitzstart(50_000, ms(50), now=0)
+    ctrl = make_controller(BandwidthHint(AccessTech.DSL, 50_000), ms(50), 0)
     assert ctrl.mode is Mode.AVOIDANCE
     assert ctrl.started_in_avoidance
     assert ctrl.cwnd == 312_500
+    # the scenario's floor, which only Slow Start reads, is carried along
+    assert make_controller(BandwidthHint(AccessTech.DSL, 50_000), ms(50), 0,
+                           hystart_floor=ms(9)).hystart_floor == ms(9)
 
 
 def test_blitzstart_never_enters_slow_start():
-    ctrl = CubicController.blitzstart(32_000, ms(70), now=0)
+    ctrl = make_controller(BandwidthHint(AccessTech.LTE, 32_000), ms(70), 0)
     rng_now = 0
     for i in range(200):
         rng_now += ms(10)
@@ -239,8 +242,9 @@ def test_blitzstart_rejects_bad_config():
     for bandwidth_kbps, min_rtt in ((0, ms(50)), (50_000, 0)):
         with pytest.raises(ValueError):
             blitzstart_initial_cwnd(bandwidth_kbps, min_rtt)
-        with pytest.raises(ValueError):
-            CubicController.blitzstart(bandwidth_kbps, min_rtt, 0)
+    # a zero bandwidth is no hint, so only the min RTT reaches the formula
+    with pytest.raises(ValueError):
+        make_controller(BandwidthHint(AccessTech.DSL, 50_000), 0, 0)
 
 
 @given(bw=st.integers(1, 16_000_000), rtt_ms=st.integers(1, 2_000))

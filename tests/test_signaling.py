@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blitzsim.checks import check_decode_totality
 from blitzsim.signaling import (AccessTech, BandwidthHint, HintDecodeError,
                                 OracleEstimator, decode_hint, encode_hint)
 
@@ -89,6 +90,14 @@ def test_decode_totality(blob):
         assert isinstance(hint, BandwidthHint)
     except HintDecodeError:
         pass
+
+
+def test_validate_decode_totality_decodes_some_inputs():
+    # half its inputs are valid hints with one byte edited, so some decode
+    ok, detail = check_decode_totality(seed=2)
+    assert ok
+    decoded = int(detail.split("(")[1].split()[0])
+    assert 0 < decoded < 100_000
 
 
 # -- estimators ---------------------------------------------------------------------

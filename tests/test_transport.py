@@ -9,13 +9,14 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from blitzsim.congestion import (FLOOR_BYTES, PACE_AVOIDANCE, PACE_SLOW_START,
-                                 CubicController)
+                                 CubicController, make_controller)
 from blitzsim.engine import PacketTrace, Simulator, ms, seconds, us
 from blitzsim.harness import (PRESETS, SIZES, JitterDraw, TwoFlowRun,
                               Variant, default_variants, single_flow_run)
 from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
                                SEGMENT_WIRE_BYTES, FlowCounters, Link,
                                LinkConfig, Packet)
+from blitzsim.signaling import AccessTech, BandwidthHint
 from blitzsim.transport import (ACK_EVERY, MAX_ACK_DELAY, Ack, Connection,
                                  RangeSet, Receiver)
 
@@ -119,6 +120,17 @@ def test_rangeset_hole_fill_merges():
     added = rs.add(1350, 2700)
     assert added == [(1350, 2700)]
     assert rs.ranges == [(0, 4050)]
+
+
+def test_rangeset_empty_or_inverted_range_changes_nothing():
+    rs = RangeSet()
+    rs.add(0, 1350)
+    rs.add(2700, 4050)
+    for start, end in ((500, 500), (1350, 1350), (2000, 2000), (3000, 1000),
+                       (5000, 4000), (1000, 500)):
+        assert rs.add(start, end) == []
+        assert rs.ranges == [(0, 1350), (2700, 4050)]
+        assert rs.total == 2700
 
 
 def test_rangeset_partial_overlap_counts_only_new_bytes():
@@ -612,9 +624,6 @@ def test_receiver_acks_every_second_packet_and_on_timer():
 def test_first_flight_symmetry_with_window_equivalent_hint():
     # a hint worth exactly the default initial window injects the same
     # first-round packet count as the baseline: floor(cwnd / segment)
-    from blitzsim.congestion import make_controller
-    from blitzsim.signaling import AccessTech, BandwidthHint
-
     def first_rtt_sends(factory):
         sim, link, conn = make_conn(1 << 20, controller=factory)
         conn.start(0)
@@ -748,6 +757,66 @@ def test_every_pto_that_runs_declares_a_loss(monkeypatch, scenario, ptos):
     TwoFlowRun(replace(PRESETS[scenario], seed_base=1), SIZES["70K"],
                Variant("blitz", 3.0), 0).run()
     assert losses == [1] * ptos
+
+
+def test_a_pto_can_find_nothing_outstanding(monkeypatch):
+    # A PTO declares the last outstanding packet lost behind a closed
+    # pacing gate, and the re-armed PTO fires before the gate opens: the
+    # gap was set by a send whose srtt late ACKs had inflated to about
+    # 40 s, and the PTO counts from an srtt that the next ACKs shrank to a
+    # few ms. The path holds each packet as long as the test likes, and
+    # each ACK carries every segment received and the largest packet
+    # number received.
+    on_pto = Connection._on_pto
+    ptos = []  # (in_flight before, losses declared) per PTO
+
+    def counted(conn, now):
+        in_flight, lost = conn.in_flight, conn.lost_pkts
+        on_pto(conn, now)
+        ptos.append((in_flight, conn.lost_pkts - lost))
+
+    monkeypatch.setattr(Connection, "_on_pto", counted)
+    sim = Simulator()
+    link = StubLink(LinkConfig(rate_bps=10_000_000, prop_delay=ms(10),
+                               buffer_pkts=30))
+    hint = BandwidthHint(AccessTech.DSL, 120_000)  # a 200-segment window
+    conn = Connection(sim, 0, link, 1000 * SEGMENT_PAYLOAD_BYTES,
+                      lambda mr, now: make_controller(hint, mr, now),
+                      JitterDraw(random.Random(0), 0))
+    received, largest = RangeSet(), -1
+
+    def receive(pkt_num):
+        nonlocal largest
+        pkt = link.held[pkt_num]
+        received.add(pkt.seq, pkt.seq + pkt.payload_len)
+        largest = max(largest, pkt_num)
+        conn.on_ack(Ack(list(received.ranges), largest), sim.now)
+
+    conn.start(0)
+    sim.run_until(ms(40))  # packets 0-199 are out, packet n with segment n
+    for n in range(147, 151):  # RACK declares 0-146 lost
+        receive(n)
+    sim.run_until(seconds(40))  # backed-off PTOs declare a few more
+    first = conn.pkts_sent
+    for n in range(147):  # the originals, late: their ACKs take no RTT
+        receive(n)        # sample, and free the window their resends held
+    while conn.in_flight + SEGMENT_WIRE_BYTES <= conn.controller.cwnd:
+        sim.run_until(conn.next_release)
+    fresh = range(first, conn.pkts_sent)  # sent about 0.1 ms apart
+    for n in range(151, 199):  # the rest of the first flight, 40 s late
+        receive(n)
+    assert conn.srtt > seconds(39)
+    sim.run_until(conn.next_release)
+    gate, sent = conn.next_release, conn.pkts_sent
+    for n in fresh:
+        sim.run_until(sim.now + us(10))
+        receive(n)
+    assert conn.srtt < ms(5) and conn.in_flight == SEGMENT_WIRE_BYTES
+    sim.run_until(gate - 1)
+    assert ptos[-2:] == [(SEGMENT_WIRE_BYTES, 1), (0, 0)]
+    assert conn.pkts_sent == sent and conn._pto_event.seq == -1
+    sim.run_until(gate)  # the resend goes, and the PTO is armed again
+    assert conn.pkts_sent == sent + 1 and conn._pto_event.seq != -1
 
 
 # -- bounded state ------------------------------------------------------------------
