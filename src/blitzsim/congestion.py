@@ -97,9 +97,8 @@ class CubicController:
 
     __slots__ = ("hystart_floor", "mode", "pacing_fraction", "cwnd",
                  "w_max_segments", "epoch_start", "cubic_k",
-                 "recovery_until_pkt_num", "started_in_avoidance", "_min_rtt",
-                 "_round_end_pkt", "_round_exceed_count", "congestion_events",
-                 "mode_trace")
+                 "recovery_until_pkt_num", "_min_rtt", "_round_end_pkt",
+                 "_round_exceed_count", "congestion_events", "mode_trace")
 
     def __init__(self, hystart_floor: SimTime = HYSTART_FLOOR):
         self.hystart_floor = hystart_floor
@@ -112,7 +111,6 @@ class CubicController:
         self.epoch_start: SimTime = 0
         self.cubic_k = 0.0           # seconds
         self.recovery_until_pkt_num = -1
-        self.started_in_avoidance = False
         # slow-start round bookkeeping
         self._min_rtt: Optional[SimTime] = None
         self._round_end_pkt = 0
@@ -187,17 +185,16 @@ class CubicController:
                 self.cwnd = target
 
     def on_congestion_event(self, now: SimTime, lost_pkt_num: int,
-                            largest_sent_pkt: int) -> bool:
+                            largest_sent_pkt: int) -> None:
         """Multiplicative decrease, at most once per round trip.
 
         Losses of packets sent before the current recovery period began do
         not trigger another reduction. A flow whose peak is shrinking
         remembers a further-reduced peak (fast convergence), which is what
-        lets competing flows drift toward a fair share. Returns whether a
-        reduction applied.
+        lets competing flows drift toward a fair share.
         """
         if lost_pkt_num <= self.recovery_until_pkt_num:
-            return False
+            return
         self.congestion_events += 1
         peak = self.cwnd / SEGMENT_WIRE_BYTES
         if peak < self.w_max_segments:
@@ -209,7 +206,6 @@ class CubicController:
         self.epoch_start = now
         self.recovery_until_pkt_num = largest_sent_pkt
         self._set_mode(Mode.RECOVERY, now)
-        return True
 
 
 def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
@@ -225,6 +221,5 @@ def make_controller(hint: Optional[BandwidthHint], min_rtt: SimTime,
     ctrl = CubicController(hystart_floor)
     if hint is not None and hint.bandwidth_kbps > 0:
         ctrl.cwnd = blitzstart_initial_cwnd(hint.bandwidth_kbps, min_rtt)
-        ctrl.started_in_avoidance = True
         ctrl._enter_avoidance_at_plateau(now)
     return ctrl

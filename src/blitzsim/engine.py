@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 import random
 from typing import Callable, Optional
 
@@ -156,20 +155,19 @@ class Simulator:
         heapq.heappush(self._heap, (fire_at, seq, None, ev, ev.kind, ev.target))
         return ev
 
-    def cancel(self, ev: Optional[Event]) -> bool:
-        """Disarm a timer. Returns False if it is None or not armed."""
+    def cancel(self, ev: Optional[Event]) -> None:
+        """Disarm a timer; nothing happens if it is None or not armed."""
         if ev is None or ev.seq == -1:
-            return False
+            return
         ev.seq = -1
         self.cancelled += 1
-        return True
 
     def stop(self) -> None:
         """Request the current run_until() call to return after this event."""
         self._stop = True
 
-    def run_until(self, end: Optional[SimTime]) -> None:
-        """Dispatch every event with fire_at <= end (all events if None).
+    def run_until(self, end: SimTime) -> None:
+        """Dispatch every event with fire_at <= end.
 
         A live timer entry that pops before its Event's due is not
         dispatched, recorded or counted: it moves to due with the next
@@ -177,8 +175,7 @@ class Simulator:
         own callback would have. One whose due is negative, disarmed in
         place, is dropped: its Event is no longer armed, and nothing is
         dispatched, recorded or counted, not even as cancelled.
-        The clock finishes at `end` when given, even if the queue drains
-        earlier; with end=None it rests at the last dispatched event.
+        The clock finishes at `end`, even if the queue drains earlier.
         """
         self._stop = False
         heap = self._heap
@@ -186,9 +183,8 @@ class Simulator:
         record = self.recorder
         if record is not None and "event" not in record.only:
             record = None
-        bound = math.inf if end is None else end  # one test per event
         while heap:
-            if heap[0][0] > bound:
+            if heap[0][0] > end:
                 break
             fire_at, seq, fn, arg, kind, target = pop(heap)
             if fn is None:  # a timer; arg is its Event
@@ -220,7 +216,7 @@ class Simulator:
             if self._stop:
                 return
         self.seq = self.scheduled
-        if end is not None and end > self.now:
+        if end > self.now:
             self.now = end
 
 

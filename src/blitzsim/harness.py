@@ -75,6 +75,9 @@ class ScenarioConfig:
             if getattr(self, field) <= 0:
                 raise ValueError(f"scenario {self.name!r}: {field} must be "
                                  f"positive, got {getattr(self, field)}")
+        if self.rtt < 2:  # a 0 ns one-way delay makes the PTO 0: no end
+            raise ValueError(f"scenario {self.name!r}: rtt must be at least "
+                             f"2 ns, got {self.rtt}")
         for field in ("short_flow_start", "start_jitter_max", "pkt_jitter_max"):
             value = getattr(self, field)
             if value is not None and value < 0:
@@ -376,6 +379,9 @@ class TwoFlowRun:
 
     def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, stop_on_completion: bool = True):
+        if size_bytes < 1:
+            raise ValueError(f"short flow size must be at least 1 byte, "
+                             f"got {size_bytes}")
         self.cfg = cfg
         self.variant = variant
         self.rep = rep
@@ -769,6 +775,10 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
     trace_<scenario>_<size>_<variant>_<rep>.csv.
     """
     check_variants(scenarios, variants)
+    for size in sizes:
+        if size < 1:
+            raise ValueError(f"short flow size must be at least 1 byte, "
+                             f"got {size}")
     tasks = [(cfg, size, variant, rep, trace_dir)
              for cfg in scenarios for size in sizes for rep in range(reps)
              for variant in variants]

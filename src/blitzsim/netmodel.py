@@ -141,8 +141,8 @@ class Link:
         """Packets admitted and not yet retired."""
         return len(self.queue)
 
-    def enqueue(self, packet: Packet, now: SimTime) -> Optional[SimTime]:
-        """Admit a packet; returns its departure time, or None if dropped.
+    def enqueue(self, packet: Packet, now: SimTime) -> None:
+        """Admit a packet, or drop it if the buffer is full.
 
         The packet's flow must have a receiver attached.
 
@@ -177,7 +177,7 @@ class Link:
             if record is not None:
                 record((now, packet.flow_id, "drop", packet.pkt_num,
                         packet.seq, packet.len))
-            return None
+            return
         try:  # a subscript, not .get(): no call on the per-packet path
             serialization = self._serialization[packet.len]
         except KeyError:
@@ -194,7 +194,6 @@ class Link:
         queued += 1
         if queued > self.max_queued:
             self.max_queued = queued
-        return departure
 
     def retire(self, now: SimTime) -> None:
         """Retire each departure that ranks before the event at now.

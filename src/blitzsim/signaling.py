@@ -39,14 +39,7 @@ class BandwidthHint:
 
 
 class HintDecodeError(ValueError):
-    """Structured decode failure; `reason` is one of the REASONS."""
-
-    REASONS = ("truncated", "version", "access_tech", "trailing")
-
-    def __init__(self, reason: str, detail: str = ""):
-        assert reason in self.REASONS
-        self.reason = reason
-        super().__init__(f"{reason}: {detail}" if detail else reason)
+    """Decode failure; the message starts with the failed check's name."""
 
 
 def encode_hint(hint: BandwidthHint) -> bytes:
@@ -62,17 +55,17 @@ def decode_hint(data: bytes) -> BandwidthHint:
     whatever the input bytes are.
     """
     if len(data) < _WIRE.size:
-        raise HintDecodeError("truncated",
-                              f"{len(data)} bytes, need {_WIRE.size}")
+        raise HintDecodeError(
+            f"truncated: {len(data)} bytes, need {_WIRE.size}")
     version, tech, kbps = _WIRE.unpack_from(data)
     if version != HINT_VERSION:
-        raise HintDecodeError("version", f"0x{version:02x}")
+        raise HintDecodeError(f"version: 0x{version:02x}")
     try:
         access = AccessTech(tech)
     except ValueError:
-        raise HintDecodeError("access_tech", str(tech)) from None
+        raise HintDecodeError(f"access_tech: {tech}") from None
     if len(data) != _WIRE.size:
-        raise HintDecodeError("trailing", f"{len(data) - _WIRE.size} bytes")
+        raise HintDecodeError(f"trailing: {len(data) - _WIRE.size} bytes")
     return BandwidthHint(access, kbps)
 
 

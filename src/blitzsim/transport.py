@@ -101,8 +101,7 @@ class Receiver:
     """
 
     __slots__ = ("conn", "ranges", "largest_pkt_num", "_pending",
-                 "_ack_timer", "_target", "acks_sent", "_counters",
-                 "__dict__")
+                 "_ack_timer", "_target", "_counters", "__dict__")
 
     def __init__(self, conn: "Connection"):
         self.conn = conn
@@ -111,7 +110,6 @@ class Receiver:
         self._pending = 0
         self._ack_timer: Optional[Event] = None  # the max-ack-delay timer
         self._target = f"recv:{conn.flow_id}"
-        self.acks_sent = 0
         self._counters = conn.link.attach(conn.flow_id, self.on_data)
 
     def on_data(self, pkt: Packet, now: SimTime) -> None:
@@ -138,7 +136,6 @@ class Receiver:
             # ACK every byte received so far; reverse path: fixed
             # propagation only, never congested or dropped
             self._pending = 0
-            self.acks_sent += 1
             conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
                               conn._target, conn.on_ack,
                               Ack(list(received.ranges), self.largest_pkt_num))
@@ -165,7 +162,6 @@ class Receiver:
         """
         conn = self.conn
         self._pending = 0
-        self.acks_sent += 1
         conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
                           conn._target, conn.on_ack,
                           Ack(list(self.ranges.ranges), self.largest_pkt_num))
@@ -187,8 +183,8 @@ class Connection:
         "largest_acked_pkt", "largest_acked_sent_at", "burst_remaining",
         "next_release", "_pacing_event", "_pto_event", "_pto_backoff",
         "_last_inject", "bytes_retransmitted", "lost_pkts", "payload_sent",
-        "acks_received", "ack_anomalies", "start_at", "data_start_at",
-        "finished_at", "on_started", "on_finished", "receiver", "__dict__")
+        "acks_received", "ack_anomalies", "start_at", "finished_at",
+        "on_started", "on_finished", "receiver", "__dict__")
 
     def __init__(self, sim: Simulator, flow_id: int, link: Link,
                  transfer_bytes: int,
@@ -242,7 +238,6 @@ class Connection:
         self.acks_received = 0
         self.ack_anomalies = 0
         self.start_at: Optional[SimTime] = None
-        self.data_start_at: Optional[SimTime] = None
         self.finished_at: Optional[SimTime] = None
         self.on_started: Optional[Callable[[SimTime], None]] = None
         self.on_finished: Optional[Callable[[SimTime], None]] = None
@@ -265,7 +260,6 @@ class Connection:
         self.latest_rtt = sample
         self.controller = self.controller_factory(sample, now)
         self.burst_remaining = INITIAL_BURST_PACKETS
-        self.data_start_at = now
         self.maybe_send(now)
 
     @property
@@ -284,7 +278,7 @@ class Connection:
 
     # -- sending ------------------------------------------------------------
 
-    def maybe_send(self, now: SimTime) -> int:
+    def maybe_send(self, now: SimTime) -> None:
         """Release packets while data, window, and pacer all permit.
 
         Every packet is one segment of the payload grid and ACK ranges are
@@ -297,7 +291,6 @@ class Connection:
         ctrl = self.controller
         retx = self.retx_queue
         size = self.size
-        sent = 0
         while True:
             while retx and retx[0].acked:
                 retx.popleft()
@@ -360,13 +353,11 @@ class Connection:
             pto = self._pto_event
             if pto is None or pto.seq == -1:  # not armed
                 self._arm_pto(now)
-            sent += 1
             if self.burst_remaining == 0:
                 # the pacing gap: cwnd spread over pacing_fraction * srtt
                 num, den = ctrl.pacing_fraction
                 self.next_release = now + (num * self.srtt * SEGMENT_WIRE_BYTES
                                            // (den * ctrl.cwnd))
-        return sent
 
     # -- receiving ----------------------------------------------------------
 

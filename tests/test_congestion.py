@@ -69,7 +69,8 @@ def test_loss_in_slow_start_exits_with_beta_reduction():
     # loss at 100 segments: the window drops to 70 segments
     ctrl = CubicController()
     ctrl.cwnd = 100 * SEG
-    assert ctrl.on_congestion_event(ms(200), lost_pkt_num=5, largest_sent_pkt=90)
+    ctrl.on_congestion_event(ms(200), lost_pkt_num=5, largest_sent_pkt=90)
+    assert ctrl.congestion_events == 1
     assert ctrl.mode is Mode.RECOVERY
     assert ctrl.cwnd == 70 * SEG
     assert ctrl.w_max_segments == 100.0
@@ -119,7 +120,8 @@ def test_cubic_shape_monotone_and_below_w_max_before_k():
 def test_congestion_event_applies_beta_and_remembers_peak():
     ctrl = CubicController()
     ctrl.cwnd = 200 * SEG
-    assert ctrl.on_congestion_event(seconds(1), 10, 150)
+    ctrl.on_congestion_event(seconds(1), 10, 150)
+    assert ctrl.congestion_events == 1
     assert ctrl.cwnd == 140 * SEG
     assert ctrl.w_max_segments == 200.0
     assert ctrl.cubic_k == pytest.approx(cubic_k_seconds(200.0))
@@ -130,7 +132,7 @@ def test_second_loss_in_same_round_does_not_reduce_again():
     ctrl.cwnd = 200 * SEG
     ctrl.on_congestion_event(seconds(1), 10, 150)
     cwnd = ctrl.cwnd
-    assert not ctrl.on_congestion_event(seconds(1), 20, 160)
+    ctrl.on_congestion_event(seconds(1), 20, 160)
     assert ctrl.cwnd == cwnd
     assert ctrl.congestion_events == 1
 
@@ -139,7 +141,8 @@ def test_new_round_loss_reduces_again():
     ctrl = CubicController()
     ctrl.cwnd = 200 * SEG
     ctrl.on_congestion_event(seconds(1), 10, 150)
-    assert ctrl.on_congestion_event(seconds(2), 151, 300)
+    assert ctrl.congestion_events == 1
+    ctrl.on_congestion_event(seconds(2), 151, 300)
     assert ctrl.congestion_events == 2
 
 
@@ -206,7 +209,7 @@ def test_blitzstart_clamps_to_floor():
 def test_blitzstart_controller_starts_in_avoidance():
     ctrl = make_controller(BandwidthHint(AccessTech.DSL, 50_000), ms(50), 0)
     assert ctrl.mode is Mode.AVOIDANCE
-    assert ctrl.started_in_avoidance
+    assert ctrl.mode_trace == [(0, Mode.AVOIDANCE)]  # from its creation
     assert ctrl.cwnd == 312_500
     # the scenario's floor, which only Slow Start reads, is carried along
     assert make_controller(BandwidthHint(AccessTech.DSL, 50_000), ms(50), 0,
@@ -229,7 +232,7 @@ def test_blitzstart_never_enters_slow_start():
 def test_zero_hint_falls_back_to_baseline():
     ctrl = make_controller(BandwidthHint(AccessTech.UNKNOWN, 0), ms(50), 0)
     assert ctrl.mode is Mode.SLOW_START
-    assert not ctrl.started_in_avoidance
+    assert ctrl.mode_trace == []
     assert ctrl.cwnd == 32 * SEG
 
 

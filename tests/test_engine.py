@@ -21,7 +21,7 @@ def test_same_time_events_dispatch_in_scheduling_order():
     for tag in ("a", "b", "c"):
         sim.schedule(us(10), "pacing-timer", "t",
                      lambda now, t=tag: order.append(t))
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     assert order == ["a", "b", "c"]
 
 
@@ -29,8 +29,9 @@ def test_cancelled_event_never_dispatches():
     sim = Simulator()
     fired = []
     ev = sim.arm(None, us(5), "loss-timer", "t", lambda now: fired.append(1))
-    assert sim.cancel(ev)
-    sim.run_until(None)
+    sim.cancel(ev)
+    assert ev.seq == -1 and sim.cancelled == 1
+    sim.run_until(seconds(1))
     assert fired == []
     assert sim.cancelled == 1
 
@@ -38,9 +39,10 @@ def test_cancelled_event_never_dispatches():
 def test_cancel_twice_counts_once():
     sim = Simulator()
     ev = sim.arm(None, us(5), "loss-timer", "t", lambda now: None)
-    assert sim.cancel(ev)
-    assert not sim.cancel(ev)
-    assert sim.cancelled == 1
+    sim.cancel(ev)
+    assert ev.seq == -1 and sim.cancelled == 1
+    sim.cancel(ev)
+    assert ev.seq == -1 and sim.cancelled == 1
 
 
 def test_arm_schedules_once_then_rekeys_the_same_event():
@@ -51,12 +53,14 @@ def test_arm_schedules_once_then_rekeys_the_same_event():
     assert sim.arm(ev, us(20), "loss-timer", "t", fired.append) is ev
     assert (sim.scheduled, sim.cancelled) == (2, 1)
     assert (ev.fire_at, ev.seq) == (us(20), 1)
-    sim.run_until(None)
+    sim.run_until(us(20))
     assert fired == [us(20)] and ev.seq == -1  # fired, so not armed
     assert sim.arm(ev, us(30), "loss-timer", "t", fired.append) is ev
-    assert sim.cancel(ev) and ev.seq == -1
-    assert not sim.cancel(None)
-    sim.run_until(None)
+    sim.cancel(ev)
+    assert ev.seq == -1 and sim.cancelled == 2
+    sim.cancel(None)
+    assert sim.cancelled == 2
+    sim.run_until(us(40))
     assert fired == [us(20)]
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (3, 2, 1)
 
@@ -67,7 +71,7 @@ def test_schedule_returns_nothing_to_cancel():
     # the event's sequence number, which is no handle to cancel
     assert sim.schedule(us(5), "packet-arrival", "t",
                         lambda arg, now: fired.append((arg, now)), 7) == 0
-    sim.run_until(None)
+    sim.run_until(us(5))
     assert fired == [(7, us(5))]
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (1, 0, 1)
 
@@ -75,15 +79,16 @@ def test_schedule_returns_nothing_to_cancel():
 def test_cancel_after_dispatch_is_noop():
     sim = Simulator()
     ev = sim.arm(None, us(5), "loss-timer", "t", lambda now: None)
-    sim.run_until(None)
-    assert not sim.cancel(ev)
+    sim.run_until(us(5))
+    sim.cancel(ev)
+    assert ev.seq == -1 and sim.cancelled == 0
 
 
 def test_scheduling_in_the_past_is_a_hard_fault():
     sim = Simulator()
     sim.schedule(us(10), "app-start", "t", lambda now: None)
-    sim.run_until(None)
-    assert sim.now == us(10)
+    sim.run_until(us(10))
+    assert sim.now == us(10) and sim.dispatched == 1
     with pytest.raises(RuntimeError):
         sim.schedule(us(5), "app-start", "t", lambda now: None)
 
@@ -118,8 +123,9 @@ def test_run_until_honors_end_boundary():
     sim.run_until(ms(2))
     assert fired == [1]
     assert sim.now == ms(2)
-    sim.run_until(None)
+    sim.run_until(ms(3))
     assert fired == [1, 2]
+    assert sim.now == ms(3)
 
 
 def test_stop_breaks_out_of_dispatch_loop():
@@ -127,7 +133,7 @@ def test_stop_breaks_out_of_dispatch_loop():
     fired = []
     sim.schedule(us(1), "sim-end", "t", lambda now: sim.stop())
     sim.schedule(us(2), "app-start", "t", lambda now: fired.append(1))
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     assert fired == []
     assert sim.now == us(1)
 
@@ -178,7 +184,7 @@ def test_no_event_loss(plan):
         ev = sim.arm(None, fire_at, "pacing-timer", "p", lambda now: None)
         if cancel:
             sim.cancel(ev)
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     assert sim.scheduled - sim.cancelled == sim.dispatched
 
 
@@ -219,7 +225,7 @@ def test_plain_and_timer_entries_dispatch_in_fire_at_seq_order(program):
             i = op[1] % len(timers)
             sim.cancel(timers[i])
             live.pop(i, None)
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     got = [(fire_at, seq, target)
            for fire_at, seq, _event, _kind, target in sim.recorder.rows]
     assert got == sorted(plain + list(live.values()))
@@ -312,7 +318,7 @@ def _drive(program, reference=False):
             except RuntimeError:
                 rekeys.append((b, True))
         armed.append([h.seq != -1 and h.due >= 0 for h in handles])
-    sim.run_until(None)
+    sim.run_until(seconds(1))  # past every due the program can set
     armed.append([h.seq != -1 and h.due >= 0 for h in handles])
     rows = [row for row in sim.recorder.rows if row[:2] not in rearmed]
     return (rows, sim.now, sim.scheduled, sim.cancelled,
@@ -362,14 +368,14 @@ def test_an_entry_popping_before_due_is_re_keyed_not_dispatched():
     # popped at 5 us and moved to 8 us with the next seq, unrecorded
     assert fired == [] and (ev.fire_at, ev.seq) == (us(8), 2)
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (3, 0, 1)
-    sim.run_until(None)
+    sim.run_until(us(8))
     assert fired == [us(8)] and ev.seq == -1
     assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1), (us(8), 2)]
     ev.due = 0  # never later than the key: the timer fires at its key
     sim.arm(ev, us(9), "loss-timer", "t", None)
     assert ev.due == us(9)
     ev.due = 0
-    sim.run_until(None)
+    sim.run_until(us(9))
     assert fired == [us(8), us(9)]
 
 
@@ -386,13 +392,14 @@ def test_an_entry_popping_with_a_negative_due_is_dropped():
     assert fired == [] and ev.seq == -1 and sim._heap == []
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (2, 0, 1)
     assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1)]
-    assert not sim.cancel(ev)  # no longer armed
+    sim.cancel(ev)  # no longer armed: gives up no key
+    assert ev.seq == -1 and sim.cancelled == 0
     # so the next arming pushes a fresh key, and gives up none
     sim.arm(ev, us(9), "loss-timer", "t", None)
     assert (ev.fire_at, ev.seq, ev.due) == (us(9), 2, us(9))
     assert [entry[:2] for entry in sim._heap] == [(us(9), 2)]
     assert (sim.scheduled, sim.cancelled) == (3, 0)
-    sim.run_until(None)
+    sim.run_until(us(9))
     assert fired == [us(9)]
     assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1), (us(9), 2)]
 
@@ -407,7 +414,7 @@ def test_seq_keys_the_event_being_dispatched():
     sim.arm(timer, us(5), "loss-timer", "t", None)  # re-keyed to seq 2
     sim.schedule(us(7), "app-start", "t", lambda now: sim.stop())
     sim.schedule(us(9), "app-start", "t", lambda now: None)
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     assert seen == [0, 2]
     assert (sim.now, sim.seq) == (us(7), 3)  # stop() keeps the stopping key
     sim.run_until(us(8))

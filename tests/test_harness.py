@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import blitzsim
 from blitzsim import harness
 from blitzsim.cli import main
+from blitzsim.congestion import Mode
 from blitzsim.engine import Simulator, ms, seconds
 from blitzsim.harness import (ESTIMATE_FACTORS, PRESETS, RUNS_HEADER, SIZES,
                               TRACE_HEADER, TRACE_ROWS, JitterDraw, PacketTrace,
@@ -30,7 +31,8 @@ from blitzsim.harness import (ESTIMATE_FACTORS, PRESETS, RUNS_HEADER, SIZES,
                               emit_runs_csv, emit_summary_csv, emit_trace_csv,
                               fairness_ratio,
                               parse_scenario_file, rolling_bandwidth,
-                              run_matrix, run_scenario, summarize)
+                              run_matrix, run_scenario, single_flow_run,
+                              summarize)
 from blitzsim.netmodel import Packet
 from blitzsim.signaling import AccessTech
 from blitzsim.transport import Ack
@@ -245,6 +247,32 @@ def test_run_matrix_rejects_a_zero_kbps_estimate_before_running():
                    [Variant.parse("blitz:0.0001")], reps=1, jobs=2)
 
 
+@pytest.mark.parametrize("size", [0, -5])
+def test_a_short_flow_below_one_byte_is_rejected_before_running(
+        monkeypatch, size):
+    # unchecked, a 0-byte flow would simulate to the cap, then divide by 0;
+    # neither a simulation nor a worker pool may start
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated or pooled before rejecting")
+    monkeypatch.setattr(Simulator, "run_until", refuse)
+    monkeypatch.setattr(harness, "Pool", refuse)
+    message = f"^short flow size must be at least 1 byte, got {size}$"
+    with pytest.raises(ValueError, match=message):
+        run_scenario(PRESETS["dsl-fast"], size, Variant("baseline"), 0)
+    with pytest.raises(ValueError, match=message):
+        run_matrix([PRESETS["dsl-fast"]], [SIZES["70K"], size],
+                   [Variant("baseline")], reps=1, jobs=2)
+
+
+def test_a_one_ns_rtt_is_rejected_and_two_ns_runs():
+    # with rtt // 2 == 0 the PTO would be 0, and a run would spin at t=0
+    with pytest.raises(ValueError, match="rtt must be at least 2 ns, got 1"):
+        replace(PRESETS["dsl-fast"], rtt=1)
+    conn = single_flow_run(replace(PRESETS["dsl-fast"], rtt=2), 200_000,
+                           ms(100))
+    assert conn.finished
+
+
 # -- running scenarios --------------------------------------------------------------------
 
 FAST70K = SIZES["70K"]
@@ -327,8 +355,11 @@ def test_each_timer_is_one_event_per_owner(monkeypatch):
 def test_blitz_run_reports_congestion_avoidance_from_first_packet():
     run = TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0)
     run.run()
-    ctrl = run.short_conn.controller
-    assert ctrl.started_in_avoidance
+    conn = run.short_conn
+    ctrl = conn.controller
+    # in avoidance from its creation, as the handshake ends
+    assert ctrl.mode_trace[0] == (conn.start_at + conn.handshake_rtt,
+                                  Mode.AVOIDANCE)
     assert all(m.value != "slow-start" for _t, m in ctrl.mode_trace)
 
 

@@ -47,10 +47,17 @@ def _rate(samples, start, end):
     return rate
 
 
-def _enqueue(link, pkt, now, departures):
-    """link.enqueue, logging an admitted packet's (departure time, len)."""
-    departure = link.enqueue(pkt, now)
-    if departure is not None:
+def _enqueue(link, pkt, now, departures=None):
+    """link.enqueue; returns pkt's departure time, or None if dropped.
+
+    An admitted packet is the last in the queue, with its departure time.
+    departures, if given, logs an admitted packet's (departure time, len).
+    """
+    link.enqueue(pkt, now)
+    if not link.queue or link.queue[-1][2] is not pkt:
+        return None
+    departure = link.queue[-1][0]
+    if departures is not None:
         departures.append((departure, pkt.len))
     return departure
 
@@ -59,8 +66,7 @@ def test_serialization_time_on_idle_link():
     # 1500 B at 50 Mbit/s: 1500*8/50e6 = 240 us
     sim = Simulator()
     link = _link(sim)
-    departure = link.enqueue(_pkt(0), 0)
-    assert departure == us(240)
+    assert _enqueue(link, _pkt(0), 0) == us(240)
 
 
 def test_two_packets_depart_in_order_one_serialization_apart():
@@ -69,7 +75,7 @@ def test_two_packets_depart_in_order_one_serialization_apart():
     departures = []
     assert _enqueue(link, _pkt(0), 0, departures) == us(240)
     assert _enqueue(link, _pkt(1), 0, departures) == us(480)
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     link.retire(sim.now)
     assert [t for t, _l in departures] == [us(240), us(480)]
     c = link.counters[0]
@@ -81,8 +87,8 @@ def test_full_buffer_drops_the_209th_packet():
     sim = Simulator()
     link = _link(sim)
     for i in range(208):
-        assert link.enqueue(_pkt(i), 0) is not None
-    assert link.enqueue(_pkt(208), 0) is None
+        assert _enqueue(link, _pkt(i), 0) is not None
+    assert _enqueue(link, _pkt(208), 0) is None
     counters = link.counters[0]
     assert counters.dropped == 1
     assert counters.injected == 209
@@ -157,7 +163,7 @@ def test_delivery_adds_propagation_delay():
     got = []
     _attach(link, 0, lambda pkt, now: got.append((pkt.pkt_num, now)))
     link.enqueue(_pkt(0), 0)
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     assert got == [(0, us(240) + ms(25))]
 
 
@@ -172,7 +178,7 @@ def test_delay_floor_every_delivery_at_least_prop_delay():
         pkt.sent_at = t
         sim.schedule(t, "packet-arrival", "link",
                      lambda now, p=pkt: link.enqueue(p, now))
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     assert len(latencies) == 50
     assert all(lat >= ms(25) for lat in latencies)
 
@@ -205,7 +211,7 @@ def test_utilization_single_packet_in_one_ms_window():
     link = _link(sim)
     departures = []
     _enqueue(link, _pkt(0), 0, departures)
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     assert _rate(departures, 0, ms(1)) == 1500 * 8 * NS_PER_S / (ms(1) - 1)
 
 
@@ -224,7 +230,7 @@ def test_occupancy_never_exceeds_buffer():
                                  buffer_pkts=20))
     for i in range(300):
         link.enqueue(_pkt(i), 0)
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     assert link.max_queued <= 20
     c = link.counters[0]
     assert c.injected == 300
@@ -247,7 +253,7 @@ def test_conservation_and_fifo_under_random_arrivals(arrivals):
         pkt = Packet(flow, 0, 1500, num)
         sim.schedule(t, "packet-arrival", "link",
                      lambda now, p=pkt: link.enqueue(p, now))
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     # conservation per flow: injected = delivered + dropped once drained
     for c in link.counters.values():
         assert c.injected == c.delivered + c.dropped
@@ -270,7 +276,7 @@ def test_rate_is_never_exceeded_with_ceil_serialization():
     departures = []
     for i in range(900):
         _enqueue(link, _pkt(i), 0, departures)
-    sim.run_until(None)
+    sim.run_until(seconds(10))
     last = departures[-1][0]
     bits = 900 * 1500 * 8
     assert bits * NS_PER_S / last <= cfg.rate_bps
@@ -297,7 +303,7 @@ class EagerLink:
         c.injected += 1
         if self.queued >= self.config.buffer_pkts:
             c.dropped += 1
-            return None
+            return
         departure = (max(self.busy_until, now)
                      + self.config.serialization_time(packet.len))
         self.busy_until = departure
@@ -306,7 +312,6 @@ class EagerLink:
             self.on_occupancy(now, 1)
         self.sim.schedule(departure, "packet-departure", "bottleneck",
                           self._depart, packet)
-        return departure
 
     def _depart(self, packet, now):
         self.queued -= 1
@@ -366,7 +371,10 @@ def _drive(link_cls, buffer_pkts, injections, observers, order):
         readings.append((now, scheduled_at, read()))
 
     def inject(pkt, now):
-        if link.enqueue(pkt, now) is not None:
+        counters = link.counters[pkt.flow_id]
+        dropped = counters.dropped
+        link.enqueue(pkt, now)
+        if counters.dropped == dropped:
             admitted.append(pkt.pkt_num)
 
     outer = []
@@ -382,7 +390,7 @@ def _drive(link_cls, buffer_pkts, injections, observers, order):
                           until, "app-start", "observer", observe, now)))
     for i in order:
         sim.schedule(outer[i][0], "app-start", "outer", outer[i][1])
-    sim.run_until(None)
+    sim.run_until(seconds(1))
     if isinstance(link, Link):
         link.retire(sim.now)
     return admitted, arrivals, readings, read()

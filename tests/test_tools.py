@@ -19,7 +19,7 @@ def test_design_metrics_prints_every_figure():
     assert 0 < int(figures["src_prose_lines"]) < int(figures["src_lines"])
     # the values a caller or user can set: held to its figure, as the
     # per-packet budgets are, so that growth is a decision
-    assert 0 < int(figures["settable_values"]) <= 256
+    assert 0 < int(figures["settable_values"]) <= 254
     # a data packet's injection and arrival, an ACK's arrival per two
     # packets and the pacing timer: its departure is no event
     assert 2 < float(figures["dispatched_per_data_packet"]) < 3.5
@@ -33,4 +33,4 @@ def test_design_metrics_prints_every_figure():
     assert 0 < float(figures["range_adds_per_ack"]) < 2
     # the warm copy a fork loads; deterministic, and compact since packets
     # pickle as their constructor's arguments and the generator as bytes
-    assert 0 < int(figures["frozen_warm_run_bytes"]) <= 28_000
+    assert 0 < int(figures["frozen_warm_run_bytes"]) <= 27_000

@@ -86,13 +86,13 @@ def test_every_paced_send_waits_the_pacing_interval(monkeypatch):
     fractions = Counter()
 
     def checked(conn, now):
-        sent = maybe_send(conn, now)
-        if sent and conn.burst_remaining == 0:
+        sent = conn.pkts_sent
+        maybe_send(conn, now)
+        if conn.pkts_sent > sent and conn.burst_remaining == 0:
             ctrl = conn.controller
             assert conn.next_release - now == pacing_interval(
                 ctrl.cwnd, conn.srtt, ctrl.pacing_fraction)
             fractions[ctrl.pacing_fraction] += 1
-        return sent
 
     monkeypatch.setattr(Connection, "maybe_send", checked)
     result = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"],
@@ -201,7 +201,9 @@ def test_handshake_supplies_first_rtt_sample():
     # one clean round trip before data: srtt = 50 ms
     assert conn.srtt == ms(50)
     assert conn.rttvar == ms(25)
-    assert conn.data_start_at == ms(50)
+    # data starts as the handshake ends: the first packet leaves at 50 ms
+    assert conn.records[0].sent_at == conn.start_at + conn.handshake_rtt
+    assert conn.records[0].sent_at == ms(50)
 
 
 def test_initial_burst_then_paced_segments():
@@ -226,7 +228,8 @@ def test_window_limited_sender_sends_nothing_and_arms_no_timer():
     sim.run_until(ms(80))
     assert conn.pkts_sent == 32
     assert conn.in_flight == 32 * 1500
-    assert conn.maybe_send(sim.now) == 0
+    conn.maybe_send(sim.now)
+    assert conn.pkts_sent == 32
     assert conn._pacing_event.seq == -1
 
 
@@ -613,7 +616,7 @@ def test_receiver_acks_every_second_packet_and_on_timer():
     conn.start(0)
     sim.run_until(seconds(2))
     # 3 packets: one pair ack plus one delayed ack for the odd tail
-    assert conn.receiver.acks_sent == 2
+    assert conn.acks_received == 2
     assert conn.finished
     delivered = [row[0] for row in trace.rows if row[2] == "deliver"]
     acked = [row[0] for row in trace.rows if row[2] == "ack"]
@@ -676,7 +679,6 @@ def test_lone_packet_is_acked_max_ack_delay_after_it_arrived(lone_at):
     assert acks == [ms(1)]
     sim.run_until(seconds(1))
     assert acks == [ms(1), acked_at]
-    assert receiver.acks_sent == 2
 
 
 def test_every_ack_timer_that_fires_has_a_packet_to_ack(monkeypatch):
@@ -1018,18 +1020,23 @@ class TransportMachine(RuleBasedStateMachine):
         conn.on_ack = lambda ack, now: self.acks.append(ack)
         # wrapped before the first arming, which reads the callback
         self.early = []
-        self.watch(conn, "_on_pto", "_pto_event", "lost_pkts")
-        self.watch(conn.receiver, "_on_ack_timer", "_ack_timer", "acks_sent")
+        self.watch(conn, "_on_pto", "_pto_event", lambda: conn.lost_pkts)
+        # every fire of the ACK-delay timer schedules an ACK
+        self.watch(conn.receiver, "_on_ack_timer", "_ack_timer",
+                   lambda: self.sim.scheduled)
         conn.start(0)
 
     def watch(self, owner, timer, event, count):
-        """Record each fire of owner's timer that acts before its due."""
+        """Record each fire of owner's timer that acts before its due.
+
+        A fire acts if it raises count().
+        """
         fire = getattr(owner, timer)
 
         def checked(now):
-            due, before = getattr(owner, event).due, getattr(owner, count)
+            due, before = getattr(owner, event).due, count()
             fire(now)
-            if getattr(owner, count) > before and now < due:
+            if count() > before and now < due:
                 self.early.append((timer, now, due))
 
         setattr(owner, timer, checked)
