@@ -7,12 +7,12 @@ heavier banded experiments live in the test suite.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Callable
 
 from . import harness
 from .congestion import (CUBIC_BETA, FLOOR_BYTES, INITIAL_WINDOW_BYTES,
                          CubicController, Mode, cubic_k_seconds)
-from .engine import NS_PER_MS, PacketTrace, SimTime, seconds
+from .engine import NS_PER_MS, PacketTrace, seconds
 from .netmodel import SEGMENT_WIRE_BYTES
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         decode_hint, encode_hint)
@@ -92,21 +92,18 @@ def check_rate_conformance(seed: int = 1) -> CheckResult:
     return True, f"utilization {util / 1e6:.4f} Mbit/s within 0.5% of rate"
 
 
-def cubic_window(w_max_segments: float, t_seconds: float,
-                 srtt: Optional[SimTime] = None) -> int:
+def cubic_window(w_max_segments: float, t_seconds: float) -> int:
     """The window CubicController.on_ack grows to, t into a W_max epoch.
 
     The controller is cut from W_max segments at time 0, leaves recovery
     on this ACK, and starts it at the cwnd floor, so the ACK sets cwnd to
-    the window's target: the cubic W(t) in bytes, or with an srtt the
-    larger of that and the Reno-friendly floor.
+    the window's target: the cubic W(t) in bytes.
     """
     ctrl = CubicController()
     ctrl.cwnd = int(w_max_segments * SEGMENT_WIRE_BYTES)
     ctrl.on_congestion_event(0, lost_pkt_num=0, largest_sent_pkt=0)
     ctrl.cwnd = FLOOR_BYTES
-    ctrl.on_ack(SEGMENT_WIRE_BYTES, None, seconds(t_seconds), 0, 0,
-                srtt=srtt)
+    ctrl.on_ack(SEGMENT_WIRE_BYTES, None, seconds(t_seconds), 0, 0)
     return ctrl.cwnd
 
 

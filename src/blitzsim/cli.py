@@ -17,7 +17,7 @@ from pathlib import Path
 from . import checks, harness
 from .engine import NS_PER_MS, NS_PER_S, seconds
 from .harness import (PRESETS, SIZES, PacketTrace, TwoFlowRun, Variant,
-                      check_variants, default_variants, emit_runs_csv,
+                      check_cells, default_variants, emit_runs_csv,
                       emit_summary_csv, parse_scenario_file, rolling_bandwidth,
                       run_matrix, single_flow_run, write_csv)
 
@@ -69,25 +69,25 @@ def _cells(args: argparse.Namespace) -> tuple[list, list, list]:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.scenario_file:
         cfg, size, variant = parse_scenario_file(Path(args.scenario_file))
-        check_variants([cfg], [variant])
-        return [cfg], [size], [variant]
-    if args.scenario == "all":
-        scenarios = list(PRESETS.values())
-    elif args.scenario in PRESETS:
-        scenarios = [PRESETS[args.scenario]]
+        scenarios, sizes, variants = [cfg], [size], [variant]
     else:
-        raise ValueError(f"unknown scenario {args.scenario!r}")
-    if args.size == "all":
-        sizes = list(SIZES.values())
-    elif args.size in SIZES:
-        sizes = [SIZES[args.size]]
-    else:
-        raise ValueError(f"unknown size {args.size!r}")
-    if args.variant == "all":
-        variants = default_variants()
-    else:
-        variants = [Variant.parse(args.variant)]
-    check_variants(scenarios, variants)
+        if args.scenario == "all":
+            scenarios = list(PRESETS.values())
+        elif args.scenario in PRESETS:
+            scenarios = [PRESETS[args.scenario]]
+        else:
+            raise ValueError(f"unknown scenario {args.scenario!r}")
+        if args.size == "all":
+            sizes = list(SIZES.values())
+        elif args.size in SIZES:
+            sizes = [SIZES[args.size]]
+        else:
+            raise ValueError(f"unknown size {args.size!r}")
+        if args.variant == "all":
+            variants = default_variants()
+        else:
+            variants = [Variant.parse(args.variant)]
+    check_cells(scenarios, sizes, variants)
     return scenarios, sizes, variants
 
 

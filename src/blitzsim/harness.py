@@ -22,7 +22,6 @@ import struct
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, replace
 from functools import cache, partial
-from multiprocessing import Pool
 from pathlib import Path
 from types import MethodType
 from typing import Callable, Iterable, Optional, Sequence
@@ -213,9 +212,13 @@ def rolling_bandwidth(deliveries: Sequence[tuple[SimTime, int]],
     return out
 
 
-def check_variants(scenarios: Sequence[ScenarioConfig],
-                   variants: Sequence[Variant]) -> None:
-    """Build each (scenario, variant) factory: ValueError if one fails."""
+def check_cells(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
+                variants: Sequence[Variant]) -> None:
+    """ValueError unless each short flow has a byte and each factory builds."""
+    for size in sizes:
+        if size < 1:
+            raise ValueError(f"short flow size must be at least 1 byte, "
+                             f"got {size}")
     for cfg in scenarios:
         for variant in variants:
             _controller_factory(cfg, variant)
@@ -379,9 +382,7 @@ class TwoFlowRun:
 
     def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, stop_on_completion: bool = True):
-        if size_bytes < 1:
-            raise ValueError(f"short flow size must be at least 1 byte, "
-                             f"got {size_bytes}")
+        check_cells((cfg,), (size_bytes,), (variant,))
         self.cfg = cfg
         self.variant = variant
         self.rep = rep
@@ -754,7 +755,12 @@ def aggregate(variant_results: Sequence[RunResult],
 def _run_cell(task: tuple) -> RunResult:
     cfg, size_bytes, variant, rep, trace_dir = task
     trace = None if trace_dir is None else PacketTrace(only=TRACE_ROWS)
-    result = run_scenario(cfg, size_bytes, variant, rep, trace)
+    try:
+        result = run_scenario(cfg, size_bytes, variant, rep, trace)
+    except BaseException as exc:  # the runs.csv key, then the seed
+        exc.add_note(f"cell {cfg.name},{size_bytes},{variant.label()},{rep} "
+                     f"seed {cfg.seed_base}")
+        raise
     if trace is not None:
         label = variant.label().replace(":", "_")
         name = f"trace_{cfg.name}_{size_bytes}_{label}_{rep}.csv"
@@ -772,22 +778,22 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
     in a row, and a worker takes a whole group at a time, so run_scenario
     simulates each group's warm-up once. With trace_dir, each run also
     writes its packet trace there as
-    trace_<scenario>_<size>_<variant>_<rep>.csv.
+    trace_<scenario>_<size>_<variant>_<rep>.csv. A run that raises ends
+    the matrix with its own exception, noted with its cell by _run_cell,
+    once the groups not yet taken are cancelled and each worker joined.
     """
-    check_variants(scenarios, variants)
-    for size in sizes:
-        if size < 1:
-            raise ValueError(f"short flow size must be at least 1 byte, "
-                             f"got {size}")
+    check_cells(scenarios, sizes, variants)
     tasks = [(cfg, size, variant, rep, trace_dir)
              for cfg in scenarios for size in sizes for rep in range(reps)
              for variant in variants]
     results: list[RunResult] = []
     group = len(variants)
     jobs = min(jobs, len(tasks) // max(group, 1))  # no idle workers
-    with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+    with (ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext()) as pool:
         done = (map(_run_cell, tasks) if pool is None else
-                pool.imap_unordered(_run_cell, tasks, chunksize=group))
+                pool.map(_run_cell, tasks, chunksize=group))
         for i, result in enumerate(done, 1):
             results.append(result)
             if progress is not None:
@@ -954,8 +960,5 @@ def parse_scenario_file(path: Path) -> tuple[ScenarioConfig, int, Variant]:
                            PKT_JITTER_MAX),
     )
     size = get("short_flow_bytes", int)
-    if size <= 0:
-        raise ValueError(f"{path}: short_flow_bytes must be positive, "
-                         f"got {size}")
     variant = get("variant", Variant.parse, Variant("baseline"))
     return cfg, size, variant

@@ -173,14 +173,24 @@ def test_fast_convergence_shaves_a_shrinking_peak():
     assert ctrl.w_max_segments == pytest.approx(160 * (1 + 0.7) / 2)
 
 
+def _reno_window(w_max_segments, t_seconds, srtt):
+    # cubic_window's one ACK, given the srtt that turns on the Reno floor
+    ctrl = CubicController()
+    ctrl.cwnd = int(w_max_segments * SEG)
+    ctrl.on_congestion_event(0, lost_pkt_num=0, largest_sent_pkt=0)
+    ctrl.cwnd = FLOOR_BYTES
+    ctrl.on_ack(SEG, None, seconds(t_seconds), 0, 0, srtt=srtt)
+    return ctrl.cwnd
+
+
 def test_reno_friendly_floor_grows_linearly():
     # with a 50 ms srtt the floor 70 + alpha * t / 0.05 segments passes the
     # cubic window of a 100-segment peak before K = 4.2 s: it is the window
     # at 3 s and 4 s, and it starts from beta * W_max
     srtt = ms(50)
     alpha = 3 * 0.3 / 1.7
-    assert cubic_window(100.0, 0.0, srtt) == pytest.approx(70 * SEG, abs=1)
-    w3, w4 = cubic_window(100.0, 3.0, srtt), cubic_window(100.0, 4.0, srtt)
+    assert _reno_window(100.0, 0.0, srtt) == pytest.approx(70 * SEG, abs=1)
+    w3, w4 = _reno_window(100.0, 3.0, srtt), _reno_window(100.0, 4.0, srtt)
     assert w3 > cubic_window(100.0, 3.0) and w4 > cubic_window(100.0, 4.0)
     assert w3 == pytest.approx((70 + 3 * alpha / 0.05) * SEG, abs=1)
     assert w4 - w3 == pytest.approx(alpha / 0.05 * SEG, abs=1)

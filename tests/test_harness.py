@@ -5,6 +5,7 @@ import io
 import math
 import os
 import random
+import signal
 import statistics
 import subprocess
 import sys
@@ -255,7 +256,7 @@ def test_a_short_flow_below_one_byte_is_rejected_before_running(
     def refuse(*args, **kwargs):
         raise AssertionError("simulated or pooled before rejecting")
     monkeypatch.setattr(Simulator, "run_until", refuse)
-    monkeypatch.setattr(harness, "Pool", refuse)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
     message = f"^short flow size must be at least 1 byte, got {size}$"
     with pytest.raises(ValueError, match=message):
         run_scenario(PRESETS["dsl-fast"], size, Variant("baseline"), 0)
@@ -876,9 +877,9 @@ def test_run_matrix_covers_all_cells_and_sorts():
 def test_run_matrix_starts_no_more_workers_than_runs(monkeypatch):
     sizes = []
 
-    class FakePool:  # runs the tasks in this process
-        def __init__(self, processes):
-            sizes.append(processes)
+    class FakeExecutor:  # runs the tasks in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -886,12 +887,13 @@ def test_run_matrix_starts_no_more_workers_than_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, fn, tasks, chunksize=1):
+        def map(self, fn, tasks, chunksize=1):
             chunks.append([task[:4] for task in tasks][::chunksize])
             return map(fn, tasks)
 
     chunks = []
-    monkeypatch.setattr(harness, "Pool", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        FakeExecutor)
     cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
     results = run_matrix([cfg], [FAST70K], [Variant("baseline")], reps=3,
                          jobs=8)
@@ -909,6 +911,80 @@ def test_run_matrix_starts_no_more_workers_than_runs(monkeypatch):
                           (cfg, FAST70K, variants[0], 1)]
     assert [(r.variant, r.rep) for r in results] == sorted(
         (v.label(), rep) for v in variants for rep in (0, 1))
+
+
+class InjectedFault(Exception):
+    """A run's fault; module level, so a worker pickles it by name."""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failed_run_names_its_cell(monkeypatch, jobs):
+    # the fork start method carries the patch into the workers, and the
+    # exception reaches the caller with its type and one note, the runs.csv
+    # key and the seed, whether it was raised here or in a worker
+    cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
+    run = TwoFlowRun.run
+
+    def fail_one(self, recorder=None):
+        if self.variant.label() == "blitz:1" and self.rep == 1:
+            raise InjectedFault("injected")
+        return run(self, recorder)
+    monkeypatch.setattr(TwoFlowRun, "run", fail_one)
+    with pytest.raises(InjectedFault) as caught:
+        run_matrix([cfg], [FAST70K], default_variants(), reps=2, jobs=jobs)
+    assert caught.value.args == ("injected",)
+    assert caught.value.__notes__ == ["cell dsl-fast,70000,blitz:1,1 seed 1"]
+
+
+NO_WORKER_LEFT = """
+import multiprocessing, os, sys
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from blitzsim.engine import ms
+from blitzsim.harness import PRESETS, TwoFlowRun, Variant, run_matrix
+
+cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
+variants = [Variant("baseline"), Variant("blitz", 1.0)]
+
+def fail(self, recorder=None):
+    raise ValueError("injected")
+
+def die(self, recorder=None):  # as a worker the OOM killer ends
+    os._exit(3)
+
+for patch, expected in ((fail, ValueError), (die, BrokenProcessPool)):
+    TwoFlowRun.run = patch
+    try:
+        run_matrix([cfg], [70_000], variants, reps=4, jobs=2)
+    except expected:
+        pass
+    else:
+        sys.exit(f"{patch.__name__}: run_matrix returned")
+    left = multiprocessing.active_children()
+    if left:
+        sys.exit(f"{patch.__name__}: workers left behind: {left}")
+print("ok")
+"""
+
+
+def test_a_failed_matrix_leaves_no_worker_behind():
+    # A run that raises and a worker that dies mid-run both end run_matrix
+    # at 2 jobs with no child process alive. The script runs in a session
+    # of its own, so a run_matrix that hangs instead is killed with its
+    # workers when the timeout ends it.
+    src = str(Path(blitzsim.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-c", NO_WORKER_LEFT],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_matrix hung after a failed run")
+    assert proc.returncode == 0, err[-4000:]
+    assert out == "ok\n"
 
 
 # -- emission ---------------------------------------------------------------------------
@@ -1049,8 +1125,10 @@ def test_cli_scenario_file(tmp_path):
     ([], CELL_FILE.replace("rtt_ms = 50", "rtt_ms = 0"), "rtt"),
     ([], CELL_FILE.replace("= 208", "= 0"), "buffer_pkts"),
     ([], CELL_FILE.replace("= 50000", "= 0"), "bottleneck_kbps"),
-    ([], CELL_FILE.replace("= 70000", "= 0"), "short_flow_bytes"),
-    ([], CELL_FILE.replace("= 70000", "= -5"), "short_flow_bytes"),
+    ([], CELL_FILE.replace("= 70000", "= 0"),
+     "short flow size must be at least 1 byte, got 0"),
+    ([], CELL_FILE.replace("= 70000", "= -5"),
+     "short flow size must be at least 1 byte, got -5"),
     ([], CELL_FILE + "long_flow_bytes = 0\n", "long_flow_bytes"),
     ([], CELL_FILE + "pkt_jitter_max_us = -1\n", "pkt_jitter_max"),
     ([], CELL_FILE + "rtt_ms = 60\n", ":8: repeated key 'rtt_ms', first set on line 2"),
