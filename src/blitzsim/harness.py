@@ -20,7 +20,7 @@ import re
 import statistics
 import struct
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from pathlib import Path
 from types import MethodType
@@ -135,6 +135,12 @@ PRESETS: dict[str, ScenarioConfig] = {
 class Variant:
     kind: str  # "baseline" | "blitz"
     factor: float = 1.0
+
+    def __post_init__(self):
+        # another kind would run Slow Start under a label of its own
+        if self.kind not in ("baseline", "blitz"):
+            raise ValueError(f"variant kind {self.kind!r} must be "
+                             "'baseline' or 'blitz'")
 
     def label(self) -> str:
         if self.kind == "baseline":
@@ -366,7 +372,8 @@ class TwoFlowRun:
     offset plus a seeded jitter later. Fairness compares the bytes each
     flow sends through the bottleneck while the short flow runs: the
     change in the link's per-flow departed_bytes from the short flow's
-    start to its finish, or to the end of the run.
+    start to the run's stop, which is its finish when stop_on_completion
+    is set, or the cap.
 
     The variant is first read when the short flow's handshake completes,
     so every variant of a group shares the events before it (README,
@@ -378,7 +385,7 @@ class TwoFlowRun:
     __slots__ = ("cfg", "variant", "rep", "stop_on_completion",
                  "_stop_on_saturation", "sim", "link", "start_jitter",
                  "long_conn", "short_conn", "sat_at", "sat_check",
-                 "departed_at_start", "departed_at_end")
+                 "departed_at_start")
 
     def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, stop_on_completion: bool = True):
@@ -406,10 +413,9 @@ class TwoFlowRun:
                                      jitter=jitter)
         self.sat_at: Optional[SimTime] = None
         self.sat_check = None  # the saturation check's Event, once armed
-        # each flow's departed bytes when the short flow starts and when it
-        # finishes (or the run ends): the fairness window's two edges
+        # each flow's departed bytes when the short flow starts: the
+        # fairness window's first edge; run() reads the other at the stop
         self.departed_at_start: Optional[tuple[int, int]] = None
-        self.departed_at_end: Optional[tuple[int, int]] = None
 
         link.on_occupancy = self._on_occupancy
         self.short_conn.on_started = self._on_started
@@ -443,8 +449,9 @@ class TwoFlowRun:
             self.sim.stop()
 
     # The link retires departures lazily, so each edge of the fairness
-    # window first retires the departures that rank before its event (see
-    # Link.retire), then reads each flow's departed bytes.
+    # window, the short flow's start here and the stop in run(), first
+    # retires the departures that rank before its event (see Link.retire),
+    # then reads each flow's departed bytes.
 
     def _departed_bytes(self) -> tuple[int, int]:
         """(short flow, long flow) departed bytes so far."""
@@ -457,8 +464,6 @@ class TwoFlowRun:
         self.departed_at_start = self._departed_bytes()
 
     def _on_finished(self, now: SimTime) -> None:
-        self.link.retire(now)
-        self.departed_at_end = self._departed_bytes()
         if self.stop_on_completion:
             self.sim.stop()
 
@@ -539,8 +544,8 @@ class TwoFlowRun:
         start = self.departed_at_start
         if start is None:  # the short flow never started
             short_bytes = long_bytes = 0
-        else:  # one that started and did not finish runs to the end
-            end = self.departed_at_end or self._departed_bytes()
+        else:
+            end = self._departed_bytes()
             short_bytes, long_bytes = end[0] - start[0], end[1] - start[1]
         short = self.short_conn
         return RunResult(
@@ -616,17 +621,6 @@ def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
 # -- statistics ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricStats:
-    factor: float           # improvement multiplier, direction per metric
-    delta: float            # variant minus baseline
-    ci_lo: float
-    ci_hi: float
-    significant: bool       # 0 outside the 95% CI of paired differences
-    anova_f: float
-    anova_p: float
-
-
 def _t_abs_cdf(x: float, df: int) -> float:
     """P(|T| < x) for Student's t with an integer df >= 1.
 
@@ -688,16 +682,15 @@ def _anova_two_groups(a: Sequence[float], b: Sequence[float]) -> tuple[float, fl
 
 
 def _paired_stats(variant: Sequence[float], baseline: Sequence[float],
-                  invert_factor: bool) -> MetricStats:
-    """CI of paired differences plus the Table-style mean factor.
+                  invert_factor: bool) -> tuple:
+    """One metric's seven summary columns, in SUMMARY_FIELDS order.
 
-    invert_factor=True reports baseline/variant (used for FCT, where >1
-    means the variant finished faster); False reports variant/baseline
-    (used for losses, where >1 means the variant lost more).
+    The Table-style mean factor, the mean of variant minus baseline, its
+    95% CI, 1 if that CI leaves out 0 else 0, and the ANOVA F and p. The
+    factor is baseline/variant with invert_factor (FCT: >1, the variant
+    finished faster), else variant/baseline (losses: >1, it lost more).
     """
     n = len(variant)
-    if n != len(baseline):
-        raise ValueError("unequal repetition counts")
     if n < 2:
         raise ValueError("statistics unavailable below two repetitions")
     mean_v = statistics.fmean(variant)
@@ -714,20 +707,19 @@ def _paired_stats(variant: Sequence[float], baseline: Sequence[float],
     sd = statistics.stdev(diffs)
     half = _t_critical(n - 1) * sd / math.sqrt(n) if sd > 0 else 0.0
     ci_lo, ci_hi = mean_d - half, mean_d + half
-    significant = not (ci_lo <= 0.0 <= ci_hi)
-    f_stat, p = _anova_two_groups(variant, baseline)
-    return MetricStats(factor, mean_d, ci_lo, ci_hi, significant, f_stat, p)
-
-
-@dataclass(frozen=True)
-class ComparisonStats:
-    fct: MetricStats
-    loss: MetricStats
+    significant = int(not ci_lo <= 0.0 <= ci_hi)
+    return (factor, mean_d, ci_lo, ci_hi, significant,
+            *_anova_two_groups(variant, baseline))
 
 
 def aggregate(variant_results: Sequence[RunResult],
-              baseline_results: Sequence[RunResult]) -> ComparisonStats:
-    """Compare one variant cell against its paired baseline cell."""
+              baseline_results: Sequence[RunResult]) -> dict:
+    """Compare one variant cell against its paired baseline cell.
+
+    Returns summary.csv's comparison columns, fct_factor to loss_anova_p,
+    by name. A pair with a timeout is skipped. ValueError when the reps
+    do not pair, or fewer than two pairs are left.
+    """
     if len(variant_results) != len(baseline_results):
         raise ValueError("unequal repetition counts")
     by_rep_v = {r.rep: r for r in variant_results}
@@ -743,10 +735,9 @@ def aggregate(variant_results: Sequence[RunResult],
         fct_b.append(b.fct / NS_PER_US)
         loss_v.append(float(v.lost_pkts))
         loss_b.append(float(b.lost_pkts))
-    return ComparisonStats(
-        fct=_paired_stats(fct_v, fct_b, invert_factor=True),
-        loss=_paired_stats(loss_v, loss_b, invert_factor=False),
-    )
+    fct = _paired_stats(fct_v, fct_b, invert_factor=True)
+    loss = _paired_stats(loss_v, loss_b, invert_factor=False)
+    return dict(zip(SUMMARY_FIELDS[8:22], fct + loss))
 
 
 # -- matrix execution ---------------------------------------------------------
@@ -780,7 +771,8 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
     writes its packet trace there as
     trace_<scenario>_<size>_<variant>_<rep>.csv. A run that raises ends
     the matrix with its own exception, noted with its cell by _run_cell,
-    once the groups not yet taken are cancelled and each worker joined.
+    once the groups not yet taken are cancelled and each worker joined,
+    and so does an exception raised here, such as one from progress.
     """
     check_cells(scenarios, sizes, variants)
     tasks = [(cfg, size, variant, rep, trace_dir)
@@ -794,10 +786,15 @@ def run_matrix(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
     with (ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext()) as pool:
         done = (map(_run_cell, tasks) if pool is None else
                 pool.map(_run_cell, tasks, chunksize=group))
-        for i, result in enumerate(done, 1):
-            results.append(result)
-            if progress is not None:
-                progress(i, len(tasks))
+        try:
+            for i, result in enumerate(done, 1):
+                results.append(result)
+                if progress is not None:
+                    progress(i, len(tasks))
+        except BaseException:
+            if pool is not None:  # leaving the with only waits
+                pool.shutdown(cancel_futures=True)
+            raise
     results.sort(key=lambda r: (r.scenario, r.size_bytes, r.variant, r.rep))
     return results
 
@@ -874,14 +871,9 @@ def summarize(results: Sequence[RunResult]) -> list[dict]:
         row["median_fairness"] = statistics.median(fair) if fair else None
         if baseline is not None:
             try:
-                stats = aggregate(group, baseline)
-            except ValueError:
-                stats = None
-            if stats is not None:
-                for fields, metric in ((SUMMARY_FIELDS[8:15], stats.fct),
-                                       (SUMMARY_FIELDS[15:22], stats.loss)):
-                    row.update(zip(fields, astuple(metric)))
-                    row[fields[4]] = int(metric.significant)
+                row.update(aggregate(group, baseline))
+            except ValueError:  # fewer than two pairs, or unpaired reps
+                pass
         rows.append(row)
     return rows
 

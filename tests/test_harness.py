@@ -72,6 +72,16 @@ def test_variant_parsing():
             Variant.parse(text)
 
 
+def test_variant_rejects_a_kind_it_cannot_run():
+    # the controller factory sends a hint only for "blitz": any other kind
+    # would run Slow Start under a label of its own
+    for kind in ("Blitz", "turbo", ""):
+        with pytest.raises(ValueError, match="must be 'baseline' or 'blitz'"):
+            Variant(kind, 2.0)
+    with pytest.raises(ValueError, match="bad variant 'Blitz:2'"):
+        Variant.parse("Blitz:2")
+
+
 # -- fairness ratio -----------------------------------------------------------------
 
 def test_fairness_equal_share():
@@ -133,22 +143,22 @@ def _result(variant, rep, fct_ms, lost, fairness=1.0):
 def test_aggregate_identical_groups():
     group = [_result("baseline", i, 100, 5) for i in range(30)]
     stats = aggregate(group, group)
-    assert stats.fct.factor == 1.0
-    assert stats.fct.ci_lo <= 0.0 <= stats.fct.ci_hi
-    assert not stats.fct.significant
-    assert stats.fct.anova_f == 0.0
-    assert stats.loss.factor == 1.0
-    assert not stats.loss.significant
+    assert stats["fct_factor"] == 1.0
+    assert stats["fct_ci_lo_us"] <= 0.0 <= stats["fct_ci_hi_us"]
+    assert not stats["fct_significant"]
+    assert stats["fct_anova_f"] == 0.0
+    assert stats["loss_factor"] == 1.0
+    assert not stats["loss_significant"]
 
 
 def test_aggregate_constant_difference_is_significant():
     base = [_result("baseline", i, 100, 5) for i in range(30)]
     var = [_result("blitz:1", i, 100, 10) for i in range(30)]
     stats = aggregate(var, base)
-    assert stats.loss.delta == 5.0
-    assert (stats.loss.ci_lo, stats.loss.ci_hi) == (5.0, 5.0)
-    assert stats.loss.significant
-    assert stats.loss.factor == 2.0
+    assert stats["loss_delta_pkts"] == 5.0
+    assert (stats["loss_ci_lo"], stats["loss_ci_hi"]) == (5.0, 5.0)
+    assert stats["loss_significant"]
+    assert stats["loss_factor"] == 2.0
 
 
 def test_aggregate_fct_factor_convention():
@@ -156,11 +166,11 @@ def test_aggregate_fct_factor_convention():
     base = [_result("baseline", i, 1000, 0) for i in range(30)]
     var = [_result("blitz:1", i, 500, 0) for i in range(30)]
     stats = aggregate(var, base)
-    assert stats.fct.factor == 2.0
-    assert stats.fct.delta == pytest.approx(-500_000)  # microseconds
-    assert stats.fct.significant
+    assert stats["fct_factor"] == 2.0
+    assert stats["fct_delta_us"] == pytest.approx(-500_000)
+    assert stats["fct_significant"]
     # factor and signed delta always agree in direction
-    assert (stats.fct.factor > 1.0) == (stats.fct.delta < 0)
+    assert (stats["fct_factor"] > 1.0) == (stats["fct_delta_us"] < 0)
 
 
 def test_aggregate_needs_at_least_two_pairs():
@@ -179,8 +189,8 @@ def test_anova_distinguishes_separated_groups():
     base = [_result("baseline", i, 100 + (i % 3), 0) for i in range(30)]
     var = [_result("v", i, 200 + (i % 3), 0) for i in range(30)]
     stats = aggregate(var, base)
-    assert stats.fct.anova_f > 100
-    assert stats.fct.anova_p < 1e-6
+    assert stats["fct_anova_f"] > 100
+    assert stats["fct_anova_p"] < 1e-6
 
 
 # t.ppf(0.975, df) and f.sf(F, 1, df) from scipy.stats 1.17, written out
@@ -985,6 +995,29 @@ def test_a_failed_matrix_leaves_no_worker_behind():
         pytest.fail("run_matrix hung after a failed run")
     assert proc.returncode == 0, err[-4000:]
     assert out == "ok\n"
+
+
+def test_a_raising_progress_cancels_the_groups_not_taken(monkeypatch,
+                                                         tmp_path):
+    # progress raises at the first result, as a write to a closed stderr
+    # would; the groups no worker has taken then never run
+    cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
+    variants = [Variant("baseline"), Variant("blitz", 1.0)]
+    started = tmp_path / "started"
+    run = TwoFlowRun.run
+
+    def counted(self, recorder=None):  # the fork start method carries it
+        with open(started, "a") as fh:
+            fh.write("x")
+        return run(self, recorder)
+
+    def progress(done, total):
+        raise OSError("stderr closed")
+    monkeypatch.setattr(TwoFlowRun, "run", counted)
+    with pytest.raises(OSError, match="stderr closed"):
+        run_matrix([cfg], [FAST70K], variants, reps=30, jobs=2,
+                   progress=progress)
+    assert len(started.read_text()) < 30 * len(variants)
 
 
 # -- emission ---------------------------------------------------------------------------

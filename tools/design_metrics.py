@@ -66,7 +66,7 @@ frozen_warm_run_bytes
     Bytes of the pickle `TwoFlowRun.freeze()` gives for the dsl-fast 70K
     baseline cell, rep 0, seed 1, at the end of `warm_up()`: the warm copy
     each fork of that group loads. The run is deterministic, and so is the
-    size; tests/test_tools.py holds it to a budget of 28,000.
+    size; tests/test_tools.py holds it to a budget of 27,000.
 """
 
 from __future__ import annotations
