@@ -24,7 +24,7 @@ FUZZ_CASES = 100_000  # inputs per encode/decode fuzz check
 def check_determinism(seed: int = 1) -> CheckResult:
     """Identical (scenario, seed) runs produce identical traces and metrics."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
-    variant = harness.Variant("blitz", 1.0)
+    variant = harness.Variant(1.0)
 
     def one() -> tuple[list, harness.RunResult]:
         trace = PacketTrace(only={"event"})
@@ -44,8 +44,7 @@ def check_determinism(seed: int = 1) -> CheckResult:
 def check_conservation(seed: int = 1) -> CheckResult:
     """Reliability, packet conservation and the buffer bound on a lossy run."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
-    run = harness.TwoFlowRun(cfg, harness.SIZES["2M"],
-                             harness.Variant("blitz", 4.0), 0)
+    run = harness.TwoFlowRun(cfg, harness.SIZES["2M"], harness.Variant(4.0), 0)
     run.run()
     short = run.short_conn
     if not short.finished:
@@ -77,7 +76,7 @@ def check_rate_conformance(seed: int = 1) -> CheckResult:
     """Backlogged bottleneck departs within [rate * 0.995, rate]."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
     trace = PacketTrace(only={"deliver"})
-    conn = harness.single_flow_run(cfg, 1 << 30, seconds(2.5), trace)
+    conn = harness.single_flow_run(cfg, seconds(2.5), trace)
     # a packet arrives exactly one propagation delay after it departs, so
     # arrivals in the shifted window are the departures in [1.0 s, 2.4 s);
     # rolling_bandwidth's window is closed, so one sample at end - 1 over
@@ -138,7 +137,7 @@ def check_slow_start_doubling(seed: int = 1) -> CheckResult:
     """cwnd doubles per round trip on a lossless single-flow start."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
     trace = PacketTrace(only={"cwnd"})
-    harness.single_flow_run(cfg, 1 << 30, seconds(1.0), trace)
+    harness.single_flow_run(cfg, seconds(1.0), trace)
     hits: dict[int, int] = {}
     for t, _flow, _kind, cwnd, mode in trace.rows:
         if mode is not Mode.SLOW_START:

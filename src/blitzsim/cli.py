@@ -160,13 +160,13 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
 
     # lone flow on an idle link: exponential startup, then avoidance
     trace = PacketTrace(only={"deliver"})
-    single_flow_run(cfg, 1 << 30, top_end, trace)
+    single_flow_run(cfg, top_end, trace)
     write_csv(out / "fig1_top.csv", FIG1_HEADER,
               ((t // 1000, 0, rtt // 1000, f"{bps:.1f}") for t, bps
                in rolling_bandwidth(trace.deliveries(0), rtt, top_end)))
 
     # second flow entering a bottleneck the first flow has saturated
-    run = TwoFlowRun(bottom_cfg, 1 << 30, Variant("baseline"), 0,
+    run = TwoFlowRun(bottom_cfg, cfg.long_flow_bytes, Variant(), 0,
                      stop_on_completion=False)
     dtrace = PacketTrace(only={"deliver"})
     run.run(dtrace)

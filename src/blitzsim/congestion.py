@@ -174,8 +174,6 @@ class CubicController:
             w_max = self.w_max_segments
             w = CUBIC_C * (t - self.cubic_k) ** 3 + w_max
             target = int(w * SEGMENT_WIRE_BYTES)
-            if target < FLOOR_BYTES:
-                target = FLOOR_BYTES
             if srtt is not None and srtt > 0:
                 est = w_max * CUBIC_BETA + RENO_ALPHA * t / (srtt / NS_PER_S)
                 est_bytes = int(est * SEGMENT_WIRE_BYTES)

@@ -56,7 +56,7 @@ class ScenarioConfig:
     rtt: SimTime
     bottleneck_kbps: int
     buffer_pkts: int
-    access_tech: AccessTech
+    access_tech: AccessTech = AccessTech.UNKNOWN
     long_flow_bytes: int = LONG_FLOW_BYTES
     short_flow_start: SimTime = NS_PER_S  # offset after saturation
     seed_base: int = 1
@@ -133,37 +133,35 @@ PRESETS: dict[str, ScenarioConfig] = {
 
 @dataclass(frozen=True, slots=True)
 class Variant:
-    kind: str  # "baseline" | "blitz"
-    factor: float = 1.0
+    # the hint's estimate over the bottleneck rate; None sends no hint
+    factor: Optional[float] = None
 
     def __post_init__(self):
-        # another kind would run Slow Start under a label of its own
-        if self.kind not in ("baseline", "blitz"):
-            raise ValueError(f"variant kind {self.kind!r} must be "
-                             "'baseline' or 'blitz'")
+        if self.factor is not None and not 0 < self.factor < math.inf:
+            raise ValueError(f"variant factor must be positive and finite, "
+                             f"got {self.factor!r}")
 
     def label(self) -> str:
-        if self.kind == "baseline":
+        if self.factor is None:
             return "baseline"
         return f"blitz:{self.factor:g}"
 
     @classmethod
     def parse(cls, text: str) -> "Variant":
         if text == "baseline":
-            return cls("baseline")
+            return cls()
         kind, _, factor = text.partition(":")
-        try:
-            value = float(factor)
-        except ValueError:
-            value = 0.0
-        if kind != "blitz" or not 0 < value < math.inf:
-            raise ValueError(f"bad variant {text!r}; want baseline or "
-                             "blitz:<factor>, factor positive")
-        return cls("blitz", value)
+        if kind == "blitz":
+            try:
+                return cls(float(factor))
+            except ValueError:
+                pass
+        raise ValueError(f"bad variant {text!r}; want baseline or "
+                         "blitz:<factor>, factor positive")
 
 
 def default_variants() -> list[Variant]:
-    return [Variant("baseline")] + [Variant("blitz", f) for f in ESTIMATE_FACTORS]
+    return [Variant()] + [Variant(f) for f in ESTIMATE_FACTORS]
 
 
 @dataclass
@@ -173,13 +171,19 @@ class RunResult:
     variant: str
     rep: int
     seed: int
-    fct: Optional[SimTime]
+    fct: Optional[SimTime]  # None exactly when the short flow did not finish
     lost_pkts: int
     retransmitted_bytes: int
-    inflation: float
     fairness: Optional[float]
-    timeout: bool
     short_start_at: Optional[SimTime] = None
+
+    @property
+    def inflation(self) -> float:
+        return self.retransmitted_bytes / self.size_bytes
+
+    @property
+    def timeout(self) -> bool:
+        return self.fct is None
 
 
 def fairness_ratio(short_bytes: int, long_bytes: int) -> Optional[float]:
@@ -220,11 +224,15 @@ def rolling_bandwidth(deliveries: Sequence[tuple[SimTime, int]],
 
 def check_cells(scenarios: Sequence[ScenarioConfig], sizes: Sequence[int],
                 variants: Sequence[Variant]) -> None:
-    """ValueError unless each short flow has a byte and each factory builds."""
+    """ValueError unless each cell can run and has its own runs.csv key."""
     for size in sizes:
         if size < 1:
             raise ValueError(f"short flow size must be at least 1 byte, "
                              f"got {size}")
+    labels = [variant.label() for variant in variants]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"two variants share the label {label}")
     for cfg in scenarios:
         for variant in variants:
             _controller_factory(cfg, variant)
@@ -256,7 +264,7 @@ def _controller_factory(cfg: ScenarioConfig, variant: Variant) -> partial:
     blitz label, and the u32 field cannot hold one above MAX_HINT_KBPS.
     """
     wire = None
-    if variant.kind == "blitz":
+    if variant.factor is not None:
         kbps = OracleEstimator(variant.factor).estimate(cfg.bottleneck_kbps)
         if kbps == 0:
             raise ValueError(
@@ -389,7 +397,7 @@ class TwoFlowRun:
 
     def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, stop_on_completion: bool = True):
-        check_cells((cfg,), (size_bytes,), (variant,))
+        check_cells((cfg,), (size_bytes,), ())  # the factory checks variant
         self.cfg = cfg
         self.variant = variant
         self.rep = rep
@@ -405,8 +413,7 @@ class TwoFlowRun:
         self.start_jitter = start_rng.randrange(0, jitter_max + 1)
         jitter = JitterDraw(pkt_rng, cfg.pkt_jitter_max)
         self.long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
-                                    _controller_factory(cfg,
-                                                        Variant("baseline")),
+                                    _controller_factory(cfg, Variant()),
                                     jitter=jitter)
         self.short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
                                      _controller_factory(cfg, variant),
@@ -557,9 +564,7 @@ class TwoFlowRun:
             fct=short.fct,
             lost_pkts=short.lost_pkts,
             retransmitted_bytes=short.bytes_retransmitted,
-            inflation=short.bytes_retransmitted / short.size,
             fairness=fairness_ratio(short_bytes, long_bytes),
-            timeout=not short.finished,
             short_start_at=short.start_at,
         )
 
@@ -602,15 +607,15 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
     return run.run()
 
 
-def single_flow_run(cfg: ScenarioConfig, transfer_bytes: int, duration: SimTime,
+def single_flow_run(cfg: ScenarioConfig, duration: SimTime,
                     recorder: Optional[PacketTrace] = None) -> Connection:
-    """One flow on an idle bottleneck, for startup-behavior studies."""
+    """cfg's long flow alone on an idle bottleneck, for startup studies."""
     sim = Simulator()
     sim.recorder = recorder
     link = Link(sim, cfg.link_config())
     pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
-    conn = Connection(sim, LONG_FLOW, link, transfer_bytes,
-                      _controller_factory(cfg, Variant("baseline")),
+    conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
+                      _controller_factory(cfg, Variant()),
                       jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max))
     conn.start(0)
     sim.run_until(duration)
@@ -891,10 +896,21 @@ def emit_trace_csv(trace: PacketTrace, path: Path) -> None:
 
 # -- declarative scenario files -------------------------------------------------
 
+# each key: the ScenarioConfig field it sets, or "size" or "variant" for
+# the cell's, and how its text parses; a key a file leaves out takes the
+# field's default
 _SCENARIO_FILE_KEYS = {
-    "name", "rtt_ms", "bottleneck_kbps", "buffer_pkts", "access_tech",
-    "long_flow_bytes", "short_flow_bytes", "short_flow_start_ms", "variant",
-    "start_jitter_max_ms", "pkt_jitter_max_us",
+    "name": ("name", str),
+    "rtt_ms": ("rtt", lambda text: ms(int(text))),
+    "bottleneck_kbps": ("bottleneck_kbps", int),
+    "buffer_pkts": ("buffer_pkts", int),
+    "access_tech": ("access_tech", lambda text: AccessTech[text.upper()]),
+    "long_flow_bytes": ("long_flow_bytes", int),
+    "short_flow_bytes": ("size", int),
+    "short_flow_start_ms": ("short_flow_start", lambda text: ms(int(text))),
+    "variant": ("variant", Variant.parse),
+    "start_jitter_max_ms": ("start_jitter_max", lambda text: ms(int(text))),
+    "pkt_jitter_max_us": ("pkt_jitter_max", lambda text: us(int(text))),
 }
 # keys older files carried; the command line sets these now
 _KEYS_MOVED_TO_FLAGS = {"repetitions": "--reps", "seed_base": "--seed"}
@@ -928,29 +944,12 @@ def parse_scenario_file(path: Path) -> tuple[ScenarioConfig, int, Variant]:
                      "short_flow_bytes"):
         if required not in values:
             raise ValueError(f"{path}: missing required key {required!r}")
-
-    def get(key: str, convert: Callable[[str], object], default=None):
-        if key not in values:
-            return default
-        try:
-            return convert(values[key])
-        except (KeyError, ValueError):
-            raise ValueError(f"{path}: bad {key} {values[key]!r}") from None
-
-    cfg = ScenarioConfig(
-        name=values["name"],
-        rtt=get("rtt_ms", lambda v: ms(int(v))),
-        bottleneck_kbps=get("bottleneck_kbps", int),
-        buffer_pkts=get("buffer_pkts", int),
-        access_tech=get("access_tech", lambda v: AccessTech[v.upper()],
-                        AccessTech.UNKNOWN),
-        long_flow_bytes=get("long_flow_bytes", int, LONG_FLOW_BYTES),
-        short_flow_start=get("short_flow_start_ms", lambda v: ms(int(v)),
-                             NS_PER_S),
-        start_jitter_max=get("start_jitter_max_ms", lambda v: ms(int(v))),
-        pkt_jitter_max=get("pkt_jitter_max_us", lambda v: us(int(v)),
-                           PKT_JITTER_MAX),
-    )
-    size = get("short_flow_bytes", int)
-    variant = get("variant", Variant.parse, Variant("baseline"))
-    return cfg, size, variant
+    fields = {}
+    for key, (field, convert) in _SCENARIO_FILE_KEYS.items():
+        if key in values:
+            try:
+                fields[field] = convert(values[key])
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}: bad {key} {values[key]!r}") from None
+    size, variant = fields.pop("size"), fields.pop("variant", Variant())
+    return ScenarioConfig(**fields), size, variant

@@ -60,7 +60,7 @@ def test_criterion_1_solo_startup_doubles_exits_and_saturates():
     """Lone flow: per-RTT doubling, delay exit before saturation, full use."""
     cfg = PRESETS["dsl-fast"]
     trace = PacketTrace(only={"deliver"})
-    conn = single_flow_run(cfg, 1 << 30, seconds(1.5), trace)
+    conn = single_flow_run(cfg, seconds(1.5), trace)
     ctrl = conn.controller
     exits = [(t, m) for t, m in ctrl.mode_trace if m is not Mode.SLOW_START]
     assert exits, "flow never left Slow Start"
@@ -91,7 +91,7 @@ def test_criterion_2_second_flow_converges_slowly():
     """Fair-share approach of a flow entering a saturated bottleneck."""
     cfg = replace(PRESETS["dsl-fast"], sim_cap=seconds(25))
     trace = PacketTrace(only={"deliver"})
-    run = TwoFlowRun(cfg, 1 << 30, Variant("baseline"), 0,
+    run = TwoFlowRun(cfg, 1 << 30, Variant(), 0,
                      stop_on_completion=False)
     run.run(trace)
     start = run.short_conn.start_at

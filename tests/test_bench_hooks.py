@@ -33,7 +33,7 @@ from blitzsim import harness
 
 objs = RunObjects()
 cell = (harness.PRESETS["dsl-fast"], harness.SIZES["70K"],
-        harness.Variant("baseline"), 0)
+        harness.Variant(), 0)
 untraced = harness.run_scenario(*cell)
 plain, plain_errors = snapshot(objs.take())
 recorder = harness.PacketTrace(only={"event"})

@@ -239,6 +239,32 @@ def test_blitzstart_never_enters_slow_start():
     assert all(m is not Mode.SLOW_START for _t, m in ctrl.mode_trace)
 
 
+@given(hint_kbps=st.one_of(st.none(), st.integers(1, 200_000)),
+       calls=st.lists(st.tuples(
+           st.booleans(),                         # a loss, else an ACK
+           st.integers(0, seconds(3)),            # time since the last call
+           st.integers(0, 200_000),               # bytes newly acked
+           st.one_of(st.none(), st.integers(1, seconds(1))),  # RTT sample
+           st.integers(0, 400), st.integers(0, 400)), max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_cwnd_never_drops_below_the_floor(hint_kbps, calls):
+    # the baseline and Blitzstart alike: no ACK lowers cwnd, and a loss
+    # cuts it to at least the floor, so a cubic target below the floor
+    # never matters
+    hint = (None if hint_kbps is None
+            else BandwidthHint(AccessTech.DSL, hint_kbps))
+    ctrl = make_controller(hint, ms(50), 0)
+    assert ctrl.cwnd >= FLOOR_BYTES
+    now = 0
+    for loss, gap, nbytes, rtt, pkt, ahead in calls:
+        now += gap
+        if loss:
+            ctrl.on_congestion_event(now, pkt, pkt + ahead)
+        else:
+            ctrl.on_ack(nbytes, rtt, now, pkt, pkt + ahead, srtt=rtt)
+        assert ctrl.cwnd >= FLOOR_BYTES
+
+
 def test_zero_hint_falls_back_to_baseline():
     ctrl = make_controller(BandwidthHint(AccessTech.UNKNOWN, 0), ms(50), 0)
     assert ctrl.mode is Mode.SLOW_START

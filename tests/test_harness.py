@@ -28,7 +28,8 @@ from blitzsim.harness import (ESTIMATE_FACTORS, PRESETS, RUNS_HEADER, SIZES,
                               TRACE_HEADER, TRACE_ROWS, JitterDraw, PacketTrace,
                               RunResult, ScenarioConfig, TwoFlowRun, Variant,
                               _anova_two_groups, _t_abs_cdf,
-                              _t_critical, aggregate, default_variants,
+                              _t_critical, aggregate, check_cells,
+                              default_variants,
                               emit_runs_csv, emit_summary_csv, emit_trace_csv,
                               fairness_ratio,
                               parse_scenario_file, rolling_bandwidth,
@@ -64,22 +65,54 @@ def test_default_matrix_has_table_shape():
 
 
 def test_variant_parsing():
-    assert Variant.parse("baseline") == Variant("baseline")
-    assert Variant.parse("blitz:1.5") == Variant("blitz", 1.5)
+    assert Variant.parse("baseline") == Variant()
+    assert Variant.parse("blitz:1.5") == Variant(1.5)
     assert Variant.parse("blitz:1.0").label() == "blitz:1"
     for text in ("turbo:9", "blitz:1:2"):
         with pytest.raises(ValueError):
             Variant.parse(text)
 
 
-def test_variant_rejects_a_kind_it_cannot_run():
-    # the controller factory sends a hint only for "blitz": any other kind
-    # would run Slow Start under a label of its own
-    for kind in ("Blitz", "turbo", ""):
-        with pytest.raises(ValueError, match="must be 'baseline' or 'blitz'"):
-            Variant(kind, 2.0)
+@pytest.mark.parametrize("factor", [0, -1, math.inf, math.nan])
+def test_a_variant_factor_must_be_positive_and_finite(monkeypatch, factor):
+    # an infinite factor once reached the oracle's Fraction and raised
+    # OverflowError from check_cells; now no such variant is made, so
+    # check_cells and run_matrix never see one
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated or pooled before rejecting")
+    monkeypatch.setattr(Simulator, "run_until", refuse)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+    message = f"^variant factor must be positive and finite, got {factor!r}$"
+    with pytest.raises(ValueError, match=message):
+        Variant(factor)
+    with pytest.raises(ValueError, match=message):
+        check_cells([PRESETS["dsl-fast"]], [SIZES["70K"]], [Variant(factor)])
+    with pytest.raises(ValueError, match=message):
+        run_matrix([PRESETS["dsl-fast"]], [SIZES["70K"]],
+                   [Variant(), Variant(factor)], reps=1, jobs=2)
     with pytest.raises(ValueError, match="bad variant 'Blitz:2'"):
         Variant.parse("Blitz:2")
+    with pytest.raises(ValueError, match="bad variant 'blitz:inf'"):
+        Variant.parse("blitz:inf")
+
+
+@pytest.mark.parametrize("variants", [
+    [Variant(), Variant(2.0), Variant()],
+    [Variant(1.0), Variant(1.0000001)],  # both blitz:1
+], ids=["baseline-twice", "blitz:1-twice"])
+def test_two_variants_with_one_label_are_rejected_before_running(
+        monkeypatch, variants):
+    # runs.csv keys a run by its variant's label: two variants with one
+    # label would write each key twice, and summarize would merge them
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated or pooled before rejecting")
+    monkeypatch.setattr(Simulator, "run_until", refuse)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+    label = variants[-1].label()
+    with pytest.raises(ValueError,
+                       match=f"^two variants share the label {label}$"):
+        run_matrix([PRESETS["dsl-fast"]], [SIZES["70K"]], variants, reps=2,
+                   jobs=2)
 
 
 # -- fairness ratio -----------------------------------------------------------------
@@ -136,8 +169,7 @@ def test_rolling_bandwidth_rejects_bad_window():
 def _result(variant, rep, fct_ms, lost, fairness=1.0):
     return RunResult(scenario="t", size_bytes=2_000_000, variant=variant,
                      rep=rep, seed=1, fct=ms(fct_ms), lost_pkts=lost,
-                     retransmitted_bytes=0, inflation=0.0, fairness=fairness,
-                     timeout=False)
+                     retransmitted_bytes=0, fairness=fairness)
 
 
 def test_aggregate_identical_groups():
@@ -269,18 +301,18 @@ def test_a_short_flow_below_one_byte_is_rejected_before_running(
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
     message = f"^short flow size must be at least 1 byte, got {size}$"
     with pytest.raises(ValueError, match=message):
-        run_scenario(PRESETS["dsl-fast"], size, Variant("baseline"), 0)
+        run_scenario(PRESETS["dsl-fast"], size, Variant(), 0)
     with pytest.raises(ValueError, match=message):
         run_matrix([PRESETS["dsl-fast"]], [SIZES["70K"], size],
-                   [Variant("baseline")], reps=1, jobs=2)
+                   [Variant()], reps=1, jobs=2)
 
 
 def test_a_one_ns_rtt_is_rejected_and_two_ns_runs():
     # with rtt // 2 == 0 the PTO would be 0, and a run would spin at t=0
     with pytest.raises(ValueError, match="rtt must be at least 2 ns, got 1"):
         replace(PRESETS["dsl-fast"], rtt=1)
-    conn = single_flow_run(replace(PRESETS["dsl-fast"], rtt=2), 200_000,
-                           ms(100))
+    conn = single_flow_run(replace(PRESETS["dsl-fast"], rtt=2,
+                                   long_flow_bytes=200_000), ms(100))
     assert conn.finished
 
 
@@ -292,28 +324,28 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def test_run_scenario_is_deterministic():
     cfg = PRESETS["dsl-fast"]
-    a = run_scenario(cfg, FAST70K, Variant("blitz", 1.0), rep=0)
-    b = run_scenario(cfg, FAST70K, Variant("blitz", 1.0), rep=0)
+    a = run_scenario(cfg, FAST70K, Variant(1.0), rep=0)
+    b = run_scenario(cfg, FAST70K, Variant(1.0), rep=0)
     assert a == b
 
 
 def test_run_scenario_reps_differ_via_jitter():
     cfg = PRESETS["dsl-fast"]
-    a = run_scenario(cfg, FAST70K, Variant("baseline"), rep=0)
-    b = run_scenario(cfg, FAST70K, Variant("baseline"), rep=1)
+    a = run_scenario(cfg, FAST70K, Variant(), rep=0)
+    b = run_scenario(cfg, FAST70K, Variant(), rep=1)
     assert a.short_start_at != b.short_start_at
 
 
 def test_paired_seeding_same_start_jitter_across_variants():
     cfg = PRESETS["dsl-fast"]
-    base = run_scenario(cfg, FAST70K, Variant("baseline"), rep=3)
-    blitz = run_scenario(cfg, FAST70K, Variant("blitz", 1.0), rep=3)
+    base = run_scenario(cfg, FAST70K, Variant(), rep=3)
+    blitz = run_scenario(cfg, FAST70K, Variant(1.0), rep=3)
     assert base.short_start_at == blitz.short_start_at
 
 
 def test_short_flow_waits_for_saturation():
     cfg = PRESETS["dsl-fast"]
-    run = TwoFlowRun(cfg, FAST70K, Variant("baseline"), rep=0)
+    run = TwoFlowRun(cfg, FAST70K, Variant(), rep=0)
     r = run.run()
     assert run.sat_at is not None
     assert run.sat_at >= 2 * cfg.rtt
@@ -323,7 +355,7 @@ def test_short_flow_waits_for_saturation():
 def test_fct_lower_bound_two_round_trips():
     # handshake plus at least one data round trip
     cfg = PRESETS["dsl-fast"]
-    r = run_scenario(cfg, FAST70K, Variant("baseline"), rep=0)
+    r = run_scenario(cfg, FAST70K, Variant(), rep=0)
     assert not r.timeout
     assert r.fct >= 2 * cfg.rtt
 
@@ -331,7 +363,7 @@ def test_fct_lower_bound_two_round_trips():
 def test_all_events_use_the_closed_kind_set():
     # new behaviours ride in the callback payload, never in new kinds
     trace = PacketTrace(only={"event"})
-    TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0).run(trace)
+    TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant(1.0), 0).run(trace)
     kinds = {kind for _t, _s, _event, kind, _target in trace.rows}
     assert kinds <= {"packet-arrival", "pacing-timer", "loss-timer",
                      "app-start"}
@@ -350,7 +382,7 @@ def test_each_timer_is_one_event_per_owner(monkeypatch):
 
     monkeypatch.setattr(Simulator, "schedule", counted)
     cfg = PRESETS["dsl-fast"]
-    result = TwoFlowRun(cfg, SIZES["2M"], Variant("blitz", 4.0), 0).run()
+    result = TwoFlowRun(cfg, SIZES["2M"], Variant(4.0), 0).run()
     assert result.lost_pkts > 0
     owners = Counter()
     for (name, _owner), n in calls.items():
@@ -364,7 +396,7 @@ def test_each_timer_is_one_event_per_owner(monkeypatch):
 
 
 def test_blitz_run_reports_congestion_avoidance_from_first_packet():
-    run = TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant("blitz", 1.0), 0)
+    run = TwoFlowRun(PRESETS["dsl-fast"], FAST70K, Variant(1.0), 0)
     run.run()
     conn = run.short_conn
     ctrl = conn.controller
@@ -381,7 +413,7 @@ def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
     # a frozen run holds no stateful hook of its original: the run that
     # adopts it, recorder and all, calls back only into its own objects,
     # so both end exactly as an unforked run
-    cell = (PRESETS["dsl-fast"], FAST70K, Variant("blitz", 4.0), 3)
+    cell = (PRESETS["dsl-fast"], FAST70K, Variant(4.0), 3)
     ref_trace = PacketTrace(only=ALL_ROWS)
     ref_run = TwoFlowRun(*cell)
     ref = ref_run.run(ref_trace)
@@ -459,11 +491,11 @@ def lossy_scenarios(draw) -> ScenarioConfig:
 @settings(max_examples=100, deadline=None)
 def test_a_forked_run_equals_a_cold_run_on_generated_scenarios(
         cfg, size, rep, factor):
-    warm = TwoFlowRun(cfg, size, Variant("baseline"), rep)
+    warm = TwoFlowRun(cfg, size, Variant(), rep)
     assume(warm.warm_up())
     assert warm.freeze() is not None
     done = warm.sim.now + 1
-    for variant in (Variant("baseline"), Variant("blitz", factor)):
+    for variant in (Variant(), Variant(factor)):
         cold = TwoFlowRun(cfg, size, variant, rep)
         cold_rows = PacketTrace(only={"event"})
         expected = cold.run(cold_rows)
@@ -498,7 +530,7 @@ def test_a_lossy_run_frozen_mid_flight_resumes_in_a_fresh_run():
     # Packets and ACKs pickle as their constructor's arguments and the
     # jitter generator as its packed state; a loaded copy must keep each
     # packet one object across the places that hold it, and its flags
-    cfg, variant = PRESETS["dsl-slow"], Variant("blitz", 4.0)
+    cfg, variant = PRESETS["dsl-slow"], Variant(4.0)
     source = TwoFlowRun(cfg, SIZES["70K"], variant, 0)
     assert source.warm_up()
 
@@ -560,7 +592,7 @@ def test_hot_parts_keep_their_state_in_slots():
     # Link, Connection and Receiver keep a __dict__ for outside hooks, so
     # an attribute missing from their __slots__ would land there quietly
     cfg = PRESETS["dsl-fast"]
-    variants = [Variant("baseline"), Variant("blitz", 4.0)]
+    variants = [Variant(), Variant(4.0)]
     cold = TwoFlowRun(cfg, FAST70K, variants[1], 0)
     cold.run()
     warm = TwoFlowRun(cfg, FAST70K, variants[0], 0)
@@ -581,8 +613,8 @@ def test_a_plain_function_hook_on_a_part_keeps_the_group_cold(
     # would call the warm run's _on_finished and never stop: on lte 70K
     # rep 0, blitz:3 would run to the cap and report fairness 6.5e-05.
     cfg = PRESETS["lte"]
-    variants = [Variant("baseline"), Variant("blitz", 1.0),
-                Variant("blitz", 3.0)]
+    variants = [Variant(), Variant(1.0),
+                Variant(3.0)]
     expected = [TwoFlowRun(cfg, FAST70K, v, 0).run() for v in variants]
     assert round(expected[2].fairness, 4) == 0.1187
     init = TwoFlowRun.__init__
@@ -704,7 +736,7 @@ def test_run_matrix_of_two_variants_forks_each_group_after_the_first(
     adopted = _record(monkeypatch, "adopt")
     warm_ups = _record(monkeypatch, "warm_up")
     cfg = replace(PRESETS["dsl-fast"], seed_base=7)
-    variants = [Variant("baseline"), Variant("blitz", 4.0)]
+    variants = [Variant(), Variant(4.0)]
     results = run_matrix([cfg], [FAST70K], variants, reps=3, jobs=1)
     assert warm_ups == [(variants[0], rep) for rep in range(3)]
     assert adopted == [(variants[1], rep) for rep in range(3)]
@@ -819,7 +851,7 @@ TIMEOUT_CFG = replace(PRESETS["dsl-fast"], short_flow_start=0,
 
 def test_timeout_flagging():
     # the short flow starts about 0.33 s in and cannot finish by the cap
-    r = run_scenario(TIMEOUT_CFG, FAST70K, Variant("baseline"), rep=0)
+    r = run_scenario(TIMEOUT_CFG, FAST70K, Variant(), rep=0)
     assert r.short_start_at is not None
     assert r.timeout
     assert r.fct is None
@@ -827,7 +859,7 @@ def test_timeout_flagging():
 
 def test_a_capped_run_dispatches_nothing_at_or_after_the_cap():
     trace = PacketTrace(only={"event"})
-    run = TwoFlowRun(TIMEOUT_CFG, FAST70K, Variant("baseline"), 0)
+    run = TwoFlowRun(TIMEOUT_CFG, FAST70K, Variant(), 0)
     assert run.run(trace).timeout
     cap = TIMEOUT_CFG.sim_cap
     assert max(row[0] for row in trace.rows) < cap
@@ -842,7 +874,7 @@ def test_a_capped_run_dispatches_nothing_at_or_after_the_cap():
 def test_link_counters_conserve_packets_after_a_run(cfg, finished):
     # departures are retired lazily, so run() settles the link before it
     # returns: every admitted packet is queued or departed, never both
-    run = TwoFlowRun(cfg, FAST70K, Variant("baseline"), 0)
+    run = TwoFlowRun(cfg, FAST70K, Variant(), 0)
     assert run.run().timeout is not finished
     link = run.link
     queued = Counter(pkt.flow_id for _departure, _seq, pkt in link.queue)
@@ -861,7 +893,7 @@ def test_fairness_counts_a_departure_at_the_finish_only_if_it_came_first():
     # number than that ACK's arrival, which the run stopped in; here it
     # took a later one, so the row is the full matrix's.
     cfg = replace(PRESETS["3g"], seed_base=1)
-    run = TwoFlowRun(cfg, SIZES["2M"], Variant("blitz", 4.0), 0)
+    run = TwoFlowRun(cfg, SIZES["2M"], Variant(4.0), 0)
     result = run.run()
     finish = run.short_conn.finished_at
     head_at, head_seq, _head = run.link.queue[0]
@@ -905,7 +937,7 @@ def test_run_matrix_starts_no_more_workers_than_runs(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         FakeExecutor)
     cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
-    results = run_matrix([cfg], [FAST70K], [Variant("baseline")], reps=3,
+    results = run_matrix([cfg], [FAST70K], [Variant()], reps=3,
                          jobs=8)
     assert sizes == [3]
     assert [r.rep for r in results] == [0, 1, 2]
@@ -954,7 +986,7 @@ from blitzsim.engine import ms
 from blitzsim.harness import PRESETS, TwoFlowRun, Variant, run_matrix
 
 cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
-variants = [Variant("baseline"), Variant("blitz", 1.0)]
+variants = [Variant(), Variant(1.0)]
 
 def fail(self, recorder=None):
     raise ValueError("injected")
@@ -1002,7 +1034,7 @@ def test_a_raising_progress_cancels_the_groups_not_taken(monkeypatch,
     # progress raises at the first result, as a write to a closed stderr
     # would; the groups no worker has taken then never run
     cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
-    variants = [Variant("baseline"), Variant("blitz", 1.0)]
+    variants = [Variant(), Variant(1.0)]
     started = tmp_path / "started"
     run = TwoFlowRun.run
 
@@ -1024,7 +1056,7 @@ def test_a_raising_progress_cancels_the_groups_not_taken(monkeypatch,
 
 def test_emit_runs_csv_schema_and_determinism(tmp_path):
     cfg = PRESETS["dsl-fast"]
-    results = [run_scenario(cfg, FAST70K, Variant("baseline"), rep=i)
+    results = [run_scenario(cfg, FAST70K, Variant(), rep=i)
                for i in range(2)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_runs_csv(results, p1)
@@ -1063,7 +1095,7 @@ def test_summary_has_one_row_per_cell_with_stats(tmp_path):
 def test_trace_csv_schema(tmp_path):
     cfg = PRESETS["dsl-fast"]
     trace = PacketTrace(only=TRACE_ROWS)
-    run_scenario(cfg, FAST70K, Variant("baseline"), rep=0, trace=trace)
+    run_scenario(cfg, FAST70K, Variant(), rep=0, trace=trace)
     p = tmp_path / "trace.csv"
     emit_trace_csv(trace, p)
     lines = p.read_text().splitlines()
@@ -1095,7 +1127,7 @@ def test_parse_scenario_file_roundtrip(tmp_path):
     assert cfg.access_tech is AccessTech.WIFI
     assert cfg.short_flow_start == ms(500)
     assert size == 70_000
-    assert variant == Variant("blitz", 1.5)
+    assert variant == Variant(1.5)
 
 
 def test_parse_scenario_file_rejects_unknown_keys(tmp_path):

@@ -96,7 +96,7 @@ def test_every_paced_send_waits_the_pacing_interval(monkeypatch):
 
     monkeypatch.setattr(Connection, "maybe_send", checked)
     result = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"],
-                        Variant("blitz", 4.0), 0).run()
+                        Variant(4.0), 0).run()
     assert result.lost_pkts > 0
     assert set(fractions) == {PACE_SLOW_START, PACE_AVOIDANCE}
 
@@ -415,8 +415,7 @@ def test_an_ack_adds_at_most_the_ranges_its_packets_changed():
     # arrive between two ACKs and each changes one range of the list (a
     # new range, an extended one, or two merged into one), so at most
     # ACK_EVERY ranges of an ACK are not held already.
-    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant("blitz", 4.0),
-                     0)
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant(4.0), 0)
     per_ack = []
     widest = 0
     for conn in (run.long_conn, run.short_conn):
@@ -694,9 +693,10 @@ def test_every_ack_timer_that_fires_has_a_packet_to_ack(monkeypatch):
 
     monkeypatch.setattr(Receiver, "_on_ack_timer", counted)
     cfg = replace(PRESETS["dsl-fast"], seed_base=1)
-    TwoFlowRun(cfg, SIZES["70K"], Variant("baseline"), 0).run()
+    TwoFlowRun(cfg, SIZES["70K"], Variant(), 0).run()
     assert 0 not in pending
-    single_flow_run(cfg, SEGMENT_PAYLOAD_BYTES, seconds(1))
+    single_flow_run(replace(cfg, long_flow_bytes=SEGMENT_PAYLOAD_BYTES),
+                    seconds(1))
     assert pending == [1]
 
 
@@ -757,7 +757,7 @@ def test_every_pto_that_runs_declares_a_loss(monkeypatch, scenario, ptos):
 
     monkeypatch.setattr(Connection, "_on_pto", counted)
     TwoFlowRun(replace(PRESETS[scenario], seed_base=1), SIZES["70K"],
-               Variant("blitz", 3.0), 0).run()
+               Variant(3.0), 0).run()
     assert losses == [1] * ptos
 
 
@@ -835,7 +835,7 @@ def peak_state(monkeypatch, cfg, duration):
         peak["cwnd"] = max(peak["cwnd"], conn.controller.cwnd)
 
     monkeypatch.setattr(Connection, "on_ack", sampled)
-    conn = single_flow_run(cfg, 1 << 30, duration)
+    conn = single_flow_run(cfg, duration)
     assert conn.pkts_sent > 10 * peak["records"]
     return peak
 
@@ -888,7 +888,7 @@ def test_records_by_seq_holds_the_segments_sent_and_not_acked(monkeypatch):
 
     monkeypatch.setattr(Connection, "on_ack", checked)
     result = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"],
-                        Variant("blitz", 4.0), 0).run()
+                        Variant(4.0), 0).run()
     assert result.lost_pkts > 0 and acks[0] > 0 and acks[1] > 0
 
 

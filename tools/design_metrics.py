@@ -19,7 +19,7 @@ settable_values
       functions and lambdas are not counted;
     - every annotated field of a module-level class decorated with
       @dataclass, leaving out ClassVar annotations;
-    - every string in the `_SCENARIO_FILE_KEYS` set literal of harness.py
+    - every key of the `_SCENARIO_FILE_KEYS` dict literal of harness.py
       (the scenario-file keys);
     - every `add_argument` call in cli.py whose first argument starts with
       "-" (CLI flags, counted once per subcommand that takes them).
@@ -163,7 +163,7 @@ def settable_values() -> int:
                   and any(isinstance(t, ast.Name)
                           and t.id == "_SCENARIO_FILE_KEYS"
                           for t in node.targets)):
-                total += len(node.value.elts)
+                total += len(node.value.keys)
         if path.name == "cli.py":
             for call in ast.walk(tree):
                 if (isinstance(call, ast.Call)
@@ -181,7 +181,7 @@ def _finished_run():
     sys.path.insert(0, str(SRC))
     from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
 
-    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"], Variant("baseline"), 0)
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"], Variant(), 0)
     run.run()
     return run
 
@@ -204,7 +204,7 @@ def _profiled_calls() -> tuple[float, float]:
     sys.path.insert(0, str(SRC))
     from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
 
-    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"], Variant("baseline"), 0)
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["10M"], Variant(), 0)
     calls = c_calls = 0
 
     def profile(_frame, event, _arg):
@@ -235,8 +235,7 @@ def range_adds_per_ack() -> float:
     sys.path.insert(0, str(SRC))
     from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
 
-    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant("blitz", 4.0),
-                     0)
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant(4.0), 0)
     conns = (run.long_conn, run.short_conn)
     unheld = 0
     for conn in conns:
@@ -255,7 +254,7 @@ def frozen_warm_run_bytes() -> int:
     sys.path.insert(0, str(SRC))
     from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
 
-    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["70K"], Variant("baseline"), 0)
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["70K"], Variant(), 0)
     if not run.warm_up():
         raise RuntimeError("the dsl-fast 70K baseline cell never warms up")
     return len(run.freeze())
