@@ -166,10 +166,10 @@ def _cmd_demo_fig1(args: argparse.Namespace) -> int:
                in rolling_bandwidth(trace.deliveries(0), rtt, top_end)))
 
     # second flow entering a bottleneck the first flow has saturated
-    run = TwoFlowRun(bottom_cfg, cfg.long_flow_bytes, Variant(), 0,
-                     stop_on_completion=False)
+    run = TwoFlowRun(bottom_cfg, cfg.long_flow_bytes, Variant(), 0)
     dtrace = PacketTrace(only={"deliver"})
     run.run(dtrace)
+    run.sim.run_until(bottom_end - 1)  # the figure goes on past its finish
     write_csv(out / "fig1_bottom.csv", FIG1_HEADER,
               ((t // 1000, flow, window // 1000, f"{bps:.1f}")
                for flow in (harness.LONG_FLOW, harness.SHORT_FLOW)

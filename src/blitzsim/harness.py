@@ -22,6 +22,7 @@ import struct
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
+from numbers import Real
 from pathlib import Path
 from types import MethodType
 from typing import Callable, Iterable, Optional, Sequence
@@ -137,7 +138,8 @@ class Variant:
     factor: Optional[float] = None
 
     def __post_init__(self):
-        if self.factor is not None and not 0 < self.factor < math.inf:
+        if self.factor is not None and not (isinstance(self.factor, Real)
+                                            and 0 < self.factor < math.inf):
             raise ValueError(f"variant factor must be positive and finite, "
                              f"got {self.factor!r}")
 
@@ -377,11 +379,11 @@ class TwoFlowRun:
 
     A long Cubic flow starts at 0. Once the queue has stayed non-empty for
     two round trips, the short flow is scheduled to start the configured
-    offset plus a seeded jitter later. Fairness compares the bytes each
-    flow sends through the bottleneck while the short flow runs: the
-    change in the link's per-flow departed_bytes from the short flow's
-    start to the run's stop, which is its finish when stop_on_completion
-    is set, or the cap.
+    offset plus a seeded jitter later. The simulator stops at its start,
+    a pause run() steps over, and at its finish or the cap, the run's
+    end. Fairness compares the bytes each flow sends through the
+    bottleneck in between: the change in the link's per-flow
+    departed_bytes from the short flow's start to the run's end.
 
     The variant is first read when the short flow's handshake completes,
     so every variant of a group shares the events before it (README,
@@ -390,19 +392,16 @@ class TwoFlowRun:
     controller factory a partial of _controller.
     """
 
-    __slots__ = ("cfg", "variant", "rep", "stop_on_completion",
-                 "_stop_on_saturation", "sim", "link", "start_jitter",
+    __slots__ = ("cfg", "variant", "rep", "sim", "link", "start_jitter",
                  "long_conn", "short_conn", "sat_at", "sat_check",
                  "departed_at_start")
 
     def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
-                 rep: int, stop_on_completion: bool = True):
+                 rep: int):
         check_cells((cfg,), (size_bytes,), ())  # the factory checks variant
         self.cfg = cfg
         self.variant = variant
         self.rep = rep
-        self.stop_on_completion = stop_on_completion
-        self._stop_on_saturation = False  # set while warm_up() runs
         self.sim = sim = Simulator()
         self.link = link = Link(sim, cfg.link_config())
 
@@ -452,8 +451,6 @@ class TwoFlowRun:
         self.sim.schedule(now + self.cfg.short_flow_start + self.start_jitter,
                           "app-start", f"conn:{SHORT_FLOW}",
                           self.short_conn.start)
-        if self._stop_on_saturation:
-            self.sim.stop()
 
     # The link retires departures lazily, so each edge of the fairness
     # window, the short flow's start here and the stop in run(), first
@@ -469,27 +466,24 @@ class TwoFlowRun:
     def _on_started(self, now: SimTime) -> None:
         self.link.retire(now)
         self.departed_at_start = self._departed_bytes()
+        self.sim.stop()
 
     def _on_finished(self, now: SimTime) -> None:
-        if self.stop_on_completion:
-            self.sim.stop()
+        self.sim.stop()
 
     def warm_up(self) -> bool:
         """Run to 1 ns before the short flow's handshake completes.
 
-        Returns False if the run never gets there: the link never
-        saturates, or the handshake would complete at or after the cap.
+        Returns False if the run never gets there: the short flow never
+        starts, or its handshake would complete at or after the cap.
         Either way run() then finishes the run as if it had not stopped.
         """
-        cfg, sim = self.cfg, self.sim
-        end = cfg.sim_cap - 1
-        self._stop_on_saturation = True
-        sim.run_until(end)
-        self._stop_on_saturation = False
-        if self.sat_at is None:  # ran to the cap
+        sim, short = self.sim, self.short_conn
+        end = self.cfg.sim_cap - 1
+        sim.run_until(end)  # to the pause at the short flow's start
+        if short.start_at is None:  # ran to the cap
             return False
-        done = (self.sat_at + cfg.short_flow_start + self.start_jitter
-                + self.short_conn.handshake_rtt)
+        done = short.start_at + short.handshake_rtt
         if done > end:
             return False
         sim.run_until(done - 1)
@@ -540,11 +534,13 @@ class TwoFlowRun:
                 setattr(part, name, value)
 
     def run(self, recorder: Optional[PacketTrace] = None) -> RunResult:
-        """Simulate to the end, recording into recorder if given."""
-        sim = self.sim
+        """Run past the pause to the end, recording into recorder if given."""
+        sim, short = self.sim, self.short_conn
         sim.recorder = recorder
         # the cap is exclusive: no event at sim_cap or later runs
         sim.run_until(self.cfg.sim_cap - 1)
+        if not short.finished:  # paused at the short flow's start, or capped
+            sim.run_until(self.cfg.sim_cap - 1)
         # the run stopped in the short flow's finish, and sim.seq is still
         # that event's, or it reached the cap, and sim.seq is past every key
         self.link.retire(sim.now)
@@ -554,7 +550,6 @@ class TwoFlowRun:
         else:
             end = self._departed_bytes()
             short_bytes, long_bytes = end[0] - start[0], end[1] - start[1]
-        short = self.short_conn
         return RunResult(
             scenario=self.cfg.name,
             size_bytes=short.size,
@@ -919,11 +914,15 @@ _KEYS_MOVED_TO_FLAGS = {"repetitions": "--reps", "seed_base": "--seed"}
 def parse_scenario_file(path: Path) -> tuple[ScenarioConfig, int, Variant]:
     """key = value scenario description; returns (config, size, variant).
 
-    Raises ValueError naming the offending key on any malformed input.
+    Raises ValueError naming the path and any offending key on bad input.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: cannot read: {exc}") from None
     values: dict[str, str] = {}
     key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

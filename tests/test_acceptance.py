@@ -91,8 +91,7 @@ def test_criterion_2_second_flow_converges_slowly():
     """Fair-share approach of a flow entering a saturated bottleneck."""
     cfg = replace(PRESETS["dsl-fast"], sim_cap=seconds(25))
     trace = PacketTrace(only={"deliver"})
-    run = TwoFlowRun(cfg, 1 << 30, Variant(), 0,
-                     stop_on_completion=False)
+    run = TwoFlowRun(cfg, 1 << 30, Variant(), 0)  # cannot finish in 25 s
     run.run(trace)
     start = run.short_conn.start_at
     assert start is not None

@@ -73,7 +73,7 @@ def test_variant_parsing():
             Variant.parse(text)
 
 
-@pytest.mark.parametrize("factor", [0, -1, math.inf, math.nan])
+@pytest.mark.parametrize("factor", [0, -1, math.inf, math.nan, "baseline"])
 def test_a_variant_factor_must_be_positive_and_finite(monkeypatch, factor):
     # an infinite factor once reached the oracle's Fraction and raised
     # OverflowError from check_cells; now no such variant is made, so
@@ -350,6 +350,17 @@ def test_short_flow_waits_for_saturation():
     assert run.sat_at is not None
     assert run.sat_at >= 2 * cfg.rtt
     assert r.short_start_at >= run.sat_at + cfg.short_flow_start
+
+
+def test_a_run_pauses_at_the_short_flows_start_and_ends_at_its_finish():
+    cfg = PRESETS["dsl-fast"]
+    run = TwoFlowRun(cfg, FAST70K, Variant(1.0), 0)
+    run.sim.run_until(cfg.sim_cap - 1)
+    short = run.short_conn
+    assert run.sim.now == short.start_at
+    assert run.departed_at_start is not None and short.controller is None
+    assert run.run() == TwoFlowRun(cfg, FAST70K, Variant(1.0), 0).run()
+    assert run.sim.now == short.finished_at
 
 
 def test_fct_lower_bound_two_round_trips():
@@ -1218,12 +1229,22 @@ def test_cli_scenario_file(tmp_path):
     (["--trace", "--jobs", "2"], CELL_FILE.replace("= cell", "= a/b"),
      "'a/b'"),
     ([], CELL_FILE.replace("= cell", "="), "name ''"),
+    # a scenario file that is missing, a directory, or not UTF-8 text
+    (["--scenario-file", "{tmp}/missing.scenario"], None,
+     "{tmp}/missing.scenario: cannot read: [Errno 2] No such file"),
+    (["--scenario-file", "{tmp}"], None,
+     "{tmp}: cannot read: [Errno 21] Is a directory"),
+    ([], CELL_FILE.encode().replace(b"= cell", b"= caf\xe9"),
+     "cell.scenario: cannot read: 'utf-8' codec can't decode byte 0xe9"),
 ])
 def test_cli_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv,
                                                file_text, named):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    named = named.format(tmp=tmp_path)
     if file_text is not None:
         p = tmp_path / "cell.scenario"
-        p.write_text(file_text)
+        p.write_bytes(file_text if isinstance(file_text, bytes)
+                      else file_text.encode())
         argv = argv + ["--scenario-file", str(p)]
     out = tmp_path / "out"
     rc = main(["run", "--size", "70K", "--out", str(out), "--jobs", "1"]
