@@ -31,30 +31,27 @@ def seconds(n: float) -> SimTime:
     return int(n * NS_PER_S)
 
 
-# Passed as schedule()'s arg by Simulator.arm on a timer's first arming.
-TIMER = object()
+# Passed as schedule()'s arg to bind a callback, not to schedule it.
+BIND = object()
 
 
 class Event:
-    """A re-armable timer, made by Simulator.arm.
+    """A re-armable timer, made unarmed by Simulator.timer.
 
     (fire_at, seq) is the key the timer is armed at; seq is -1 while it
-    is not armed, that is once it has fired or been cancelled. due is
-    when it fires: arm sets it to fire_at, and its owner may move it
-    later without a re-key, or to -1, which disarms it in place: its
-    entry is dropped when it pops.
+    is not armed, that is before its first arming and once it has fired
+    or been cancelled. due is when it fires: arm sets it to fire_at, and
+    its owner may move it later without a re-key, or to -1, which
+    disarms it in place: its entry is dropped when it pops.
     """
 
     __slots__ = ("fire_at", "seq", "kind", "target", "fn", "due")
 
-    def __init__(self, fire_at: SimTime, seq: int, kind: str, target: str,
-                 fn: Callable):
-        self.fire_at = fire_at
-        self.seq = seq
+    def __init__(self, kind: str, target: str, fn: Callable):
+        self.fire_at = self.seq = self.due = -1
         self.kind = kind
         self.target = target
         self.fn = fn
-        self.due = fire_at
 
 
 class PacketTrace:
@@ -84,10 +81,14 @@ class Simulator:
 
     The heap holds (fire_at, seq, fn, arg, kind, target) tuples, ordered
     by their unique (fire_at, seq) prefix. A fire-and-forget event is just
-    its tuple. A timer's tuple has fn None and its Event as arg; a re-armed
-    or cancelled timer leaves dead tuples behind, which run_until skips.
-    A live timer tuple that pops before its Event's due is re-keyed to due
-    instead of dispatched, and one whose due is negative is dropped.
+    its tuple, which schedule() pushes. The per-packet pushes (a packet's
+    injection and arrival, an ACK's arrival) push the same tuple inline,
+    taking seq = scheduled and counting it, with a callback their owner
+    bound through schedule(..., BIND) when it was built. A timer's tuple
+    has fn None and its Event as arg; a re-armed or cancelled timer
+    leaves dead tuples behind, which run_until skips. A live timer tuple
+    that pops before its Event's due is re-keyed to due instead of
+    dispatched, and one whose due is negative is dropped.
 
     (now, seq) is the key of the event being dispatched, or of the last
     one if stop() ended run_until. Before the first dispatch seq is -1,
@@ -110,39 +111,44 @@ class Simulator:
         self.recorder: Optional[PacketTrace] = None  # every layer's rows
 
     def schedule(self, fire_at: SimTime, kind: str, target: str,
-                 fn: Callable, arg: object = None) -> int | Event:
+                 fn: Callable, arg: object = None) -> int | Callable:
         """Schedule fn(now) (or fn(arg, now) when arg is given) at fire_at.
 
         The event cannot be cancelled; its sequence number is returned.
-        Only Simulator.arm passes arg=TIMER: the first arming of a timer,
-        which schedule() builds and returns as an Event.
+        With arg=BIND nothing is scheduled or counted and fn is returned
+        as given: an owner binds each callback it pushes itself, and each
+        timer's (see timer()), this way once, when it is built. So a
+        wrapper of schedule installed before that sees, and may replace,
+        the callback of every event the simulator dispatches.
         """
+        if arg is BIND:
+            return fn
         if fire_at < self.now:
             raise RuntimeError(
                 f"scheduled in the past: fire_at={fire_at} now={self.now}")
         seq = self.scheduled
         self.scheduled = seq + 1
-        if arg is TIMER:
-            ev = Event(fire_at, seq, kind, target, fn)
-            heapq.heappush(self._heap, (fire_at, seq, None, ev, kind, target))
-            return ev
         heapq.heappush(self._heap, (fire_at, seq, fn, arg, kind, target))
         return seq
 
-    def arm(self, ev: Optional[Event], fire_at: SimTime, kind: str,
-            target: str, fn: Callable) -> Event:
-        """(Re-)arm a timer: schedule it when ev is None, else re-key ev.
+    def timer(self, kind: str, target: str, fn: Callable) -> Event:
+        """A timer that calls fn(now) when it fires, not yet armed.
 
-        A timer is one Event for its owner's lifetime. kind, target and fn
-        are only read on the first arming, when they go to schedule().
-        A re-key moves ev to fire_at exactly as cancel(ev) and a fresh
+        A timer is one Event for its owner's lifetime: the owner makes it
+        when it is built, and arms it with arm().
+        """
+        return Event(kind, target, self.schedule(self.now, kind, target, fn,
+                                                 BIND))
+
+    def arm(self, ev: Event, fire_at: SimTime) -> None:
+        """(Re-)arm a timer at fire_at.
+
+        Arming moves ev to fire_at exactly as cancel(ev) and a fresh
         arming would: ev takes the next sequence number and counts as
         scheduled, and its old key counts as cancelled if it was still
-        armed. The old key's heap entry stays behind, dead. Either way
-        ev.due is fire_at.
+        armed. The old key's heap entry stays behind, dead. ev.due is
+        fire_at.
         """
-        if ev is None:
-            return self.schedule(fire_at, kind, target, fn, TIMER)
         if fire_at < self.now:
             raise RuntimeError(
                 f"scheduled in the past: fire_at={fire_at} now={self.now}")
@@ -153,11 +159,10 @@ class Simulator:
         ev.fire_at = ev.due = fire_at
         ev.seq = seq
         heapq.heappush(self._heap, (fire_at, seq, None, ev, ev.kind, ev.target))
-        return ev
 
-    def cancel(self, ev: Optional[Event]) -> None:
-        """Disarm a timer; nothing happens if it is None or not armed."""
-        if ev is None or ev.seq == -1:
+    def cancel(self, ev: Event) -> None:
+        """Disarm a timer; nothing happens if it is not armed."""
+        if ev.seq == -1:
             return
         ev.seq = -1
         self.cancelled += 1

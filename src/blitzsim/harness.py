@@ -393,7 +393,7 @@ class TwoFlowRun:
     """
 
     __slots__ = ("cfg", "variant", "rep", "sim", "link", "start_jitter",
-                 "long_conn", "short_conn", "sat_at", "sat_check",
+                 "long_conn", "short_conn", "sat_check",
                  "departed_at_start")
 
     def __init__(self, cfg: ScenarioConfig, size_bytes: int, variant: Variant,
@@ -417,8 +417,8 @@ class TwoFlowRun:
         self.short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
                                      _controller_factory(cfg, variant),
                                      jitter=jitter)
-        self.sat_at: Optional[SimTime] = None
-        self.sat_check = None  # the saturation check's Event, once armed
+        self.sat_check = sim.timer("app-start", "saturation",
+                                   self._on_saturated)
         # each flow's departed bytes when the short flow starts: the
         # fairness window's first edge; run() reads the other at the stop
         self.departed_at_start: Optional[tuple[int, int]] = None
@@ -433,9 +433,7 @@ class TwoFlowRun:
         # at 0->1 is cancelled by the next 1->0, so a check that fires has
         # seen a non-empty queue for the whole hold.
         if queued:
-            self.sat_check = self.sim.arm(
-                self.sat_check, now + 2 * self.cfg.rtt, "app-start",
-                "saturation", self._on_saturated)
+            self.sim.arm(self.sat_check, now + 2 * self.cfg.rtt)
         else:
             self.sim.cancel(self.sat_check)
 
@@ -446,7 +444,6 @@ class TwoFlowRun:
         link.retire(now)
         if not link.queued:
             return
-        self.sat_at = now
         link.on_occupancy = None
         self.sim.schedule(now + self.cfg.short_flow_start + self.start_jitter,
                           "app-start", f"conn:{SHORT_FLOW}",

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Optional
 
-from .engine import NS_PER_S, SimTime, Simulator
+from .engine import BIND, NS_PER_S, SimTime, Simulator
 
 SEGMENT_WIRE_BYTES = 1500   # on-wire bytes of a full data segment
 SEGMENT_PAYLOAD_BYTES = 1350  # application bytes carried by a full segment
@@ -130,10 +131,12 @@ class Link:
 
         Each packet of the flow that the link admits is handed to
         receiver(packet, now) at its arrival, and receiver counts it in
-        the returned counters' `delivered`. Attaching again replaces the
-        receiver and keeps the counters.
+        the returned counters' `delivered`. receiver is bound here, as
+        the arrival's callback (Simulator.schedule, BIND). Attaching
+        again replaces the receiver and keeps the counters.
         """
-        self.receivers[flow_id] = receiver
+        self.receivers[flow_id] = self.sim.schedule(
+            self.sim.now, "packet-arrival", LINK_TARGET, receiver, BIND)
         return self.counters.setdefault(flow_id, FlowCounters())
 
     @property
@@ -187,9 +190,13 @@ class Link:
         departure = (queue[-1][0] if queued else now) + serialization
         if not queued and self.on_occupancy is not None:
             self.on_occupancy(now, 1)
-        seq = sim.schedule(departure + self.config.prop_delay,
-                           "packet-arrival", LINK_TARGET,
-                           self.receivers[packet.flow_id], packet)
+        # schedule(the arrival, "packet-arrival", ...), inline on the
+        # per-packet path; never in the past, as departure >= now
+        seq = sim.scheduled
+        sim.scheduled = seq + 1
+        heappush(sim._heap, (departure + self.config.prop_delay, seq,
+                             self.receivers[packet.flow_id], packet,
+                             "packet-arrival", LINK_TARGET))
         queue.append((departure, seq, packet))
         queued += 1
         if queued > self.max_queued:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .congestion import INITIAL_BURST_PACKETS, CubicController
-from .engine import NS_PER_MS, Event, SimTime, Simulator
+from .engine import BIND, NS_PER_MS, SimTime, Simulator
 from .netmodel import (HEADER_BYTES, LINK_TARGET, SEGMENT_PAYLOAD_BYTES,
                        SEGMENT_WIRE_BYTES, Link, Packet)
 
@@ -95,21 +96,25 @@ class Receiver:
     """Receiving endpoint: tracks byte ranges, generates ACKs.
 
     It is its flow's far end on the link: the link's arrival event calls
-    on_data, which counts the packet in the flow's `delivered`. The state
-    is in slots; `__dict__` stays, empty, for an observer that wraps a
-    callback on one instance.
+    on_data, which counts the packet in the flow's `delivered`. Each ACK's
+    arrival calls _on_ack, the sender's on_ack as bound when the receiver
+    was built. The state is in slots; `__dict__` stays, empty, for an
+    observer that keeps a hook on one instance.
     """
 
     __slots__ = ("conn", "ranges", "largest_pkt_num", "_pending",
-                 "_ack_timer", "_target", "_counters", "__dict__")
+                 "_ack_timer", "_on_ack", "_counters", "__dict__")
 
     def __init__(self, conn: "Connection"):
         self.conn = conn
         self.ranges = RangeSet()
         self.largest_pkt_num = -1
         self._pending = 0
-        self._ack_timer: Optional[Event] = None  # the max-ack-delay timer
-        self._target = f"recv:{conn.flow_id}"
+        sim = conn.sim
+        self._ack_timer = sim.timer("pacing-timer", f"recv:{conn.flow_id}",
+                                    self._on_ack_timer)  # max ack delay
+        self._on_ack = sim.schedule(sim.now, "packet-arrival", conn._target,
+                                    conn.on_ack, BIND)
         self._counters = conn.link.attach(conn.flow_id, self.on_data)
 
     def on_data(self, pkt: Packet, now: SimTime) -> None:
@@ -136,19 +141,23 @@ class Receiver:
             # ACK every byte received so far; reverse path: fixed
             # propagation only, never congested or dropped
             self._pending = 0
-            conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
-                              conn._target, conn.on_ack,
-                              Ack(list(received.ranges), self.largest_pkt_num))
+            # schedule(the ACK's arrival, "packet-arrival", ...), inline on
+            # the per-packet path; never in the past, as reverse_delay >= 0
+            # (a scenario's is at least 1 ns, since its rtt >= 2)
+            sim = conn.sim
+            seq = sim.scheduled
+            sim.scheduled = seq + 1
+            heappush(sim._heap, (now + conn.reverse_delay, seq, self._on_ack,
+                                 Ack(list(received.ranges),
+                                     self.largest_pkt_num),
+                                 "packet-arrival", conn._target))
             # nothing is due: disarm the timer in place, so that its
-            # entry is dropped when it pops; the first unacked packet made
-            # the timer
+            # entry is dropped when it pops
             self._ack_timer.due = -1
         elif self._pending == 1:  # the first unacked packet sets the due
             ev = self._ack_timer
-            if ev is None or ev.seq == -1:  # not armed
-                self._ack_timer = conn.sim.arm(
-                    ev, now + MAX_ACK_DELAY, "pacing-timer", self._target,
-                    self._on_ack_timer)
+            if ev.seq == -1:  # not armed
+                conn.sim.arm(ev, now + MAX_ACK_DELAY)
             else:
                 ev.due = now + MAX_ACK_DELAY
 
@@ -162,16 +171,24 @@ class Receiver:
         """
         conn = self.conn
         self._pending = 0
-        conn.sim.schedule(now + conn.reverse_delay, "packet-arrival",
-                          conn._target, conn.on_ack,
-                          Ack(list(self.ranges.ranges), self.largest_pkt_num))
+        # as on_data pushes an ACK: _on_ack is bound, so it must not pass
+        # through schedule() again
+        sim = conn.sim
+        seq = sim.scheduled
+        sim.scheduled = seq + 1
+        heappush(sim._heap, (now + conn.reverse_delay, seq, self._on_ack,
+                             Ack(list(self.ranges.ranges),
+                                 self.largest_pkt_num),
+                             "packet-arrival", conn._target))
 
 
 class Connection:
     """Sending endpoint of one flow.
 
-    The state is in slots. `__dict__` stays, empty, for an observer that
-    keeps a wrapped hook or callback on the instance.
+    Its timers and each injection's callback, link.enqueue, are bound
+    when it is built, so a patch of the methods they call must be in
+    place before that. The state is in slots. `__dict__` stays, empty,
+    for an observer that keeps a wrapped hook on the instance.
     """
 
     __slots__ = (
@@ -194,7 +211,9 @@ class Connection:
         self.flow_id = flow_id
         self._target = f"conn:{flow_id}"  # event target of this flow's events
         self.link = link
-        self._enqueue = link.enqueue  # each injection's callback
+        # each injection's callback
+        self._enqueue = sim.schedule(sim.now, "packet-arrival", LINK_TARGET,
+                                     link.enqueue, BIND)
         self.size = transfer_bytes
         self.reverse_delay = link.config.prop_delay
         self.handshake_rtt = 2 * link.config.prop_delay
@@ -227,8 +246,10 @@ class Connection:
 
         self.burst_remaining = 0
         self.next_release: SimTime = 0
-        self._pacing_event: Optional[Event] = None
-        self._pto_event: Optional[Event] = None  # the probe timeout
+        self._pacing_event = sim.timer("pacing-timer", self._target,
+                                       self.maybe_send)
+        self._pto_event = sim.timer("loss-timer", self._target,
+                                    self._on_pto)  # the probe timeout
         self._pto_backoff = 0
         self._last_inject: SimTime = 0
 
@@ -291,6 +312,7 @@ class Connection:
         ctrl = self.controller
         retx = self.retx_queue
         size = self.size
+        sim = self.sim
         while True:
             while retx and retx[0].acked:
                 retx.popleft()
@@ -312,10 +334,8 @@ class Connection:
                 self.burst_remaining -= 1
             elif self.next_release > now:  # the pacer gate is closed
                 ev = self._pacing_event
-                if ev is None or ev.seq == -1:  # not armed
-                    self._pacing_event = self.sim.arm(
-                        ev, self.next_release, "pacing-timer", self._target,
-                        self.maybe_send)
+                if ev.seq == -1:  # not armed
+                    sim.arm(ev, self.next_release)
                 break
             # send [start, end) as a new packet
             payload = end - start
@@ -348,10 +368,13 @@ class Connection:
             self.records_by_seq[start] = pkt
             self.in_flight += wire
             self.payload_sent += payload
-            self.sim.schedule(inject_at, "packet-arrival", LINK_TARGET,
-                              self._enqueue, pkt)
-            pto = self._pto_event
-            if pto is None or pto.seq == -1:  # not armed
+            # schedule(inject_at, "packet-arrival", ...), inline on the
+            # per-packet path; never in the past, as a jitter draw is >= 0
+            seq = sim.scheduled
+            sim.scheduled = seq + 1
+            heappush(sim._heap, (inject_at, seq, self._enqueue, pkt,
+                                 "packet-arrival", LINK_TARGET))
+            if self._pto_event.seq == -1:  # not armed
                 self._arm_pto(now)
             if self.burst_remaining == 0:
                 # the pacing gap: cwnd spread over pacing_fraction * srtt
@@ -499,9 +522,8 @@ class Connection:
             deadline = now + ((PTO_SRTT * self.srtt + PTO_RTTVAR * self.rttvar)
                               << self._pto_backoff)
             pto = self._pto_event
-            if pto is None or pto.seq == -1 or deadline < pto.fire_at:
-                self._pto_event = self.sim.arm(
-                    pto, deadline, "loss-timer", self._target, self._on_pto)
+            if pto.seq == -1 or deadline < pto.fire_at:
+                self.sim.arm(pto, deadline)
             else:
                 pto.due = deadline
         else:
@@ -524,11 +546,9 @@ class Connection:
 
     def _arm_pto(self, now: SimTime) -> None:
         """Arm the probe timeout to fire one PTO interval from now."""
-        self._pto_event = self.sim.arm(
-            self._pto_event,
-            now + ((PTO_SRTT * self.srtt + PTO_RTTVAR * self.rttvar)
-                   << self._pto_backoff),
-            "loss-timer", self._target, self._on_pto)
+        self.sim.arm(self._pto_event,
+                     now + ((PTO_SRTT * self.srtt + PTO_RTTVAR * self.rttvar)
+                            << self._pto_backoff))
 
     def _on_pto(self, now: SimTime) -> None:
         """The probe timeout: declare the oldest outstanding packet lost.

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blitzsim.engine import (NS_PER_MS, NS_PER_S, PacketTrace, Simulator,
-                             derive_seed, ms, seconds, substream, us)
+from blitzsim.engine import (BIND, NS_PER_MS, NS_PER_S, PacketTrace,
+                             Simulator, derive_seed, ms, seconds, substream,
+                             us)
 
 
 def test_event_at_current_time_dispatches_before_later_events():
@@ -28,7 +29,8 @@ def test_same_time_events_dispatch_in_scheduling_order():
 def test_cancelled_event_never_dispatches():
     sim = Simulator()
     fired = []
-    ev = sim.arm(None, us(5), "loss-timer", "t", lambda now: fired.append(1))
+    ev = sim.timer("loss-timer", "t", lambda now: fired.append(1))
+    sim.arm(ev, us(5))
     sim.cancel(ev)
     assert ev.seq == -1 and sim.cancelled == 1
     sim.run_until(seconds(1))
@@ -38,7 +40,8 @@ def test_cancelled_event_never_dispatches():
 
 def test_cancel_twice_counts_once():
     sim = Simulator()
-    ev = sim.arm(None, us(5), "loss-timer", "t", lambda now: None)
+    ev = sim.timer("loss-timer", "t", lambda now: None)
+    sim.arm(ev, us(5))
     sim.cancel(ev)
     assert ev.seq == -1 and sim.cancelled == 1
     sim.cancel(ev)
@@ -48,18 +51,20 @@ def test_cancel_twice_counts_once():
 def test_arm_schedules_once_then_rekeys_the_same_event():
     sim = Simulator()
     fired = []
-    ev = sim.arm(None, us(10), "loss-timer", "t", fired.append)
+    ev = sim.timer("loss-timer", "t", fired.append)
+    assert ev.seq == -1 and sim.scheduled == 0  # built, not armed
+    sim.cancel(ev)  # not armed: gives up no key
+    assert sim.cancelled == 0
+    sim.arm(ev, us(10))
     assert ev.seq == 0
-    assert sim.arm(ev, us(20), "loss-timer", "t", fired.append) is ev
+    sim.arm(ev, us(20))
     assert (sim.scheduled, sim.cancelled) == (2, 1)
     assert (ev.fire_at, ev.seq) == (us(20), 1)
     sim.run_until(us(20))
     assert fired == [us(20)] and ev.seq == -1  # fired, so not armed
-    assert sim.arm(ev, us(30), "loss-timer", "t", fired.append) is ev
+    sim.arm(ev, us(30))
     sim.cancel(ev)
     assert ev.seq == -1 and sim.cancelled == 2
-    sim.cancel(None)
-    assert sim.cancelled == 2
     sim.run_until(us(40))
     assert fired == [us(20)]
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (3, 2, 1)
@@ -76,9 +81,32 @@ def test_schedule_returns_nothing_to_cancel():
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (1, 0, 1)
 
 
+def test_schedule_with_bind_returns_its_callback_and_schedules_nothing():
+    # an owner binds each callback it pushes itself this way, so a wrapper
+    # of schedule hands down what the owner then pushes
+    sim = Simulator()
+    sim.schedule(us(5), "app-start", "t", lambda now: None)
+    sim.schedule(us(9), "app-start", "t", lambda now: None)
+    sim.run_until(us(5))
+    heap = list(sim._heap)
+    counts = (sim.scheduled, sim.cancelled, sim.dispatched)
+
+    def fn(now):
+        pass
+
+    assert sim.schedule(us(7), "loss-timer", "t", fn, BIND) is fn
+    ev = sim.timer("loss-timer", "t", fn)
+    assert ev.fn is fn and (ev.kind, ev.target, ev.seq) == ("loss-timer",
+                                                            "t", -1)
+    assert sim._heap == heap
+    assert (sim.scheduled, sim.cancelled, sim.dispatched) == counts == (
+        2, 0, 1)
+
+
 def test_cancel_after_dispatch_is_noop():
     sim = Simulator()
-    ev = sim.arm(None, us(5), "loss-timer", "t", lambda now: None)
+    ev = sim.timer("loss-timer", "t", lambda now: None)
+    sim.arm(ev, us(5))
     sim.run_until(us(5))
     sim.cancel(ev)
     assert ev.seq == -1 and sim.cancelled == 0
@@ -146,7 +174,8 @@ def _random_workload(sim: Simulator, seed: int) -> list:
         log.append(now)
         for _ in range(rng.randrange(0, 3)):
             delay = rng.randrange(1, 1000)
-            ev = sim.arm(None, now + delay, "pacing-timer", "w", spawn)
+            ev = sim.timer("pacing-timer", "w", spawn)
+            sim.arm(ev, now + delay)
             if rng.random() < 0.2:
                 sim.cancel(ev)
 
@@ -181,7 +210,8 @@ def test_no_event_loss(plan):
     # scheduled - cancelled = dispatched after draining the queue
     sim = Simulator()
     for fire_at, cancel in plan:
-        ev = sim.arm(None, fire_at, "pacing-timer", "p", lambda now: None)
+        ev = sim.timer("pacing-timer", "p", lambda now: None)
+        sim.arm(ev, fire_at)
         if cancel:
             sim.cancel(ev)
     sim.run_until(seconds(1))
@@ -212,14 +242,14 @@ def test_plain_and_timer_entries_dispatch_in_fire_at_seq_order(program):
             plain.append((op[1], seq, f"p{seq}"))
         elif op[0] == "timer":
             i = len(timers)
-            timers.append(sim.arm(None, op[1], "pacing-timer", f"t{i}",
-                                  lambda now: None))
+            timers.append(sim.timer("pacing-timer", f"t{i}", lambda now: None))
+            sim.arm(timers[i], op[1])
             live[i] = (op[1], seq, f"t{i}")
         elif not timers:
             continue
         elif op[0] == "rekey":
             i = op[1] % len(timers)
-            sim.arm(timers[i], op[2], "pacing-timer", f"t{i}", None)
+            sim.arm(timers[i], op[2])
             live[i] = (op[2], seq, f"t{i}")
         else:
             i = op[1] % len(timers)
@@ -233,18 +263,14 @@ def test_plain_and_timer_entries_dispatch_in_fire_at_seq_order(program):
     assert sim.scheduled - sim.cancelled == sim.dispatched
 
 
-def _arm(sim, handles, i, fire_at):
-    ev = handles[i]
-    handles[i] = sim.arm(ev, fire_at, ev.kind, ev.target, ev.fn)
-
-
 def _cancel_and_arm(sim, handles, i, fire_at):
     """The reference re-key: cancel the timer and arm a fresh one."""
     if fire_at < sim.now:
         raise RuntimeError("scheduled in the past")
     ev = handles[i]
     sim.cancel(ev)
-    handles[i] = sim.arm(None, fire_at, ev.kind, ev.target, ev.fn)
+    handles[i] = sim.timer(ev.kind, ev.target, ev.fn)
+    sim.arm(handles[i], fire_at)
 
 
 def _drive(program, reference=False):
@@ -273,7 +299,7 @@ def _drive(program, reference=False):
             _cancel_and_arm(sim, handles, i, fire_at)
             dues[i] = fire_at
         else:
-            _arm(sim, handles, i, fire_at)
+            sim.arm(handles[i], fire_at)
 
     def callback(i, then):
         # the first time it fires, an event may re-key any event, itself
@@ -281,7 +307,7 @@ def _drive(program, reference=False):
         def fn(now):
             if reference and now < dues[i]:
                 rearmed.add((now, sim.seq))
-                _arm(sim, handles, i, dues[i])
+                sim.arm(handles[i], dues[i])
                 return
             ran.append((i, now, dues[i] if reference else handles[i].due))
             if then:
@@ -292,8 +318,9 @@ def _drive(program, reference=False):
     for op, a, b in program:
         if op == "schedule":
             i = len(handles)
-            handles.append(sim.arm(None, sim.now + a, "loss-timer", f"e{i}",
-                                   callback(i, [b] if b else [])))
+            handles.append(sim.timer("loss-timer", f"e{i}",
+                                     callback(i, [b] if b else [])))
+            sim.arm(handles[i], sim.now + a)
             dues.append(sim.now + a)
         elif op == "run":
             sim.run_until(sim.now + a)
@@ -360,7 +387,8 @@ def test_an_entry_popping_before_due_is_re_keyed_not_dispatched():
     sim = Simulator()
     sim.recorder = PacketTrace(only={"event"})
     fired = []
-    ev = sim.arm(None, us(5), "loss-timer", "t", fired.append)
+    ev = sim.timer("loss-timer", "t", fired.append)
+    sim.arm(ev, us(5))
     assert ev.due == us(5)
     ev.due = us(8)
     sim.schedule(us(6), "app-start", "t", lambda now: None)  # seq 1
@@ -372,7 +400,7 @@ def test_an_entry_popping_before_due_is_re_keyed_not_dispatched():
     assert fired == [us(8)] and ev.seq == -1
     assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1), (us(8), 2)]
     ev.due = 0  # never later than the key: the timer fires at its key
-    sim.arm(ev, us(9), "loss-timer", "t", None)
+    sim.arm(ev, us(9))
     assert ev.due == us(9)
     ev.due = 0
     sim.run_until(us(9))
@@ -383,7 +411,8 @@ def test_an_entry_popping_with_a_negative_due_is_dropped():
     sim = Simulator()
     sim.recorder = PacketTrace(only={"event"})
     fired = []
-    ev = sim.arm(None, us(5), "loss-timer", "t", fired.append)
+    ev = sim.timer("loss-timer", "t", fired.append)
+    sim.arm(ev, us(5))
     ev.due = -1  # disarmed in place: the entry stays on the heap
     assert ev.seq == 0
     sim.schedule(us(6), "app-start", "t", lambda now: None)  # seq 1
@@ -395,7 +424,7 @@ def test_an_entry_popping_with_a_negative_due_is_dropped():
     sim.cancel(ev)  # no longer armed: gives up no key
     assert ev.seq == -1 and sim.cancelled == 0
     # so the next arming pushes a fresh key, and gives up none
-    sim.arm(ev, us(9), "loss-timer", "t", None)
+    sim.arm(ev, us(9))
     assert (ev.fire_at, ev.seq, ev.due) == (us(9), 2, us(9))
     assert [entry[:2] for entry in sim._heap] == [(us(9), 2)]
     assert (sim.scheduled, sim.cancelled) == (3, 0)
@@ -409,9 +438,9 @@ def test_seq_keys_the_event_being_dispatched():
     seen = []
     assert sim.seq == -1  # before the first dispatch: before every key
     sim.schedule(us(5), "app-start", "t", lambda now: seen.append(sim.seq))
-    timer = sim.arm(None, us(5), "loss-timer", "t",
-                    lambda now: seen.append(sim.seq))
-    sim.arm(timer, us(5), "loss-timer", "t", None)  # re-keyed to seq 2
+    timer = sim.timer("loss-timer", "t", lambda now: seen.append(sim.seq))
+    sim.arm(timer, us(5))
+    sim.arm(timer, us(5))  # re-keyed to seq 2
     sim.schedule(us(7), "app-start", "t", lambda now: sim.stop())
     sim.schedule(us(9), "app-start", "t", lambda now: None)
     sim.run_until(seconds(1))

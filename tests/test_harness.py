@@ -343,13 +343,29 @@ def test_paired_seeding_same_start_jitter_across_variants():
     assert base.short_start_at == blitz.short_start_at
 
 
+def _saturated_at(run):
+    """When the saturation check fired, or None if the flow never started.
+
+    The short flow starts the configured offset plus the run's start
+    jitter after it.
+    """
+    start = run.short_conn.start_at
+    if start is None:
+        return None
+    return start - run.cfg.short_flow_start - run.start_jitter
+
+
 def test_short_flow_waits_for_saturation():
     cfg = PRESETS["dsl-fast"]
     run = TwoFlowRun(cfg, FAST70K, Variant(), rep=0)
-    r = run.run()
-    assert run.sat_at is not None
-    assert run.sat_at >= 2 * cfg.rtt
-    assert r.short_start_at >= run.sat_at + cfg.short_flow_start
+    trace = PacketTrace(only={"event"})
+    r = run.run(trace)
+    sat_at = _saturated_at(run)
+    checks = [row[0] for row in trace.rows
+              if row[3:] == ("app-start", "saturation")]
+    assert checks and checks[-1] == sat_at  # the check that found a queue
+    assert sat_at >= 2 * cfg.rtt
+    assert r.short_start_at >= sat_at + cfg.short_flow_start
 
 
 def test_a_run_pauses_at_the_short_flows_start_and_ends_at_its_finish():
@@ -382,8 +398,10 @@ def test_all_events_use_the_closed_kind_set():
 
 
 def test_each_timer_is_one_event_per_owner(monkeypatch):
-    # a timer is scheduled on its first arming and only re-keyed after, so
-    # even a lossy cell calls schedule at most once per timer and owner
+    # a timer is bound through schedule when its owner is built and only
+    # (re-)keyed after, and so is each per-packet callback, which its
+    # owner pushes itself: even a lossy cell passes each through schedule
+    # once per owner
     calls = Counter()
     schedule = Simulator.schedule
 
@@ -397,13 +415,41 @@ def test_each_timer_is_one_event_per_owner(monkeypatch):
     assert result.lost_pkts > 0
     owners = Counter()
     for (name, _owner), n in calls.items():
-        if name in ("Connection.maybe_send", "Connection._on_pto",
-                    "Receiver._on_ack_timer", "TwoFlowRun._on_saturated"):
+        if name == "Link.enqueue":  # one link, bound by each connection
+            assert n == 2, name
+            owners[name] += 1
+        elif name in ("Connection.maybe_send", "Connection._on_pto",
+                      "Receiver._on_ack_timer", "TwoFlowRun._on_saturated",
+                      "Receiver.on_data", "Connection.on_ack"):
             assert n == 1, name
             owners[name] += 1
     assert owners == {"Connection.maybe_send": 2,
                       "Connection._on_pto": 2, "Receiver._on_ack_timer": 2,
-                      "TwoFlowRun._on_saturated": 1}
+                      "TwoFlowRun._on_saturated": 1, "Link.enqueue": 1,
+                      "Receiver.on_data": 2, "Connection.on_ack": 2}
+
+
+def test_a_schedule_wrapper_sees_the_callback_of_every_dispatched_event(
+        monkeypatch):
+    # a wrapper of schedule installed before the run is built hands down
+    # the callback of every event the run dispatches, timers and the
+    # events an owner pushes itself included, as a tracer that counts
+    # events by kind needs
+    calls = Counter()
+    schedule = Simulator.schedule
+
+    def wrapped(sim, fire_at, kind, target, fn, arg=None):
+        def seen(*args):
+            calls[kind, target] += 1
+            return fn(*args)
+        return schedule(sim, fire_at, kind, target, seen, arg)
+
+    monkeypatch.setattr(Simulator, "schedule", wrapped)
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant(4.0), 0)
+    trace = PacketTrace(only={"event"})
+    assert run.run(trace).lost_pkts > 0
+    assert calls == Counter(row[3:] for row in trace.rows)
+    assert sum(calls.values()) == run.sim.dispatched
 
 
 def test_blitz_run_reports_congestion_avoidance_from_first_packet():
@@ -430,8 +476,9 @@ def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
     ref = ref_run.run(ref_trace)
     run = TwoFlowRun(*cell)
     run.sim.recorder = PacketTrace(only=ALL_ROWS)
-    run.sim.run_until(ref_run.sat_at)
-    assert run.sat_at == ref_run.sat_at and run.short_conn.start_at is None
+    run.sim.run_until(_saturated_at(ref_run))
+    # the check has fired, and the short flow not started
+    assert run.link.on_occupancy is None and run.short_conn.start_at is None
     fork = TwoFlowRun(*cell)
     fork.adopt(run.freeze())
     for each in (fork, run):
@@ -447,7 +494,8 @@ def _counters(run):
             [(conn.pkts_sent, conn.bytes_acked, conn.payload_sent,
               conn.acks_received, conn.bytes_retransmitted, conn.lost_pkts)
              for conn in (run.long_conn, run.short_conn)],
-            (sim.scheduled, sim.cancelled, sim.dispatched), run.sat_at)
+            (sim.scheduled, sim.cancelled, sim.dispatched),
+            _saturated_at(run))
 
 
 FORK_CELLS = ([(seed, name, "70K", rep) for seed in (1, 7) for name in PRESETS
@@ -517,6 +565,19 @@ def test_a_forked_run_equals_a_cold_run_on_generated_scenarios(
         assert _counters(fork) == _counters(cold)
         assert fork_rows.rows == [row for row in cold_rows.rows
                                   if row[0] >= done]
+
+
+@given(cfg=lossy_scenarios(), size=st.sampled_from([20_000, 70_000]),
+       rep=st.integers(0, 3), factor=st.sampled_from(ESTIMATE_FACTORS))
+@settings(max_examples=60, deadline=None)
+def test_dispatch_keys_only_grow_on_generated_scenarios(cfg, size, rep,
+                                                        factor):
+    # the per-packet events are pushed inline, without schedule()'s check
+    # against the past: a time before now would show as a key that falls
+    trace = PacketTrace(only={"event"})
+    TwoFlowRun(cfg, size, Variant(factor), rep).run(trace)
+    keys = [row[:2] for row in trace.rows]
+    assert keys and all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def _packet_refs(run):

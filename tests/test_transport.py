@@ -409,31 +409,34 @@ def test_skipping_held_ack_ranges_leaves_the_state_of_adding_every_range(
                                                  ref_conn.lost_pkts)
 
 
-def test_an_ack_adds_at_most_the_ranges_its_packets_changed():
+def test_an_ack_adds_at_most_the_ranges_its_packets_changed(monkeypatch):
     # The reverse path is lossless and FIFO, so the sender holds exactly
     # the ranges of the receiver's previous ACK. At most ACK_EVERY packets
     # arrive between two ACKs and each changes one range of the list (a
     # new range, an extended one, or two merged into one), so at most
     # ACK_EVERY ranges of an ACK are not held already.
-    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant(4.0), 0)
     per_ack = []
     widest = 0
-    for conn in (run.long_conn, run.short_conn):
-        on_ack = conn.on_ack
+    live = 0  # the ACKs measured that reached an unfinished sender
+    on_ack = Connection.on_ack
 
-        def measured_on_ack(ack, now, on_ack=on_ack):
-            nonlocal widest
-            widest = max(widest, len(ack.acked_ranges))
-            seen = {"adds": 0}
-            ack.acked_ranges = [TakenRange(r, seen) for r in ack.acked_ranges]
-            on_ack(ack, now)
-            per_ack.append(seen["adds"])
+    def measured_on_ack(conn, ack, now):
+        nonlocal widest, live
+        live += not conn.finished
+        widest = max(widest, len(ack.acked_ranges))
+        seen = {"adds": 0}
+        ack.acked_ranges = [TakenRange(r, seen) for r in ack.acked_ranges]
+        on_ack(conn, ack, now)
+        per_ack.append(seen["adds"])
 
-        conn.on_ack = measured_on_ack
+    # before the run is built: each receiver binds its sender's on_ack then
+    monkeypatch.setattr(Connection, "on_ack", measured_on_ack)
+    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant(4.0), 0)
     result = run.run()
+    acks = run.long_conn.acks_received + run.short_conn.acks_received
+    assert live == acks  # every ACK went through the measure
     assert result.lost_pkts > 0 and widest > 10 * ACK_EVERY
     assert max(per_ack) <= ACK_EVERY
-    acks = run.long_conn.acks_received + run.short_conn.acks_received
     assert sum(per_ack) < 2 * acks
 
 
@@ -542,20 +545,24 @@ def test_losses_are_retransmitted_and_transfer_completes():
 
 
 def test_in_flight_bound_respected_at_every_send(monkeypatch):
-    # a packet's injection is scheduled once it counts as in flight
-    sim, link, conn = make_conn(1 << 20)
+    # a packet counts as in flight once it is sent. The jitter is 0, so
+    # each injection reaches the link in the nanosecond it was sent, and
+    # without a loss the window never shrinks: the bound holds at each
+    # injection if it held at each send
     sent_ok = []
-    schedule = Simulator.schedule
+    enqueue = Link.enqueue
 
-    def checked(sim, fire_at, kind, target, fn, arg=None):
-        if fn == link.enqueue:
-            sent_ok.append(conn.in_flight <= conn.controller.cwnd)
-        return schedule(sim, fire_at, kind, target, fn, arg)
+    def checked(link, pkt, now):
+        sent_ok.append(conn.in_flight <= conn.controller.cwnd)
+        enqueue(link, pkt, now)
 
-    monkeypatch.setattr(Simulator, "schedule", checked)
+    # before the connection is built, which binds link.enqueue
+    monkeypatch.setattr(Link, "enqueue", checked)
+    sim, link, conn = make_conn(1 << 20)
     conn.start(0)
     sim.run_until(seconds(1))
-    assert sent_ok and all(sent_ok)
+    assert conn.lost_pkts == 0
+    assert len(sent_ok) == conn.pkts_sent and all(sent_ok)
 
 
 def test_each_sent_packet_equals_the_one_its_constructor_builds(monkeypatch):
@@ -564,21 +571,22 @@ def test_each_sent_packet_equals_the_one_its_constructor_builds(monkeypatch):
     # slot, what Packet(...) gives for the same arguments
     size = 300_000
     tight = LinkConfig(rate_bps=8_000_000, prop_delay=ms(10), buffer_pkts=5)
-    sim, link, conn = make_conn(size, cfg=tight)
     sent = []
-    schedule = Simulator.schedule
+    enqueue = Link.enqueue
 
-    def watched(sim, fire_at, kind, target, fn, arg=None):
-        if fn == link.enqueue:
-            payload = min(SEGMENT_PAYLOAD_BYTES, size - arg.seq)
-            twin = Packet(conn.flow_id, arg.seq, payload + HEADER_BYTES,
-                          conn.pkts_sent - 1, fire_at, payload)
-            sent.append([(type(pkt), *(getattr(pkt, name)
-                                        for name in Packet.__slots__))
-                         for pkt in (arg, twin)])
-        return schedule(sim, fire_at, kind, target, fn, arg)
+    def watched(link, pkt, now):
+        # a sender injects in send order, at each packet's sent_at
+        payload = min(SEGMENT_PAYLOAD_BYTES, size - pkt.seq)
+        twin = Packet(conn.flow_id, pkt.seq, payload + HEADER_BYTES,
+                      len(sent), now, payload)
+        sent.append([(type(each), *(getattr(each, name)
+                                     for name in Packet.__slots__))
+                     for each in (pkt, twin)])
+        enqueue(link, pkt, now)
 
-    monkeypatch.setattr(Simulator, "schedule", watched)
+    # before the connection is built, which binds link.enqueue
+    monkeypatch.setattr(Link, "enqueue", watched)
+    sim, link, conn = make_conn(size, cfg=tight)
     conn.start(0)
     sim.run_until(seconds(60))
     assert conn.finished and conn.bytes_retransmitted > 0
@@ -666,8 +674,9 @@ def test_srtt_smoothing_follows_7_8_rule():
 def test_lone_packet_is_acked_max_ack_delay_after_it_arrived(lone_at):
     sim, link, conn = make_conn(1 << 20)
     acks = []  # when the receiver ACKs; the sender never sees them
-    conn.on_ack = lambda ack, now: acks.append(now - conn.reverse_delay)
     receiver = conn.receiver
+    # each ACK's arrival calls the callback the receiver bound
+    receiver._on_ack = lambda ack, now: acks.append(now - conn.reverse_delay)
     # a pair at 0 and 1 ms is acked at once; the first armed the timer
     for k, at in enumerate((0, ms(1), lone_at)):
         pkt = Packet(0, k * SEGMENT_PAYLOAD_BYTES, SEGMENT_WIRE_BYTES, k, 0,
@@ -677,7 +686,7 @@ def test_lone_packet_is_acked_max_ack_delay_after_it_arrived(lone_at):
     sim.run_until(acked_at - 1)
     assert acks == [ms(1)]
     sim.run_until(seconds(1))
-    assert acks == [ms(1), acked_at]
+    assert acks == [ms(1), acked_at] and conn.acks_received == 0
 
 
 def test_every_ack_timer_that_fires_has_a_packet_to_ack(monkeypatch):
@@ -898,7 +907,8 @@ class ChaosPath:
     A seeded RNG drops, duplicates and delays (so reorders) data packets
     on their way to the receiver and ACKs on their way back. Reordered
     data makes RACK retransmit spuriously, so a retransmitted copy can be
-    acked while it lies above the largest acknowledged packet.
+    acked while it lies above the largest acknowledged packet. `passed`
+    counts the packets and the ACKs that reach the path.
     """
 
     def __init__(self, sim, link, conn, seed, drop, dup, reorder, max_delay):
@@ -906,13 +916,18 @@ class ChaosPath:
         self.rng = random.Random(seed)
         self.drop, self.dup, self.reorder = drop, dup, reorder
         self.max_delay = max_delay
+        self.passed = Counter()
         receiver = conn.receiver
-        link.attach(conn.flow_id,
-                    lambda pkt, now: self.pass_on(pkt, now, receiver.on_data))
-        on_ack = conn.on_ack
-        conn.on_ack = lambda ack, now: self.pass_on(ack, now, on_ack)
+        link.attach(conn.flow_id, lambda pkt, now: self.pass_on(
+            "data", pkt, now, receiver.on_data))
+        # each ACK's arrival calls the callback the receiver bound when it
+        # was built, the sender's on_ack: re-bound, as attach re-binds
+        on_ack = receiver._on_ack
+        receiver._on_ack = lambda ack, now: self.pass_on("ack", ack, now,
+                                                         on_ack)
 
-    def pass_on(self, pkt, now, deliver):
+    def pass_on(self, direction, pkt, now, deliver):
+        self.passed[direction] += 1
         rng = self.rng
         if rng.random() < self.drop:
             return
@@ -937,11 +952,14 @@ def test_transfer_survives_drop_duplication_and_reordering(
     # a reordered packet is held back by up to three round trips
     cfg = LinkConfig(rate_bps=10_000_000, prop_delay=ms(10), buffer_pkts=30)
     sim, link, conn = make_conn(size, cfg=cfg)
-    sim.recorder = trace = PacketTrace(only={"send"})
+    sim.recorder = trace = PacketTrace(only={"send", "event"})
     seen = {"min_in_flight": 0, "min_cwnd": FLOOR_BYTES, "finished_sends": 0}
+    calls = Counter()  # by callback, the calls on an unfinished sender
+    sends = set()  # the key of each event that called maybe_send
 
-    def checked(fn):
+    def checked(name, fn):
         def run(*args):
+            calls[name] += conn.finished_at is None
             fn(*args)
             seen["min_in_flight"] = min(seen["min_in_flight"], conn.in_flight)
             seen["min_cwnd"] = min(seen["min_cwnd"], conn.controller.cwnd)
@@ -950,21 +968,37 @@ def test_transfer_survives_drop_duplication_and_reordering(
             assert set(conn.records_by_seq) == unacked_grid_points(conn)
         return run
 
-    # wrapped before ChaosPath, so the checks follow every ACK that arrives
-    conn.on_ack = checked(conn.on_ack)
-    conn._on_pto = checked(conn._on_pto)
+    # The receiver and the timers hold the callbacks they were built with:
+    # those are re-bound. The ACK callback before ChaosPath re-binds it,
+    # so the checks follow every ACK that arrives.
+    receiver = conn.receiver
+    receiver._on_ack = checked("ack", receiver._on_ack)
+    conn._pto_event.fn = checked("pto", conn._pto_event.fn)
     maybe_send = conn.maybe_send
 
     def sending(now):
+        sends.add((now, sim.seq))
         seen["finished_sends"] += conn.finished_at is not None
         return maybe_send(now)
 
-    # before the start: the handshake and the pacing timer call it
-    conn.maybe_send = sending
-    ChaosPath(sim, link, conn, seed, drop / 1000, dup / 1000, reorder / 1000,
-              ms(max_delay_ms) + 1)
+    # the handshake, on_ack and _on_pto look it up; the pacing timer holds it
+    conn.maybe_send = conn._pacing_event.fn = sending
+    chaos = ChaosPath(sim, link, conn, seed, drop / 1000, dup / 1000,
+                      reorder / 1000, ms(max_delay_ms) + 1)
     conn.start(0)
     sim.run_until(seconds(600))
+    # every call went through its interceptor
+    events = Counter()
+    for row in trace.rows:
+        if row[2] == "event":
+            events[row[3:]] += 1
+            if row[3:] in (("pacing-timer", "conn:0"), ("app-start", "conn:0")):
+                assert row[:2] in sends
+    flow = link.counters[0]
+    assert chaos.passed["data"] == flow.injected - flow.dropped
+    assert chaos.passed["ack"] == events["packet-arrival", "conn:0"] > 0
+    assert calls["ack"] == conn.acks_received > 0
+    assert calls["pto"] == events["loss-timer", "conn:0"]
     assert conn.finished
     assert conn.receiver.ranges.ranges == [(0, size)]
     assert conn.bytes_acked == size
@@ -975,7 +1009,8 @@ def test_transfer_survives_drop_duplication_and_reordering(
     assert seen["finished_sends"] == 0
     # the payload grid that lets a lost packet be resent whole: every
     # packet, retransmissions too, is [k*1350, min(size, (k+1)*1350))
-    for _, _, _, _, seq, length in trace.rows:
+    for _, _, _, _, seq, length in (row for row in trace.rows
+                                    if row[2] == "send"):
         assert seq % SEGMENT_PAYLOAD_BYTES == 0
         assert length - HEADER_BYTES == min(size - seq, SEGMENT_PAYLOAD_BYTES)
 
@@ -1010,6 +1045,7 @@ class TransportMachine(RuleBasedStateMachine):
     @initialize(size=st.integers(1, 40 * SEGMENT_PAYLOAD_BYTES))
     def start(self, size):
         self.sim = Simulator()
+        self.sim.recorder = PacketTrace(only={"event"})
         self.link = StubLink(LinkConfig(rate_bps=10_000_000,
                                         prop_delay=ms(10), buffer_pkts=30))
         conn = Connection(self.sim, 0, self.link, size,
@@ -1017,29 +1053,36 @@ class TransportMachine(RuleBasedStateMachine):
                           JitterDraw(random.Random(0), 0))
         self.conn = conn
         self.acks = []
-        conn.on_ack = lambda ack, now: self.acks.append(ack)
-        # wrapped before the first arming, which reads the callback
+        self.heard = Counter()  # the calls intercepted, by (kind, target)
+
+        def hold_ack(ack, now):
+            self.heard["packet-arrival", "conn:0"] += 1
+            self.acks.append(ack)
+
+        # each ACK's arrival calls the callback the receiver bound
+        conn.receiver._on_ack = hold_ack
         self.early = []
-        self.watch(conn, "_on_pto", "_pto_event", lambda: conn.lost_pkts)
+        self.watch(conn._pto_event, lambda: conn.lost_pkts)
         # every fire of the ACK-delay timer schedules an ACK
-        self.watch(conn.receiver, "_on_ack_timer", "_ack_timer",
-                   lambda: self.sim.scheduled)
+        self.watch(conn.receiver._ack_timer, lambda: self.sim.scheduled)
         conn.start(0)
 
-    def watch(self, owner, timer, event, count):
-        """Record each fire of owner's timer that acts before its due.
+    def watch(self, timer, count):
+        """Record each fire of the timer that acts before its due.
 
-        A fire acts if it raises count().
+        A fire acts if it raises count(). The timer holds the callback
+        its owner bound when it was built: that is re-bound.
         """
-        fire = getattr(owner, timer)
+        fire = timer.fn
 
         def checked(now):
-            due, before = getattr(owner, event).due, count()
+            self.heard[timer.kind, timer.target] += 1
+            due, before = timer.due, count()
             fire(now)
             if count() > before and now < due:
-                self.early.append((timer, now, due))
+                self.early.append((timer.target, now, due))
 
-        setattr(owner, timer, checked)
+        timer.fn = checked
 
     @staticmethod
     def take(items, i, dup):
@@ -1099,6 +1142,13 @@ class TransportMachine(RuleBasedStateMachine):
     @invariant()
     def no_pto_loss_and_no_delayed_ack_before_its_deadline(self):
         assert self.early == []
+
+    @invariant()
+    def every_ack_and_watched_fire_is_intercepted(self):
+        dispatched = Counter(row[3:] for row in self.sim.recorder.rows)
+        assert self.heard == {key: dispatched[key] for key in (
+            ("packet-arrival", "conn:0"), ("loss-timer", "conn:0"),
+            ("pacing-timer", "recv:0")) if dispatched[key]}
 
     @invariant()
     def the_pto_is_armed_by_its_deadline_while_data_is_in_flight(self):

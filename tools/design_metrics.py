@@ -45,7 +45,7 @@ calls_per_data_packet
     `call` events a `sys.setprofile` hook sees while the run simulates,
     over both flows' data packets. Calls into C, such as heapq and bisect,
     are not counted. The run is deterministic, and so is the count;
-    tests/test_tools.py holds it to a budget of 8.
+    tests/test_tools.py holds it to a budget of 5.2.
 c_calls_per_data_packet
     Calls into C per data packet sent, from the same hook and run: its
     `c_call` events, such as `heapq.heappush`, `dict.get`, `len` and
@@ -60,7 +60,8 @@ range_adds_per_ack
     `acked_ranges.ranges` when the ACK arrives. An ACK carries every range
     the receiver holds, and the sender adds only these, by extending its
     last range inline or through `RangeSet.add`; about one per ACK.
-    Counted by wrapping each sender's `on_ack`, so ACKs that reach a
+    Counted by wrapping `Connection.on_ack` before the run is built, as
+    each receiver binds its sender's `on_ack` then, so ACKs that reach a
     finished sender, which adds nothing, count in neither term.
 frozen_warm_run_bytes
     Bytes of the pickle `TwoFlowRun.freeze()` gives for the dsl-fast 70K
@@ -234,20 +235,26 @@ def c_calls_per_data_packet() -> float:
 def range_adds_per_ack() -> float:
     sys.path.insert(0, str(SRC))
     from blitzsim.harness import PRESETS, SIZES, TwoFlowRun, Variant
+    from blitzsim.transport import Connection
 
-    run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant(4.0), 0)
-    conns = (run.long_conn, run.short_conn)
+    on_ack = Connection.on_ack
     unheld = 0
-    for conn in conns:
-        def counted(ack, now, conn=conn, on_ack=conn.on_ack):
-            nonlocal unheld
-            if not conn.finished:
-                held = set(conn.acked_ranges.ranges)
-                unheld += sum(rng not in held for rng in ack.acked_ranges)
-            on_ack(ack, now)
-        conn.on_ack = counted
+
+    def counted(conn, ack, now):
+        nonlocal unheld
+        if not conn.finished:
+            held = set(conn.acked_ranges.ranges)
+            unheld += sum(rng not in held for rng in ack.acked_ranges)
+        on_ack(conn, ack, now)
+
+    Connection.on_ack = counted
+    try:
+        run = TwoFlowRun(PRESETS["dsl-fast"], SIZES["2M"], Variant(4.0), 0)
+    finally:
+        Connection.on_ack = on_ack
     run.run()
-    return unheld / sum(conn.acks_received for conn in conns)
+    return unheld / (run.long_conn.acks_received
+                     + run.short_conn.acks_received)
 
 
 def frozen_warm_run_bytes() -> int:
