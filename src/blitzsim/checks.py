@@ -12,7 +12,7 @@ from typing import Callable
 from . import harness
 from .congestion import (CUBIC_BETA, FLOOR_BYTES, INITIAL_WINDOW_BYTES,
                          CubicController, Mode, cubic_k_seconds)
-from .engine import NS_PER_MS, PacketTrace, seconds
+from .engine import NS_PER_MS, seconds
 from .netmodel import SEGMENT_WIRE_BYTES
 from .signaling import (AccessTech, BandwidthHint, HintDecodeError,
                         decode_hint, encode_hint)
@@ -27,7 +27,7 @@ def check_determinism(seed: int = 1) -> CheckResult:
     variant = harness.Variant(1.0)
 
     def one() -> tuple[list, harness.RunResult]:
-        trace = PacketTrace(only={"event"})
+        trace = harness.PacketTrace(only={"event"})
         result = harness.run_scenario(cfg, harness.SIZES["2M"], variant, 0,
                                       trace)
         return trace.rows, result
@@ -75,7 +75,7 @@ def check_conservation(seed: int = 1) -> CheckResult:
 def check_rate_conformance(seed: int = 1) -> CheckResult:
     """Backlogged bottleneck departs within [rate * 0.995, rate]."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
-    trace = PacketTrace(only={"deliver"})
+    trace = harness.PacketTrace(only={"deliver"})
     conn = harness.single_flow_run(cfg, seconds(2.5), trace)
     # a packet arrives exactly one propagation delay after it departs, so
     # arrivals in the shifted window are the departures in [1.0 s, 2.4 s);
@@ -136,7 +136,7 @@ def check_cubic_shape(seed: int = 1) -> CheckResult:
 def check_slow_start_doubling(seed: int = 1) -> CheckResult:
     """cwnd doubles per round trip on a lossless single-flow start."""
     cfg = harness.replace(harness.PRESETS["dsl-fast"], seed_base=seed)
-    trace = PacketTrace(only={"cwnd"})
+    trace = harness.PacketTrace(only={"cwnd"})
     harness.single_flow_run(cfg, seconds(1.0), trace)
     hits: dict[int, int] = {}
     for t, _flow, _kind, cwnd, mode in trace.rows:

@@ -54,28 +54,6 @@ class Event:
         self.fn = fn
 
 
-class PacketTrace:
-    """A Simulator's recorder: the rows of the kinds in `only`, in order.
-
-    row[2] is the kind. "event" rows are (fire_at, seq, "event", kind,
-    target); "send", "deliver", "drop" and "ack" rows (now, flow_id, kind,
-    pkt_num, seq, len), an ACK's pkt_num being its largest acknowledged;
-    "cwnd" rows (now, flow_id, "cwnd", cwnd, mode), after each ACK.
-    """
-
-    def __init__(self, only: set[str]):
-        self.rows: list[tuple] = []
-        self.only = only
-
-    def __call__(self, row: tuple) -> None:
-        if row[2] in self.only:
-            self.rows.append(row)
-
-    def deliveries(self, flow_id: int) -> list[tuple[SimTime, int]]:
-        return [(row[0], row[5]) for row in self.rows
-                if row[2] == "deliver" and row[1] == flow_id]
-
-
 class Simulator:
     """Single-threaded event loop over an integer-nanosecond clock.
 
@@ -95,10 +73,12 @@ class Simulator:
     before every key; once run_until returns without stop() it is past
     every key scheduled so far, as every event up to now has fired.
     scheduled counts the keys handed out, so it is also the next seq.
+    An observer, if set, is handed each event run_until dispatches as the
+    tuple (fire_at, seq, kind, target, fn, arg), and makes the call.
     """
 
     __slots__ = ("now", "seq", "_heap", "scheduled", "cancelled",
-                 "dispatched", "_stop", "recorder")
+                 "dispatched", "_stop", "observer")
 
     def __init__(self):
         self.now: SimTime = 0
@@ -108,7 +88,7 @@ class Simulator:
         self.cancelled = 0
         self.dispatched = 0
         self._stop = False
-        self.recorder: Optional[PacketTrace] = None  # every layer's rows
+        self.observer: Optional[Callable[[tuple], None]] = None
 
     def schedule(self, fire_at: SimTime, kind: str, target: str,
                  fn: Callable, arg: object = None) -> int | Callable:
@@ -175,19 +155,15 @@ class Simulator:
         """Dispatch every event with fire_at <= end.
 
         A live timer entry that pops before its Event's due is not
-        dispatched, recorded or counted: it moves to due with the next
+        dispatched, observed or counted: it moves to due with the next
         sequence number and counts as scheduled, as an arm() from its
         own callback would have. One whose due is negative, disarmed in
         place, is dropped: its Event is no longer armed, and nothing is
-        dispatched, recorded or counted, not even as cancelled.
+        dispatched, observed or counted, not even as cancelled.
         The clock finishes at `end`, even if the queue drains earlier.
         """
         self._stop = False
-        heap = self._heap
-        pop = heapq.heappop
-        record = self.recorder
-        if record is not None and "event" not in record.only:
-            record = None
+        heap, pop, observe = self._heap, heapq.heappop, self.observer
         while heap:
             if heap[0][0] > end:
                 break
@@ -211,10 +187,10 @@ class Simulator:
                 arg = None
             self.now = fire_at
             self.seq = seq
-            if record is not None:
-                record((fire_at, seq, "event", kind, target))
             self.dispatched += 1
-            if arg is None:
+            if observe is not None:
+                observe((fire_at, seq, kind, target, fn, arg))
+            elif arg is None:
                 fn(fire_at)
             else:
                 fn(arg, fire_at)

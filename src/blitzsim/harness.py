@@ -30,13 +30,13 @@ from typing import Callable, Iterable, Optional, Sequence
 from .congestion import (HYSTART_FLOOR, HYSTART_FLOOR_PKTS,
                          INITIAL_WINDOW_SEGMENTS, CubicController,
                          make_controller)
-from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, PacketTrace,
-                     SimTime, Simulator, ms, substream, us)
+from .engine import (NS_PER_MS, NS_PER_S, NS_PER_US, SimTime, Simulator,
+                     ms, substream, us)
 from .netmodel import SEGMENT_WIRE_BYTES, Link, LinkConfig, Packet
 from .signaling import (MAX_HINT_KBPS, AccessTech, BandwidthHint,
                         HintDecodeError, OracleEstimator, decode_hint,
                         encode_hint)
-from .transport import Ack, Connection
+from .transport import Ack, Connection, Receiver
 
 SIZES = {"70K": 70_000, "2M": 2_000_000, "10M": 10_000_000}
 ESTIMATE_FACTORS = (0.5, 1.0, 1.5, 3.0, 4.0)
@@ -530,10 +530,10 @@ class TwoFlowRun:
             for name, value in state.items():
                 setattr(part, name, value)
 
-    def run(self, recorder: Optional[PacketTrace] = None) -> RunResult:
-        """Run past the pause to the end, recording into recorder if given."""
+    def run(self, observer: Optional[PacketTrace] = None) -> RunResult:
+        """Run past the pause to the end, observed by observer if given."""
         sim, short = self.sim, self.short_conn
-        sim.recorder = recorder
+        sim.observer = observer
         # the cap is exclusive: no event at sim_cap or later runs
         sim.run_until(self.cfg.sim_cap - 1)
         if not short.finished:  # paused at the short flow's start, or capped
@@ -575,11 +575,11 @@ class _WarmUp:
 
 def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
                  rep: int, trace: Optional[PacketTrace] = None) -> RunResult:
-    """One repetition of one matrix cell, recorded into trace if given.
+    """One repetition of one matrix cell, observed by trace if given.
 
     Consecutive calls for one group (cfg, size_bytes, rep) simulate its
     warm-up once: one call keeps its warm run frozen, and the later ones
-    adopt it (README, "Warm-up fork"). A recorded run runs cold. A fork
+    adopt it (README, "Warm-up fork"). An observed run runs cold. A fork
     adopts only if it pickles itself: a hook installed after the copy was
     kept, such as a tracer's, would see the fork but not its prefix.
     """
@@ -600,10 +600,10 @@ def run_scenario(cfg: ScenarioConfig, size_bytes: int, variant: Variant,
 
 
 def single_flow_run(cfg: ScenarioConfig, duration: SimTime,
-                    recorder: Optional[PacketTrace] = None) -> Connection:
+                    observer: Optional[PacketTrace] = None) -> Connection:
     """cfg's long flow alone on an idle bottleneck, for startup studies."""
     sim = Simulator()
-    sim.recorder = recorder
+    sim.observer = observer
     link = Link(sim, cfg.link_config())
     pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
     conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
@@ -802,6 +802,51 @@ RUNS_HEADER = ("scenario,size_bytes,variant,rep,seed,fct_us,lost_pkts,"
                "retx_bytes,inflation,fairness,timeout")
 TRACE_HEADER = "time_us,flow_id,event,pkt_num,seq,len"
 TRACE_ROWS = {"send", "deliver", "drop", "ack"}  # the row kinds of a trace CSV
+ACK_WIRE_BYTES = 40  # an ACK's length in "ack" trace rows
+
+
+class PacketTrace:
+    """A Simulator's observer: it makes each call, and keeps in order the
+    rows of the kinds in `only`, read off the event and its callback's
+    owner. row[2] is the kind; "drop" and "cwnd" rows come after the call,
+    once it is fully handled, the rest before (README, "Recording a run").
+    """
+
+    def __init__(self, only: set[str]):
+        self.rows: list[tuple] = []
+        self.only = only
+
+    def __call__(self, event: tuple) -> None:
+        now, seq, kind, target, fn, arg = event
+        only, keep = self.only, self.rows.append
+        if "event" in only:
+            keep((now, seq, "event", kind, target))
+        owner = getattr(fn, "__self__", None)
+        if arg is None:
+            fn(now)
+        elif isinstance(owner, Link):  # the injection of packet arg
+            if "send" in only:
+                keep((now, arg.flow_id, "send", arg.pkt_num, arg.seq, arg.len))
+            fn(arg, now)  # the queue then holds the packet, or is full
+            if "drop" in only and owner.queue[-1][2] is not arg:
+                keep((now, arg.flow_id, "drop", arg.pkt_num, arg.seq, arg.len))
+        elif isinstance(owner, Connection) and not owner.finished:  # an ACK
+            if "ack" in only:
+                keep((now, owner.flow_id, "ack", arg.largest_acked_pkt_num, 0,
+                      ACK_WIRE_BYTES))
+            fn(arg, now)
+            if "cwnd" in only:
+                ctrl = owner.controller
+                keep((now, owner.flow_id, "cwnd", ctrl.cwnd, ctrl.mode))
+        else:  # the arrival of packet arg at a Receiver, or another call
+            if isinstance(owner, Receiver) and "deliver" in only:
+                keep((now, arg.flow_id, "deliver", arg.pkt_num, arg.seq,
+                      arg.len))
+            fn(arg, now)
+
+    def deliveries(self, flow_id: int) -> list[tuple[SimTime, int]]:
+        return [(row[0], row[5]) for row in self.rows
+                if row[2] == "deliver" and row[1] == flow_id]
 
 
 def _cell(value) -> str:

@@ -147,11 +147,8 @@ class Link:
     def enqueue(self, packet: Packet, now: SimTime) -> None:
         """Admit a packet, or drop it if the buffer is full.
 
-        The packet's flow must have a receiver attached.
-
-        Every departure that ranks before the enqueue is retired first.
-        With a recorder, the packet's "send" row is taken, and a "drop"
-        row too when the buffer is full.
+        The packet's flow must have a receiver attached. Every departure
+        that ranks before the enqueue is retired first.
         """
         queue = self.queue
         counters = self.counters
@@ -170,16 +167,9 @@ class Link:
                     self.on_occupancy(departure, 0)
         c = counters[packet.flow_id]
         c.injected += 1
-        record = sim.recorder
-        if record is not None:
-            record((now, packet.flow_id, "send", packet.pkt_num, packet.seq,
-                    packet.len))
         queued = len(queue)
         if queued >= self.config.buffer_pkts:
             c.dropped += 1
-            if record is not None:
-                record((now, packet.flow_id, "drop", packet.pkt_num,
-                        packet.seq, packet.len))
             return
         try:  # a subscript, not .get(): no call on the per-packet path
             serialization = self._serialization[packet.len]

@@ -34,7 +34,6 @@ MAX_ACK_DELAY = 25 * NS_PER_MS
 # The probe timeout is PTO_SRTT * srtt + PTO_RTTVAR * rttvar, doubled per
 # backoff; _arm_pto and on_ack both compute it from these.
 PTO_SRTT, PTO_RTTVAR = 2, 4
-ACK_WIRE_BYTES = 40  # an ACK's length in "ack" trace rows
 _new_instance = object.__new__  # how maybe_send makes each Packet
 
 
@@ -98,12 +97,11 @@ class Receiver:
     It is its flow's far end on the link: the link's arrival event calls
     on_data, which counts the packet in the flow's `delivered`. Each ACK's
     arrival calls _on_ack, the sender's on_ack as bound when the receiver
-    was built. The state is in slots; `__dict__` stays, empty, for an
-    observer that keeps a hook on one instance.
+    was built. The state is in slots, and there is no `__dict__`.
     """
 
     __slots__ = ("conn", "ranges", "largest_pkt_num", "_pending",
-                 "_ack_timer", "_on_ack", "_counters", "__dict__")
+                 "_ack_timer", "_on_ack", "_counters")
 
     def __init__(self, conn: "Connection"):
         self.conn = conn
@@ -132,10 +130,6 @@ class Receiver:
         if pkt.pkt_num > self.largest_pkt_num:
             self.largest_pkt_num = pkt.pkt_num
         conn = self.conn
-        record = conn.sim.recorder
-        if record is not None:
-            record((now, conn.flow_id, "deliver", pkt.pkt_num, pkt.seq,
-                    pkt.len))
         self._pending += 1
         if self._pending >= ACK_EVERY:
             # ACK every byte received so far; reverse path: fixed
@@ -393,10 +387,6 @@ class Connection:
         if self.finished_at is not None:
             return
         self.acks_received += 1
-        record = self.sim.recorder
-        if record is not None:
-            record((now, self.flow_id, "ack", ack.largest_acked_pkt_num, 0,
-                    ACK_WIRE_BYTES))
         records = self.records
         largest = ack.largest_acked_pkt_num
         rtt_sample: Optional[SimTime] = None
@@ -473,8 +463,6 @@ class Connection:
         ctrl = self.controller
         ctrl.on_ack(newly_wire, rtt_sample, now, self.largest_acked_pkt,
                     self.pkts_sent - 1, self.srtt)
-        if record is not None:
-            record((now, self.flow_id, "cwnd", ctrl.cwnd, ctrl.mode))
 
         # RACK: each packet neither acked nor lost, from the oldest up, is
         # lost if it trails the largest acked packet by the packet

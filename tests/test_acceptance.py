@@ -6,10 +6,13 @@ read their cells from it. Each test prints a one-line verdict so the run
 log shows every criterion's measured numbers next to its pass/fail.
 """
 
+import hashlib
+import json
 import os
 import statistics
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +20,15 @@ from blitzsim import checks
 from blitzsim.congestion import FLOOR_BYTES, Mode, make_controller
 from blitzsim.engine import NS_PER_MS, NS_PER_S, ms, seconds
 from blitzsim.harness import (PRESETS, SIZES, PacketTrace, TwoFlowRun,
-                              Variant, default_variants, replace,
-                              rolling_bandwidth, run_matrix, single_flow_run)
+                              Variant, default_variants, emit_runs_csv,
+                              emit_summary_csv, replace, rolling_bandwidth,
+                              run_matrix, single_flow_run)
 from blitzsim.signaling import (AccessTech, BandwidthHint, OracleEstimator,
                                 decode_hint, encode_hint)
 
 JOBS = os.cpu_count() or 2
+# sha256 of each cell's runs.csv rows, by "scenario,size_bytes,variant"
+MATRIX_CELLS = Path(__file__).resolve().parent / "matrix_cells.json"
 
 
 def _verdict(name, ok, detail):
@@ -252,3 +258,25 @@ def test_matrix_summary_covers_the_whole_grid(matrix):
     rows = summarize(matrix["results"])
     assert len(rows) == 72  # 4 scenarios x 3 sizes x 6 variants
     assert all(row["n"] == 30 for row in rows)
+
+
+def test_matrix_writes_the_pinned_runs_and_summary_csv(matrix, tmp_path):
+    # the fixture's grid and seed are `blitzsim run`'s defaults, so these
+    # are the files that command writes; a behaviour change on purpose
+    # renews the pins, with the old and new values in CHANGES.md
+    runs, summary = tmp_path / "runs.csv", tmp_path / "summary.csv"
+    emit_runs_csv(matrix["results"], runs)
+    emit_summary_csv(matrix["results"], summary)
+    cells = defaultdict(list)
+    for line in runs.read_text().splitlines(keepends=True)[1:]:
+        cells[",".join(line.split(",", 3)[:3])].append(line)
+    digests = {key: hashlib.sha256("".join(rows).encode()).hexdigest()
+               for key, rows in cells.items()}
+    pinned = json.loads(MATRIX_CELLS.read_text())
+    moved = sorted(key for key in pinned.keys() | digests.keys()
+                   if pinned.get(key) != digests.get(key))
+    assert moved == [], f"the runs.csv rows of these cells moved: {moved}"
+    assert hashlib.sha256(runs.read_bytes()).hexdigest() == (
+        "dd91ae5f01e9c9749d1df04c884af643b632f087c26e3f2d6280409b06af3d51")
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == (
+        "472ea3ba70e4f3cef255e279689569dd8b03c59e7a742c8dab462ac9a29baf9c")

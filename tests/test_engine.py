@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blitzsim.engine import (BIND, NS_PER_MS, NS_PER_S, PacketTrace,
-                             Simulator, derive_seed, ms, seconds, substream,
-                             us)
+from blitzsim.engine import (BIND, NS_PER_MS, NS_PER_S, Simulator,
+                             derive_seed, ms, seconds, substream, us)
+from blitzsim.harness import PacketTrace
 
 
 def test_event_at_current_time_dispatches_before_later_events():
@@ -188,19 +188,19 @@ def _random_workload(sim: Simulator, seed: int) -> list:
 def test_identical_seed_gives_identical_dispatch_trace():
     # derived oracle: record both traces, compare entry by entry
     sim_a, sim_b = Simulator(), Simulator()
-    sim_a.recorder = PacketTrace(only={"event"})
-    sim_b.recorder = PacketTrace(only={"event"})
+    sim_a.observer = PacketTrace(only={"event"})
+    sim_b.observer = PacketTrace(only={"event"})
     log_a = _random_workload(sim_a, 42)
     log_b = _random_workload(sim_b, 42)
     assert log_a == log_b
-    assert sim_a.recorder.rows == sim_b.recorder.rows
+    assert sim_a.observer.rows == sim_b.observer.rows
 
 
 def test_clock_monotonicity_over_random_workload():
     sim = Simulator()
-    sim.recorder = PacketTrace(only={"event"})
+    sim.observer = PacketTrace(only={"event"})
     _random_workload(sim, 7)
-    times = [t for t, *_ in sim.recorder.rows]
+    times = [t for t, *_ in sim.observer.rows]
     assert times == sorted(times)
 
 
@@ -233,7 +233,7 @@ def test_plain_and_timer_entries_dispatch_in_fire_at_seq_order(program):
     # keys are known up front: every plain event's, and each uncancelled
     # timer's last one
     sim = Simulator()
-    sim.recorder = PacketTrace(only={"event"})
+    sim.observer = PacketTrace(only={"event"})
     timers, live, plain = [], {}, []
     for op in program:
         seq = sim.scheduled
@@ -257,7 +257,7 @@ def test_plain_and_timer_entries_dispatch_in_fire_at_seq_order(program):
             live.pop(i, None)
     sim.run_until(seconds(1))
     got = [(fire_at, seq, target)
-           for fire_at, seq, _event, _kind, target in sim.recorder.rows]
+           for fire_at, seq, _event, _kind, target in sim.observer.rows]
     assert got == sorted(plain + list(live.values()))
     assert sim.dispatched == len(got)
     assert sim.scheduled - sim.cancelled == sim.dispatched
@@ -286,7 +286,7 @@ def _drive(program, reference=False):
     reference's rows and dispatched count.
     """
     sim = Simulator()
-    sim.recorder = PacketTrace(only={"event"})
+    sim.observer = PacketTrace(only={"event"})
     handles = []
     dues = []  # the reference's due of each handle
     armed = []
@@ -347,7 +347,7 @@ def _drive(program, reference=False):
         armed.append([h.seq != -1 and h.due >= 0 for h in handles])
     sim.run_until(seconds(1))  # past every due the program can set
     armed.append([h.seq != -1 and h.due >= 0 for h in handles])
-    rows = [row for row in sim.recorder.rows if row[:2] not in rearmed]
+    rows = [row for row in sim.observer.rows if row[:2] not in rearmed]
     return (rows, sim.now, sim.scheduled, sim.cancelled,
             sim.dispatched - len(rearmed), armed, ran, rekeys)
 
@@ -385,7 +385,7 @@ def test_reschedule_matches_cancel_then_schedule(program):
 
 def test_an_entry_popping_before_due_is_re_keyed_not_dispatched():
     sim = Simulator()
-    sim.recorder = PacketTrace(only={"event"})
+    sim.observer = PacketTrace(only={"event"})
     fired = []
     ev = sim.timer("loss-timer", "t", fired.append)
     sim.arm(ev, us(5))
@@ -398,7 +398,7 @@ def test_an_entry_popping_before_due_is_re_keyed_not_dispatched():
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (3, 0, 1)
     sim.run_until(us(8))
     assert fired == [us(8)] and ev.seq == -1
-    assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1), (us(8), 2)]
+    assert [row[:2] for row in sim.observer.rows] == [(us(6), 1), (us(8), 2)]
     ev.due = 0  # never later than the key: the timer fires at its key
     sim.arm(ev, us(9))
     assert ev.due == us(9)
@@ -409,7 +409,7 @@ def test_an_entry_popping_before_due_is_re_keyed_not_dispatched():
 
 def test_an_entry_popping_with_a_negative_due_is_dropped():
     sim = Simulator()
-    sim.recorder = PacketTrace(only={"event"})
+    sim.observer = PacketTrace(only={"event"})
     fired = []
     ev = sim.timer("loss-timer", "t", fired.append)
     sim.arm(ev, us(5))
@@ -420,7 +420,7 @@ def test_an_entry_popping_with_a_negative_due_is_dropped():
     # popped at 5 us and dropped: not dispatched, recorded or counted
     assert fired == [] and ev.seq == -1 and sim._heap == []
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (2, 0, 1)
-    assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1)]
+    assert [row[:2] for row in sim.observer.rows] == [(us(6), 1)]
     sim.cancel(ev)  # no longer armed: gives up no key
     assert ev.seq == -1 and sim.cancelled == 0
     # so the next arming pushes a fresh key, and gives up none
@@ -430,7 +430,7 @@ def test_an_entry_popping_with_a_negative_due_is_dropped():
     assert (sim.scheduled, sim.cancelled) == (3, 0)
     sim.run_until(us(9))
     assert fired == [us(9)]
-    assert [row[:2] for row in sim.recorder.rows] == [(us(6), 1), (us(9), 2)]
+    assert [row[:2] for row in sim.observer.rows] == [(us(6), 1), (us(9), 2)]
 
 
 def test_seq_keys_the_event_being_dispatched():

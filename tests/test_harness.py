@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blitzsim
-from blitzsim import harness
+from blitzsim import cli, harness
 from blitzsim.cli import main
 from blitzsim.congestion import Mode
 from blitzsim.engine import Simulator, ms, seconds
@@ -468,22 +468,22 @@ ALL_ROWS = {"event", "send", "deliver", "drop", "ack", "cwnd"}
 
 def test_a_run_copied_at_saturation_finishes_like_an_unforked_one():
     # a frozen run holds no stateful hook of its original: the run that
-    # adopts it, recorder and all, calls back only into its own objects,
+    # adopts it, observer and all, calls back only into its own objects,
     # so both end exactly as an unforked run
     cell = (PRESETS["dsl-fast"], FAST70K, Variant(4.0), 3)
     ref_trace = PacketTrace(only=ALL_ROWS)
     ref_run = TwoFlowRun(*cell)
     ref = ref_run.run(ref_trace)
     run = TwoFlowRun(*cell)
-    run.sim.recorder = PacketTrace(only=ALL_ROWS)
+    run.sim.observer = PacketTrace(only=ALL_ROWS)
     run.sim.run_until(_saturated_at(ref_run))
     # the check has fired, and the short flow not started
     assert run.link.on_occupancy is None and run.short_conn.start_at is None
     fork = TwoFlowRun(*cell)
     fork.adopt(run.freeze())
     for each in (fork, run):
-        assert each.run(each.sim.recorder) == ref
-        assert each.sim.recorder.rows == ref_trace.rows
+        assert each.run(each.sim.observer) == ref
+        assert each.sim.observer.rows == ref_trace.rows
 
 
 def _counters(run):
@@ -580,6 +580,48 @@ def test_dispatch_keys_only_grow_on_generated_scenarios(cfg, size, rep,
     assert keys and all(a < b for a, b in zip(keys, keys[1:]))
 
 
+@given(cfg=lossy_scenarios(), size=st.sampled_from([20_000, 70_000]),
+       rep=st.integers(0, 3), factor=st.sampled_from(ESTIMATE_FACTORS))
+@settings(max_examples=40, deadline=None)
+def test_an_observed_run_ends_as_an_unobserved_one_on_generated_scenarios(
+        cfg, size, rep, factor):
+    # the observer makes each call and only reads around it: keeping
+    # every row kind moves no result, counter or event count
+    trace = PacketTrace(only=ALL_ROWS)
+    calls = 0
+
+    def counted(event):
+        nonlocal calls
+        calls += 1
+        trace(event)
+    plain = TwoFlowRun(cfg, size, Variant(factor), rep)
+    observed = TwoFlowRun(cfg, size, Variant(factor), rep)
+    assert observed.run(counted) == plain.run()
+    assert _counters(observed) == _counters(plain)
+    assert calls == observed.sim.dispatched
+    assert sum(row[2] == "event" for row in trace.rows) == calls
+
+
+def test_the_cwnd_row_of_a_loss_declaring_ack_shows_the_reduced_window():
+    # the row is taken once the ACK is fully handled: the long flow's ACK
+    # at 1,432,915,991 ns declares a loss, and its row shows the window
+    # Cubic reduced to, 0.7 of the one the flow's previous row shows
+    run = TwoFlowRun(PRESETS["dsl-slow"], SIZES["70K"], Variant(0.5), 1)
+    trace = PacketTrace(only={"cwnd"})
+    run.run(trace)
+    rows = [row for row in trace.rows if row[1] == 0]
+    at = rows.index((1_432_915_991, 0, "cwnd", 170_100, Mode.RECOVERY))
+    assert rows[at - 1][3:] == (243_000, Mode.AVOIDANCE)
+    # every row's mode is the controller's after the ACK: the last change
+    # by then, or Slow Start, in which each controller here begins
+    for conn in (run.long_conn, run.short_conn):
+        changes = conn.controller.mode_trace
+        for now, flow, _kind, _cwnd, mode in trace.rows:
+            if flow == conn.flow_id:
+                assert mode == [Mode.SLOW_START,
+                                *(m for t, m in changes if t <= now)][-1]
+
+
 def _packet_refs(run):
     """Every reference to a Packet the sender, link and heap hold."""
     refs = []
@@ -661,8 +703,8 @@ def _hot_parts(run):
 
 
 def test_hot_parts_keep_their_state_in_slots():
-    # Link, Connection and Receiver keep a __dict__ for outside hooks, so
-    # an attribute missing from their __slots__ would land there quietly
+    # Link and Connection keep a __dict__ for outside hooks, so an
+    # attribute missing from their __slots__ would land there quietly
     cfg = PRESETS["dsl-fast"]
     variants = [Variant(), Variant(4.0)]
     cold = TwoFlowRun(cfg, FAST70K, variants[1], 0)
@@ -1039,10 +1081,10 @@ def test_a_failed_run_names_its_cell(monkeypatch, jobs):
     cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
     run = TwoFlowRun.run
 
-    def fail_one(self, recorder=None):
+    def fail_one(self, observer=None):
         if self.variant.label() == "blitz:1" and self.rep == 1:
             raise InjectedFault("injected")
-        return run(self, recorder)
+        return run(self, observer)
     monkeypatch.setattr(TwoFlowRun, "run", fail_one)
     with pytest.raises(InjectedFault) as caught:
         run_matrix([cfg], [FAST70K], default_variants(), reps=2, jobs=jobs)
@@ -1060,10 +1102,10 @@ from blitzsim.harness import PRESETS, TwoFlowRun, Variant, run_matrix
 cfg = replace(PRESETS["dsl-fast"], short_flow_start=0, sim_cap=ms(400))
 variants = [Variant(), Variant(1.0)]
 
-def fail(self, recorder=None):
+def fail(self, observer=None):
     raise ValueError("injected")
 
-def die(self, recorder=None):  # as a worker the OOM killer ends
+def die(self, observer=None):  # as a worker the OOM killer ends
     os._exit(3)
 
 for patch, expected in ((fail, ValueError), (die, BrokenProcessPool)):
@@ -1110,10 +1152,10 @@ def test_a_raising_progress_cancels_the_groups_not_taken(monkeypatch,
     started = tmp_path / "started"
     run = TwoFlowRun.run
 
-    def counted(self, recorder=None):  # the fork start method carries it
+    def counted(self, observer=None):  # the fork start method carries it
         with open(started, "a") as fh:
             fh.write("x")
-        return run(self, recorder)
+        return run(self, observer)
 
     def progress(done, total):
         raise OSError("stderr closed")
@@ -1545,6 +1587,30 @@ def test_cli_demo_fig1(tmp_path):
         "ed88ac03d1e6cd656f5aba262b095b369254e35fde38baa53656bafd7c2256f7")
     assert _sha256(out / "fig1_bottom.csv") == (
         "f95aca7c142cf25b2f43f77e310f80873dd393148ec3d2b1ee63409cb18f39c6")
+
+
+def test_cli_demo_fig1_draws_the_long_flow_past_the_second_flows_finish(
+        tmp_path, monkeypatch):
+    # a 2 MB second flow finishes well inside the figure; the observer
+    # stays attached as demo-fig1 runs the simulator on to the figure's end
+    runs = []
+
+    def two_flow_run(cfg, _size_bytes, variant, rep):
+        runs.append(TwoFlowRun(cfg, SIZES["2M"], variant, rep))
+        return runs[-1]
+    monkeypatch.setattr(cli, "TwoFlowRun", two_flow_run)
+    out = tmp_path / "fig"
+    assert main(["demo-fig1", "--out", str(out), "--top-duration-s", "0.1",
+                 "--bottom-duration-s", "6"]) == 0
+    [run] = runs
+    finish_us, rtt_us = run.short_conn.finished_at // 1000, run.cfg.rtt // 1000
+    assert finish_us + 10 * rtt_us < 6_000_000
+    after = [float(bps) for t, flow, window, bps in
+             (line.split(",") for line in
+              (out / "fig1_bottom.csv").read_text().splitlines()[1:])
+             if flow == "0" and int(window) == rtt_us
+             and int(t) > finish_us + rtt_us]
+    assert after and min(after) > 0
 
 
 def test_cli_demo_fig1_rejects_empty_bottom_run(tmp_path, capsys):

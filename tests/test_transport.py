@@ -10,9 +10,10 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from blitzsim.congestion import (FLOOR_BYTES, PACE_AVOIDANCE, PACE_SLOW_START,
                                  CubicController, make_controller)
-from blitzsim.engine import PacketTrace, Simulator, ms, seconds, us
-from blitzsim.harness import (PRESETS, SIZES, JitterDraw, TwoFlowRun,
-                              Variant, default_variants, single_flow_run)
+from blitzsim.engine import Simulator, ms, seconds, us
+from blitzsim.harness import (PRESETS, SIZES, JitterDraw, PacketTrace,
+                              TwoFlowRun, Variant, default_variants,
+                              single_flow_run)
 from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
                                SEGMENT_WIRE_BYTES, FlowCounters, Link,
                                LinkConfig, Packet)
@@ -209,7 +210,7 @@ def test_handshake_supplies_first_rtt_sample():
 def test_initial_burst_then_paced_segments():
     # fresh baseline window of 32 segments: 10 at once, 22 paced ~781 us apart
     sim, link, conn = make_conn(1 << 20)
-    sim.recorder = trace = PacketTrace(only={"send"})
+    sim.observer = trace = PacketTrace(only={"send"})
     conn.start(0)
     sim.run_until(ms(50) + ms(18))
     start = ms(50)
@@ -465,7 +466,7 @@ def test_lost_packet_acked_before_its_resend_is_not_resent():
     # the pacer holds packet 0 in the queue after RACK declares it lost; a
     # late ACK then covers its bytes, and the queue drops it unsent
     sim, link, conn = make_conn(1 << 20, wire=False)
-    sim.recorder = trace = PacketTrace(only={"send"})
+    sim.observer = trace = PacketTrace(only={"send"})
     drive_handshake(conn, sim)
     sim.run_until(ms(52))
     first = conn.records[0]
@@ -619,7 +620,7 @@ def test_maybe_send_never_runs_on_a_finished_sender(monkeypatch, scenario):
 
 def test_receiver_acks_every_second_packet_and_on_timer():
     sim, link, conn = make_conn(3 * 1350)
-    sim.recorder = trace = PacketTrace(only={"deliver", "ack"})
+    sim.observer = trace = PacketTrace(only={"deliver", "ack"})
     conn.start(0)
     sim.run_until(seconds(2))
     # 3 packets: one pair ack plus one delayed ack for the odd tail
@@ -731,7 +732,7 @@ def test_pto_entry_popping_before_its_deadline_only_re_arms():
 
 def test_pto_after_in_flight_drains_counts_from_the_next_send():
     sim, link, conn = make_conn(1 << 20, wire=False)
-    sim.recorder = trace = PacketTrace(only={"send"})
+    sim.observer = trace = PacketTrace(only={"send"})
     drive_handshake(conn, sim)  # a burst of 10 at 50 ms, then paced
     stale = conn._pto_event.fire_at
     sim.run_until(ms(50) + us(500))  # the pacer is closed
@@ -952,7 +953,7 @@ def test_transfer_survives_drop_duplication_and_reordering(
     # a reordered packet is held back by up to three round trips
     cfg = LinkConfig(rate_bps=10_000_000, prop_delay=ms(10), buffer_pkts=30)
     sim, link, conn = make_conn(size, cfg=cfg)
-    sim.recorder = trace = PacketTrace(only={"send", "event"})
+    sim.observer = trace = PacketTrace(only={"send", "event"})
     seen = {"min_in_flight": 0, "min_cwnd": FLOOR_BYTES, "finished_sends": 0}
     calls = Counter()  # by callback, the calls on an unfinished sender
     sends = set()  # the key of each event that called maybe_send
@@ -1045,7 +1046,7 @@ class TransportMachine(RuleBasedStateMachine):
     @initialize(size=st.integers(1, 40 * SEGMENT_PAYLOAD_BYTES))
     def start(self, size):
         self.sim = Simulator()
-        self.sim.recorder = PacketTrace(only={"event"})
+        self.sim.observer = PacketTrace(only={"event"})
         self.link = StubLink(LinkConfig(rate_bps=10_000_000,
                                         prop_delay=ms(10), buffer_pkts=30))
         conn = Connection(self.sim, 0, self.link, size,
@@ -1145,7 +1146,7 @@ class TransportMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_ack_and_watched_fire_is_intercepted(self):
-        dispatched = Counter(row[3:] for row in self.sim.recorder.rows)
+        dispatched = Counter(row[3:] for row in self.sim.observer.rows)
         assert self.heard == {key: dispatched[key] for key in (
             ("packet-arrival", "conn:0"), ("loss-timer", "conn:0"),
             ("pacing-timer", "recv:0")) if dispatched[key]}
