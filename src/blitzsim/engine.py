@@ -91,10 +91,10 @@ class Simulator:
         self.observer: Optional[Callable[[tuple], None]] = None
 
     def schedule(self, fire_at: SimTime, kind: str, target: str,
-                 fn: Callable, arg: object = None) -> int | Callable:
+                 fn: Callable, arg: object = None) -> Optional[Callable]:
         """Schedule fn(now) (or fn(arg, now) when arg is given) at fire_at.
 
-        The event cannot be cancelled; its sequence number is returned.
+        The event cannot be cancelled, and nothing is returned for it.
         With arg=BIND nothing is scheduled or counted and fn is returned
         as given: an owner binds each callback it pushes itself, and each
         timer's (see timer()), this way once, when it is built. So a
@@ -109,7 +109,7 @@ class Simulator:
         seq = self.scheduled
         self.scheduled = seq + 1
         heapq.heappush(self._heap, (fire_at, seq, fn, arg, kind, target))
-        return seq
+        return None
 
     def timer(self, kind: str, target: str, fn: Callable) -> Event:
         """A timer that calls fn(now) when it fires, not yet armed.

@@ -283,52 +283,6 @@ def _controller_factory(cfg: ScenarioConfig, variant: Variant) -> partial:
     return partial(_controller, cfg.hystart_floor, wire)
 
 
-class JitterDraw:
-    """The values of rng.randrange(0, high + 1), from the same bits.
-
-    A caller pops them from `draws`, and calls draw(), which only refills
-    it, when it is empty. randrange draws k = (high + 1).bit_length()
-    random bits and redraws while they reach high + 1. For k <= 32 each
-    try takes one 32-bit word of the generator and keeps its top k bits,
-    and one getrandbits(32 * REFILL_WORDS) yields the next REFILL_WORDS
-    words, first word lowest. So draw() refills `draws` with the values of
-    a batch of words that randrange would accept, the next one last. The
-    stream and the values are the ones randrange gives, but rng runs up to
-    a batch ahead, so nothing else may draw from it. For k > 32 a try
-    takes several words, and draw() appends one value. Its state is in
-    slots, so a run loaded from TwoFlowRun.freeze() sets each slot and
-    makes no instance dict.
-    """
-
-    REFILL_WORDS = 256
-    _WORDS = struct.Struct(f"<{REFILL_WORDS}I")
-
-    __slots__ = ("rng", "n", "k", "draws")
-
-    def __init__(self, rng: random.Random, high: int):
-        self.rng = rng
-        self.n = high + 1
-        self.k = self.n.bit_length()
-        self.draws: list[int] = []
-
-    def draw(self) -> None:
-        draws = self.draws
-        n, k, rng = self.n, self.k, self.rng
-        if k > 32:
-            r = rng.getrandbits(k)
-            while r >= n:
-                r = rng.getrandbits(k)
-            draws.append(r)
-            return
-        shift = 32 - k
-        limit = n << shift  # a word is accepted when word >> shift < n
-        while not draws:  # refilled in place: callers hold the list
-            words = self._WORDS.unpack(rng.getrandbits(
-                32 * self.REFILL_WORDS).to_bytes(4 * self.REFILL_WORDS,
-                                                  "little"))
-            draws.extend([w >> shift for w in reversed(words) if w < limit])
-
-
 _MT_STATE = struct.Struct("<625I")  # a Mersenne Twister's words and index
 
 
@@ -410,13 +364,13 @@ class TwoFlowRun:
         jitter_max = (cfg.start_jitter_max if cfg.start_jitter_max is not None
                       else cfg.rtt)
         self.start_jitter = start_rng.randrange(0, jitter_max + 1)
-        jitter = JitterDraw(pkt_rng, cfg.pkt_jitter_max)
+        # both flows draw their injection lags from pkt_rng, in send order
         self.long_conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
                                     _controller_factory(cfg, Variant()),
-                                    jitter=jitter)
+                                    pkt_rng, cfg.pkt_jitter_max)
         self.short_conn = Connection(sim, SHORT_FLOW, link, size_bytes,
                                      _controller_factory(cfg, variant),
-                                     jitter=jitter)
+                                     pkt_rng, cfg.pkt_jitter_max)
         self.sat_check = sim.timer("app-start", "saturation",
                                    self._on_saturated)
         # each flow's departed bytes when the short flow starts: the
@@ -608,7 +562,7 @@ def single_flow_run(cfg: ScenarioConfig, duration: SimTime,
     pkt_rng = substream(cfg.seed_base, cfg.name, "single", 0, "pkt")
     conn = Connection(sim, LONG_FLOW, link, cfg.long_flow_bytes,
                       _controller_factory(cfg, Variant()),
-                      jitter=JitterDraw(pkt_rng, cfg.pkt_jitter_max))
+                      pkt_rng, cfg.pkt_jitter_max)
     conn.start(0)
     sim.run_until(duration)
     link.retire(duration)

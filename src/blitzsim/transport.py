@@ -15,17 +15,15 @@ time for every variant alike.
 from __future__ import annotations
 
 import bisect
+import random
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .congestion import INITIAL_BURST_PACKETS, CubicController
 from .engine import BIND, NS_PER_MS, SimTime, Simulator
 from .netmodel import (HEADER_BYTES, LINK_TARGET, SEGMENT_PAYLOAD_BYTES,
                        SEGMENT_WIRE_BYTES, Link, Packet)
-
-if TYPE_CHECKING:
-    from .harness import JitterDraw
 
 RACK_PACKET_THRESHOLD = 3
 RACK_TIME_THRESHOLD = (9, 8)  # (numerator, denominator) of a multiple of the RTT
@@ -188,7 +186,7 @@ class Connection:
     __slots__ = (
         "sim", "flow_id", "_target", "link", "_enqueue", "size",
         "reverse_delay", "handshake_rtt", "controller_factory", "controller",
-        "jitter", "_draws", "next_seq", "pkts_sent", "records",
+        "_lag", "next_seq", "pkts_sent", "records",
         "records_by_seq", "_records_floor", "_scan_from", "retx_queue",
         "acked_ranges", "in_flight", "srtt", "rttvar", "latest_rtt",
         "largest_acked_pkt", "largest_acked_sent_at", "burst_remaining",
@@ -200,7 +198,7 @@ class Connection:
     def __init__(self, sim: Simulator, flow_id: int, link: Link,
                  transfer_bytes: int,
                  controller_factory: Callable[[SimTime, SimTime], CubicController],
-                 jitter: JitterDraw):
+                 rng: random.Random, jitter_max: int):
         self.sim = sim
         self.flow_id = flow_id
         self._target = f"conn:{flow_id}"  # event target of this flow's events
@@ -213,10 +211,10 @@ class Connection:
         self.handshake_rtt = 2 * link.config.prop_delay
         self.controller_factory = controller_factory
         self.controller: Optional[CubicController] = None
-        # each injection lag is popped from the JitterDraw's `draws`, and
-        # jitter() is called only to refill the list when it is empty
-        self.jitter = jitter.draw
-        self._draws = jitter.draws
+        # each injection lag is rng.randrange(0, jitter_max + 1), drawn
+        # inline from (getrandbits, n, k) as randrange draws it
+        n = jitter_max + 1
+        self._lag = (rng.getrandbits, n, n.bit_length())
 
         self.next_seq = 0
         self.pkts_sent = 0  # packet numbers start at 0: also the next one
@@ -338,10 +336,12 @@ class Connection:
                 self.bytes_retransmitted += payload
             else:
                 self.next_seq = end
-            draws = self._draws
-            if not draws:
-                self.jitter()
-            inject_at = now + draws.pop()
+            # randrange(0, n): k random bits, redrawn while they reach n
+            getrandbits, n, k = self._lag
+            lag = getrandbits(k)
+            while lag >= n:
+                lag = getrandbits(k)
+            inject_at = now + lag
             if inject_at < self._last_inject:
                 inject_at = self._last_inject  # a sender never reorders itself
             self._last_inject = inject_at

@@ -73,9 +73,8 @@ def test_arm_schedules_once_then_rekeys_the_same_event():
 def test_schedule_returns_nothing_to_cancel():
     sim = Simulator()
     fired = []
-    # the event's sequence number, which is no handle to cancel
     assert sim.schedule(us(5), "packet-arrival", "t",
-                        lambda arg, now: fired.append((arg, now)), 7) == 0
+                        lambda arg, now: fired.append((arg, now)), 7) is None
     sim.run_until(us(5))
     assert fired == [(7, us(5))]
     assert (sim.scheduled, sim.cancelled, sim.dispatched) == (1, 0, 1)

@@ -4,7 +4,6 @@ import importlib
 import io
 import math
 import os
-import random
 import signal
 import statistics
 import subprocess
@@ -25,7 +24,7 @@ from blitzsim.cli import main
 from blitzsim.congestion import Mode
 from blitzsim.engine import Simulator, ms, seconds
 from blitzsim.harness import (ESTIMATE_FACTORS, PRESETS, RUNS_HEADER, SIZES,
-                              TRACE_HEADER, TRACE_ROWS, JitterDraw, PacketTrace,
+                              TRACE_HEADER, TRACE_ROWS, PacketTrace,
                               RunResult, ScenarioConfig, TwoFlowRun, Variant,
                               _anova_two_groups, _t_abs_cdf,
                               _t_critical, aggregate, check_cells,
@@ -256,32 +255,6 @@ def test_anova_p_never_prints_negative_zero():
     f_stat, p = _anova_two_groups(a, [2000 + x for x in a])
     assert 1.0 - _t_abs_cdf(math.sqrt(f_stat), 58) < 0
     assert p == 0.0 and f"{p:.6f}" == "0.000000"
-
-
-def test_jitter_draw_repeats_randrange():
-    # Up to 2**32 - 2, a draw takes one 32-bit word, and a batch of words
-    # holds at most REFILL_WORDS draws: 2 * REFILL_WORDS + 1 draws span at
-    # least three refills. From 2**32 - 1 on, a draw takes two words and
-    # is drawn alone. Half the tries or more are rejected for high 0, 1
-    # and 7. The draws are taken as Connection.maybe_send takes them:
-    # popped from `draws`, which draw() refills when it is empty.
-    for high in (0, 1, 7, 1000, (1 << 32) - 1, 1 << 32, 5 * 10**9):
-        a, b = random.Random(high), random.Random(high)
-        jitter = JitterDraw(b, high)
-        batched = (high + 1).bit_length() <= 32
-        got = []
-        refills = 0
-        for _ in range(2 * JitterDraw.REFILL_WORDS + 1):
-            if not jitter.draws:
-                jitter.draw()
-                refills += 1
-                if batched:  # a batch of words, some of them rejected
-                    assert 1 < len(jitter.draws) <= JitterDraw.REFILL_WORDS
-                else:
-                    assert len(jitter.draws) == 1
-            got.append(jitter.draws.pop())
-        assert got == [a.randrange(0, high + 1) for _ in got], high
-        assert refills >= 3
 
 
 def test_run_matrix_rejects_a_zero_kbps_estimate_before_running():
@@ -680,16 +653,16 @@ def test_a_lossy_run_frozen_mid_flight_resumes_in_a_fresh_run():
             == [(at, ack.acked_ranges, ack.largest_acked_pkt_num)
                 for at, ack in acks])
 
-    jitter = source.long_conn.jitter.__self__
-    fork_jitter = fork.long_conn.jitter.__self__
-    assert fork.short_conn.jitter.__self__ is fork_jitter
-    assert fork.short_conn._draws is fork.long_conn._draws is fork_jitter.draws
-    assert fork_jitter.rng is not jitter.rng
-    assert fork_jitter.rng.getstate() == jitter.rng.getstate()
-    assert fork_jitter.draws == jitter.draws
+    # both connections of a run draw their lags from one generator
+    rng = source.long_conn._lag[0].__self__
+    fork_rng = fork.long_conn._lag[0].__self__
+    assert source.short_conn._lag[0].__self__ is rng
+    assert fork.short_conn._lag[0].__self__ is fork_rng
+    assert fork_rng is not rng
+    assert fork_rng.getstate() == rng.getstate()
     assert fork.run() == source.run()
     assert _counters(fork) == _counters(source)
-    assert fork_jitter.rng.getstate() == jitter.rng.getstate()
+    assert fork_rng.getstate() == rng.getstate()
 
 
 def _hot_parts(run):
@@ -884,8 +857,8 @@ def _closure_in_a_property_hook(monkeypatch):
     # as perfbench's Tracer._hook does: the class attribute becomes a
     # property that keeps a wrapper in the instance dict
     def store(conn, fn):
-        conn.__dict__["hooked"] = lambda: fn()
-    monkeypatch.setattr(harness.Connection, "jitter", property(
+        conn.__dict__["hooked"] = lambda *args: fn(*args)
+    monkeypatch.setattr(harness.Connection, "controller_factory", property(
         lambda conn: conn.__dict__["hooked"], store))
 
 

@@ -19,7 +19,7 @@ def test_design_metrics_prints_every_figure():
     assert 0 < int(figures["src_prose_lines"]) < int(figures["src_lines"])
     # the values a caller or user can set: held to its figure, as the
     # per-packet budgets are, so that growth is a decision
-    assert 0 < int(figures["settable_values"]) <= 238
+    assert 0 < int(figures["settable_values"]) <= 237
     # a data packet's injection and arrival, an ACK's arrival per two
     # packets and the pacing timer: its departure is no event
     assert 2 < float(figures["dispatched_per_data_packet"]) < 3.5
@@ -28,9 +28,12 @@ def test_design_metrics_prints_every_figure():
     assert 0 <= float(figures["cancelled_per_data_packet"]) <= 0.05
     # the per-packet call budgets; the counts are deterministic
     assert 0 < float(figures["calls_per_data_packet"]) <= 5.2
+    # each try at an injection lag is one getrandbits call: at the default
+    # 10 us jitter, 10,001 of 16,384 values of 14 bits are accepted, so a
+    # lag takes about 1.64 calls, and the figure is about 13.76
     assert 0 < float(figures["c_calls_per_data_packet"]) <= 14
     # a sender adds about one range it did not hold per ACK
     assert 0 < float(figures["range_adds_per_ack"]) < 2
     # the warm copy a fork loads; deterministic, and compact since packets
     # pickle as their constructor's arguments and the generator as bytes
-    assert 0 < int(figures["frozen_warm_run_bytes"]) <= 27_000
+    assert 0 < int(figures["frozen_warm_run_bytes"]) <= 26_500

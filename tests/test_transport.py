@@ -11,9 +11,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 from blitzsim.congestion import (FLOOR_BYTES, PACE_AVOIDANCE, PACE_SLOW_START,
                                  CubicController, make_controller)
 from blitzsim.engine import Simulator, ms, seconds, us
-from blitzsim.harness import (PRESETS, SIZES, JitterDraw, PacketTrace,
-                              TwoFlowRun, Variant, default_variants,
-                              single_flow_run)
+from blitzsim.harness import (PRESETS, SIZES, PacketTrace, TwoFlowRun,
+                              Variant, default_variants, single_flow_run)
 from blitzsim.netmodel import (HEADER_BYTES, SEGMENT_PAYLOAD_BYTES,
                                SEGMENT_WIRE_BYTES, FlowCounters, Link,
                                LinkConfig, Packet)
@@ -28,9 +27,9 @@ def make_conn(transfer_bytes, cfg=DSL_FAST, controller=None, wire=True):
     sim = Simulator()
     link = Link(sim, cfg)
     factory = controller or (lambda mr, now: CubicController())
-    # a JitterDraw of high 0: every injection lag is 0
+    # a jitter_max of 0: every injection lag is 0
     conn = Connection(sim, 0, link, transfer_bytes, factory,
-                      JitterDraw(random.Random(0), 0))
+                      random.Random(0), 0)
     if not wire:  # packets reach the far end and go no further
         def absorb(pkt, now):
             counters.delivered += 1
@@ -221,6 +220,28 @@ def test_initial_burst_then_paced_segments():
     assert len(paced) == 22
     gaps = {b - a for a, b in zip(paced, paced[1:])}
     assert gaps == {781_250}
+
+
+def test_injection_lags_repeat_randrange():
+    # Each packet of the initial burst, sent at 0, is injected at the
+    # running maximum of the lags so far, each one drawn as
+    # randrange(0, jitter_max + 1) draws it. A lag takes k = 1 bit up to
+    # k = 33 bits; half the tries or more are rejected for 0, 1, 7 and
+    # 2**32 - 1. The generator ends where randrange leaves it.
+    for jitter_max in (0, 1, 7, 1000, (1 << 32) - 2, (1 << 32) - 1,
+                       5 * 10**9):
+        rng, twin = random.Random(jitter_max), random.Random(jitter_max)
+        sim = Simulator()
+        conn = Connection(sim, 0, Link(sim, DSL_FAST), 1 << 20,
+                          lambda mr, now: CubicController(), rng, jitter_max)
+        conn._on_handshake_done(0)
+        assert conn.pkts_sent == 10
+        want, latest = [], 0
+        for _ in range(10):
+            latest = max(latest, twin.randrange(0, jitter_max + 1))
+            want.append(latest)
+        assert [pkt.sent_at for pkt in conn.records.values()] == want
+        assert rng.getstate() == twin.getstate(), jitter_max
 
 
 def test_window_limited_sender_sends_nothing_and_arms_no_timer():
@@ -794,7 +815,7 @@ def test_a_pto_can_find_nothing_outstanding(monkeypatch):
     hint = BandwidthHint(AccessTech.DSL, 120_000)  # a 200-segment window
     conn = Connection(sim, 0, link, 1000 * SEGMENT_PAYLOAD_BYTES,
                       lambda mr, now: make_controller(hint, mr, now),
-                      JitterDraw(random.Random(0), 0))
+                      random.Random(0), 0)
     received, largest = RangeSet(), -1
 
     def receive(pkt_num):
@@ -1051,7 +1072,7 @@ class TransportMachine(RuleBasedStateMachine):
                                         prop_delay=ms(10), buffer_pkts=30))
         conn = Connection(self.sim, 0, self.link, size,
                           lambda mr, now: CubicController(),
-                          JitterDraw(random.Random(0), 0))
+                          random.Random(0), 0)
         self.conn = conn
         self.acks = []
         self.heard = Counter()  # the calls intercepted, by (kind, target)

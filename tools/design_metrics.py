@@ -49,10 +49,10 @@ calls_per_data_packet
 c_calls_per_data_packet
     Calls into C per data packet sent, from the same hook and run: its
     `c_call` events, such as `heapq.heappush`, `dict.get`, `len` and
-    `list.pop`. Calling a class or a type, such as `Ack(...)` or
-    `list(...)`, is no `c_call` event, but `object.__new__(Packet)`, with
-    which `maybe_send` makes each packet, is one. tests/test_tools.py
-    holds it to 14.
+    `Random.getrandbits`, one per try at an injection lag. Calling a
+    class or a type, such as `Ack(...)` or `list(...)`, is no `c_call`
+    event, but `object.__new__(Packet)`, with which `maybe_send` makes
+    each packet, is one. tests/test_tools.py holds it to 14.
 range_adds_per_ack
     ACK ranges a sender did not hold before the ACK, per ACK it receives,
     both flows counted, on the dsl-fast 2M blitz:4 cell, rep 0, seed 1:
